@@ -17,6 +17,7 @@ algebraic identities are exact.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -126,11 +127,23 @@ class AlgebraElement:
 
 def element_from_json(data: dict, g: FiniteGroupoid) -> AlgebraElement:
     try:
-        vals = data["values"]
-        values = [complex(re, im) for re, im in vals]
+        values = complex_values_from_json(data["values"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupoidError(f"malformed function JSON: {exc}") from exc
+    if len(values) != g.n_morphisms:
+        raise GroupoidError(
+            f"malformed function JSON: need {g.n_morphisms} values, got {len(values)}"
+        )
     return AlgebraElement(g, values)
+
+
+def complex_values_from_json(pairs) -> list[complex]:
+    """[[re, im], ...] as complex numbers; ValueError on a non-finite one."""
+    values = [complex(re, im) for re, im in pairs]
+    for v in values:
+        if not cmath.isfinite(v):
+            raise ValueError(f"non-finite value {v}")
+    return values
 
 
 def load_element(path: str, g: FiniteGroupoid) -> AlgebraElement:
@@ -216,9 +229,16 @@ def is_positive_type(phi: AlgebraElement, tol: float = PSD_TOL) -> PositiveTypeR
     fiber α_j, α_k ∈ G_x must be positive semidefinite (these blocks exhaust
     the defining quadratic form, which only pairs morphisms with equal
     sources).  Fails with the offending block and an eigenvector witness.
+
+    Blocks equal to an earlier one are skipped, and the rest are solved in one
+    stacked call per block order.  The verdict is that of walking the blocks
+    in object order: the first one with a Hermitian defect above tol or a
+    negative eigenvalue below -tol decides a failure; otherwise the first
+    block attaining the least eigenvalue is reported.
     """
     G = phi.groupoid
-    worst = PositiveTypeResult(ok=True, min_eigenvalue=float("inf"))
+    labels: list[tuple[int, tuple[int, ...]]] = []
+    blocks: list[np.ndarray] = []
     seen: set[bytes] = set()
     for x in G.objects():
         fiber = G.source_fiber(x)
@@ -233,29 +253,49 @@ def is_positive_type(phi: AlgebraElement, tol: float = PSD_TOL) -> PositiveTypeR
         if key in seen:
             continue
         seen.add(key)
-        defect = hermitian_defect(block)
-        if defect > tol:
-            return PositiveTypeResult(
-                ok=False,
-                min_eigenvalue=float("nan"),
-                object_index=x,
-                fiber=fiber,
-                block=block,
-                hermitian_defect=defect,
-            )
-        w, v = hermitian_eigh(block)
+        labels.append((x, fiber))
+        blocks.append(block)
+    defects = [hermitian_defect(block) for block in blocks]
+    # Blocks after the first Hermitian defect are never reached by the walk.
+    stop = next((i for i, defect in enumerate(defects) if defect > tol), len(blocks))
+    spectra = _spectra(blocks[:stop])
+    worst = PositiveTypeResult(ok=True, min_eigenvalue=float("inf"))
+    for (x, fiber), block, (w, v) in zip(labels, blocks, spectra):
         if w[0] < worst.min_eigenvalue:
             worst = PositiveTypeResult(
-                ok=w[0] >= -tol,
+                ok=bool(w[0] >= -tol),
                 min_eigenvalue=float(w[0]),
                 object_index=x,
                 fiber=fiber,
                 block=block,
                 witness=v[:, 0],
             )
-        if not worst.ok:
-            return worst
+            if not worst.ok:
+                return worst
+    if stop < len(blocks):
+        x, fiber = labels[stop]
+        return PositiveTypeResult(
+            ok=False,
+            min_eigenvalue=float("nan"),
+            object_index=x,
+            fiber=fiber,
+            block=blocks[stop],
+            hermitian_defect=defects[stop],
+        )
     return worst
+
+
+def _spectra(blocks: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(w, v) of every block, with one stacked solve per block order."""
+    out: list = [None] * len(blocks)
+    by_order: dict[int, list[int]] = {}
+    for i, block in enumerate(blocks):
+        by_order.setdefault(len(block), []).append(i)
+    for idx in by_order.values():
+        ws, vs = hermitian_eigh(np.stack([blocks[i] for i in idx]))
+        for i, w, v in zip(idx, ws, vs):
+            out[i] = (w, v)
+    return out
 
 
 def state_normalization(phi: AlgebraElement, m: GroupoidMeasure):

@@ -45,8 +45,6 @@ from .symmetroid import (
     FlatBisection,
     QClass,
     enumerate_quotient,
-    q_horizontal_compose,
-    q_horizontal_inverse,
     q_index,
 )
 from .symalgebra import QuotientFunction, quotient_function_from_json
@@ -108,9 +106,11 @@ class KrausFamily:
 def kraus_from_json(data: dict) -> KrausFamily:
     try:
         n = data["n"]
-        members = data["members"]
+        members = list(data["members"])
     except (KeyError, TypeError) as exc:
         raise GroupoidError(f"malformed Kraus JSON: {exc}") from exc
+    if type(n) is not int or n < 1:
+        raise GroupoidError(f"malformed Kraus JSON: n must be a positive integer, got {n!r}")
     g = pair_groupoid(n)
     return KrausFamily(n, [element_from_json(m, g) for m in members])
 
@@ -282,10 +282,8 @@ def to_b_matrix(ch: Channel) -> BMatrix:
 def to_choi(ch: Channel) -> ChoiMatrix:
     """Choi[(l,j),(m,k)] = f((l,j),(k,m)); PSD exactly for completely positive maps."""
     n = ch.n
-    mat = np.zeros((n * n, n * n), dtype=np.complex128)
-    for (l, j, k, m), v in ch.kernel.support():
-        mat[l * n + j, m * n + k] = complex(v)
-    return ChoiMatrix(n, mat)
+    f = np.array(ch.kernel.values, dtype=np.complex128).reshape(n, n, n, n)
+    return ChoiMatrix(n, f.transpose(0, 1, 3, 2).reshape(n * n, n * n))
 
 
 def channel_from_a_matrix(a: AMatrix) -> Channel:
@@ -385,40 +383,25 @@ def is_flat_psd(ch: Channel, tol: float = PSD_TOL) -> FlatPSDResult:
     Classes are grouped by horizontal compatibility: Γ_j ∘_H Γ_k^{-H} is
     defined exactly when Γ_j and Γ_k share the lower pair (x, w).  For each
     such group the Gram matrix G[j, k] = f(Γ_j ∘_H Γ_k^{-H}) must be
-    Hermitian PSD.
+    Hermitian PSD.  With Γ_j = ((z, y), (x, w)) and Γ_k = ((z', y'), (x, w)),
+    q_horizontal_compose gives Γ_j ∘_H Γ_k^{-H} = ((z, y), (y', z')), so
+
+        G[(z, y), (z', y')] = f((z, y), (y', z')) = Choi[(z, y), (z', y')]
+
+    for every group: one matrix, decided once and reported as block (0, 0).
     """
-    n = ch.n
-    worst = FlatPSDResult(ok=True, min_eigenvalue=float("inf"), hermitian_defect=0.0)
-    classes = enumerate_quotient(n)
-    seen: set[bytes] = set()
-    for x in range(n):
-        for w in range(n):
-            group = [q for q in classes if q.x == x and q.w == w]
-            k = len(group)
-            gram = np.zeros((k, k), dtype=np.complex128)
-            for i, qj in enumerate(group):
-                for j2, qk in enumerate(group):
-                    prod = q_horizontal_compose(qj, q_horizontal_inverse(qk))
-                    gram[i, j2] = complex(ch.kernel[prod])
-            key = gram.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            defect = hermitian_defect(gram)
-            if defect > tol:
-                return FlatPSDResult(False, float("nan"), defect, (x, w))
-            vals, vecs = hermitian_eigh(gram)
-            if vals[0] < worst.min_eigenvalue:
-                worst = FlatPSDResult(
-                    ok=bool(vals[0] >= -tol),
-                    min_eigenvalue=float(vals[0]),
-                    hermitian_defect=defect,
-                    block_label=(x, w),
-                    witness=vecs[:, 0],
-                )
-            if not worst.ok:
-                return worst
-    return worst
+    gram = to_choi(ch).matrix
+    defect = hermitian_defect(gram)
+    if defect > tol:
+        return FlatPSDResult(False, float("nan"), defect, (0, 0))
+    vals, vecs = hermitian_eigh(gram)
+    return FlatPSDResult(
+        ok=bool(vals[0] >= -tol),
+        min_eigenvalue=float(vals[0]),
+        hermitian_defect=defect,
+        block_label=(0, 0),
+        witness=vecs[:, 0],
+    )
 
 
 def kernel_positive_type(ch: Channel, tol: float = PSD_TOL):

@@ -47,13 +47,21 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
+def _dumps(payload, **kwargs) -> str:
+    """JSON text of a payload; a non-finite number in it is an input error."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise GroupoidError(f"result is not finite: {exc}") from exc
+
+
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(payload, indent=1, sort_keys=True))
+        print(_dumps(payload, indent=1))
         return
     for key, value in payload.items():
         if isinstance(value, (dict, list)):
-            print(f"{key}: {json.dumps(value, sort_keys=True)}")
+            print(f"{key}: {_dumps(value)}")
         else:
             print(f"{key}: {value}")
 
@@ -233,7 +241,7 @@ def cmd_symmetroid(args) -> int:
 
 def _write_or_print(payload: dict, out: str | None, as_json: bool) -> None:
     if out:
-        Path(out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        Path(out).write_text(_dumps(payload, indent=1) + "\n")
         _emit({"out": out}, as_json)
     else:
         _emit(payload, as_json)

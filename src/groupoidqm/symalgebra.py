@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, convolve
+from .algebra import AlgebraElement, complex_values_from_json, convolve
 from .groupoid import FiniteGroupoid, GroupoidError, pair_groupoid
 from .measure import (
     DEFAULT_TOL,
@@ -349,9 +349,15 @@ class QuotientFunction:
 def quotient_function_from_json(data: dict) -> QuotientFunction:
     try:
         n = data["n"]
-        values = [complex(re, im) for re, im in data["values"]]
+        values = complex_values_from_json(data["values"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupoidError(f"malformed quotient-function JSON: {exc}") from exc
+    if type(n) is not int or n < 1:
+        raise GroupoidError(f"malformed quotient-function JSON: n must be a positive integer, got {n!r}")
+    if len(values) != n**4:
+        raise GroupoidError(
+            f"malformed quotient-function JSON: need n⁴ = {n**4} values, got {len(values)}"
+        )
     return QuotientFunction(n, values)
 
 

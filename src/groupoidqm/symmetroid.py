@@ -377,7 +377,8 @@ def flat_bisection_product(b2: FlatBisection, b1: FlatBisection) -> FlatBisectio
     product = bisection_product(b2.bisection, b1.bisection)
     perm = tuple(b2.perm[b1.perm[x]] for x in range(b1.n))
     result = FlatBisection(perm)
-    assert result.bisection == product
+    if result.bisection != product:
+        raise GroupoidError(f"{b2} ∘ {b1} is not the flat bisection of the composed permutation")
     return result
 
 

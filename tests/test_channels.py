@@ -7,6 +7,7 @@ from groupoidqm import (
     AlgebraElement,
     Channel,
     DimensionMismatchError,
+    GroupoidError,
     GroupoidMeasure,
     KrausFamily,
     QClass,
@@ -22,6 +23,8 @@ from groupoidqm import (
     compose_channels,
     convolve,
     dsf_check,
+    element_from_json,
+    enumerate_quotient,
     extend_with_identity,
     flat_bisection_product,
     flat_bisections,
@@ -42,6 +45,9 @@ from groupoidqm import (
     pair_groupoid,
     pair_index,
     positivity_falsifier,
+    q_horizontal_compose,
+    q_horizontal_inverse,
+    quotient_function_from_json,
     random_choi_hermitian_channel,
     random_kraus_channel,
     random_positive_type,
@@ -265,6 +271,46 @@ class TestPositivity:
         res_flat = is_flat_psd(ch)
         res_cp = is_cp(ch)
         assert abs(res_flat.min_eigenvalue - res_cp.min_eigenvalue) < 1e-10
+        assert res_flat.block_label == (0, 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_flat_gram_block_is_the_reshaped_kernel(self, n):
+        # G[j, k] = f(Γ_j ∘_H Γ_k^{-H}) over the classes sharing (x, w), built
+        # from the composition itself, is the same matrix for every (x, w)
+        rng = np.random.default_rng(30 + n)
+        kernels = [random_kraus_channel(n, rng).kernel, random_choi_hermitian_channel(n, rng).kernel]
+        for kernel in kernels:
+            reshaped = (
+                np.array(kernel.values).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
+            )
+            classes = enumerate_quotient(n)
+            for x in range(n):
+                for w in range(n):
+                    group = [q for q in classes if q.x == x and q.w == w]
+                    gram = np.array(
+                        [
+                            [kernel[q_horizontal_compose(qj, q_horizontal_inverse(qk))] for qk in group]
+                            for qj in group
+                        ]
+                    )
+                    assert np.array_equal(gram, reshaped)
+            assert np.array_equal(reshaped, to_choi(Channel(kernel)).matrix)
+
+    def test_flat_psd_failure_reports_block_and_witness(self):
+        res = is_flat_psd(transpose_channel(3))
+        assert not res.ok
+        assert res.block_label == (0, 0)
+        assert abs(res.min_eigenvalue + 1) < 1e-10
+        swap = to_choi(transpose_channel(3)).matrix
+        assert np.allclose(swap @ res.witness, -res.witness, atol=1e-10)
+
+    def test_flat_psd_hermitian_defect(self):
+        kernel = QuotientFunction.zeros(2)
+        kernel.values[1] = 1.0  # f((0,0),(0,1)) with no conjugate partner
+        res = is_flat_psd(Channel(kernel))
+        assert not res.ok
+        assert res.hermitian_defect == 1.0
+        assert res.block_label == (0, 0)
 
     def test_bisection_channels_cp_unital(self):
         for b in flat_bisections(3):
@@ -517,3 +563,40 @@ def test_channel_json_round_trip():
     data = json.loads(json.dumps(ch.to_json()))
     ch2 = channel_from_json(data)
     assert ch.kernel.allclose(ch2.kernel, 1e-15)
+
+
+class TestInputContract:
+    def test_quotient_function_wrong_length(self):
+        with pytest.raises(GroupoidError):
+            quotient_function_from_json({"n": 2, "values": [[0, 0]] * 15})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_quotient_function_non_finite(self, bad):
+        values = [[0.0, 0.0]] * 16
+        values[3] = [0.0, bad]
+        with pytest.raises(GroupoidError):
+            quotient_function_from_json({"n": 2, "values": values})
+
+    @pytest.mark.parametrize("n", [0, -1, 1.5, "2", True, None])
+    def test_quotient_function_bad_n(self, n):
+        with pytest.raises(GroupoidError):
+            quotient_function_from_json({"n": n, "values": [[0, 0]] * 16})
+
+    def test_element_wrong_length_and_non_finite(self):
+        g = pair_groupoid(2)
+        with pytest.raises(GroupoidError):
+            element_from_json({"values": [[1, 0]] * 3}, g)
+        with pytest.raises(GroupoidError):
+            element_from_json({"values": [[1, 0]] * 3 + [[float("nan"), 0]]}, g)
+
+    def test_kraus_wrong_length_and_non_finite(self):
+        good = {"values": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+        assert len(kraus_from_json({"n": 2, "members": [good]}).members) == 1
+        with pytest.raises(GroupoidError):
+            kraus_from_json({"n": 2, "members": [{"values": [[1, 0]] * 5}]})
+        with pytest.raises(GroupoidError):
+            kraus_from_json({"n": 2, "members": [{"values": [[float("inf"), 0]] * 4}]})
+        with pytest.raises(GroupoidError):
+            kraus_from_json({"n": "2", "members": [good]})
+        with pytest.raises(GroupoidError):
+            kraus_from_json({"n": 2, "members": 7})

@@ -296,3 +296,37 @@ def test_reproduce_writes_reports(tmp_path, capsys):
     assert shift["all_basis_exact"] and shift["functor_composition_ok"]
     fourier = json.loads((tmp_path / "reports" / "fourier_n3.json").read_text())
     assert fourier["closed_form_all"] and fourier["fourier_offdiagonal_max"] <= 1e-10
+
+
+def test_channel_check_wrong_length_is_input_error(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"n": 2, "values": [[0.0, 0.0]] * 15}))
+    code, out, err = run(capsys, "channel", "check", str(path), "--cp", "--json")
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+def test_channel_check_nan_kernel_is_input_error(tmp_path, capsys):
+    values = [[0.0, 0.0]] * 16
+    values[5] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"n": 2, "values": values}))
+    code, out, err = run(capsys, "channel", "check", str(path), "--cp", "--flat-psd", "--json")
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+def test_overflowing_output_is_input_error_not_nan_json(tmp_path, capsys):
+    # finite Kraus entries whose products overflow: the kernel holds inf
+    kpath = tmp_path / "k.json"
+    kpath.write_text(json.dumps({"n": 1, "members": [{"values": [[1e200, 0.0]]}]}))
+    code, out, err = run(capsys, "channel", "from-kraus", str(kpath), "--json")
+    assert code == 2
+    assert "NaN" not in out and "Infinity" not in out
+    assert "error" in json.loads(err)
+    out_path = tmp_path / "c.json"
+    code, _, _ = run(capsys, "channel", "from-kraus", str(kpath), "-o", str(out_path), "--json")
+    assert code == 2
+    assert not out_path.exists()

@@ -5,6 +5,7 @@ import pytest
 from groupoidqm import (
     Bisection,
     FlatBisection,
+    GroupoidError,
     NotComposableError,
     QClass,
     Symmetroid,
@@ -328,3 +329,14 @@ class TestBisections:
     def test_bisection_rejects_non_bijection(self):
         with pytest.raises(Exception):
             Bisection(2, [0, 0, 1, 2])
+
+
+def test_flat_bisection_product_checks_its_invariant(monkeypatch):
+    # The permutation product must agree with the bisection product; the check
+    # raises (it is not an assert, which python -O would strip).
+    import groupoidqm.symmetroid as sym
+
+    b = shift_bisection(3)
+    monkeypatch.setattr(sym, "bisection_product", lambda b2, b1: identity_bisection(3))
+    with pytest.raises(GroupoidError):
+        flat_bisection_product(b, b)
