@@ -229,16 +229,9 @@ def is_positive_type(phi: AlgebraElement, tol: float = PSD_TOL) -> PositiveTypeR
     fiber α_j, α_k ∈ G_x must be positive semidefinite (these blocks exhaust
     the defining quadratic form, which only pairs morphisms with equal
     sources).  Fails with the offending block and an eigenvector witness.
-
-    Blocks equal to an earlier one are skipped, and the rest are solved in one
-    stacked call per block order.  The verdict is that of walking the blocks
-    in object order: the first one with a Hermitian defect above tol or a
-    negative eigenvalue below -tol decides a failure; otherwise the first
-    block attaining the least eigenvalue is reported.
     """
     G = phi.groupoid
-    labels: list[tuple[int, tuple[int, ...]]] = []
-    blocks: list[np.ndarray] = []
+    worst = PositiveTypeResult(ok=True, min_eigenvalue=float("inf"))
     seen: set[bytes] = set()
     for x in G.objects():
         fiber = G.source_fiber(x)
@@ -253,49 +246,29 @@ def is_positive_type(phi: AlgebraElement, tol: float = PSD_TOL) -> PositiveTypeR
         if key in seen:
             continue
         seen.add(key)
-        labels.append((x, fiber))
-        blocks.append(block)
-    defects = [hermitian_defect(block) for block in blocks]
-    # Blocks after the first Hermitian defect are never reached by the walk.
-    stop = next((i for i, defect in enumerate(defects) if defect > tol), len(blocks))
-    spectra = _spectra(blocks[:stop])
-    worst = PositiveTypeResult(ok=True, min_eigenvalue=float("inf"))
-    for (x, fiber), block, (w, v) in zip(labels, blocks, spectra):
+        defect = hermitian_defect(block)
+        if defect > tol:
+            return PositiveTypeResult(
+                ok=False,
+                min_eigenvalue=float("nan"),
+                object_index=x,
+                fiber=fiber,
+                block=block,
+                hermitian_defect=defect,
+            )
+        w, v = hermitian_eigh(block)
         if w[0] < worst.min_eigenvalue:
             worst = PositiveTypeResult(
-                ok=bool(w[0] >= -tol),
+                ok=w[0] >= -tol,
                 min_eigenvalue=float(w[0]),
                 object_index=x,
                 fiber=fiber,
                 block=block,
                 witness=v[:, 0],
             )
-            if not worst.ok:
-                return worst
-    if stop < len(blocks):
-        x, fiber = labels[stop]
-        return PositiveTypeResult(
-            ok=False,
-            min_eigenvalue=float("nan"),
-            object_index=x,
-            fiber=fiber,
-            block=blocks[stop],
-            hermitian_defect=defects[stop],
-        )
+        if not worst.ok:
+            return worst
     return worst
-
-
-def _spectra(blocks: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(w, v) of every block, with one stacked solve per block order."""
-    out: list = [None] * len(blocks)
-    by_order: dict[int, list[int]] = {}
-    for i, block in enumerate(blocks):
-        by_order.setdefault(len(block), []).append(i)
-    for idx in by_order.values():
-        ws, vs = hermitian_eigh(np.stack([blocks[i] for i in idx]))
-        for i, w, v in zip(idx, ws, vs):
-            out[i] = (w, v)
-    return out
 
 
 def state_normalization(phi: AlgebraElement, m: GroupoidMeasure):

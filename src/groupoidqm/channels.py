@@ -390,18 +390,8 @@ def is_flat_psd(ch: Channel, tol: float = PSD_TOL) -> FlatPSDResult:
 
     for every group: one matrix, decided once and reported as block (0, 0).
     """
-    gram = to_choi(ch).matrix
-    defect = hermitian_defect(gram)
-    if defect > tol:
-        return FlatPSDResult(False, float("nan"), defect, (0, 0))
-    vals, vecs = hermitian_eigh(gram)
-    return FlatPSDResult(
-        ok=bool(vals[0] >= -tol),
-        min_eigenvalue=float(vals[0]),
-        hermitian_defect=defect,
-        block_label=(0, 0),
-        witness=vecs[:, 0],
-    )
+    r = is_cp(ch, tol)
+    return FlatPSDResult(r.ok, r.min_eigenvalue, r.hermitian_defect, (0, 0), r.witness)
 
 
 def kernel_positive_type(ch: Channel, tol: float = PSD_TOL):

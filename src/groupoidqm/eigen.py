@@ -110,14 +110,10 @@ def _jacobi(A, tol: float, max_sweeps: int):
         # neither overflows nor underflows at extreme scales
         rel = np.abs(W.reshape(b, 2 * m * m)[:, offdiag]) / scale
         live = np.sqrt(np.add.reduce(rel * rel, axis=1)) > tol * d
-        count = np.count_nonzero(live)
-        if not count:
+        if not np.count_nonzero(live):
             break
-        if count == b:
-            W = _sweep(W, skip, plan)
-        else:
-            idx = np.flatnonzero(live)
-            W[idx] = _sweep(W[idx], skip[idx], plan)
+        # A converged matrix gets no rotation: its threshold is infinite.
+        W = _sweep(W, np.where(live[:, None], skip, np.inf), plan)
     else:
         raise ArithmeticError("Jacobi sweep limit reached without convergence")
     # Ascending by eigenvalue; equal ones keep the order of their indices.

@@ -12,7 +12,6 @@ from groupoidqm import (
     direct_product,
     evaluate_state,
     hermitian_defect,
-    hermitian_eigh,
     inner,
     involute,
     is_positive_type,
@@ -362,93 +361,63 @@ def function_from_blocks(g, blocks):
     return AlgebraElement(g, values)
 
 
-def sequential_positive_type(phi, tol=1e-10):
-    """Reference: one solve per distinct fiber block, walked in object order."""
-    G = phi.groupoid
-    worst = dict(ok=True, min_eigenvalue=float("inf"), object_index=None, defect=0.0)
-    seen = set()
-    for x in G.objects():
-        fiber = G.source_fiber(x)
-        k = len(fiber)
-        block = np.zeros((k, k), dtype=np.complex128)
-        for i, a in enumerate(fiber):
-            for j, b in enumerate(fiber):
-                block[i, j] = complex(phi.values[G.compose(a, G.inv(b))])
-        if block.tobytes() in seen:
-            continue
-        seen.add(block.tobytes())
-        defect = hermitian_defect(block)
-        if defect > tol:
-            return dict(ok=False, min_eigenvalue=float("nan"), object_index=x, defect=defect)
-        w, _ = hermitian_eigh(block)
-        if w[0] < worst["min_eigenvalue"]:
-            worst = dict(ok=bool(w[0] >= -tol), min_eigenvalue=float(w[0]), object_index=x, defect=0.0)
-        if not worst["ok"]:
-            return worst
-    return worst
-
-
 def psd(rng, n, shift=0.0):
     b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return b @ b.conj().T / n + shift * np.eye(n)
 
 
 class TestPositiveTypeMixedFibers:
+    """Fibers of sizes 3, 2, 1, 4, 2: the first failing block in object order
+    decides, and a passing verdict reports the first block attaining the least
+    eigenvalue."""
+
     SIZES = (3, 2, 1, 4, 2)
 
     def cases(self):
         rng = np.random.default_rng(41)
-        psd_blocks = [psd(rng, n, 0.1) for n in self.SIZES]
-        yield "all psd", psd_blocks
+        good = [psd(rng, n, 0.1) for n in self.SIZES]
+        least = min(range(5), key=lambda c: np.linalg.eigvalsh(good[c])[0])
+        yield "all psd", good, (True, least)
         tie = [np.diag([0.5, 1, 2]), np.diag([3.0, 0.5]), [[0.7]], np.eye(4), np.diag([0.5, 9])]
-        yield "tie", tie
-        negative = list(psd_blocks)
-        negative[3] = psd_blocks[3] - 5 * np.eye(4)
-        yield "negative", negative
-        negative_then_defect = list(negative)
-        defect = psd_blocks[4].copy()
-        defect[0, 1] += 1
-        negative_then_defect[4] = defect
-        yield "negative before defect", negative_then_defect
-        defect_then_negative = list(negative)
-        d1 = psd_blocks[1].copy()
-        d1[1, 0] += 1j
-        defect_then_negative[1] = d1
-        yield "defect before negative", defect_then_negative
+        yield "tie", tie, (True, 0)
+        negative = list(good)
+        negative[3] = good[3] - 5 * np.eye(4)
+        yield "negative", negative, (False, 3)
+        later_defect = list(negative)
+        later_defect[4] = good[4] + [[0, 1], [0, 0]]
+        yield "negative before defect", later_defect, (False, 3)
+        later_nan = list(negative)
+        later_nan[4] = [[np.nan, 0], [0, 1]]
+        yield "negative before nan", later_nan, (False, 3)
+        earlier_defect = list(negative)
+        earlier_defect[1] = good[1] + [[0, 0], [1j, 0]]
+        yield "defect before negative", earlier_defect, (False, 1)
         two_negative = list(negative)
         # slightly negative, and first: it decides though block 3 is more negative
-        two_negative[0] = psd_blocks[0] - (np.linalg.eigvalsh(psd_blocks[0])[0] + 0.01) * np.eye(3)
-        yield "two negative", two_negative
+        two_negative[0] = good[0] - (np.linalg.eigvalsh(good[0])[0] + 0.01) * np.eye(3)
+        yield "two negative", two_negative, (False, 0)
 
-    def test_matches_sequential_walk(self):
-        g = disjoint_pair_groupoids(*self.SIZES)
-        for name, blocks in self.cases():
-            phi = function_from_blocks(g, blocks)
-            res = is_positive_type(phi)
-            ref = sequential_positive_type(phi)
-            assert res.ok == ref["ok"], name
-            assert res.object_index == ref["object_index"], name
-            assert res.fiber == g.source_fiber(ref["object_index"]), name
-            assert res.hermitian_defect == ref["defect"], name
-            if np.isnan(ref["min_eigenvalue"]):
-                assert np.isnan(res.min_eigenvalue), name
-            else:
-                assert abs(res.min_eigenvalue - ref["min_eigenvalue"]) < 1e-12, name
-                assert np.linalg.norm(res.block @ res.witness - res.min_eigenvalue * res.witness) < 1e-10
-            component = np.searchsorted(np.cumsum(self.SIZES), res.object_index, side="right")
-            assert np.array_equal(res.block, np.asarray(blocks[component], dtype=complex)), name
-
-    def test_expected_deciding_component(self):
+    def test_first_deciding_block_in_object_order(self):
         g = disjoint_pair_groupoids(*self.SIZES)
         first = np.concatenate([[0], np.cumsum(self.SIZES)[:-1]])
-        expected = {
-            "tie": (True, first[0]),
-            "negative": (False, first[3]),
-            "negative before defect": (False, first[3]),
-            "defect before negative": (False, first[1]),
-            "two negative": (False, first[0]),
-        }
-        for name, blocks in self.cases():
-            if name in expected:
-                res = is_positive_type(function_from_blocks(g, blocks))
-                assert (res.ok, res.object_index) == expected[name], name
+        for name, blocks, (ok, component) in self.cases():
+            res = is_positive_type(function_from_blocks(g, blocks))
+            block = np.asarray(blocks[component], dtype=complex)
+            assert (res.ok, res.object_index) == (ok, first[component]), name
+            assert res.fiber == g.source_fiber(first[component]), name
+            assert np.array_equal(res.block, block), name
+            if hermitian_defect(block) > 1e-10:
+                assert res.hermitian_defect == hermitian_defect(block), name
+                assert np.isnan(res.min_eigenvalue), name
+            else:
+                assert abs(res.min_eigenvalue - np.linalg.eigvalsh(block)[0]) < 1e-12, name
+                residual = block @ res.witness - res.min_eigenvalue * res.witness
+                assert np.linalg.norm(residual) < 1e-10, name
+
+    def test_non_finite_block_reached_raises(self):
+        g = disjoint_pair_groupoids(*self.SIZES)
+        rng = np.random.default_rng(5)
+        blocks = [psd(rng, n, 0.1) for n in self.SIZES]
+        blocks[2] = [[np.inf]]
+        with pytest.raises(ValueError):
+            is_positive_type(function_from_blocks(g, blocks))
