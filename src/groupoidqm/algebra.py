@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass
+from numbers import Rational
 from typing import Sequence
 
 import numpy as np
@@ -114,11 +115,7 @@ class AlgebraElement:
             raise GroupoidError("algebra elements live on different groupoids")
 
     def to_json(self) -> dict:
-        vals = []
-        for v in self.values:
-            c = complex(v)
-            vals.append([c.real, c.imag])
-        return {"values": vals}
+        return {"values": complex_values_to_json(self.values)}
 
     def __repr__(self) -> str:
         nz = self.support()
@@ -137,6 +134,11 @@ def element_from_json(data: dict, g: FiniteGroupoid) -> AlgebraElement:
     return AlgebraElement(g, values)
 
 
+def complex_values_to_json(values) -> list[list[float]]:
+    """Each value as [re, im]; the inverse of complex_values_from_json."""
+    return [[c.real, c.imag] for c in map(complex, values)]
+
+
 def complex_values_from_json(pairs) -> list[complex]:
     """[[re, im], ...] as complex numbers; ValueError on a non-finite one."""
     values = [complex(re, im) for re, im in pairs]
@@ -144,6 +146,14 @@ def complex_values_from_json(pairs) -> list[complex]:
         if not cmath.isfinite(v):
             raise ValueError(f"non-finite value {v}")
     return values
+
+
+def value_array(values) -> np.ndarray:
+    """The values as a 1-D array: object dtype when every value is exact
+    (an int or a Fraction), so that exact inputs keep exact outputs, and
+    complex128 otherwise."""
+    exact = all(isinstance(v, Rational) for v in values)
+    return np.array(values, dtype=object if exact else np.complex128)
 
 
 def load_element(path: str, g: FiniteGroupoid) -> AlgebraElement:
@@ -179,13 +189,18 @@ def involute(f: AlgebraElement, m: GroupoidMeasure) -> AlgebraElement:
 
 
 def left_regular_matrix(f: AlgebraElement, m: GroupoidMeasure) -> np.ndarray:
-    """Matrix of ψ -> f⋆ψ in the basis {δ_α} of L²(G, μ)."""
+    """Matrix of ψ -> f⋆ψ in the basis {δ_α} of L²(G, μ).
+
+    Column γ is f⋆δ_γ, whose one term at α (when s(α) = s(γ)) comes from
+    β = α∘γ⁻¹: the entry is f(β) ν^{t(α)}(β).
+    """
     G = m.groupoid
-    n = G.n_morphisms
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for col in range(n):
-        column = convolve(f, AlgebraElement.delta(G, col), m)
-        mat[:, col] = [complex(v) for v in column.values]
+    mat = np.zeros((G.n_morphisms, G.n_morphisms), dtype=np.complex128)
+    for alpha in G.morphisms():
+        for gamma in G.source_fiber(G.source[alpha]):
+            beta = G.compose(alpha, G.inv(gamma))
+            if f.values[beta] != 0:
+                mat[alpha, gamma] = complex(f.values[beta] * m.nu_target(beta))
     return mat
 
 

@@ -5,12 +5,11 @@ It acts on base functions by
 
     (K ψ)(l, m) = Σ_{r,s} f((l, r), (s, m)) ψ(r, s),
 
-the fiber-constant part of f ⋆_S (t1-pullback of ψ).  Three reshapes of the
-same rank-4 tensor represent the map in matrix form under the row-major
-flattening (a, b) -> a·n + b:
+the fiber-constant part of f ⋆_S (t1-pullback of ψ).  Two reshuffles of the
+kernel's tensor view f[z, y, x, w] represent the map in matrix form under the
+row-major flattening (a, b) -> a·n + b:
 
     A[(l,m), (r,s)]   = f((l,r),(s,m))    (the superoperator: vec out = A vec in)
-    B[(l,m), (j,k)]   = f((l,j),(k,m))    (output basis x input pairing)
     Choi[(l,j), (m,k)] = f((l,j),(k,m))
 
 Kraus families give f((l,j),(k,m)) = Σ_p V_p(l,j) conj(V_p(m,k)), equivalently
@@ -37,17 +36,13 @@ from .algebra import (
     element_from_json,
     involute,
     is_positive_type,
+    value_array,
 )
 from .eigen import hermitian_defect, hermitian_eigh
 from .groupoid import GroupoidError, pair_groupoid
 from .measure import GroupoidMeasure
-from .symmetroid import (
-    FlatBisection,
-    QClass,
-    enumerate_quotient,
-    q_index,
-)
-from .symalgebra import QuotientFunction, quotient_function_from_json
+from .symmetroid import FlatBisection
+from .symalgebra import QuotientFunction, quotient_function_from_json, tensor_matrix
 
 
 class DimensionMismatchError(GroupoidError):
@@ -126,14 +121,8 @@ def load_kraus(path: str) -> KrausFamily:
 def from_kraus(ks: KrausFamily) -> Channel:
     """Kernel f((l,j),(k,m)) = Σ_p V_p(l,j) conj(V_p(m,k))."""
     n = ks.n
-    kernel = QuotientFunction.zeros(n)
-    for v in ks.members:
-        vals = v.values
-        for q in enumerate_quotient(n):
-            kernel.values[q_index(n, q)] += (
-                vals[q.z * n + q.y] * vals[q.w * n + q.x].conjugate()
-            )
-    return Channel(kernel)
+    v = value_array([x for member in ks.members for x in member.values]).reshape(-1, n, n)
+    return Channel(QuotientFunction.from_tensor(np.einsum("pzy,pwx->zyxw", v, np.conj(v))))
 
 
 def from_flat_bisection(b: FlatBisection) -> Channel:
@@ -176,19 +165,8 @@ def apply(ch: Channel, psi: AlgebraElement) -> AlgebraElement:
         raise DimensionMismatchError(
             f"channel over {n} outcomes applied to a function on {g.n_morphisms} transitions"
         )
-    out = AlgebraElement.zeros(g)
-    kv = ch.kernel.values
-    pv = psi.values
-    n2, n3 = n * n, n * n * n
-    for l in range(n):
-        for m in range(n):
-            acc = 0
-            base = l * n3 + m
-            for r in range(n):
-                for s in range(n):
-                    acc += kv[base + r * n2 + s * n] * pv[r * n + s]
-            out.values[l * n + m] = acc
-    return out
+    out = np.einsum("lrsm,rs->lm", ch.kernel.tensor(), value_array(psi.values).reshape(n, n))
+    return AlgebraElement(g, out.reshape(-1).tolist())
 
 
 def compose_channels(ch2: Channel, ch1: Channel) -> Channel:
@@ -203,29 +181,27 @@ def extend_with_identity(ch: Channel, m_ancilla: int) -> Channel:
     """id_M ⊗ K on the product of pair groupoids over M·n points.
 
     The product point (a, p) is flattened to a·n + p; the extended kernel
-    carries f across the second factor and the identity across the first.
+    carries f across the second factor and the identity across the first:
+    its value at ((a·n+l, a·n+j), (b·n+k, b·n+m)) is f((l,j),(k,m)).
     """
     n, M = ch.n, m_ancilla
     if M < 1:
         raise ValueError("ancilla dimension must be at least 1")
-    N = M * n
-    big = QuotientFunction.zeros(N)
-    for (l, j, k, m), v in ch.kernel.support():
-        for a in range(M):
-            for b in range(M):
-                q = QClass(a * n + l, a * n + j, b * n + k, b * n + m)
-                big.values[q_index(N, q)] = v
-    return Channel(big)
+    t = ch.kernel.tensor()
+    big = np.zeros((M, n) * 4, dtype=t.dtype)
+    np.einsum("alajbkbm->abljkm", big)[...] = t
+    return Channel(QuotientFunction.from_tensor(big.reshape((M * n,) * 4)))
 
 
 def zero_pad(ch: Channel, n_to: int) -> Channel:
     """Extend a channel by zeroes to a larger outcome set (explicit, never implicit)."""
     if n_to < ch.n:
         raise DimensionMismatchError("can only pad to a larger dimension")
-    big = QuotientFunction.zeros(n_to)
-    for q, v in ch.kernel.support():
-        big.values[q_index(n_to, q)] = v
-    return Channel(big)
+    n = ch.n
+    t = ch.kernel.tensor()
+    big = np.zeros((n_to,) * 4, dtype=t.dtype)
+    big[:n, :n, :n, :n] = t
+    return Channel(QuotientFunction.from_tensor(big))
 
 
 def pad_element(psi: AlgebraElement, n_to: int) -> AlgebraElement:
@@ -250,12 +226,6 @@ class AMatrix:
 
 
 @dataclass(frozen=True)
-class BMatrix:
-    n: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChoiMatrix:
     n: int
     matrix: np.ndarray
@@ -263,51 +233,26 @@ class ChoiMatrix:
 
 def to_a_matrix(ch: Channel) -> AMatrix:
     """A[(l,m),(r,s)] = f((l,r),(s,m)); vec(out) = A·vec(in)."""
-    n = ch.n
-    mat = np.zeros((n * n, n * n), dtype=np.complex128)
-    for (l, r, s, m), v in ch.kernel.support():
-        mat[l * n + m, r * n + s] = complex(v)
-    return AMatrix(n, mat)
-
-
-def to_b_matrix(ch: Channel) -> BMatrix:
-    """B[(l,m),(j,k)] = f((l,j),(k,m)); the output-basis/input-pairing reshuffle."""
-    n = ch.n
-    mat = np.zeros((n * n, n * n), dtype=np.complex128)
-    for (l, j, k, m), v in ch.kernel.support():
-        mat[l * n + m, j * n + k] = complex(v)
-    return BMatrix(n, mat)
+    return AMatrix(ch.n, tensor_matrix(ch.kernel))
 
 
 def to_choi(ch: Channel) -> ChoiMatrix:
     """Choi[(l,j),(m,k)] = f((l,j),(k,m)); PSD exactly for completely positive maps."""
     n = ch.n
-    f = np.array(ch.kernel.values, dtype=np.complex128).reshape(n, n, n, n)
+    f = ch.kernel.tensor().astype(np.complex128)
     return ChoiMatrix(n, f.transpose(0, 1, 3, 2).reshape(n * n, n * n))
 
 
 def channel_from_a_matrix(a: AMatrix) -> Channel:
     n = a.n
-    kernel = QuotientFunction.from_callable(
-        n, lambda q: a.matrix[q.z * n + q.w, q.y * n + q.x]
-    )
-    return Channel(kernel)
-
-
-def channel_from_b_matrix(b: BMatrix) -> Channel:
-    n = b.n
-    kernel = QuotientFunction.from_callable(
-        n, lambda q: b.matrix[q.z * n + q.w, q.y * n + q.x]
-    )
-    return Channel(kernel)
+    f = a.matrix.reshape(n, n, n, n).transpose(0, 2, 3, 1)
+    return Channel(QuotientFunction.from_tensor(f))
 
 
 def channel_from_choi(c: ChoiMatrix) -> Channel:
     n = c.n
-    kernel = QuotientFunction.from_callable(
-        n, lambda q: c.matrix[q.z * n + q.y, q.w * n + q.x]
-    )
-    return Channel(kernel)
+    f = c.matrix.reshape(n, n, n, n).transpose(0, 1, 3, 2)
+    return Channel(QuotientFunction.from_tensor(f))
 
 
 def choi_kraus_decomposition(ch: Channel, tol: float = PSD_TOL) -> KrausFamily:
@@ -329,11 +274,7 @@ def choi_kraus_decomposition(ch: Channel, tol: float = PSD_TOL) -> KrausFamily:
         if w[i] <= tol:
             continue
         scale = float(np.sqrt(w[i]))
-        vec = v[:, i]
-        member = AlgebraElement(
-            g, [scale * complex(vec[l * n + j]) for l in range(n) for j in range(n)]
-        )
-        members.append(member)
+        members.append(AlgebraElement(g, [scale * complex(x) for x in v[:, i]]))
     return KrausFamily(n, members)
 
 
@@ -399,15 +340,9 @@ def kernel_positive_type(ch: Channel, tol: float = PSD_TOL):
 
     Blocks are indexed by the shared 2-source (j, k); the entry at
     ((z, w), (z', w')) is f(Γ ∘_V Γ'⁻¹) = f((z, z'), (w', w)), the same
-    matrix for every 2-source.  Returns (ok, min_eigenvalue).
+    matrix for every 2-source: the A matrix.  Returns (ok, min_eigenvalue).
     """
-    n = ch.n
-    gram = np.zeros((n * n, n * n), dtype=np.complex128)
-    for z in range(n):
-        for w in range(n):
-            for z2 in range(n):
-                for w2 in range(n):
-                    gram[z * n + w, z2 * n + w2] = complex(ch.kernel.get(z, z2, w2, w))
+    gram = to_a_matrix(ch).matrix
     if hermitian_defect(gram) > tol:
         return False, float("nan")
     vals, _ = hermitian_eigh(gram)

@@ -14,7 +14,13 @@ from pathlib import Path
 
 from . import channels as ch
 from . import symalgebra as sa
-from .algebra import AlgebraElement, element_from_json, is_positive_type, convolve
+from .algebra import (
+    AlgebraElement,
+    complex_values_to_json,
+    convolve,
+    element_from_json,
+    is_positive_type,
+)
 from .groupoid import (
     FiniteGroupoid,
     GroupoidError,
@@ -64,14 +70,6 @@ def _emit(payload: dict, as_json: bool) -> None:
             print(f"{key}: {_dumps(value)}")
         else:
             print(f"{key}: {value}")
-
-
-def _complex_list(values) -> list[list[float]]:
-    out = []
-    for v in values:
-        c = complex(v)
-        out.append([c.real, c.imag])
-    return out
 
 
 def _load_groupoid_arg(args) -> FiniteGroupoid:
@@ -177,7 +175,7 @@ def cmd_algebra(args) -> int:
         f1 = element_from_json(json.loads(Path(args.inputs[0]).read_text()), g)
         f2 = element_from_json(json.loads(Path(args.inputs[1]).read_text()), g)
         out = convolve(f1, f2, m)
-        _emit({"values": _complex_list(out.values)}, args.json)
+        _emit({"values": complex_values_to_json(out.values)}, args.json)
         return EXIT_OK
     if args.action == "check-positive":
         phi = element_from_json(json.loads(Path(args.inputs[0]).read_text()), g)
@@ -190,7 +188,7 @@ def cmd_algebra(args) -> int:
         if res.object_index is not None:
             payload["witness"] = {"object": res.object_index}
             if res.witness is not None:
-                payload["witness"]["eigenvector"] = _complex_list(res.witness)
+                payload["witness"]["eigenvector"] = complex_values_to_json(res.witness)
         _emit(payload, args.json)
         return EXIT_OK if res.ok else EXIT_CHECK_FAILED
     raise GroupoidError(f"unknown algebra action {args.action!r}")
@@ -264,15 +262,13 @@ def cmd_channel(args) -> int:
             channel = ch.zero_pad(channel, args.pad_to)
         psi = _parse_state(args.inputs[1], channel.n)
         out = ch.apply(channel, psi)
-        _emit({"n": channel.n, "values": _complex_list(out.values)}, args.json)
+        _emit({"n": channel.n, "values": complex_values_to_json(out.values)}, args.json)
         return EXIT_OK
     if args.action == "export":
         channel = ch.load_channel(args.inputs[0])
-        mat = {
-            "choi": ch.to_choi,
-            "a": ch.to_a_matrix,
-            "b": ch.to_b_matrix,
-        }[args.matrix](channel).matrix
+        # "b" is an alias of "a": B[(l,m),(j,k)] = f((l,j),(k,m)) is the A matrix
+        to_matrix = ch.to_choi if args.matrix == "choi" else ch.to_a_matrix
+        mat = to_matrix(channel).matrix
         if args.format == "csv":
             if not args.out:
                 raise GroupoidError("csv export needs --out FILE")
@@ -298,7 +294,7 @@ def cmd_channel(args) -> int:
                 "hermitian_defect": res.hermitian_defect,
             }
             if res.witness is not None and not res.ok:
-                payload["cp"]["witness"] = _complex_list(res.witness)
+                payload["cp"]["witness"] = complex_values_to_json(res.witness)
             failed |= not res.ok
         if args.flat_psd:
             res = ch.is_flat_psd(channel)
@@ -327,7 +323,7 @@ def cmd_channel(args) -> int:
                     "trial": wit.trial,
                     "ancilla": wit.ancilla,
                     "min_eigenvalue": wit.min_eigenvalue,
-                    "state": _complex_list(wit.state.values),
+                    "state": complex_values_to_json(wit.state.values),
                 }
                 failed = True
         _emit(payload, args.json)
@@ -353,8 +349,8 @@ def cmd_examples(args) -> int:
         if args.state:
             psi = _parse_state(args.state, n)
             out = ch.apply(channel, psi)
-            payload["input"] = _complex_list(psi.values)
-            payload["output"] = _complex_list(out.values)
+            payload["input"] = complex_values_to_json(psi.values)
+            payload["output"] = complex_values_to_json(out.values)
             payload["tomogram"] = ch.tomogram(psi, n)
         else:
             payload["kernel"] = channel.to_json()
@@ -366,8 +362,8 @@ def cmd_examples(args) -> int:
         if args.state:
             psi = _parse_state(args.state, n)
             out = ch.apply(channel, psi)
-            payload["input"] = _complex_list(psi.values)
-            payload["output"] = _complex_list(out.values)
+            payload["input"] = complex_values_to_json(psi.values)
+            payload["output"] = complex_values_to_json(out.values)
         else:
             payload["kernel"] = channel.to_json()
         _emit(payload, args.json)

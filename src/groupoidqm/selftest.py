@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import channels as ch
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, complex_values_to_json, convolve, involute
 from .groupoid import pair_groupoid, pair_index
 from .measure import GroupoidMeasure, weighted_pair_measure
 from .symmetroid import (
     QClass,
     Symmetroid,
+    flat_bisection_product,
     flat_bisections,
     q_horizontal_compose,
     q_vertical_compose,
@@ -53,8 +55,6 @@ def exchange_identity_report(n: int, samples: int = 10000, seed: int | None = No
     violations = 0
     checked = 0
     if n <= 2:
-        from itertools import product
-
         for free in product(range(n), repeat=9):
             checked += 1
             if not _exchange_holds(_exchange_quadruple(n, free)):
@@ -70,14 +70,6 @@ def exchange_identity_report(n: int, samples: int = 10000, seed: int | None = No
 
 
 # -- machine-readable reports for the two worked dynamical maps --
-
-
-def _clist(values) -> list[list[float]]:
-    out = []
-    for v in values:
-        c = complex(v)
-        out.append([c.real, c.imag])
-    return out
 
 
 def _shift_report(n: int) -> dict:
@@ -103,8 +95,6 @@ def _shift_report(n: int) -> dict:
     for b1 in bs:
         for b2 in bs:
             composed = ch.compose_channels(ch.from_flat_bisection(b1), ch.from_flat_bisection(b2))
-            from .symmetroid import flat_bisection_product
-
             direct = ch.from_flat_bisection(flat_bisection_product(b1, b2))
             comp_ok &= composed.kernel.allclose(direct.kernel, 1e-12)
     return {
@@ -126,8 +116,6 @@ def _fourier_report(n: int) -> dict:
     channel = ch.fourier_channel(n)
     g = pair_groupoid(n)
     m = GroupoidMeasure.counting(g)
-    from .algebra import convolve, involute
-
     chi = AlgebraElement.units_indicator(g)
     sum_v = AlgebraElement.zeros(g)
     sum_vv = AlgebraElement.zeros(g)
@@ -154,7 +142,7 @@ def _fourier_report(n: int) -> dict:
             outputs.append(
                 {
                     "input": [r, s],
-                    "output": _clist(out.values),
+                    "output": complex_values_to_json(out.values),
                     "tomogram": ch.tomogram(psi, n) if r == s else None,
                     "closed_form_ok": closed_form,
                 }

@@ -23,9 +23,9 @@ The convolution product, involution and left-regular operators are
     A_f ψ = f ⋆_S ψ,
 
 with A_f A_g = A_{f⋆g} and A_f† = A_{f*} on L²(S, μ₂).  The quotient over a
-pair groupoid gets a fast path indexed by (z, y, x, w) quadruples in
-row-major order; that order is the package-wide flattening for every matrix
-export.
+pair groupoid gets a fast path on the (n, n, n, n) tensor view of a
+QuotientFunction, indexed [z, y, x, w]; its row-major flattening is the
+package-wide order for every matrix export.
 """
 
 from __future__ import annotations
@@ -36,7 +36,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, complex_values_from_json, convolve
+from .algebra import (
+    AlgebraElement,
+    complex_values_from_json,
+    complex_values_to_json,
+    convolve,
+    value_array,
+)
 from .groupoid import FiniteGroupoid, GroupoidError, pair_groupoid
 from .measure import (
     DEFAULT_TOL,
@@ -53,7 +59,6 @@ from .symmetroid import (
     enumerate_quotient,
     q_from_index,
     q_index,
-    q_vertical_inverse,
 )
 
 
@@ -269,7 +274,8 @@ class QuotientFunction:
     """A function on the n⁴ quotient classes, stored row-major in (z, y, x, w).
 
     That storage order is the canonical flattening used by every matrix
-    export in this package.
+    export in this package.  ``tensor`` and ``from_tensor`` are the one place
+    where it meets an array layout; kernel arithmetic works on that view.
     """
 
     __slots__ = ("n", "values")
@@ -302,6 +308,16 @@ class QuotientFunction:
     @classmethod
     def from_callable(cls, n: int, fn) -> "QuotientFunction":
         return cls(n, [fn(q) for q in enumerate_quotient(n)])
+
+    @classmethod
+    def from_tensor(cls, t: np.ndarray) -> "QuotientFunction":
+        """The function whose tensor view is the (n, n, n, n) array t."""
+        return cls(t.shape[0], t.reshape(-1).tolist())
+
+    def tensor(self) -> np.ndarray:
+        """The values as an (n, n, n, n) array indexed [z, y, x, w], with the
+        dtype of ``value_array``: object for exact values, else complex128."""
+        return value_array(self.values).reshape((self.n,) * 4)
 
     def __getitem__(self, q: QClass):
         return self.values[q_index(self.n, q)]
@@ -339,11 +355,7 @@ class QuotientFunction:
         return max((abs(v) for v in self.values), default=0.0)
 
     def to_json(self) -> dict:
-        vals = []
-        for v in self.values:
-            c = complex(v)
-            vals.append([c.real, c.imag])
-        return {"n": self.n, "values": vals}
+        return {"n": self.n, "values": complex_values_to_json(self.values)}
 
 
 def quotient_function_from_json(data: dict) -> QuotientFunction:
@@ -361,6 +373,15 @@ def quotient_function_from_json(data: dict) -> QuotientFunction:
     return QuotientFunction(n, values)
 
 
+def _weighted(f: QuotientFunction, qm: QuotientMeasure | None) -> np.ndarray:
+    """ν(l,r) ν(m,s) f((l,r),(s,m)) at [l, r, s, m]; f itself on a counting base."""
+    t = f.tensor()
+    if qm is None:
+        return t
+    nu = value_array(qm.nu).reshape(f.n, f.n)
+    return t * nu[:, :, None, None] * nu.T
+
+
 def convolve_S(
     f: QuotientFunction, g: QuotientFunction, qm: QuotientMeasure | None = None
 ) -> QuotientFunction:
@@ -369,54 +390,37 @@ def convolve_S(
     With a counting base the fiber weights are 1 and this is multiplication in
     M_n ⊗ M_n under the matrix-unit identification.
     """
-    n = f.n
-    if g.n != n:
+    if g.n != f.n:
         raise GroupoidError("quotient functions live over different bases")
-    out = QuotientFunction.zeros(n)
-    counting = qm is None
-    nu = None if counting else qm.nu
-    gv, ov = g.values, out.values
-    n2, n3 = n * n, n * n * n
-    for (l, r, s, m), fv in ((q, v) for q, v in f.support()):
-        weight = fv if counting else fv * nu[l * n + r] * nu[m * n + s]
-        g_base = r * n3 + s  # g index for (r, j, k, s) is r·n³ + j·n² + k·n + s
-        o_base = l * n3 + m  # out index for (l, j, k, m)
-        for j in range(n):
-            for k in range(n):
-                ov[o_base + j * n2 + k * n] += weight * gv[g_base + j * n2 + k * n]
-    return out
+    out = np.einsum("lrsm,rjks->ljkm", _weighted(f, qm), g.tensor())
+    return QuotientFunction.from_tensor(out)
 
 
 def involute_S(f: QuotientFunction, qm: QuotientMeasure | None = None) -> QuotientFunction:
     """f*((l,j),(k,m)) = Δ₂⁻¹ conj(f((j,l),(m,k)))."""
-    n = f.n
-    out = QuotientFunction.zeros(n)
-    for i, q in enumerate(enumerate_quotient(n)):
-        qi = q_vertical_inverse(q)
-        v = f[qi].conjugate()
-        if qm is not None:
-            v = v / qm.delta2(q)
-        out.values[i] = v
-    return out
+    t = np.conj(f.tensor().transpose(1, 0, 3, 2))
+    if qm is not None:
+        dl = value_array(qm.dl).reshape(f.n, f.n)
+        t = t / (dl[:, :, None, None] * dl.T)
+    return QuotientFunction.from_tensor(t)
 
 
 def modular_involution(psi: QuotientFunction) -> QuotientFunction:
     """(Jψ)(Γ) = conj(ψ(Γ⁻¹)); the antilinear modular involution."""
-    n = psi.n
-    out = QuotientFunction.zeros(n)
-    for i, q in enumerate(enumerate_quotient(n)):
-        out.values[i] = psi[q_vertical_inverse(q)].conjugate()
-    return out
+    return involute_S(psi)
 
 
 def rep_operator(f: QuotientFunction, qm: QuotientMeasure | None = None) -> np.ndarray:
-    """Matrix of A_f: ψ -> f ⋆_S ψ in the basis {δ_Γ}, canonical class order."""
-    n4 = f.n**4
-    mat = np.zeros((n4, n4), dtype=np.complex128)
-    for col, q in enumerate(enumerate_quotient(f.n)):
-        column = convolve_S(f, QuotientFunction.delta(f.n, q), qm)
-        mat[:, col] = [complex(v) for v in column.values]
-    return mat
+    """Matrix of A_f: ψ -> f ⋆_S ψ in the basis {δ_Γ}, canonical class order.
+
+    Column (r, j, k, s) is f ⋆_S δ_((r,j),(k,s)), whose one term at row
+    (l, j, k, m) is ν(l,r) ν(m,s) f((l,r),(s,m)).
+    """
+    n = f.n
+    mat = np.zeros((n,) * 8, dtype=np.complex128)
+    w = _weighted(f, qm).astype(np.complex128)
+    np.einsum("ljkmrjks->lrsmjk", mat)[...] = w[..., None, None]
+    return mat.reshape(n**4, n**4)
 
 
 def pullback_embed(psi: AlgebraElement) -> QuotientFunction:
@@ -425,29 +429,24 @@ def pullback_embed(psi: AlgebraElement) -> QuotientFunction:
     n = g.n_objects
     if g.n_morphisms != n * n:
         raise GroupoidError("pullback_embed expects a function on a pair groupoid")
-    out = QuotientFunction.zeros(n)
-    for i, q in enumerate(enumerate_quotient(n)):
-        out.values[i] = psi.values[q.z * n + q.w]
-    return out
+    p = value_array(psi.values).reshape(n, 1, 1, n)
+    return QuotientFunction.from_tensor(np.broadcast_to(p, (n,) * 4))
 
 
 def fiber_restrict(f: QuotientFunction, base: FiniteGroupoid | None = None, tol: float = 1e-12) -> AlgebraElement:
     """Inverse of pullback_embed; raises NotPullbackError when f is not
     constant along the 2-target fibers."""
-    n = f.n
-    g = base if base is not None else pair_groupoid(n)
-    values = [0] * (n * n)
-    for l in range(n):
-        for m in range(n):
-            fiber_vals = [f.get(l, j, k, m) for j in range(n) for k in range(n)]
-            ref = fiber_vals[0]
-            spread = max(abs(v - ref) for v in fiber_vals)
-            if spread > tol:
-                raise NotPullbackError(
-                    f"not constant along the 2-target fiber of ({l}, {m}): spread {spread}"
-                )
-            values[l * n + m] = ref
-    return AlgebraElement(g, values)
+    t = f.tensor()
+    ref = t[:, :1, :1, :]
+    spread = np.abs(t - ref).max(axis=(1, 2))
+    bad = np.argwhere(spread > tol)
+    if len(bad):
+        l, m = bad[0]
+        raise NotPullbackError(
+            f"not constant along the 2-target fiber of ({l}, {m}): spread {spread[l, m]}"
+        )
+    g = base if base is not None else pair_groupoid(f.n)
+    return AlgebraElement(g, ref.reshape(-1).tolist())
 
 
 def horizontal_convolve(
@@ -471,12 +470,12 @@ def tensor_matrix(f: QuotientFunction) -> np.ndarray:
     """Image of f under δ_((l,j),(k,m)) -> e_lj ⊗ e_mk in M_n ⊗ M_n.
 
     An algebra isomorphism for the counting base: it is the same matrix as
-    the left-regular action restricted to a 2-target fiber.
+    the left-regular action restricted to a 2-target fiber.  As a channel
+    kernel's matrix it is the superoperator A[(l,m),(j,k)] = f((l,j),(k,m)).
     """
     n = f.n
-    mat = np.zeros((n * n, n * n), dtype=np.complex128)
-    for (l, j, k, m), v in f.support():
-        mat[l * n + m, j * n + k] += complex(v)
+    mat = f.tensor().astype(np.complex128).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    mat[mat == 0] = 0  # a zero exports as +0.0 whatever the sign of the kernel's zero
     return mat
 
 
@@ -484,10 +483,7 @@ def tensor_matrix(f: QuotientFunction) -> np.ndarray:
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:
-    return {
-        "shape": list(mat.shape),
-        "entries": [[float(c.real), float(c.imag)] for row in mat for c in row],
-    }
+    return {"shape": list(mat.shape), "entries": complex_values_to_json(mat.reshape(-1))}
 
 
 def write_matrix_csv(mat: np.ndarray, path: str) -> None:

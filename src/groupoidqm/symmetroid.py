@@ -52,9 +52,6 @@ class QClass(NamedTuple):
     w: int
 
 
-QuotientTransformation = QClass
-
-
 class Symmetroid:
     """All transformations of a finite groupoid, with both compositions.
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,6 +204,40 @@ class TestLeftRegular:
                 lhs = left_regular_matrix(convolve(f1, f2, meas), meas)
                 rhs = left_regular_matrix(f1, meas) @ left_regular_matrix(f2, meas)
                 assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            weighted_pair_measure(pair_groupoid(3), W124).with_exact(),
+            GroupoidMeasure.counting(direct_product(pair_groupoid(2), pair_groupoid(2))),
+        ],
+        ids=["weighted-pair", "product"],
+    )
+    def test_columns_are_convolutions_with_basis_exact(self, m):
+        # column γ of the matrix is f ⋆ δ_γ, entry for entry
+        g = m.groupoid
+        rng = np.random.default_rng(21)
+        f = AlgebraElement(
+            g, [Fraction(int(p), int(q)) for p, q in rng.integers(1, 9, size=(g.n_morphisms, 2))]
+        )
+        mat = left_regular_matrix(f, m)
+        for col in g.morphisms():
+            column = convolve(f, AlgebraElement.delta(g, col), m)
+            assert mat[:, col].tolist() == [complex(v) for v in column.values]
+
+    def test_homomorphism_exact_on_dyadic_values(self):
+        g = pair_groupoid(4)
+        m = weighted_pair_measure(g, (1, 2, 4, Fraction(1, 2))).with_exact()
+        rng = np.random.default_rng(22)
+
+        def dyadic():
+            nums = rng.integers(-9, 10, size=g.n_morphisms)
+            dens = 2 ** rng.integers(0, 4, size=g.n_morphisms)
+            return AlgebraElement(g, [Fraction(int(p), int(q)) for p, q in zip(nums, dens)])
+
+        a, b = dyadic(), dyadic()
+        lhs = left_regular_matrix(convolve(a, b, m), m)
+        assert np.array_equal(lhs, left_regular_matrix(a, m) @ left_regular_matrix(b, m))
 
 
 class TestPositiveType:

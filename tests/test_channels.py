@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from groupoidqm import (
     apply,
     bisection_indicator,
     channel_from_a_matrix,
-    channel_from_b_matrix,
     channel_from_choi,
     channel_from_json,
     choi_kraus_decomposition,
@@ -53,7 +53,6 @@ from groupoidqm import (
     random_positive_type,
     shift_bisection,
     to_a_matrix,
-    to_b_matrix,
     to_choi,
     tomogram,
     transpose_channel,
@@ -221,7 +220,6 @@ class TestMatrixRepresentations:
             QuotientFunction(n, list(rng.normal(size=81) + 1j * rng.normal(size=81)))
         )
         assert channel_from_a_matrix(to_a_matrix(ch)).kernel == ch.kernel
-        assert channel_from_b_matrix(to_b_matrix(ch)).kernel == ch.kernel
         assert channel_from_choi(to_choi(ch)).kernel == ch.kernel
 
     def test_a_and_b_share_entries_choi_reshuffles(self):
@@ -231,13 +229,13 @@ class TestMatrixRepresentations:
             QuotientFunction(n, list(rng.normal(size=16) + 1j * rng.normal(size=16)))
         )
         a = to_a_matrix(ch).matrix
-        b = to_b_matrix(ch).matrix
         choi = to_choi(ch).matrix
-        assert np.array_equal(a, b)
         for l in range(n):
             for j in range(n):
                 for k in range(n):
                     for m in range(n):
+                        # B[(l,m),(j,k)] = f((l,j),(k,m)) is the A matrix
+                        assert a[l * n + m, j * n + k] == ch.kernel.get(l, j, k, m)
                         assert choi[l * n + j, m * n + k] == a[l * n + m, j * n + k]
 
     def test_transpose_action(self):
@@ -555,6 +553,65 @@ class TestPaddingAndExtension:
         rng = np.random.default_rng(19)
         ch = random_kraus_channel(2, rng)
         assert is_cp(extend_with_identity(ch, 2)).ok
+
+
+def exact(values):
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+class TestExactPath:
+    """Integer and Fraction inputs give exact outputs, equal to the formulas."""
+
+    def family(self, n):
+        rng = np.random.default_rng(23)
+        g = pair_groupoid(n)
+        ints = AlgebraElement(g, [int(v) for v in rng.integers(-3, 4, size=n * n)])
+        fracs = AlgebraElement(
+            g, [Fraction(int(p), int(q)) for p, q in rng.integers(1, 9, size=(n * n, 2))]
+        )
+        return KrausFamily(n, [ints, fracs])
+
+    def test_from_kraus(self):
+        n = 3
+        fam = self.family(n)
+        kernel = from_kraus(fam).kernel
+        assert exact(kernel.values)
+        for q in enumerate_quotient(n):
+            assert kernel[q] == sum(
+                v.values[q.z * n + q.y] * v.values[q.w * n + q.x] for v in fam.members
+            )
+        ints_only = from_kraus(KrausFamily(n, fam.members[:1])).kernel
+        assert all(type(v) is int for v in ints_only.values)
+        assert all(type(v) is int for v in from_kraus(KrausFamily(n, [])).kernel.values)
+
+    def test_apply(self):
+        n = 3
+        ch = from_kraus(self.family(n))
+        psi = AlgebraElement(pair_groupoid(n), [Fraction(1, 1 + a) for a in range(n * n)])
+        out = apply(ch, psi)
+        assert exact(out.values)
+        for l in range(n):
+            for m in range(n):
+                assert out.values[l * n + m] == sum(
+                    ch.kernel.get(l, r, s, m) * psi.values[r * n + s]
+                    for r in range(n)
+                    for s in range(n)
+                )
+        assert apply(from_flat_bisection(shift_bisection(n)), delta(n, 0, 1)) == delta(n, 1, 2)
+
+    def test_extend_with_identity_and_zero_pad(self):
+        n, M = 2, 3
+        ch = from_kraus(self.family(n))
+        big = extend_with_identity(ch, M).kernel
+        assert exact(big.values)
+        for q in enumerate_quotient(M * n):
+            (a, l), (a2, j), (b, k), (b2, m) = (divmod(i, n) for i in q)
+            want = ch.kernel.get(l, j, k, m) if (a, b) == (a2, b2) else 0
+            assert big[q] == want
+        padded = zero_pad(ch, 3).kernel
+        assert exact(padded.values)
+        for q in enumerate_quotient(3):
+            assert padded[q] == (ch.kernel[q] if max(q) < n else 0)
 
 
 def test_channel_json_round_trip():

@@ -217,6 +217,21 @@ def test_channel_export_roundtrip_json(tmp_path, capsys):
     assert data["shape"] == [4, 4]
 
 
+def test_channel_export_as_b_is_an_alias_of_a(tmp_path, capsys):
+    from groupoidqm import random_kraus_channel
+
+    kpath = tmp_path / "k.json"
+    kpath.write_text(json.dumps(random_kraus_channel(2, np.random.default_rng(3)).to_json()))
+    outputs = {}
+    for m in ("a", "b"):
+        _, stdout, _ = run(capsys, "channel", "export", str(kpath), "--as", m, "--json")
+        csv = tmp_path / f"{m}.csv"
+        run(capsys, "channel", "export", str(kpath), "--as", m, "--format", "csv", "-o", str(csv))
+        outputs[m] = (stdout, csv.read_bytes())
+    assert outputs["a"] == outputs["b"]
+    assert len(json.loads(outputs["a"][0])["entries"]) == 16
+
+
 def test_channel_apply_with_pad(tmp_path, capsys):
     from groupoidqm import identity_channel
 

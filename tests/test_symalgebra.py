@@ -382,6 +382,70 @@ class TestPullbacks:
             assert null_dim == 1
 
 
+def fractions(rng, size, dyadic=False):
+    """Nonzero rationals; dyadic ones have power-of-two denominators."""
+    nums = rng.integers(1, 10, size=size) * rng.choice([-1, 1], size=size)
+    dens = 2 ** rng.integers(0, 4, size=size) if dyadic else rng.integers(1, 10, size=size)
+    return [Fraction(int(p), int(q)) for p, q in zip(nums, dens)]
+
+
+def all_fractions(f):
+    return all(type(v) is Fraction for v in f.values)
+
+
+class TestExactPath:
+    def test_convolve_S_associative_exact_weighted(self):
+        n = 3
+        qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (1, 3, 5)).with_exact())
+        rng = np.random.default_rng(31)
+        f, g, h = (QuotientFunction(n, fractions(rng, n**4)) for _ in range(3))
+        lhs = convolve_S(convolve_S(f, g, qm), h, qm)
+        rhs = convolve_S(f, convolve_S(g, h, qm), qm)
+        assert lhs == rhs
+        assert all_fractions(lhs) and all_fractions(rhs)
+
+    def test_involute_S_exact_weighted(self):
+        n = 3
+        qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (1, 3, 5)).with_exact())
+        rng = np.random.default_rng(32)
+        f, g = (QuotientFunction(n, fractions(rng, n**4)) for _ in range(2))
+        star = involute_S(f, qm)
+        assert all_fractions(star)
+        assert involute_S(star, qm) == f
+        assert involute_S(convolve_S(f, g, qm), qm) == convolve_S(involute_S(g, qm), star, qm)
+
+    def test_rep_operator_homomorphism_exact_on_dyadic_values(self):
+        n = 2
+        qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (1, 4)).with_exact())
+        rng = np.random.default_rng(33)
+        f, g = (QuotientFunction(n, fractions(rng, n**4, dyadic=True)) for _ in range(2))
+        fg = convolve_S(f, g, qm)
+        assert np.array_equal(rep_operator(fg, qm), rep_operator(f, qm) @ rep_operator(g, qm))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rep_operator_columns_are_convolutions_with_basis(self, weighted):
+        n = 2
+        qm = None
+        if weighted:
+            qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (1, 3)).with_exact())
+        rng = np.random.default_rng(34)
+        f = QuotientFunction(n, fractions(rng, n**4))
+        mat = rep_operator(f, qm)
+        for col, q in enumerate(enumerate_quotient(n)):
+            column = convolve_S(f, QuotientFunction.delta(n, q), qm)
+            assert mat[:, col].tolist() == [complex(v) for v in column.values]
+
+    def test_pullback_and_restrict_stay_exact(self):
+        n = 3
+        g = pair_groupoid(n)
+        psi = AlgebraElement(g, fractions(np.random.default_rng(35), n * n))
+        pulled = pullback_embed(psi)
+        assert all_fractions(pulled)
+        assert fiber_restrict(pulled) == psi
+        assert all(type(v) is Fraction for v in fiber_restrict(pulled).values)
+        assert modular_involution(pulled) == involute_S(pulled)
+
+
 class TestExports:
     GOLDEN_KERNEL = (
         '{"n": 2, "values": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],'
