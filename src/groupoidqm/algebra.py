@@ -217,24 +217,39 @@ def norm_sq(psi: AlgebraElement, m: GroupoidMeasure):
 
 
 @dataclass
-class PositiveTypeResult:
-    """Verdict of a positive-type check with a witness for failures.
-
-    When ok is False, either ``hermitian_defect`` exceeded tolerance on the
-    reported block, or ``min_eigenvalue`` is the offending negative eigenvalue
-    and ``witness`` the corresponding eigenvector over the fiber ``fiber``.
-    """
+class PSDResult:
+    """The verdict of ``psd_verdict``: a defect above tol fails with a NaN
+    ``min_eigenvalue`` and no witness; otherwise ``witness`` is an
+    eigenvector of ``min_eigenvalue``."""
 
     ok: bool
     min_eigenvalue: float
-    object_index: int | None = None
-    fiber: tuple[int, ...] | None = None
-    block: np.ndarray | None = None
+    hermitian_defect: float
     witness: np.ndarray | None = None
-    hermitian_defect: float = 0.0
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def psd_verdict(matrix, tol: float = PSD_TOL) -> PSDResult:
+    """Hermitian PSD within tol: defect <= tol and min eigenvalue >= -tol.
+    Every positivity verdict in the package is this decision on some matrix."""
+    defect = hermitian_defect(matrix)
+    if defect > tol:
+        return PSDResult(False, float("nan"), defect)
+    w, v = hermitian_eigh(matrix)
+    return PSDResult(bool(w[0] >= -tol), float(w[0]), defect, v[:, 0])
+
+
+@dataclass
+class PositiveTypeResult(PSDResult):
+    """The verdict of the deciding block: the matrix ``block`` over the source
+    fiber ``fiber`` of object ``object_index`` that failed first in object
+    order or, when every block passes, has the smallest eigenvalue."""
+
+    object_index: int | None = None
+    fiber: tuple[int, ...] | None = None
+    block: np.ndarray | None = None
 
 
 def is_positive_type(phi: AlgebraElement, tol: float = PSD_TOL) -> PositiveTypeResult:
@@ -246,7 +261,7 @@ def is_positive_type(phi: AlgebraElement, tol: float = PSD_TOL) -> PositiveTypeR
     sources).  Fails with the offending block and an eigenvector witness.
     """
     G = phi.groupoid
-    worst = PositiveTypeResult(ok=True, min_eigenvalue=float("inf"))
+    worst = PositiveTypeResult(True, float("inf"), 0.0)
     seen: set[bytes] = set()
     for x in G.objects():
         fiber = G.source_fiber(x)
@@ -261,25 +276,10 @@ def is_positive_type(phi: AlgebraElement, tol: float = PSD_TOL) -> PositiveTypeR
         if key in seen:
             continue
         seen.add(key)
-        defect = hermitian_defect(block)
-        if defect > tol:
-            return PositiveTypeResult(
-                ok=False,
-                min_eigenvalue=float("nan"),
-                object_index=x,
-                fiber=fiber,
-                block=block,
-                hermitian_defect=defect,
-            )
-        w, v = hermitian_eigh(block)
-        if w[0] < worst.min_eigenvalue:
+        verdict = psd_verdict(block, tol)
+        if not verdict.ok or verdict.min_eigenvalue < worst.min_eigenvalue:
             worst = PositiveTypeResult(
-                ok=w[0] >= -tol,
-                min_eigenvalue=float(w[0]),
-                object_index=x,
-                fiber=fiber,
-                block=block,
-                witness=v[:, 0],
+                **vars(verdict), object_index=x, fiber=fiber, block=block
             )
         if not worst.ok:
             return worst
@@ -297,7 +297,7 @@ class StateFunction:
 
     __slots__ = ("function", "measure")
 
-    def __init__(self, function: AlgebraElement, measure: GroupoidMeasure, tol: float = 1e-10):
+    def __init__(self, function: AlgebraElement, measure: GroupoidMeasure, tol: float = PSD_TOL):
         check = is_positive_type(function, tol)
         if not check.ok:
             raise GroupoidError(

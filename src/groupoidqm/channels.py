@@ -32,13 +32,15 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     PSD_TOL,
+    PSDResult,
     convolve,
     element_from_json,
     involute,
     is_positive_type,
+    psd_verdict,
     value_array,
 )
-from .eigen import hermitian_defect, hermitian_eigh
+from .eigen import hermitian_eigh
 from .groupoid import GroupoidError, pair_groupoid
 from .measure import GroupoidMeasure
 from .symmetroid import FlatBisection
@@ -262,12 +264,13 @@ def choi_kraus_decomposition(ch: Channel, tol: float = PSD_TOL) -> KrausFamily:
     """
     n = ch.n
     choi = to_choi(ch).matrix
-    defect = hermitian_defect(choi)
-    if defect > tol:
-        raise GroupoidError(f"Choi matrix is not Hermitian (defect {defect:.3e})")
+    verdict = psd_verdict(choi, tol)
+    if not verdict.ok:
+        raise GroupoidError(
+            f"Choi matrix is not Hermitian PSD (defect {verdict.hermitian_defect:.3e}, "
+            f"min eigenvalue {verdict.min_eigenvalue:.3e})"
+        )
     w, v = hermitian_eigh(choi)
-    if w[0] < -tol:
-        raise GroupoidError(f"Choi matrix is not PSD (min eigenvalue {w[0]:.3e})")
     g = pair_groupoid(n)
     members = []
     for i in range(len(w) - 1, -1, -1):
@@ -281,44 +284,16 @@ def choi_kraus_decomposition(ch: Channel, tol: float = PSD_TOL) -> KrausFamily:
 # -- positivity diagnostics --
 
 
-@dataclass
-class CPResult:
-    ok: bool
-    min_eigenvalue: float
-    hermitian_defect: float
-    witness: np.ndarray | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_cp(ch: Channel, tol: float = PSD_TOL) -> CPResult:
+def is_cp(ch: Channel, tol: float = PSD_TOL) -> PSDResult:
     """Complete positivity: the Choi matrix is Hermitian with min eigenvalue >= -tol.
 
     By channel-state duality this decides positivity of every ancilla
     extension at once.
     """
-    choi = to_choi(ch).matrix
-    defect = hermitian_defect(choi)
-    if defect > tol:
-        return CPResult(False, float("nan"), defect)
-    w, v = hermitian_eigh(choi)
-    return CPResult(bool(w[0] >= -tol), float(w[0]), defect, v[:, 0])
+    return psd_verdict(to_choi(ch).matrix, tol)
 
 
-@dataclass
-class FlatPSDResult:
-    ok: bool
-    min_eigenvalue: float
-    hermitian_defect: float
-    block_label: tuple | None = None
-    witness: np.ndarray | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_flat_psd(ch: Channel, tol: float = PSD_TOL) -> FlatPSDResult:
+def is_flat_psd(ch: Channel, tol: float = PSD_TOL) -> PSDResult:
     """Flat positive semidefiniteness of the kernel.
 
     Classes are grouped by horizontal compatibility: Γ_j ∘_H Γ_k^{-H} is
@@ -329,10 +304,9 @@ def is_flat_psd(ch: Channel, tol: float = PSD_TOL) -> FlatPSDResult:
 
         G[(z, y), (z', y')] = f((z, y), (y', z')) = Choi[(z, y), (z', y')]
 
-    for every group: one matrix, decided once and reported as block (0, 0).
+    for every group: one matrix, decided once by ``is_cp``.
     """
-    r = is_cp(ch, tol)
-    return FlatPSDResult(r.ok, r.min_eigenvalue, r.hermitian_defect, (0, 0), r.witness)
+    return is_cp(ch, tol)
 
 
 def kernel_positive_type(ch: Channel, tol: float = PSD_TOL):
@@ -342,11 +316,8 @@ def kernel_positive_type(ch: Channel, tol: float = PSD_TOL):
     ((z, w), (z', w')) is f(Γ ∘_V Γ'⁻¹) = f((z, z'), (w', w)), the same
     matrix for every 2-source: the A matrix.  Returns (ok, min_eigenvalue).
     """
-    gram = to_a_matrix(ch).matrix
-    if hermitian_defect(gram) > tol:
-        return False, float("nan")
-    vals, _ = hermitian_eigh(gram)
-    return bool(vals[0] >= -tol), float(vals[0])
+    verdict = psd_verdict(to_a_matrix(ch).matrix, tol)
+    return verdict.ok, verdict.min_eigenvalue
 
 
 def is_unital(obj, tol: float = 1e-12) -> bool:

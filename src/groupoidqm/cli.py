@@ -24,6 +24,7 @@ from .algebra import (
 from .groupoid import (
     FiniteGroupoid,
     GroupoidError,
+    ValidationError,
     direct_product,
     groupoid_from_json,
     is_connected,
@@ -124,10 +125,8 @@ def cmd_groupoid(args) -> int:
             data = json.load(fh)
         try:
             g = groupoid_from_json(data)
-        except GroupoidError as exc:
-            report = getattr(exc, "report", None)
-            payload = {"verdict": "invalid", "violations": report.to_dict() if report else str(exc)}
-            _emit(payload, args.json)
+        except ValidationError as exc:
+            _emit({"verdict": "invalid", "violations": exc.report.to_dict()}, args.json)
             return EXIT_CHECK_FAILED
         _emit(
             {
@@ -182,7 +181,7 @@ def cmd_algebra(args) -> int:
         res = is_positive_type(phi)
         payload = {
             "verdict": bool(res.ok),
-            "min_eigenvalue": None if res.min_eigenvalue != res.min_eigenvalue else res.min_eigenvalue,
+            "min_eigenvalue": _nan_to_none(res.min_eigenvalue),
             "hermitian_defect": res.hermitian_defect,
         }
         if res.object_index is not None:
@@ -301,7 +300,9 @@ def cmd_channel(args) -> int:
             payload["flat_psd"] = {
                 "verdict": bool(res.ok),
                 "min_eigenvalue": _nan_to_none(res.min_eigenvalue),
-                "block": list(res.block_label) if res.block_label else None,
+                # every Gram block equals the Choi matrix (see is_flat_psd), so
+                # the deciding block is always the first one
+                "block": [0, 0],
             }
             failed |= not res.ok
         if args.unital:

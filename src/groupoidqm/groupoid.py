@@ -337,6 +337,10 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
         units = data["units"]
     except (KeyError, IndexError, TypeError) as exc:
         raise GroupoidError(f"malformed groupoid JSON: {exc}") from exc
+    if type(n_objects) is not int or n_objects < 1:
+        raise GroupoidError(
+            f"malformed groupoid JSON: n_objects must be a positive integer, got {n_objects!r}"
+        )
     g = FiniteGroupoid(n_objects, source, target, compose, inverse, units)
     rep = validate(g)
     if not rep.ok:

@@ -21,6 +21,7 @@ identity below is checked exactly.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,6 +41,14 @@ def _positive(values, what: str):
         if not v > 0:
             raise ValueError(f"{what} {i} must be strictly positive, got {v!r}")
     return vals
+
+
+def _ints_as_fractions(*groups: tuple) -> tuple:
+    """The groups with every int as a Fraction when any value is a Fraction,
+    so that quotients of them stay exact; otherwise the groups unchanged."""
+    if not any(isinstance(v, Fraction) for g in groups for v in g):
+        return groups
+    return tuple(tuple(Fraction(v) if isinstance(v, int) else v for v in g) for g in groups)
 
 
 class GroupoidMeasure:
@@ -71,6 +80,7 @@ class GroupoidMeasure:
             )
         else:
             self.object_weights = (1,) * groupoid.n_objects
+        self.weights, self.object_weights = _ints_as_fractions(self.weights, self.object_weights)
 
     @classmethod
     def counting(cls, groupoid: FiniteGroupoid) -> "GroupoidMeasure":
@@ -122,20 +132,28 @@ def _num_to_json(v):
     return v
 
 
-def measure_from_json(data: dict, groupoid: FiniteGroupoid, exact: bool = False) -> GroupoidMeasure:
-    try:
-        mw = data["morphism_weights"]
-        ow = data.get("object_weights")
-    except (KeyError, TypeError) as exc:
-        raise GroupoidError(f"malformed measure JSON: {exc}") from exc
+def _weight_from_json(w, exact: bool):
+    if isinstance(w, bool):
+        raise TypeError(f"weight {w!r} is not a number")
     if exact:
-        mw = [_to_fraction(w) for w in mw]
-        ow = None if ow is None else [_to_fraction(w) for w in ow]
-    else:
-        mw = [w if isinstance(w, (int, float)) else float(Fraction(w)) for w in mw]
+        return _to_fraction(w)
+    v = float(Fraction(w)) if isinstance(w, str) else w
+    if not math.isfinite(v):
+        raise ValueError(f"weight {w!r} is not finite")
+    return v
+
+
+def measure_from_json(data: dict, groupoid: FiniteGroupoid, exact: bool = False) -> GroupoidMeasure:
+    """GroupoidError on a missing key, a wrong count, or a weight that is not
+    a finite positive number."""
+    try:
+        mw = [_weight_from_json(w, exact) for w in data["morphism_weights"]]
+        ow = data.get("object_weights")
         if ow is not None:
-            ow = [w if isinstance(w, (int, float)) else float(Fraction(w)) for w in ow]
-    return GroupoidMeasure(groupoid, mw, ow)
+            ow = [_weight_from_json(w, exact) for w in ow]
+        return GroupoidMeasure(groupoid, mw, ow)
+    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise GroupoidError(f"malformed measure JSON: {exc}") from exc
 
 
 def load_measure(path: str, groupoid: FiniteGroupoid, exact: bool = False) -> GroupoidMeasure:
@@ -153,6 +171,7 @@ def weighted_pair_measure(g: FiniteGroupoid, w: Sequence, object_weights=None) -
     n = g.n_objects
     if len(w) != n or g.n_morphisms != n * n:
         raise ValueError("weighted_pair_measure expects a pair groupoid and one weight per point")
+    (w,) = _ints_as_fractions(tuple(w))
     weights = [w[j] / w[k] for j in range(n) for k in range(n)]
     if object_weights is None:
         object_weights = tuple(w)

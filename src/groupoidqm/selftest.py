@@ -124,8 +124,14 @@ def _fourier_report(n: int) -> dict:
         sum_v = sum_v + v
         sum_vv = sum_vv + convolve(v, v, m)
         sum_vvstar = sum_vvstar + convolve(v, involute(v, m), m)
+    # diagonality in the Fourier basis: conjugate by the DFT and look at off-diagonals
+    F = np.array(
+        [[np.exp(2j * np.pi * l * s / n) / np.sqrt(n) for s in range(n)] for l in range(n)]
+    )
     outputs = []
     diag_ok = True
+    twice_ok = True
+    offdiag = 0.0
     for r in range(n):
         for s in range(n):
             psi = AlgebraElement.delta(g, pair_index(n, r, s))
@@ -147,23 +153,8 @@ def _fourier_report(n: int) -> dict:
                     "closed_form_ok": closed_form,
                 }
             )
-    twice_ok = True
-    for r in range(n):
-        for s in range(n):
-            psi = AlgebraElement.delta(g, pair_index(n, r, s))
-            once = ch.apply(channel, psi)
-            twice = ch.apply(channel, once)
-            twice_ok &= once.allclose(twice, 1e-12)
-    # diagonality in the Fourier basis: conjugate by the DFT and look at off-diagonals
-    F = np.array(
-        [[np.exp(2j * np.pi * l * s / n) / np.sqrt(n) for s in range(n)] for l in range(n)]
-    )
-    offdiag = 0.0
-    for r in range(n):
-        for s in range(n):
-            out = ch.apply(channel, AlgebraElement.delta(g, pair_index(n, r, s)))
-            mat = np.array([[complex(out.values[a * n + b]) for b in range(n)] for a in range(n)])
-            rotated = F.conj() @ mat @ F.T
+            twice_ok &= out.allclose(ch.apply(channel, out), 1e-12)
+            rotated = F.conj() @ np.array(out.values, dtype=np.complex128).reshape(n, n) @ F.T
             offdiag = max(offdiag, float(np.max(np.abs(rotated - np.diag(np.diag(rotated))))))
     return {
         "kind": "fourier-decoherence",

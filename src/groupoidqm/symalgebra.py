@@ -202,6 +202,8 @@ class SymFunction:
         return self.values[self.symmetroid.index[t]]
 
     def allclose(self, other: "SymFunction", tol: float = 1e-12) -> bool:
+        if len(self.values) != len(other.values):
+            raise GroupoidError("symmetroid functions live on different symmetroids")
         return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
 
 
@@ -329,9 +331,11 @@ class QuotientFunction:
         return [(q_from_index(self.n, i), v) for i, v in enumerate(self.values) if v != 0]
 
     def __add__(self, other: "QuotientFunction") -> "QuotientFunction":
+        self._same_base(other)
         return QuotientFunction(self.n, [a + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other: "QuotientFunction") -> "QuotientFunction":
+        self._same_base(other)
         return QuotientFunction(self.n, [a - b for a, b in zip(self.values, other.values)])
 
     def __mul__(self, scalar) -> "QuotientFunction":
@@ -347,9 +351,12 @@ class QuotientFunction:
         )
 
     def allclose(self, other: "QuotientFunction", tol: float = 1e-12) -> bool:
+        self._same_base(other)
+        return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
+
+    def _same_base(self, other: "QuotientFunction") -> None:
         if self.n != other.n:
             raise GroupoidError("quotient functions live over different bases")
-        return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self.values), default=0.0)

@@ -21,6 +21,7 @@ from groupoidqm import (
     norm_sq,
     pair_groupoid,
     pair_index,
+    psd_verdict,
     state_function,
     state_normalization,
     weighted_pair_measure,
@@ -238,6 +239,51 @@ class TestLeftRegular:
         a, b = dyadic(), dyadic()
         lhs = left_regular_matrix(convolve(a, b, m), m)
         assert np.array_equal(lhs, left_regular_matrix(a, m) @ left_regular_matrix(b, m))
+
+
+class TestPSDVerdict:
+    def test_psd_matrix_passes_with_an_eigenvector_witness(self):
+        rng = np.random.default_rng(40)
+        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        m = a @ a.conj().T
+        res = psd_verdict(m)
+        assert res.ok and bool(res) is True
+        assert res.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(m)[0], abs=1e-10)
+        assert res.hermitian_defect <= 1e-10
+        residual = np.linalg.norm(m @ res.witness - res.min_eigenvalue * res.witness)
+        assert residual <= 1e-10
+
+    def test_negative_eigenvalue_fails_with_a_witness(self):
+        m = np.array([[-1.0, 1.0], [1.0, -1.0]])  # eigenvalues -2 and 0
+        res = psd_verdict(m)
+        assert not res.ok and bool(res) is False
+        assert res.min_eigenvalue == pytest.approx(-2.0, abs=1e-12)
+        assert res.hermitian_defect == 0.0
+        assert np.allclose(m @ res.witness, -2 * res.witness, atol=1e-12)
+
+    def test_hermitian_defect_above_tol_fails_with_nan_and_no_witness(self):
+        m = np.array([[1.0, 1e-3], [0.0, 1.0]])
+        res = psd_verdict(m)
+        assert not res.ok
+        assert np.isnan(res.min_eigenvalue)
+        assert res.hermitian_defect == 1e-3
+        assert res.witness is None
+        # the same matrix passes once tol covers its defect
+        assert psd_verdict(m, tol=1e-2).ok
+
+    def test_is_positive_type_reports_the_deciding_blocks_verdict(self):
+        n = 3
+        g = pair_groupoid(n)
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = a @ a.conj().T
+        phi = AlgebraElement(g, [h[j, k] for j in range(n) for k in range(n)])
+        res = is_positive_type(phi)
+        expected = psd_verdict(res.block)
+        assert res.ok == expected.ok
+        assert res.min_eigenvalue == expected.min_eigenvalue
+        assert res.hermitian_defect == expected.hermitian_defect
+        assert np.array_equal(res.witness, expected.witness)
 
 
 class TestPositiveType:

@@ -45,6 +45,7 @@ from groupoidqm import (
     pair_groupoid,
     pair_index,
     positivity_falsifier,
+    psd_verdict,
     q_horizontal_compose,
     q_horizontal_inverse,
     quotient_function_from_json,
@@ -269,7 +270,6 @@ class TestPositivity:
         res_flat = is_flat_psd(ch)
         res_cp = is_cp(ch)
         assert abs(res_flat.min_eigenvalue - res_cp.min_eigenvalue) < 1e-10
-        assert res_flat.block_label == (0, 0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_flat_gram_block_is_the_reshaped_kernel(self, n):
@@ -297,7 +297,6 @@ class TestPositivity:
     def test_flat_psd_failure_reports_block_and_witness(self):
         res = is_flat_psd(transpose_channel(3))
         assert not res.ok
-        assert res.block_label == (0, 0)
         assert abs(res.min_eigenvalue + 1) < 1e-10
         swap = to_choi(transpose_channel(3)).matrix
         assert np.allclose(swap @ res.witness, -res.witness, atol=1e-10)
@@ -308,7 +307,42 @@ class TestPositivity:
         res = is_flat_psd(Channel(kernel))
         assert not res.ok
         assert res.hermitian_defect == 1.0
-        assert res.block_label == (0, 0)
+
+    def test_verdicts_are_psd_verdict_on_choi_and_a(self):
+        rng = np.random.default_rng(12)
+        non_hermitian = QuotientFunction.zeros(2)
+        non_hermitian.values[1] = 1.0
+        channels = [
+            identity_channel(2),
+            transpose_channel(3),
+            random_kraus_channel(2, rng),
+            random_choi_hermitian_channel(3, rng),
+            Channel(non_hermitian),
+        ]
+        for ch in channels:
+            expected = psd_verdict(to_choi(ch).matrix)
+            for res in (is_cp(ch), is_flat_psd(ch)):
+                assert res.ok == expected.ok
+                assert res.hermitian_defect == expected.hermitian_defect
+                assert np.array_equal(res.min_eigenvalue, expected.min_eigenvalue, equal_nan=True)
+                if expected.witness is None:
+                    assert res.witness is None
+                else:
+                    assert np.array_equal(res.witness, expected.witness)
+            a_verdict = psd_verdict(to_a_matrix(ch).matrix)
+            ok, min_eig = kernel_positive_type(ch)
+            assert ok == a_verdict.ok
+            assert np.array_equal(min_eig, a_verdict.min_eigenvalue, equal_nan=True)
+
+    def test_choi_kraus_decomposition_rejects_non_hermitian_choi(self):
+        kernel = QuotientFunction.zeros(2)
+        kernel.values[1] = 1.0
+        with pytest.raises(GroupoidError, match=r"defect 1\.000e\+00, min eigenvalue nan"):
+            choi_kraus_decomposition(Channel(kernel))
+
+    def test_choi_kraus_decomposition_rejects_non_psd_choi(self):
+        with pytest.raises(GroupoidError, match=r"defect 0\.000e\+00, min eigenvalue -1\.000e\+00"):
+            choi_kraus_decomposition(transpose_channel(2))
 
     def test_bisection_channels_cp_unital(self):
         for b in flat_bisections(3):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from groupoidqm import pair_groupoid, transpose_channel
 from groupoidqm.cli import main
@@ -175,6 +176,8 @@ def test_channel_check_passes_for_bisection(tmp_path, capsys):
     )
     assert code == 0
     assert data["cp"]["verdict"] and data["flat_psd"]["verdict"] and data["unital"]["verdict"]
+    # every flat-PSD Gram block equals the Choi matrix, so the first block is named
+    assert data["flat_psd"]["block"] == [0, 0]
 
 
 def test_channel_falsify_requires_seed(tmp_path, capsys):
@@ -345,3 +348,45 @@ def test_overflowing_output_is_input_error_not_nan_json(tmp_path, capsys):
     code, _, _ = run(capsys, "channel", "from-kraus", str(kpath), "-o", str(out_path), "--json")
     assert code == 2
     assert not out_path.exists()
+
+
+def assert_input_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "weights, exact",
+    [
+        ([1, 1, 1], False),  # wrong length: a pair groupoid on 2 points has 4 morphisms
+        ([1, -1, 1, 1], False),
+        ([1, "abc", 1, 1], False),
+        ([1, "abc", 1, 1], True),
+        ([1, 1e400, 1, 1], False),  # parses as inf
+    ],
+)
+def test_measure_malformed_weights_are_input_errors(tmp_path, capsys, weights, exact):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"morphism_weights": weights}).replace("Infinity", "1e400"))
+    argv = ["measure", "--n", "2", "--measure", str(path), "--json"]
+    code, out, err = run(capsys, *argv, *(["--exact"] if exact else []))
+    assert_input_error(code, out, err)
+
+
+def test_measure_wrong_object_weight_count_is_input_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"morphism_weights": [1] * 4, "object_weights": [1, 1, 1]}))
+    code, out, err = run(capsys, "measure", "--n", "2", "--measure", str(path), "--json")
+    assert_input_error(code, out, err)
+
+
+@pytest.mark.parametrize("n_objects", [0, "x"])
+def test_groupoid_validate_bad_object_count_is_input_error(tmp_path, capsys, n_objects):
+    data = pair_groupoid(2).to_json()
+    data["n_objects"] = n_objects
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "groupoid", "validate", str(path), "--json")
+    assert_input_error(code, out, err)

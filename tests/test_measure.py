@@ -118,6 +118,17 @@ def test_target_pushforward_object_weights():
     assert abs(ratio - 2) < 1e-12
 
 
+def test_int_and_float_measures_keep_their_value_types():
+    g = pair_groupoid(3)
+    ints = GroupoidMeasure(g, [2] * 9)
+    assert all(type(v) is int for v in ints.weights + ints.object_weights)
+    floats = weighted_pair_measure(g, W124)
+    assert all(type(v) is float for v in floats.weights)
+    assert floats.object_weights == W124
+    mixed = GroupoidMeasure(g, [Fraction(1, 2)] + [0.5] + [1] * 7)
+    assert [type(v) for v in mixed.weights[:3]] == [Fraction, float, Fraction]
+
+
 def test_measure_rejects_nonpositive_weights():
     g = pair_groupoid(2)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 
 from groupoidqm import (
     AlgebraElement,
+    GroupoidError,
     GroupoidMeasure,
     NotPullbackError,
     QClass,
@@ -414,6 +415,24 @@ class TestExactPath:
         assert involute_S(star, qm) == f
         assert involute_S(convolve_S(f, g, qm), qm) == convolve_S(involute_S(g, qm), star, qm)
 
+    def test_int_weights_beside_fractions_stay_exact(self):
+        # no .with_exact(): ints next to a Fraction are divided exactly
+        n = 3
+        g = pair_groupoid(n)
+        rng = np.random.default_rng(36)
+        f, h = (QuotientFunction(n, fractions(rng, n**4)) for _ in range(2))
+        for m in (
+            weighted_pair_measure(g, (Fraction(1, 3), 2, 5)),
+            GroupoidMeasure(g, [Fraction(1, 2)] + [1] * 8),
+        ):
+            assert all(type(v) is Fraction for v in m.weights + m.object_weights)
+            fiber_weights = [m.nu_target(a) for a in g.morphisms()]
+            fiber_weights += [m.nu_source(a) for a in g.morphisms()]
+            assert all(type(v) is Fraction for v in fiber_weights)
+            qm = QuotientMeasure(m)
+            assert all_fractions(convolve_S(f, h, qm))
+            assert all_fractions(involute_S(f, qm))
+
     def test_rep_operator_homomorphism_exact_on_dyadic_values(self):
         n = 2
         qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (1, 4)).with_exact())
@@ -444,6 +463,27 @@ class TestExactPath:
         assert fiber_restrict(pulled) == psi
         assert all(type(v) is Fraction for v in fiber_restrict(pulled).values)
         assert modular_involution(pulled) == involute_S(pulled)
+
+
+class TestMismatchedBases:
+    def test_quotient_arithmetic_across_bases_raises(self):
+        small, big = QuotientFunction.zeros(2), QuotientFunction(3, [1] * 81)
+        for combine in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(GroupoidError, match="different bases"):
+                combine(small, big)
+            with pytest.raises(GroupoidError, match="different bases"):
+                combine(big, small)
+
+    def test_quotient_allclose_across_bases_raises(self):
+        with pytest.raises(GroupoidError, match="different bases"):
+            QuotientFunction.zeros(2).allclose(QuotientFunction.zeros(3))
+
+    def test_sym_function_allclose_across_symmetroids_raises(self):
+        small = SymFunction.zeros(Symmetroid(pair_groupoid(2)))
+        big = SymFunction.zeros(Symmetroid(pair_groupoid(3)))
+        assert small.allclose(SymFunction.zeros(Symmetroid(pair_groupoid(2))))
+        with pytest.raises(GroupoidError, match="different symmetroids"):
+            small.allclose(big)
 
 
 class TestExports:
