@@ -166,13 +166,14 @@ def convolve(f: AlgebraElement, g: AlgebraElement, m: GroupoidMeasure) -> Algebr
     G = m.groupoid
     out = AlgebraElement.zeros(G)
     fv, gv = f.values, g.values
+    nu = [m.nu_target(beta) for beta in G.morphisms()]
     for alpha in G.morphisms():
         acc = 0
         for beta in G.target_fiber(G.target[alpha]):
             w = fv[beta]
             if w == 0:
                 continue
-            acc += w * gv[G.compose(G.inv(beta), alpha)] * m.nu_target(beta)
+            acc += w * gv[G.compose(G.inv(beta), alpha)] * nu[beta]
         out.values[alpha] = acc
     return out
 

@@ -207,7 +207,8 @@ def validate(g: FiniteGroupoid) -> ViolationReport:
     Checks, in order: index ranges, the composability domain (the table is
     defined for (b, a) exactly when source(b) == target(a)), endpoint
     coherence of composites, associativity on all composable triples, unit
-    laws and inverse laws.  An empty report means g is a groupoid.
+    laws and inverse laws.  An empty report means g is a groupoid.  When a
+    morphism's endpoints are out of range the report stops after that check.
     """
     rep = ViolationReport()
     m = g.n_morphisms
@@ -219,6 +220,8 @@ def validate(g: FiniteGroupoid) -> ViolationReport:
         rep.checks += 1
         if not (0 <= g.source[mid] < g.n_objects and 0 <= g.target[mid] < g.n_objects):
             rep.add("index-range", (mid,), f"morphism {mid} has out-of-range endpoints")
+    if not rep.ok:
+        return rep  # every check below indexes the object tables by endpoints
 
     # Composability domain: defined iff source(b) == target(a).
     expected = set(g.composable_pairs())
@@ -320,32 +323,38 @@ def is_connected(g: FiniteGroupoid) -> bool:
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
     """Build a groupoid from the documented JSON form and validate it.
 
-    Raises ValidationError listing every violated axiom if the table is not
-    a groupoid.
+    Raises GroupoidError on a malformed form (a missing key, a compose entry
+    that is not a triple, a table entry that is not an int, ids that are not
+    a permutation of 0..m-1, a table of the wrong length) and ValidationError
+    listing every violated axiom if the table is not a groupoid.
     """
     try:
         n_objects = data["n_objects"]
-        morphs = data["morphisms"]
-        m = len(morphs)
-        source = [0] * m
-        target = [0] * m
-        for entry in morphs:
-            source[entry["id"]] = entry["src"]
-            target[entry["id"]] = entry["tgt"]
-        compose = {(b, a): r for b, a, r in data["compose"]}
-        inverse = data["inverse"]
-        units = data["units"]
-    except (KeyError, IndexError, TypeError) as exc:
+        ids, src, tgt = ([e[key] for e in data["morphisms"]] for key in ("id", "src", "tgt"))
+        triples = [(b, a, r) for b, a, r in data["compose"]]
+        inverse, units = list(data["inverse"]), list(data["units"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise GroupoidError(f"malformed groupoid JSON: {exc}") from exc
+    m = len(ids)
+    bad = [v for t in (ids, src, tgt, inverse, units, *triples) for v in t if type(v) is not int]
     if type(n_objects) is not int or n_objects < 1:
-        raise GroupoidError(
-            f"malformed groupoid JSON: n_objects must be a positive integer, got {n_objects!r}"
-        )
-    g = FiniteGroupoid(n_objects, source, target, compose, inverse, units)
-    rep = validate(g)
-    if not rep.ok:
-        raise ValidationError(rep, "groupoid JSON rejected")
-    return g
+        problem = f"n_objects must be a positive integer, got {n_objects!r}"
+    elif bad:
+        problem = f"table entry {bad[0]!r} is not an integer"
+    elif sorted(ids) != list(range(m)):
+        problem = f"morphism ids are not a permutation of 0..{m - 1}"
+    elif len(inverse) != m or len(units) != n_objects:
+        problem = "need one inverse per morphism and one unit per object"
+    else:
+        source = [s for _, s in sorted(zip(ids, src))]
+        target = [t for _, t in sorted(zip(ids, tgt))]
+        compose = {(b, a): r for b, a, r in triples}
+        g = FiniteGroupoid(n_objects, source, target, compose, inverse, units)
+        rep = validate(g)
+        if not rep.ok:
+            raise ValidationError(rep, "groupoid JSON rejected")
+        return g
+    raise GroupoidError(f"malformed groupoid JSON: {problem}")
 
 
 def load_groupoid(path: str) -> FiniteGroupoid:

@@ -191,6 +191,20 @@ class ModularFunction:
         return self.values[m]
 
 
+def modular_homomorphism_report(
+    g: FiniteGroupoid, values: Sequence, tol: float = DEFAULT_TOL
+) -> ViolationReport:
+    """Check values[b∘a] == values[b]·values[a] on every composable pair (b, a)."""
+    rep = ViolationReport()
+    for b, a in g.composable_pairs():
+        rep.checks += 1
+        defect = abs(values[g.compose(b, a)] - values[b] * values[a])
+        if defect > tol:
+            where = f"({g.label(b)}, {g.label(a)})"
+            rep.add("modular-hom", (b, a), f"not multiplicative on {where}", defect)
+    return rep
+
+
 def modular(g: FiniteGroupoid, m: GroupoidMeasure, tol: float = DEFAULT_TOL) -> ModularFunction:
     """Compute δ(α) = μ(α)/μ(α⁻¹) and verify it is a homomorphism.
 
@@ -199,13 +213,10 @@ def modular(g: FiniteGroupoid, m: GroupoidMeasure, tol: float = DEFAULT_TOL) -> 
     disintegration.
     """
     values = [m.delta(mid) for mid in g.morphisms()]
-    for b, a in g.composable_pairs():
-        defect = abs(values[g.compose(b, a)] - values[b] * values[a])
-        if defect > tol:
-            raise NotHaarError(
-                f"modular function is not multiplicative on ({g.label(b)}, {g.label(a)}): "
-                f"defect {float(defect):.3e}"
-            )
+    rep = modular_homomorphism_report(g, values, tol)
+    if not rep.ok:
+        first = rep.violations[0]
+        raise NotHaarError(f"modular function is {first.message}: defect {first.magnitude:.3e}")
     return ModularFunction(g, values)
 
 
@@ -217,14 +228,13 @@ def verify_left_invariance(
     Atomically: ν^y(β) == ν^x(γ⁻¹∘β) for every β in the target fiber G^y.
     """
     rep = ViolationReport()
+    nu = [m.nu_target(beta) for beta in g.morphisms()]
     for gamma in g.morphisms():
         y = g.target[gamma]
         gi = g.inv(gamma)
         for beta in g.target_fiber(y):
             rep.checks += 1
-            lhs = m.nu_target(beta)
-            rhs = m.nu_target(g.compose(gi, beta))
-            defect = abs(lhs - rhs)
+            defect = abs(nu[beta] - nu[g.compose(gi, beta)])
             if defect > tol:
                 rep.add(
                     "left-invariance",

@@ -16,7 +16,9 @@ atom by atom) and a homomorphism for the vertical composition.  On a counting
 base all three collapse to 1 and the fiber weight on the base equals μ, the
 convention in which C₀ of the quotient is M_n(C) ⊗ M_n(C) on the nose.
 
-The convolution product, involution and left-regular operators are
+The convolution product, involution and left-regular operators are those of
+``algebra`` on the vertical groupoid under ``SymmetroidMeasure.measure`` (μ₂,
+whose fiber weights are ν₂):
 
     (f ⋆_S g)(Γ) = Σ_{Γ₁ ∈ S^{t1(Γ)}} ν₂(Γ₁) f(Γ₁) g(Γ₁⁻¹ ∘_V Γ)
     f*(Γ) = Δ₂(Γ)⁻¹ conj(f(Γ⁻¹))
@@ -41,6 +43,7 @@ from .algebra import (
     complex_values_from_json,
     complex_values_to_json,
     convolve,
+    involute,
     value_array,
 )
 from .groupoid import FiniteGroupoid, GroupoidError, pair_groupoid
@@ -49,6 +52,7 @@ from .measure import (
     GroupoidMeasure,
     NotHaarError,
     modular,
+    modular_homomorphism_report,
     verify_left_invariance,
 )
 from .reports import ViolationReport
@@ -70,27 +74,30 @@ class NotPullbackError(GroupoidError):
 
 
 class SymmetroidMeasure:
-    """Induced weights μ₂, fiber weights ν₂ and modular values Δ₂ on S(G)."""
+    """μ₂, ν₂ and Δ₂ on S(G).  ``measure`` is the GroupoidMeasure on the vertical
+    groupoid with atoms μ₂ and object weights μ_Ω(t(β))·μ_Ω(s(β)), so its fiber
+    weights are ν₂; ``weights`` (μ₂) and ``modular`` (Δ₂) are keyed by Γ."""
 
-    __slots__ = ("symmetroid", "base", "weights", "fiber_weights", "modular")
+    __slots__ = ("symmetroid", "base", "measure", "weights", "modular")
 
     def __init__(self, symmetroid: Symmetroid, base: GroupoidMeasure):
         self.symmetroid = symmetroid
         self.base = base
-        w, nu, dl = {}, {}, {}
-        for t in symmetroid.transformations:
-            w[t] = base.weights[t.alpha] * base.weights[t.gamma]
-            nu[t] = base.nu_target(t.alpha) * base.nu_target(t.gamma)
-            dl[t] = base.delta(t.alpha) * base.delta(t.gamma)
-        self.weights = w
-        self.fiber_weights = nu
-        self.modular = dl
+        g, ts = base.groupoid, symmetroid.transformations
+        w, ow = base.weights, base.object_weights
+        self.measure = GroupoidMeasure(
+            symmetroid.vertical,
+            [w[t.alpha] * w[t.gamma] for t in ts],
+            [ow[g.target[b]] * ow[g.source[b]] for b in g.morphisms()],
+        )
+        self.weights = dict(zip(ts, self.measure.weights))
+        self.modular = {t: base.delta(t.alpha) * base.delta(t.gamma) for t in ts}
 
     def mu2(self, t: Transformation):
         return self.weights[t]
 
     def nu2(self, t: Transformation):
-        return self.fiber_weights[t]
+        return self.measure.nu_target(self.symmetroid.index[t])
 
     def delta2(self, t: Transformation):
         return self.modular[t]
@@ -111,23 +118,9 @@ def induce_measure(sym: Symmetroid, m: GroupoidMeasure, tol: float = DEFAULT_TOL
 
 
 def verify_induced_equivariance(m2: SymmetroidMeasure, tol: float = DEFAULT_TOL) -> ViolationReport:
-    """Check (L_Γ)⋆ν₂^{s1(Γ)} = ν₂^{t1(Γ)} for every transformation Γ.
-
-    Atomically: ν₂(Λ) == ν₂(Γ⁻¹ ∘_V Λ) for every Λ in the 2-target fiber of
-    t1(Γ).
-    """
-    sym = m2.symmetroid
-    rep = ViolationReport()
-    for t in sym.transformations:
-        ti = sym.vertical_inverse(t)
-        for lam in sym.t1_fiber(sym.t1(t)):
-            rep.checks += 1
-            lhs = m2.nu2(lam)
-            rhs = m2.nu2(sym.vertical_compose(ti, lam))
-            defect = abs(lhs - rhs)
-            if defect > tol:
-                rep.add("equivariance", (t, lam), f"fiber weight moved by {t}", defect)
-    return rep
+    """Check (L_Γ)⋆ν₂^{s1(Γ)} = ν₂^{t1(Γ)} for every transformation Γ: the
+    left invariance of ``m2.measure`` on the vertical groupoid."""
+    return verify_left_invariance(m2.symmetroid.vertical, m2.measure, tol)
 
 
 def verify_modular_formula(
@@ -159,19 +152,8 @@ def verify_modular_formula(
 
 def verify_modular_homomorphism(m2: SymmetroidMeasure, tol: float = DEFAULT_TOL) -> ViolationReport:
     """Δ₂(Γ₂ ∘_V Γ₁) == Δ₂(Γ₂)·Δ₂(Γ₁) over all vertically composable pairs."""
-    sym = m2.symmetroid
-    rep = ViolationReport()
-    by_s1: dict[int, list[Transformation]] = {}
-    for t in sym.transformations:
-        by_s1.setdefault(t.beta, []).append(t)
-    for t1_ in sym.transformations:
-        for t2 in by_s1.get(sym.t1(t1_), []):
-            rep.checks += 1
-            prod = sym.vertical_compose(t2, t1_)
-            defect = abs(m2.delta2(prod) - m2.delta2(t2) * m2.delta2(t1_))
-            if defect > tol:
-                rep.add("modular-hom", (t2, t1_), "Δ₂ not multiplicative", defect)
-    return rep
+    values = [m2.modular[t] for t in m2.symmetroid.transformations]
+    return modular_homomorphism_report(m2.symmetroid.vertical, values, tol)
 
 
 # -- functions on a general symmetroid --
@@ -208,27 +190,16 @@ class SymFunction:
 
 
 def convolve_general(f: SymFunction, g: SymFunction, m2: SymmetroidMeasure) -> SymFunction:
-    """⋆_S on a general symmetroid: sum over the 2-target fiber of the output."""
-    sym = f.symmetroid
-    out = SymFunction.zeros(sym)
-    for i, t in enumerate(sym.transformations):
-        acc = 0
-        for t1_ in sym.t1_fiber(sym.t1(t)):
-            fv = f[t1_]
-            if fv == 0:
-                continue
-            acc += m2.nu2(t1_) * fv * g[sym.vertical_compose(sym.vertical_inverse(t1_), t)]
-        out.values[i] = acc
-    return out
+    """⋆_S on a general symmetroid: ``convolve`` on the vertical groupoid."""
+    v = m2.symmetroid.vertical
+    out = convolve(AlgebraElement(v, f.values), AlgebraElement(v, g.values), m2.measure)
+    return SymFunction(f.symmetroid, out.values)
 
 
 def involute_general(f: SymFunction, m2: SymmetroidMeasure) -> SymFunction:
-    sym = f.symmetroid
-    out = SymFunction.zeros(sym)
-    for i, t in enumerate(sym.transformations):
-        ti = sym.vertical_inverse(t)
-        out.values[i] = f[ti].conjugate() / m2.delta2(t)
-    return out
+    """f*(Γ) = Δ₂(Γ)⁻¹ conj(f(Γ⁻¹)): ``involute`` on the vertical groupoid."""
+    out = involute(AlgebraElement(m2.symmetroid.vertical, f.values), m2.measure)
+    return SymFunction(f.symmetroid, out.values)
 
 
 # -- quotient fast path over a pair groupoid --

@@ -6,10 +6,11 @@ translation, sending β to α∘β∘γ⁻¹.  The 2-source and 2-target are
     s1(Γ) = β,    t1(Γ) = α∘β∘γ⁻¹,
 
 vertical composition Γ₂∘_V Γ₁ = (α₂∘α₁, β₁, γ₂∘γ₁) (defined when
-t1(Γ₁) = s1(Γ₂)) makes the set of all transformations a groupoid over G, and
-a second, horizontal composition is inherited from the composition of G
-itself.  Quotienting by the transformations built from isotropy elements
-leaves classes determined by the four endpoint objects
+t1(Γ₁) = s1(Γ₂)) makes the set of all transformations a groupoid over the
+morphisms of G, built once as the FiniteGroupoid ``Symmetroid.vertical``, and
+a second, horizontal composition is inherited from the composition of G.
+Quotienting by the transformations built from isotropy elements leaves
+classes determined by the four endpoint objects
 
     ((z, y), (x, w))  with  s1-class (y, x) and t1-class (z, w),
 
@@ -57,6 +58,10 @@ class Symmetroid:
 
     Enumeration order is canonical: by beta, then alpha over the source fiber
     of t(beta), then gamma over the source fiber of s(beta).
+
+    ``vertical`` is S(G) under vertical composition as a FiniteGroupoid over
+    the morphisms of G: its morphism i is ``transformations[i]``, with source
+    s1 and target t1.  The Transformation-typed methods read its tables.
     """
 
     def __init__(self, groupoid: FiniteGroupoid):
@@ -68,26 +73,36 @@ class Symmetroid:
             for a in g.source_fiber(g.target[b])
             for c in g.source_fiber(g.source[b])
         ]
-        self.index = {t: i for i, t in enumerate(self.transformations)}
-        self._t1 = {t: self._compute_t1(t) for t in self.transformations}
-        fibers: dict[int, list[Transformation]] = {b: [] for b in g.morphisms()}
-        for t, b in self._t1.items():
-            fibers[b].append(t)
-        self._t1_fibers = fibers
+        ts = self.transformations
+        self.index = index = {t: i for i, t in enumerate(ts)}
+        top = [g.compose(a, g.compose(b, g.inv(c))) for a, b, c in ts]
+        by_s1: list[list[int]] = [[] for _ in g.morphisms()]
+        for i, t in enumerate(ts):
+            by_s1[t.beta].append(i)
+        # Γ₂ ∘_V Γ₁ = (α₂∘α₁, β₁, γ₂∘γ₁), defined when t1(Γ₁) = s1(Γ₂)
+        compose = {
+            (i2, i1): index[(g.compose(ts[i2].alpha, a1), b1, g.compose(ts[i2].gamma, c1))]
+            for i1, (a1, b1, c1) in enumerate(ts)
+            for i2 in by_s1[top[i1]]
+        }
+        inverse = [index[(g.inv(a), top[i], g.inv(c))] for i, (a, _, c) in enumerate(ts)]
+        units = [index[(g.unit(g.target[b]), b, g.unit(g.source[b]))] for b in g.morphisms()]
+        source = [t.beta for t in ts]
+        self.vertical = FiniteGroupoid(g.n_morphisms, source, top, compose, inverse, units)
 
     def __len__(self) -> int:
         return len(self.transformations)
 
-    def _compute_t1(self, t: Transformation) -> int:
-        g = self.groupoid
-        return g.compose(t.alpha, g.compose(t.beta, g.inv(t.gamma)))
+    def _id(self, t: Transformation) -> int:
+        """The morphism id of t in ``vertical``."""
+        try:
+            return self.index[t]
+        except KeyError:
+            raise NotComposableError(f"{t} is not a transformation of this groupoid") from None
 
     def is_valid(self, t: Transformation) -> bool:
-        g = self.groupoid
-        return (
-            g.source[t.alpha] == g.target[t.beta]
-            and g.source[t.gamma] == g.source[t.beta]
-        )
+        """Membership in S(G): s(α) = t(β) and s(γ) = s(β)."""
+        return t in self.index
 
     def is_little(self, t: Transformation) -> bool:
         """Membership in the little symmetroid: α and γ are isotropy elements."""
@@ -102,32 +117,23 @@ class Symmetroid:
         return t.beta
 
     def t1(self, t: Transformation) -> int:
-        cached = self._t1.get(t)
-        return cached if cached is not None else self._compute_t1(t)
+        return self.vertical.target[self._id(t)]
 
     def t1_fiber(self, beta: int) -> list[Transformation]:
         """S^β = t1⁻¹(β)."""
-        return self._t1_fibers[beta]
+        return [self.transformations[i] for i in self.vertical.target_fiber(beta)]
 
     # -- vertical structure (a groupoid over G) --
 
     def vertical_unit(self, beta: int) -> Transformation:
-        g = self.groupoid
-        return Transformation(g.unit(g.target[beta]), beta, g.unit(g.source[beta]))
+        return self.transformations[self.vertical.unit(beta)]
 
     def vertical_compose(self, t2: Transformation, t1: Transformation) -> Transformation:
-        if self.t1(t1) != self.s1(t2):
-            raise NotComposableError(
-                "vertical composition needs t1(right) == s1(left)"
-            )
-        g = self.groupoid
-        return Transformation(
-            g.compose(t2.alpha, t1.alpha), t1.beta, g.compose(t2.gamma, t1.gamma)
-        )
+        """Γ₂ ∘_V Γ₁, defined when t1(Γ₁) == s1(Γ₂)."""
+        return self.transformations[self.vertical.compose(self._id(t2), self._id(t1))]
 
     def vertical_inverse(self, t: Transformation) -> Transformation:
-        g = self.groupoid
-        return Transformation(g.inv(t.alpha), self.t1(t), g.inv(t.gamma))
+        return self.transformations[self.vertical.inv(self._id(t))]
 
     # -- horizontal structure --
 

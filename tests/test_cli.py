@@ -390,3 +390,62 @@ def test_groupoid_validate_bad_object_count_is_input_error(tmp_path, capsys, n_o
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "groupoid", "validate", str(path), "--json")
     assert_input_error(code, out, err)
+
+
+def _set_morphism(i, key, value):
+    return lambda d: d["morphisms"][i].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_morphism(1, "src", "a"),
+        lambda d: d["compose"][0].__setitem__(2, 0.0),
+        lambda d: d["inverse"].__setitem__(1, 2.7),  # was truncated to 2 and validated
+        _set_morphism(3, "id", -1),  # was written to the last slot and validated
+        _set_morphism(3, "id", 2),  # a duplicate id
+        lambda d: d["units"].__setitem__(1, True),
+        lambda d: d["compose"][0].pop(),  # not a triple
+        lambda d: d["inverse"].pop(),
+        lambda d: d["units"].append(0),
+    ],
+    ids=[
+        "src-string", "compose-float", "inverse-float", "negative-id", "duplicate-id",
+        "unit-bool", "compose-pair", "short-inverse", "long-units",
+    ],
+)
+def test_groupoid_validate_malformed_table_is_input_error(tmp_path, capsys, edit):
+    data = pair_groupoid(2).to_json()
+    edit(data)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "groupoid", "validate", str(path), "--json")
+    assert_input_error(code, out, err)
+
+
+@pytest.mark.parametrize("key, value", [("src", 5), ("tgt", -1)])
+def test_groupoid_validate_out_of_range_endpoint_is_invalid(tmp_path, capsys, key, value):
+    data = pair_groupoid(2).to_json()
+    data["morphisms"][1][key] = value
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "groupoid", "validate", str(path), "--json")
+    assert code == 1
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["verdict"] == "invalid"
+    assert [v["kind"] for v in payload["violations"]["violations"]] == ["index-range"]
+
+
+def test_measure_non_multiplicative_modular_message(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"morphism_weights": list(range(1, 10))}))
+    for exact in ([], ["--exact"]):
+        code, data, _ = run_json(capsys, "measure", "--n", "3", "--measure", str(path), *exact)
+        assert code == 1
+        assert data["verdict"] == "not-haar"
+        assert data["modular"] == {
+            "ok": False,
+            "error": "modular function is not multiplicative on (m6:0->2, m1:1->0): "
+            "defect 1.667e-01",
+        }

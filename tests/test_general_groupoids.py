@@ -1,6 +1,8 @@
 """General-mode coverage beyond pair groupoids: isotropy, disconnection,
 products, and the symmetroid machinery over them."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from groupoidqm import (
     QClass,
     SymFunction,
     Symmetroid,
+    Transformation,
     convolve,
     convolve_general,
     direct_product,
@@ -24,6 +27,7 @@ from groupoidqm import (
     left_regular_matrix,
     pair_groupoid,
     validate,
+    weighted_pair_measure,
     verify_induced_equivariance,
     verify_left_invariance,
     verify_modular_formula,
@@ -214,3 +218,95 @@ class TestProductGroupoidSymmetroid:
         lhs = involute(convolve(f1, f2, m), m)
         rhs = convolve(involute(f2, m), involute(f1, m), m)
         assert lhs.allclose(rhs, 1e-10)
+
+
+class TestVerticalGroupoid:
+    """S(G) under vertical composition is a groupoid over the morphisms of G."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [pair_groupoid(2), pair_groupoid(3), cyclic_group_groupoid(3), two_component_groupoid()],
+        ids=["pair2", "pair3", "z3", "two-component"],
+    )
+    def test_vertical_is_a_groupoid_with_s1_and_t1(self, g):
+        sym = Symmetroid(g)
+        v = sym.vertical
+        assert validate(v).ok
+        assert (v.n_objects, v.n_morphisms) == (g.n_morphisms, len(sym))
+        for i, t in enumerate(sym.transformations):
+            assert v.source[i] == sym.s1(t)
+            assert v.target[i] == sym.t1(t)
+
+    def test_triple_outside_symmetroid_is_not_composable(self):
+        sym = Symmetroid(pair_groupoid(2))
+        bad = Transformation(1, 0, 0)  # α = (0, 1) does not start where β = (0, 0) ends
+        assert not sym.is_valid(bad)
+        good = sym.vertical_unit(0)
+        for call in (
+            lambda: sym.t1(bad),
+            lambda: sym.vertical_inverse(bad),
+            lambda: sym.vertical_compose(good, bad),
+            lambda: sym.vertical_compose(bad, good),
+            lambda: sym.vertical_compose(sym.vertical_unit(3), good),  # t1 = 0, s1 = 3
+        ):
+            with pytest.raises(NotComposableError):
+                call()
+
+
+def reference_convolve(f, h, base):
+    """Σ over the 2-target fiber of t1(Γ) of ν₂(Γ₁) f(Γ₁) h(Γ₁⁻¹ ∘_V Γ), with
+    every piece written out on triples."""
+    sym, g = f.symmetroid, base.groupoid
+
+    def t1(t):
+        return g.compose(t.alpha, g.compose(t.beta, g.inv(t.gamma)))
+
+    out = []
+    for t in sym.transformations:
+        acc = 0
+        for l in sym.transformations:
+            if t1(l) != t1(t) or f[l] == 0:
+                continue
+            nu2 = base.nu_target(l.alpha) * base.nu_target(l.gamma)
+            rest = Transformation(g.compose(g.inv(l.alpha), t.alpha), t.beta, g.compose(g.inv(l.gamma), t.gamma))
+            acc += nu2 * f[l] * h[rest]
+        out.append(acc)
+    return out
+
+
+def reference_involute(f, base):
+    """Δ₂(Γ)⁻¹ conj(f(Γ⁻¹)) with Δ₂ = δ(α)·δ(γ) and Γ⁻¹ = (α⁻¹, t1(Γ), γ⁻¹)."""
+    sym, g = f.symmetroid, base.groupoid
+    out = []
+    for a, b, c in sym.transformations:
+        top = g.compose(a, g.compose(b, g.inv(c)))
+        inverse = Transformation(g.inv(a), top, g.inv(c))
+        out.append(f[inverse].conjugate() / (base.delta(a) * base.delta(c)))
+    return out
+
+
+class TestGeneralConvolutionExact:
+    @pytest.mark.parametrize(
+        "base",
+        [
+            weighted_pair_measure(pair_groupoid(2), (Fraction(1, 3), 2)),
+            GroupoidMeasure.counting(cyclic_group_groupoid(3)).with_exact(),
+        ],
+        ids=["pair2-weighted", "z3-counting"],
+    )
+    def test_matches_reference_exactly(self, base):
+        sym = Symmetroid(base.groupoid)
+        m2 = induce_measure(sym, base, tol=0)
+        rng = np.random.default_rng(41)
+        f, h = (
+            SymFunction(sym, [Fraction(int(p), int(q)) for p, q in zip(
+                rng.integers(-4, 5, size=len(sym)), rng.integers(1, 7, size=len(sym))
+            )])
+            for _ in range(2)
+        )
+        assert 0 in f.values  # the reference skips zero terms as convolve does
+        prod = convolve_general(f, h, m2)
+        star = involute_general(f, m2)
+        for out, ref in ((prod, reference_convolve(f, h, base)), (star, reference_involute(f, base))):
+            assert all(type(v) is Fraction for v in out.values)
+            assert out.values == ref

@@ -14,6 +14,7 @@ from groupoidqm import (
     QuotientMeasure,
     SymFunction,
     Symmetroid,
+    SymmetroidMeasure,
     Transformation,
     convolve,
     convolve_S,
@@ -85,13 +86,14 @@ class TestInducedMeasure:
             assert verify_induced_equivariance(m2).ok
 
     def test_equivariance_detects_perturbation(self):
+        # built directly, past induce_measure's Haar check: unit object
+        # weights under μ(j,k) = w_j/w_k leave ν₂ non-invariant
         g = pair_groupoid(2)
         sym = Symmetroid(g)
-        m2 = induce_measure(sym, GroupoidMeasure.counting(g))
-        t0 = sym.transformations[3]
-        m2.fiber_weights[t0] = 2
+        m2 = SymmetroidMeasure(sym, weighted_pair_measure(g, (1, 2), object_weights=(1, 1)))
         rep = verify_induced_equivariance(m2)
         assert not rep.ok
+        assert (len(rep.violations), rep.checks) == (40, 64)
 
     def test_modular_formula_atomwise(self):
         g = pair_groupoid(3)
