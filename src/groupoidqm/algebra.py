@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
@@ -151,9 +153,50 @@ def complex_values_from_json(pairs) -> list[complex]:
 def value_array(values) -> np.ndarray:
     """The values as a 1-D array: object dtype when every value is exact
     (an int or a Fraction), so that exact inputs keep exact outputs, and
-    complex128 otherwise."""
+    complex128 otherwise.  Contract such arrays with :func:`contract`, which
+    keeps the object path off per-entry Fraction arithmetic."""
     exact = all(isinstance(v, Rational) for v in values)
     return np.array(values, dtype=object if exact else np.complex128)
+
+
+def _weights_against(weights: list, *value_lists) -> list:
+    """Measure weights as they multiply the values: unchanged when every value
+    is exact (an int or a Fraction), else floats, so that float and complex
+    arithmetic never takes Fraction's slow mixed-type fallback."""
+    if all(isinstance(v, Rational) for vs in value_lists for v in vs):
+        return weights
+    return [float(w) for w in weights]
+
+
+def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *operands)``, with one Fraction per output on
+    exact inputs.
+
+    When every operand is an object array of ints and Fractions and one of
+    them holds a Fraction, each operand is scaled to integer numerators over
+    the lcm of its denominators, the integers are contracted, and each output
+    is one Fraction over the product of those lcms.  So every output is a
+    Fraction, also where all of its terms are ints.  Otherwise this is plain
+    ``np.einsum``: int-only inputs give ints, complex128 inputs complex128.
+    """
+    if not all(op.dtype == object for op in operands):
+        return np.einsum(subscripts, *operands)
+    flat = [op.ravel().tolist() for op in operands]
+    values = [v for vs in flat for v in vs]
+    if not (
+        any(isinstance(v, Fraction) for v in values)
+        and all(isinstance(v, Rational) for v in values)
+    ):
+        return np.einsum(subscripts, *operands)
+    numerators, denominator = [], 1
+    for op, vs in zip(operands, flat):
+        lcm = math.lcm(*(int(v.denominator) for v in vs))
+        scaled = [int(v.numerator) * (lcm // int(v.denominator)) for v in vs]
+        numerators.append(np.array(scaled, dtype=object).reshape(op.shape))
+        denominator *= lcm
+    out = np.einsum(subscripts, *numerators)
+    exact = [Fraction(v, denominator) for v in out.ravel().tolist()]
+    return np.array(exact, dtype=object).reshape(out.shape)
 
 
 def load_element(path: str, g: FiniteGroupoid) -> AlgebraElement:
@@ -166,7 +209,7 @@ def convolve(f: AlgebraElement, g: AlgebraElement, m: GroupoidMeasure) -> Algebr
     G = m.groupoid
     out = AlgebraElement.zeros(G)
     fv, gv = f.values, g.values
-    nu = [m.nu_target(beta) for beta in G.morphisms()]
+    nu = _weights_against([m.nu_target(beta) for beta in G.morphisms()], fv, gv)
     for alpha in G.morphisms():
         acc = 0
         for beta in G.target_fiber(G.target[alpha]):
@@ -182,10 +225,10 @@ def involute(f: AlgebraElement, m: GroupoidMeasure) -> AlgebraElement:
     """f*(α) = δ(α)⁻¹ conj(f(α⁻¹)); an antilinear involution with (f⋆g)* = g*⋆f*."""
     G = m.groupoid
     out = AlgebraElement.zeros(G)
+    # δ(α)⁻¹ = δ(α⁻¹), a quotient of weights rather than a reciprocal
+    inverse_delta = _weights_against([m.delta(G.inv(a)) for a in G.morphisms()], f.values)
     for alpha in G.morphisms():
-        ai = G.inv(alpha)
-        # δ(α)⁻¹ = μ(α⁻¹)/μ(α), computed directly so rational weights stay exact
-        out.values[alpha] = (m.weights[ai] / m.weights[alpha]) * f.values[ai].conjugate()
+        out.values[alpha] = inverse_delta[alpha] * f.values[G.inv(alpha)].conjugate()
     return out
 
 
@@ -197,11 +240,12 @@ def left_regular_matrix(f: AlgebraElement, m: GroupoidMeasure) -> np.ndarray:
     """
     G = m.groupoid
     mat = np.zeros((G.n_morphisms, G.n_morphisms), dtype=np.complex128)
+    nu = _weights_against([m.nu_target(beta) for beta in G.morphisms()], f.values)
     for alpha in G.morphisms():
         for gamma in G.source_fiber(G.source[alpha]):
             beta = G.compose(alpha, G.inv(gamma))
             if f.values[beta] != 0:
-                mat[alpha, gamma] = complex(f.values[beta] * m.nu_target(beta))
+                mat[alpha, gamma] = complex(f.values[beta] * nu[beta])
     return mat
 
 

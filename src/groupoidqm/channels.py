@@ -33,6 +33,7 @@ from .algebra import (
     AlgebraElement,
     PSD_TOL,
     PSDResult,
+    contract,
     convolve,
     element_from_json,
     involute,
@@ -124,7 +125,7 @@ def from_kraus(ks: KrausFamily) -> Channel:
     """Kernel f((l,j),(k,m)) = Σ_p V_p(l,j) conj(V_p(m,k))."""
     n = ks.n
     v = value_array([x for member in ks.members for x in member.values]).reshape(-1, n, n)
-    return Channel(QuotientFunction.from_tensor(np.einsum("pzy,pwx->zyxw", v, np.conj(v))))
+    return Channel(QuotientFunction.from_tensor(contract("pzy,pwx->zyxw", v, np.conj(v))))
 
 
 def from_flat_bisection(b: FlatBisection) -> Channel:
@@ -167,7 +168,7 @@ def apply(ch: Channel, psi: AlgebraElement) -> AlgebraElement:
         raise DimensionMismatchError(
             f"channel over {n} outcomes applied to a function on {g.n_morphisms} transitions"
         )
-    out = np.einsum("lrsm,rs->lm", ch.kernel.tensor(), value_array(psi.values).reshape(n, n))
+    out = contract("lrsm,rs->lm", ch.kernel.tensor(), value_array(psi.values).reshape(n, n))
     return AlgebraElement(g, out.reshape(-1).tolist())
 
 

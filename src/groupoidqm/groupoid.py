@@ -14,7 +14,10 @@ tables can be loaded from JSON and are validated axiom by axiom.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .reports import ViolationReport
 
@@ -52,6 +55,7 @@ class FiniteGroupoid:
         "unit_of",
         "_source_fibers",
         "_target_fibers",
+        "_pair_arrays",
     )
 
     def __init__(
@@ -82,6 +86,7 @@ class FiniteGroupoid:
                 tgt_fib[self.target[m]].append(m)
         self._source_fibers = tuple(tuple(f) for f in src_fib)
         self._target_fibers = tuple(tuple(f) for f in tgt_fib)
+        self._pair_arrays = None
 
     @property
     def n_morphisms(self) -> int:
@@ -127,6 +132,22 @@ class FiniteGroupoid:
         for a in self.morphisms():
             for b in self._source_fibers[self.target[a]]:
                 yield (b, a)
+
+    def composable_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The composable pairs as read-only index arrays (B, A, BA), in
+        :meth:`composable_pairs` order: pair k is (B[k], A[k]) with composite
+        BA[k], which is -1 where the compose table lacks the pair (a malformed
+        table; :func:`validate` reports it).  Built on first use."""
+        if self._pair_arrays is None:
+            fibers = [self._source_fibers[t] for t in self.target]
+            b = np.fromiter(chain.from_iterable(fibers), np.intp)
+            a = np.repeat(np.arange(self.n_morphisms), [len(f) for f in fibers])
+            pairs = zip(b.tolist(), a.tolist())
+            ba = np.fromiter(map(self.compose_table.get, pairs, repeat(-1)), np.intp, len(b))
+            for arr in (b, a, ba):
+                arr.flags.writeable = False
+            self._pair_arrays = (b, a, ba)
+        return self._pair_arrays
 
     def label(self, m: int) -> str:
         return f"m{m}:{self.source[m]}->{self.target[m]}"

@@ -11,19 +11,32 @@ and the modular function is δ(α) = μ(α) / μ(α⁻¹).  A measure is a Haar
 measure when the family ν^x is invariant under left translations; the
 verifiers below check that and the companion identities exhaustively.
 
+The verifiers are gathers: every check reads its two sides through index
+arrays (the composable pairs of ``FiniteGroupoid.composable_arrays`` for the
+translation and homomorphism checks).  On ints and Fractions equality is
+decided first, exactly, by cross-multiplying numerators and denominators, and
+the defect ``abs(lhs - rhs)`` is computed only where the two sides differ; on
+floats and complex values every check computes its defect in Python.  A
+violation is a defect above the tolerance.
+
 Object weights are user-supplied, defaulting to all ones (the convention under
 which the counting measure gives unit fiber weights and matrix-unit
 convolution).  ``target_pushforward=True`` instead sets μ_Ω = t⋆μ.  Weights
 may be ints, floats or ``fractions.Fraction``; with rational weights every
-identity below is checked exactly.
+identity below is checked exactly, and a quotient of two int weights is an
+int or a Fraction, so the counting measure has int fiber weights.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
-from typing import Sequence
+from numbers import Rational
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .groupoid import FiniteGroupoid, GroupoidError
 from .reports import ViolationReport
@@ -49,6 +62,13 @@ def _ints_as_fractions(*groups: tuple) -> tuple:
     if not any(isinstance(v, Fraction) for g in groups for v in g):
         return groups
     return tuple(tuple(Fraction(v) if isinstance(v, int) else v for v in g) for g in groups)
+
+
+def _ratio(p, q):
+    """p / q, exact when both are ints: an int when q divides p, else a Fraction."""
+    if isinstance(p, int) and isinstance(q, int):
+        return p // q if p % q == 0 else Fraction(p, q)
+    return p / q
 
 
 class GroupoidMeasure:
@@ -89,15 +109,15 @@ class GroupoidMeasure:
 
     def nu_target(self, m: int):
         """ν^x(m) for x = t(m)."""
-        return self.weights[m] / self.object_weights[self.groupoid.target[m]]
+        return _ratio(self.weights[m], self.object_weights[self.groupoid.target[m]])
 
     def nu_source(self, m: int):
         """ν_x(m) for x = s(m)."""
-        return self.weights[m] / self.object_weights[self.groupoid.source[m]]
+        return _ratio(self.weights[m], self.object_weights[self.groupoid.source[m]])
 
     def delta(self, m: int):
         """Modular ratio μ(m)/μ(m⁻¹) (no homomorphism check; see :func:`modular`)."""
-        return self.weights[m] / self.weights[self.groupoid.inverse[m]]
+        return _ratio(self.weights[m], self.weights[self.groupoid.inverse[m]])
 
     def with_exact(self) -> "GroupoidMeasure":
         """Copy with all weights converted to Fractions for exact arithmetic."""
@@ -191,17 +211,87 @@ class ModularFunction:
         return self.values[m]
 
 
+def _report_defects(
+    rep: ViolationReport,
+    kind: str,
+    tol: float,
+    lhs: tuple,
+    rhs: tuple,
+    describe: Callable[[int], tuple[tuple, str]],
+    key: np.ndarray | None = None,
+) -> None:
+    """Add the checks lhs_i == rhs_i to rep and a violation for each i whose
+    defect abs(lhs_i - rhs_i) exceeds tol.
+
+    A term ``(values, index)`` reads values[index[i]] at check i.  ``lhs`` is a
+    term; ``rhs`` is a term or ``(x, op, y)`` for two terms and ``op``
+    ``operator.mul`` or ``operator.truediv``.  When every operand is an int
+    or a Fraction, equality is decided first, exactly, by cross-multiplying
+    numerators and denominators, and only the checks that differ get their
+    defect computed.  Otherwise every check computes ``abs(lhs - rhs) > tol``
+    on the original Python values, as a per-check loop would.  ``describe(i)`` gives
+    the violation's ``where`` and message; violations are added in increasing
+    ``key`` (default: check order).
+    """
+    x, op, y = rhs if len(rhs) == 3 else (rhs, None, None)
+    terms = (lhs, x) if op is None else (lhs, x, y)
+    n_checks = len(lhs[1])
+    rep.checks += n_checks
+    exact = all(all(isinstance(v, Rational) for v in values) for values, _ in terms)
+    if exact and tol >= 0:
+        differ = ~_exactly_equal(terms, op)
+    else:  # a zero defect exceeds a negative tol; floats are compared by Python
+        differ = np.ones(n_checks, dtype=bool)
+    suspects = np.flatnonzero(differ)
+    if key is not None:
+        suspects = suspects[np.argsort(key[suspects], kind="stable")]
+    for i in suspects.tolist():
+        l, *r = (values[index[i]] for values, index in terms)
+        defect = abs(l - (r[0] if op is None else op(*r)))
+        if defect > tol:
+            where, message = describe(i)
+            rep.add(kind, where, message, defect)
+
+
+def _exactly_equal(terms, op) -> np.ndarray:
+    """lhs == rhs per check, on integer numerators and denominators (no gcd)."""
+    parts = []
+    for values, index in terms:
+        num = np.array([int(v.numerator) for v in values], dtype=object)
+        den = np.array([int(v.denominator) for v in values], dtype=object)
+        parts.append((num[index], den[index]))
+    (ln, ld), (xn, xd) = parts[:2]
+    if op is None:
+        return ln * xd == xn * ld
+    yn, yd = parts[2]
+    if op is operator.truediv:
+        yn, yd = yd, yn
+    return ln * xd * yd == xn * yn * ld
+
+
+def _require_composites(g: FiniteGroupoid, b, a, ba, key=None) -> None:
+    """Raise NotComposableError for the first pair, in increasing key
+    (default: pair order), that the compose table lacks."""
+    missing = np.flatnonzero(ba < 0)
+    if len(missing):
+        first = missing[0] if key is None else missing[np.argmin(key[missing])]
+        g.compose(int(b[first]), int(a[first]))
+
+
 def modular_homomorphism_report(
     g: FiniteGroupoid, values: Sequence, tol: float = DEFAULT_TOL
 ) -> ViolationReport:
     """Check values[b∘a] == values[b]·values[a] on every composable pair (b, a)."""
     rep = ViolationReport()
-    for b, a in g.composable_pairs():
-        rep.checks += 1
-        defect = abs(values[g.compose(b, a)] - values[b] * values[a])
-        if defect > tol:
-            where = f"({g.label(b)}, {g.label(a)})"
-            rep.add("modular-hom", (b, a), f"not multiplicative on {where}", defect)
+    b, a, ba = g.composable_arrays()
+    _require_composites(g, b, a, ba)
+
+    def describe(i):
+        bi, ai = int(b[i]), int(a[i])
+        return (bi, ai), f"not multiplicative on ({g.label(bi)}, {g.label(ai)})"
+
+    rhs = ((values, b), operator.mul, (values, a))
+    _report_defects(rep, "modular-hom", tol, (values, ba), rhs, describe)
     return rep
 
 
@@ -226,22 +316,21 @@ def verify_left_invariance(
     """Check (L_γ)⋆ν^x = ν^y for every γ: x -> y.
 
     Atomically: ν^y(β) == ν^x(γ⁻¹∘β) for every β in the target fiber G^y.
+    The check (γ, β) is the composable pair (γ⁻¹, β); violations come in
+    order of γ, then β.
     """
     rep = ViolationReport()
     nu = [m.nu_target(beta) for beta in g.morphisms()]
-    for gamma in g.morphisms():
-        y = g.target[gamma]
-        gi = g.inv(gamma)
-        for beta in g.target_fiber(y):
-            rep.checks += 1
-            defect = abs(nu[beta] - nu[g.compose(gi, beta)])
-            if defect > tol:
-                rep.add(
-                    "left-invariance",
-                    (gamma, beta),
-                    f"ν^y({g.label(beta)}) != ν^x(γ⁻¹∘β) for γ={g.label(gamma)}",
-                    defect,
-                )
+    b, a, ba = g.composable_arrays()
+    gamma = np.asarray(g.inverse, dtype=np.intp)[b]
+    key = gamma * g.n_morphisms + a
+    _require_composites(g, b, a, ba, key)
+
+    def describe(i):
+        gm, beta = int(gamma[i]), int(a[i])
+        return (gm, beta), f"ν^y({g.label(beta)}) != ν^x(γ⁻¹∘β) for γ={g.label(gm)}"
+
+    _report_defects(rep, "left-invariance", tol, (nu, a), (nu, ba), describe, key)
     return rep
 
 
@@ -250,19 +339,18 @@ def verify_inverse_relation(
 ) -> ViolationReport:
     """Check τ⋆(ν^x) = δ⁻¹·ν_x: ν^x(α⁻¹) == δ(α)⁻¹·ν_x(α) for every α in G_x."""
     rep = ViolationReport()
-    for x in g.objects():
-        for alpha in g.source_fiber(x):
-            rep.checks += 1
-            lhs = m.nu_target(g.inv(alpha))
-            rhs = m.nu_source(alpha) / m.delta(alpha)
-            defect = abs(lhs - rhs)
-            if defect > tol:
-                rep.add(
-                    "inverse-relation",
-                    (x, alpha),
-                    f"τ⋆ν^x != δ⁻¹ν_x at α={g.label(alpha)}",
-                    defect,
-                )
+    alphas = [alpha for x in g.objects() for alpha in g.source_fiber(x)]
+    lhs = [m.nu_target(g.inv(alpha)) for alpha in alphas]
+    nu = [m.nu_source(alpha) for alpha in alphas]
+    dl = [m.delta(alpha) for alpha in alphas]
+    idx = np.arange(len(alphas))
+
+    def describe(i):
+        alpha = alphas[i]
+        return (g.source[alpha], alpha), f"τ⋆ν^x != δ⁻¹ν_x at α={g.label(alpha)}"
+
+    rhs = ((nu, idx), operator.truediv, (dl, idx))
+    _report_defects(rep, "inverse-relation", tol, (lhs, idx), rhs, describe)
     return rep
 
 
@@ -274,23 +362,21 @@ def verify_right_invariance(
     Atomically: ν_x(α) == ν_y(α∘γ⁻¹) for every α in the source fiber G_x.
     Holds for unimodular measures (counting); fails by δ(γ) otherwise, which
     is why the exact right-invariant family is δ⁻¹ν rather than ν itself.
+    The check (γ, α) is the composable pair (α, γ⁻¹); violations come in
+    order of γ, then α.
     """
     rep = ViolationReport()
-    for gamma in g.morphisms():
-        x = g.source[gamma]
-        gi = g.inv(gamma)
-        for alpha in g.source_fiber(x):
-            rep.checks += 1
-            lhs = m.nu_source(alpha)
-            rhs = m.nu_source(g.compose(alpha, gi))
-            defect = abs(lhs - rhs)
-            if defect > tol:
-                rep.add(
-                    "right-invariance",
-                    (gamma, alpha),
-                    f"ν_x({g.label(alpha)}) != ν_y(α∘γ⁻¹) for γ={g.label(gamma)}",
-                    defect,
-                )
+    nu = [m.nu_source(alpha) for alpha in g.morphisms()]
+    b, a, ba = g.composable_arrays()
+    gamma = np.asarray(g.inverse, dtype=np.intp)[a]
+    key = gamma * g.n_morphisms + b
+    _require_composites(g, b, a, ba, key)
+
+    def describe(i):
+        gm, alpha = int(gamma[i]), int(b[i])
+        return (gm, alpha), f"ν_x({g.label(alpha)}) != ν_y(α∘γ⁻¹) for γ={g.label(gm)}"
+
+    _report_defects(rep, "right-invariance", tol, (nu, b), (nu, ba), describe, key)
     return rep
 
 

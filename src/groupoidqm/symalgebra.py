@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ from .algebra import (
     AlgebraElement,
     complex_values_from_json,
     complex_values_to_json,
+    contract,
     convolve,
     involute,
     value_array,
@@ -51,6 +53,7 @@ from .measure import (
     DEFAULT_TOL,
     GroupoidMeasure,
     NotHaarError,
+    _report_defects,
     modular,
     modular_homomorphism_report,
     verify_left_invariance,
@@ -134,12 +137,15 @@ def verify_modular_formula(
     """
     sym = m2.symmetroid
     rep = ViolationReport()
-    for t in sym.transformations:
-        rep.checks += 1
-        ti = sym.vertical_inverse(t)
-        defect = abs(m2.mu2(ti) - m2.mu2(t) / m2.delta2(t))
-        if defect > tol:
-            rep.add("modular-atom", (t,), f"μ₂(Γ⁻¹) != μ₂(Γ)/Δ₂(Γ) at Γ={t}", defect)
+    w, ts = m2.measure.weights, sym.transformations
+    idx = np.arange(len(ts))
+    inverse = np.asarray(sym.vertical.inverse, dtype=np.intp)
+    quotient = ((w, idx), operator.truediv, ([m2.modular[t] for t in ts], idx))
+
+    def describe(i):
+        return (ts[i],), f"μ₂(Γ⁻¹) != μ₂(Γ)/Δ₂(Γ) at Γ={ts[i]}"
+
+    _report_defects(rep, "modular-atom", tol, (w, inverse), quotient, describe)
     for i, f in enumerate(functions or []):
         rep.checks += 1
         lhs = sum(m2.mu2(t) * f.get(sym.vertical_inverse(t), 0) for t in sym.transformations)
@@ -356,8 +362,10 @@ def _weighted(f: QuotientFunction, qm: QuotientMeasure | None) -> np.ndarray:
     t = f.tensor()
     if qm is None:
         return t
-    nu = value_array(qm.nu).reshape(f.n, f.n)
-    return t * nu[:, :, None, None] * nu.T
+    # ν takes the kernel's dtype, so that a complex kernel stays on complex128
+    # arithmetic under the int and Fraction weights of an int-weighted base
+    nu = value_array(qm.nu).reshape(f.n, f.n).astype(t.dtype)
+    return contract("lrsm,lr,ms->lrsm", t, nu, nu)
 
 
 def convolve_S(
@@ -370,7 +378,7 @@ def convolve_S(
     """
     if g.n != f.n:
         raise GroupoidError("quotient functions live over different bases")
-    out = np.einsum("lrsm,rjks->ljkm", _weighted(f, qm), g.tensor())
+    out = contract("lrsm,rjks->ljkm", _weighted(f, qm), g.tensor())
     return QuotientFunction.from_tensor(out)
 
 
@@ -379,7 +387,12 @@ def involute_S(f: QuotientFunction, qm: QuotientMeasure | None = None) -> Quotie
     t = np.conj(f.tensor().transpose(1, 0, 3, 2))
     if qm is not None:
         dl = value_array(qm.dl).reshape(f.n, f.n)
-        t = t / (dl[:, :, None, None] * dl.T)
+        if t.dtype == dl.dtype == object:
+            # Δ₂⁻¹ as the product of δ(α⁻¹) = δ(α)⁻¹ terms, so int kernels stay ints
+            t = t * (dl.T[:, :, None, None] * dl)
+        else:
+            dl = dl.astype(t.dtype)
+            t = t / (dl[:, :, None, None] * dl.T)
     return QuotientFunction.from_tensor(t)
 
 
