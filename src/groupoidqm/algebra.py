@@ -11,8 +11,9 @@ product ⟨ψ, χ⟩ = Σ_α conj(ψ(α)) χ(α) μ(α).  On a pair groupoid wit
 measure the basis map δ_(j,k) -> e_jk identifies everything with the full
 matrix algebra.
 
-Values may be ints, Fractions, floats or complex; with rational inputs the
-algebraic identities are exact.
+The operations are gathers over ``FiniteGroupoid.composable_arrays()``.  Values
+may be ints, Fractions, floats or complex; when every value and weight is exact
+the arithmetic is exact, on ints and Fractions, and otherwise on complex128.
 """
 
 from __future__ import annotations
@@ -159,13 +160,12 @@ def value_array(values) -> np.ndarray:
     return np.array(values, dtype=object if exact else np.complex128)
 
 
-def _weights_against(weights: list, *value_lists) -> list:
-    """Measure weights as they multiply the values: unchanged when every value
-    is exact (an int or a Fraction), else floats, so that float and complex
-    arithmetic never takes Fraction's slow mixed-type fallback."""
-    if all(isinstance(v, Rational) for vs in value_lists for v in vs):
-        return weights
-    return [float(w) for w in weights]
+def _value_arrays(*value_lists) -> list[np.ndarray]:
+    """The lists as arrays of one ``value_array`` dtype: object only when every
+    value of every list is exact, so weights take the dtype of the values they
+    multiply and float arithmetic never mixes with Fractions."""
+    joined = value_array([v for vs in value_lists for v in vs])
+    return np.split(joined, np.cumsum([len(vs) for vs in value_lists[:-1]]))
 
 
 def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
@@ -204,32 +204,32 @@ def load_element(path: str, g: FiniteGroupoid) -> AlgebraElement:
         return element_from_json(json.load(fh), g)
 
 
+def _left_translations(f: AlgebraElement, m: GroupoidMeasure, *value_lists):
+    """The terms f(β)ν^{t(β)}(β) of ψ -> f⋆ψ at (β∘γ, γ), one per composable
+    pair (β, γ) with f(β) != 0, in pair order, as (rows, columns, terms),
+    followed by ``value_lists`` as arrays of the terms' dtype."""
+    b, a, ba = m.groupoid.composable_arrays()
+    m.groupoid.require_composites(b, a, ba)
+    fv, nu, *others = _value_arrays(f.values, m.nu_targets, *value_lists)
+    pairs = np.flatnonzero(fv[b] != 0)  # a zero f(β) adds no term, not even a zero
+    return (ba[pairs], a[pairs], (fv * nu)[b[pairs]], *others)
+
+
 def convolve(f: AlgebraElement, g: AlgebraElement, m: GroupoidMeasure) -> AlgebraElement:
-    """(f ⋆ g)(α) = Σ_{β ∈ G^{t(α)}} f(β) g(β⁻¹∘α) ν^{t(α)}(β)."""
-    G = m.groupoid
-    out = AlgebraElement.zeros(G)
-    fv, gv = f.values, g.values
-    nu = _weights_against([m.nu_target(beta) for beta in G.morphisms()], fv, gv)
-    for alpha in G.morphisms():
-        acc = 0
-        for beta in G.target_fiber(G.target[alpha]):
-            w = fv[beta]
-            if w == 0:
-                continue
-            acc += w * gv[G.compose(G.inv(beta), alpha)] * nu[beta]
-        out.values[alpha] = acc
-    return out
+    """(f ⋆ g)(α) = Σ_{β ∈ G^{t(α)}} f(β) g(β⁻¹∘α) ν^{t(α)}(β): the terms
+    f(β)ν(β)·g(γ) at α = β∘γ, summed by α."""
+    rows, cols, terms, gv = _left_translations(f, m, g.values)
+    out = np.zeros(m.groupoid.n_morphisms, dtype=terms.dtype)
+    np.add.at(out, rows, terms * gv[cols])
+    return AlgebraElement(m.groupoid, out.tolist())
 
 
 def involute(f: AlgebraElement, m: GroupoidMeasure) -> AlgebraElement:
     """f*(α) = δ(α)⁻¹ conj(f(α⁻¹)); an antilinear involution with (f⋆g)* = g*⋆f*."""
-    G = m.groupoid
-    out = AlgebraElement.zeros(G)
+    inverse = np.asarray(m.groupoid.inverse, dtype=np.intp)
+    fv, delta = _value_arrays(f.values, m.deltas)
     # δ(α)⁻¹ = δ(α⁻¹), a quotient of weights rather than a reciprocal
-    inverse_delta = _weights_against([m.delta(G.inv(a)) for a in G.morphisms()], f.values)
-    for alpha in G.morphisms():
-        out.values[alpha] = inverse_delta[alpha] * f.values[G.inv(alpha)].conjugate()
-    return out
+    return AlgebraElement(m.groupoid, (delta[inverse] * np.conj(fv[inverse])).tolist())
 
 
 def left_regular_matrix(f: AlgebraElement, m: GroupoidMeasure) -> np.ndarray:
@@ -238,14 +238,10 @@ def left_regular_matrix(f: AlgebraElement, m: GroupoidMeasure) -> np.ndarray:
     Column γ is f⋆δ_γ, whose one term at α (when s(α) = s(γ)) comes from
     β = α∘γ⁻¹: the entry is f(β) ν^{t(α)}(β).
     """
-    G = m.groupoid
-    mat = np.zeros((G.n_morphisms, G.n_morphisms), dtype=np.complex128)
-    nu = _weights_against([m.nu_target(beta) for beta in G.morphisms()], f.values)
-    for alpha in G.morphisms():
-        for gamma in G.source_fiber(G.source[alpha]):
-            beta = G.compose(alpha, G.inv(gamma))
-            if f.values[beta] != 0:
-                mat[alpha, gamma] = complex(f.values[beta] * nu[beta])
+    n = m.groupoid.n_morphisms
+    rows, cols, terms = _left_translations(f, m)
+    mat = np.zeros((n, n), dtype=np.complex128)
+    mat[rows, cols] = terms
     return mat
 
 
@@ -306,17 +302,23 @@ def is_positive_type(phi: AlgebraElement, tol: float = PSD_TOL) -> PositiveTypeR
     sources).  Fails with the offending block and an eigenvector witness.
     """
     G = phi.groupoid
+    _, a, ba = G.composable_arrays()
+    inverse, target = (np.asarray(t, dtype=np.intp) for t in (G.inverse, G.target))
+    # the pairs (·, α⁻¹) are contiguous and run over G_{t(α⁻¹)} in fiber order
+    starts = np.searchsorted(a, inverse)
+    values = np.array(phi.values, dtype=np.complex128)
     worst = PositiveTypeResult(True, float("inf"), 0.0)
     seen: set[bytes] = set()
     for x in G.objects():
         fiber = G.source_fiber(x)
         if not fiber:
             continue
-        k = len(fiber)
-        block = np.zeros((k, k), dtype=np.complex128)
-        for i, a in enumerate(fiber):
-            for j, b in enumerate(fiber):
-                block[i, j] = complex(phi.values[G.compose(a, G.inv(b))])
+        js = np.array(fiber, dtype=np.intp)
+        # column j reads a_i∘a_j⁻¹ from the pairs (a_i, a_j⁻¹), in G_x when t(a_j⁻¹) = x
+        read = ba.take(starts[js] + np.arange(len(js))[:, None], mode="clip")
+        idx = np.where(target[inverse[js]] == x, read, -1)  # -1: a malformed inverse
+        G.require_composites(js[:, None], inverse[js], idx)
+        block = values[idx]
         key = block.tobytes()
         if key in seen:
             continue

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -454,10 +455,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_flags(args) -> None:
+    """Numeric flags out of range are input errors: a --tol that is not
+    finite or is negative, a count or dimension below 1 and a negative seed."""
+    tol = getattr(args, "tol", 0.0)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise GroupoidError(f"--tol must be finite and non-negative, got {tol}")
+    lows = {"n": 1, "samples": 1, "falsify_positivity": 1, "ancilla": 1, "pad_to": 1, "seed": 0}
+    for name, low in lows.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise GroupoidError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except GroupoidError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -103,9 +103,10 @@ class FiniteGroupoid:
         try:
             return self.compose_table[(b, a)]
         except KeyError:
-            raise NotComposableError(
-                f"morphisms {self.label(b)} and {self.label(a)} do not compose"
-            ) from None
+            raise self._not_composable(b, a) from None
+
+    def _not_composable(self, b: int, a: int) -> NotComposableError:
+        return NotComposableError(f"morphisms {self.label(b)} and {self.label(a)} do not compose")
 
     def composable(self, b: int, a: int) -> bool:
         return (b, a) in self.compose_table
@@ -148,6 +149,17 @@ class FiniteGroupoid:
                 arr.flags.writeable = False
             self._pair_arrays = (b, a, ba)
         return self._pair_arrays
+
+    def require_composites(self, b, a, ba, key=None) -> None:
+        """Raise NotComposableError for the first pair (b[i], a[i]) whose composite
+        ba[i] is missing (-1), in increasing key (default: row-major order); b and
+        a broadcast to ba's shape.  A gather checks first: numpy reads -1 as the
+        last morphism."""
+        missing = np.flatnonzero(ba < 0)
+        if len(missing):
+            first = missing[0] if key is None else missing[np.argmin(key[missing])]
+            b, a = (int(np.broadcast_to(v, ba.shape).flat[first]) for v in (b, a))
+            raise self._not_composable(b, a)
 
     def label(self, m: int) -> str:
         return f"m{m}:{self.source[m]}->{self.target[m]}"

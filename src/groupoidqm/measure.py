@@ -7,7 +7,8 @@ are
     ν^x(α) = μ(α) / μ_Ω(t(α))   on the target fiber G^x,
     ν_x(α) = μ(α) / μ_Ω(s(α))   on the source fiber G_x,
 
-and the modular function is δ(α) = μ(α) / μ(α⁻¹).  A measure is a Haar
+and the modular function is δ(α) = μ(α) / μ(α⁻¹), each built once into a
+tuple indexed by morphism that every consumer reads.  A measure is a Haar
 measure when the family ν^x is invariant under left translations; the
 verifiers below check that and the companion identities exhaustively.
 
@@ -72,9 +73,10 @@ def _ratio(p, q):
 
 
 class GroupoidMeasure:
-    """Positive morphism weights plus object weights on a fixed groupoid."""
+    """Positive morphism and object weights on a fixed groupoid, with the tables
+    ``nu_targets`` (ν^x), ``nu_sources`` (ν_x) and ``deltas`` (δ) derived once."""
 
-    __slots__ = ("groupoid", "weights", "object_weights")
+    __slots__ = ("groupoid", "weights", "object_weights", "nu_targets", "nu_sources", "deltas")
 
     def __init__(
         self,
@@ -101,6 +103,10 @@ class GroupoidMeasure:
         else:
             self.object_weights = (1,) * groupoid.n_objects
         self.weights, self.object_weights = _ints_as_fractions(self.weights, self.object_weights)
+        w, ow = self.weights, self.object_weights
+        self.nu_targets = tuple(map(_ratio, w, (ow[x] for x in groupoid.target)))
+        self.nu_sources = tuple(map(_ratio, w, (ow[x] for x in groupoid.source)))
+        self.deltas = tuple(map(_ratio, w, (w[i] for i in groupoid.inverse)))
 
     @classmethod
     def counting(cls, groupoid: FiniteGroupoid) -> "GroupoidMeasure":
@@ -109,15 +115,15 @@ class GroupoidMeasure:
 
     def nu_target(self, m: int):
         """ν^x(m) for x = t(m)."""
-        return _ratio(self.weights[m], self.object_weights[self.groupoid.target[m]])
+        return self.nu_targets[m]
 
     def nu_source(self, m: int):
         """ν_x(m) for x = s(m)."""
-        return _ratio(self.weights[m], self.object_weights[self.groupoid.source[m]])
+        return self.nu_sources[m]
 
     def delta(self, m: int):
         """Modular ratio μ(m)/μ(m⁻¹) (no homomorphism check; see :func:`modular`)."""
-        return _ratio(self.weights[m], self.weights[self.groupoid.inverse[m]])
+        return self.deltas[m]
 
     def with_exact(self) -> "GroupoidMeasure":
         """Copy with all weights converted to Fractions for exact arithmetic."""
@@ -212,16 +218,15 @@ class ModularFunction:
 
 
 def _report_defects(
-    rep: ViolationReport,
     kind: str,
     tol: float,
     lhs: tuple,
     rhs: tuple,
     describe: Callable[[int], tuple[tuple, str]],
     key: np.ndarray | None = None,
-) -> None:
-    """Add the checks lhs_i == rhs_i to rep and a violation for each i whose
-    defect abs(lhs_i - rhs_i) exceeds tol.
+) -> ViolationReport:
+    """The report of the checks lhs_i == rhs_i, with a violation for each i
+    whose defect abs(lhs_i - rhs_i) exceeds tol.
 
     A term ``(values, index)`` reads values[index[i]] at check i.  ``lhs`` is a
     term; ``rhs`` is a term or ``(x, op, y)`` for two terms and ``op``
@@ -236,7 +241,7 @@ def _report_defects(
     x, op, y = rhs if len(rhs) == 3 else (rhs, None, None)
     terms = (lhs, x) if op is None else (lhs, x, y)
     n_checks = len(lhs[1])
-    rep.checks += n_checks
+    rep = ViolationReport(checks=n_checks)
     exact = all(all(isinstance(v, Rational) for v in values) for values, _ in terms)
     if exact and tol >= 0:
         differ = ~_exactly_equal(terms, op)
@@ -251,6 +256,7 @@ def _report_defects(
         if defect > tol:
             where, message = describe(i)
             rep.add(kind, where, message, defect)
+    return rep
 
 
 def _exactly_equal(terms, op) -> np.ndarray:
@@ -269,30 +275,19 @@ def _exactly_equal(terms, op) -> np.ndarray:
     return ln * xd * yd == xn * yn * ld
 
 
-def _require_composites(g: FiniteGroupoid, b, a, ba, key=None) -> None:
-    """Raise NotComposableError for the first pair, in increasing key
-    (default: pair order), that the compose table lacks."""
-    missing = np.flatnonzero(ba < 0)
-    if len(missing):
-        first = missing[0] if key is None else missing[np.argmin(key[missing])]
-        g.compose(int(b[first]), int(a[first]))
-
-
 def modular_homomorphism_report(
     g: FiniteGroupoid, values: Sequence, tol: float = DEFAULT_TOL
 ) -> ViolationReport:
     """Check values[b∘a] == values[b]·values[a] on every composable pair (b, a)."""
-    rep = ViolationReport()
     b, a, ba = g.composable_arrays()
-    _require_composites(g, b, a, ba)
+    g.require_composites(b, a, ba)
 
     def describe(i):
         bi, ai = int(b[i]), int(a[i])
         return (bi, ai), f"not multiplicative on ({g.label(bi)}, {g.label(ai)})"
 
     rhs = ((values, b), operator.mul, (values, a))
-    _report_defects(rep, "modular-hom", tol, (values, ba), rhs, describe)
-    return rep
+    return _report_defects("modular-hom", tol, (values, ba), rhs, describe)
 
 
 def modular(g: FiniteGroupoid, m: GroupoidMeasure, tol: float = DEFAULT_TOL) -> ModularFunction:
@@ -302,12 +297,11 @@ def modular(g: FiniteGroupoid, m: GroupoidMeasure, tol: float = DEFAULT_TOL) -> 
     δ(β∘α) != δ(β)·δ(α) beyond `tol`; such a measure has no Haar
     disintegration.
     """
-    values = [m.delta(mid) for mid in g.morphisms()]
-    rep = modular_homomorphism_report(g, values, tol)
+    rep = modular_homomorphism_report(g, m.deltas, tol)
     if not rep.ok:
         first = rep.violations[0]
         raise NotHaarError(f"modular function is {first.message}: defect {first.magnitude:.3e}")
-    return ModularFunction(g, values)
+    return ModularFunction(g, m.deltas)
 
 
 def verify_left_invariance(
@@ -319,39 +313,32 @@ def verify_left_invariance(
     The check (γ, β) is the composable pair (γ⁻¹, β); violations come in
     order of γ, then β.
     """
-    rep = ViolationReport()
-    nu = [m.nu_target(beta) for beta in g.morphisms()]
     b, a, ba = g.composable_arrays()
     gamma = np.asarray(g.inverse, dtype=np.intp)[b]
     key = gamma * g.n_morphisms + a
-    _require_composites(g, b, a, ba, key)
+    g.require_composites(b, a, ba, key)
 
     def describe(i):
         gm, beta = int(gamma[i]), int(a[i])
         return (gm, beta), f"ν^y({g.label(beta)}) != ν^x(γ⁻¹∘β) for γ={g.label(gm)}"
 
-    _report_defects(rep, "left-invariance", tol, (nu, a), (nu, ba), describe, key)
-    return rep
+    terms = (m.nu_targets, a), (m.nu_targets, ba)
+    return _report_defects("left-invariance", tol, *terms, describe, key)
 
 
 def verify_inverse_relation(
     g: FiniteGroupoid, m: GroupoidMeasure, tol: float = DEFAULT_TOL
 ) -> ViolationReport:
     """Check τ⋆(ν^x) = δ⁻¹·ν_x: ν^x(α⁻¹) == δ(α)⁻¹·ν_x(α) for every α in G_x."""
-    rep = ViolationReport()
-    alphas = [alpha for x in g.objects() for alpha in g.source_fiber(x)]
-    lhs = [m.nu_target(g.inv(alpha)) for alpha in alphas]
-    nu = [m.nu_source(alpha) for alpha in alphas]
-    dl = [m.delta(alpha) for alpha in alphas]
-    idx = np.arange(len(alphas))
+    alphas = np.argsort(g.source, kind="stable")  # G_0, then G_1, ...
+    lhs = (m.nu_targets, np.asarray(g.inverse, dtype=np.intp)[alphas])
 
     def describe(i):
-        alpha = alphas[i]
+        alpha = int(alphas[i])
         return (g.source[alpha], alpha), f"τ⋆ν^x != δ⁻¹ν_x at α={g.label(alpha)}"
 
-    rhs = ((nu, idx), operator.truediv, (dl, idx))
-    _report_defects(rep, "inverse-relation", tol, (lhs, idx), rhs, describe)
-    return rep
+    rhs = ((m.nu_sources, alphas), operator.truediv, (m.deltas, alphas))
+    return _report_defects("inverse-relation", tol, lhs, rhs, describe)
 
 
 def verify_right_invariance(
@@ -365,19 +352,17 @@ def verify_right_invariance(
     The check (γ, α) is the composable pair (α, γ⁻¹); violations come in
     order of γ, then α.
     """
-    rep = ViolationReport()
-    nu = [m.nu_source(alpha) for alpha in g.morphisms()]
     b, a, ba = g.composable_arrays()
     gamma = np.asarray(g.inverse, dtype=np.intp)[a]
     key = gamma * g.n_morphisms + b
-    _require_composites(g, b, a, ba, key)
+    g.require_composites(b, a, ba, key)
 
     def describe(i):
         gm, alpha = int(gamma[i]), int(b[i])
         return (gm, alpha), f"ν_x({g.label(alpha)}) != ν_y(α∘γ⁻¹) for γ={g.label(gm)}"
 
-    _report_defects(rep, "right-invariance", tol, (nu, b), (nu, ba), describe, key)
-    return rep
+    terms = (m.nu_sources, b), (m.nu_sources, ba)
+    return _report_defects("right-invariance", tol, *terms, describe, key)
 
 
 def verify_disintegration(
@@ -397,7 +382,7 @@ def verify_disintegration(
     for E in subsets:
         rep.checks += 1
         E = list(E)
-        lhs = sum(m.nu_target(a) * m.object_weights[g.target[a]] for a in E)
+        lhs = sum(m.nu_targets[a] * m.object_weights[g.target[a]] for a in E)
         rhs = sum(m.weights[a] for a in E)
         defect = abs(lhs - rhs)
         if defect > tol:

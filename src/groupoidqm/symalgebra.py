@@ -94,7 +94,7 @@ class SymmetroidMeasure:
             [ow[g.target[b]] * ow[g.source[b]] for b in g.morphisms()],
         )
         self.weights = dict(zip(ts, self.measure.weights))
-        self.modular = {t: base.delta(t.alpha) * base.delta(t.gamma) for t in ts}
+        self.modular = {t: base.deltas[t.alpha] * base.deltas[t.gamma] for t in ts}
 
     def mu2(self, t: Transformation):
         return self.weights[t]
@@ -136,7 +136,6 @@ def verify_modular_formula(
     as {Transformation: value} dicts.
     """
     sym = m2.symmetroid
-    rep = ViolationReport()
     w, ts = m2.measure.weights, sym.transformations
     idx = np.arange(len(ts))
     inverse = np.asarray(sym.vertical.inverse, dtype=np.intp)
@@ -145,7 +144,7 @@ def verify_modular_formula(
     def describe(i):
         return (ts[i],), f"μ₂(Γ⁻¹) != μ₂(Γ)/Δ₂(Γ) at Γ={ts[i]}"
 
-    _report_defects(rep, "modular-atom", tol, (w, inverse), quotient, describe)
+    rep = _report_defects("modular-atom", tol, (w, inverse), quotient, describe)
     for i, f in enumerate(functions or []):
         rep.checks += 1
         lhs = sum(m2.mu2(t) * f.get(sym.vertical_inverse(t), 0) for t in sym.transformations)
@@ -228,9 +227,9 @@ class QuotientMeasure:
             raise GroupoidError("QuotientMeasure needs a pair-groupoid base")
         self.n = n
         self.base = base
-        self.mu = list(base.weights)
-        self.nu = [base.nu_target(m) for m in g.morphisms()]
-        self.dl = [base.delta(m) for m in g.morphisms()]
+        self.mu = base.weights
+        self.nu = base.nu_targets
+        self.dl = base.deltas
 
     @classmethod
     def counting(cls, n: int) -> "QuotientMeasure":

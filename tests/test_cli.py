@@ -449,3 +449,43 @@ def test_measure_non_multiplicative_modular_message(tmp_path, capsys):
             "error": "modular function is not multiplicative on (m6:0->2, m1:1->0): "
             "defect 1.667e-01",
         }
+
+
+def _flag_inputs(tmp_path):
+    """A non-Haar measure and a function on pair_groupoid(2), and a channel."""
+    (tmp_path / "m.json").write_text(json.dumps({"morphism_weights": [1, 2, 3, 1]}))
+    (tmp_path / "f.json").write_text(json.dumps({"values": [[1, 0]] * 4}))
+    main(["channel", "from-bisection", "--perm", "1,0", "-o", str(tmp_path / "ch.json")])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--n", "2", "--measure", "m.json", "--tol", "nan"],
+        ["measure", "--n", "2", "--measure", "m.json", "--tol", "inf"],
+        ["measure", "--n", "2", "--tol", "-1"],
+        ["groupoid", "make-pair", "--n", "-1"],
+        ["measure", "--n", "-1"],
+        ["algebra", "convolve", "f.json", "f.json", "--n", "-1"],
+        ["algebra", "check-positive", "f.json", "--n", "0"],
+        ["symmetroid", "enumerate", "--n", "0"],
+        ["examples", "fourier", "--n", "0"],
+        ["symmetroid", "check-exchange", "--n", "3", "--samples", "-5", "--seed", "1"],
+        ["channel", "check", "ch.json", "--falsify-positivity", "0", "--seed", "1"],
+        ["channel", "check", "ch.json", "--falsify-positivity", "3", "--ancilla", "-2", "--seed", "1"],
+        ["channel", "apply", "ch.json", "delta:0,0", "--pad-to", "0"],
+        ["symmetroid", "check-exchange", "--n", "3", "--samples", "5", "--seed", "-1"],
+        ["channel", "check", "ch.json", "--falsify-positivity", "2", "--seed", "-3"],
+    ],
+)
+def test_numeric_flags_out_of_range_are_input_errors(tmp_path, capsys, monkeypatch, argv):
+    _flag_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv, "--json")
+    assert_input_error(code, out, err)
+
+
+def test_tol_zero_stays_valid(capsys):
+    code, data, _ = run_json(capsys, "measure", "--n", "2", "--tol", "0")
+    assert code == 0 and data["verdict"] == "haar"
