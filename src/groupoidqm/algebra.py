@@ -75,9 +75,6 @@ class AlgebraElement:
     def __getitem__(self, m: int):
         return self.values[m]
 
-    def copy(self) -> "AlgebraElement":
-        return AlgebraElement(self.groupoid, self.values)
-
     def support(self):
         return [(m, v) for m, v in enumerate(self.values) if v != 0]
 
@@ -107,9 +104,6 @@ class AlgebraElement:
     def allclose(self, other: "AlgebraElement", tol: float = 1e-12) -> bool:
         self._same_parent(other)
         return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
-
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self.values), default=0.0)
 
     def _same_parent(self, other: "AlgebraElement") -> None:
         if self.groupoid is not other.groupoid and (
@@ -260,13 +254,16 @@ def norm_sq(psi: AlgebraElement, m: GroupoidMeasure):
 @dataclass
 class PSDResult:
     """The verdict of ``psd_verdict``: a defect above tol fails with a NaN
-    ``min_eigenvalue`` and no witness; otherwise ``witness`` is an
-    eigenvector of ``min_eigenvalue``."""
+    ``min_eigenvalue``, no witness and no eigenpairs; otherwise the solve is
+    kept as ascending ``eigenvalues`` and the columns of ``eigenvectors``, and
+    ``witness`` is an eigenvector of ``min_eigenvalue``."""
 
     ok: bool
     min_eigenvalue: float
     hermitian_defect: float
     witness: np.ndarray | None = None
+    eigenvalues: np.ndarray | None = None
+    eigenvectors: np.ndarray | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -279,7 +276,7 @@ def psd_verdict(matrix, tol: float = PSD_TOL) -> PSDResult:
     if defect > tol:
         return PSDResult(False, float("nan"), defect)
     w, v = hermitian_eigh(matrix)
-    return PSDResult(bool(w[0] >= -tol), float(w[0]), defect, v[:, 0])
+    return PSDResult(bool(w[0] >= -tol), float(w[0]), defect, v[:, 0], w, v)
 
 
 @dataclass

@@ -32,7 +32,6 @@ from .groupoid import (
     load_groupoid,
     pair_groupoid,
     save_groupoid,
-    validate,
 )
 from .measure import (
     GroupoidMeasure,
@@ -67,11 +66,13 @@ def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         print(_dumps(payload, indent=1))
         return
-    for key, value in payload.items():
-        if isinstance(value, (dict, list)):
-            print(f"{key}: {_dumps(value)}")
-        else:
-            print(f"{key}: {value}")
+    # every line is rendered before any is printed: an error leaves stdout empty
+    lines = [
+        f"{key}: {_dumps(value) if isinstance(value, (dict, list)) else value}"
+        for key, value in payload.items()
+    ]
+    for line in lines:
+        print(line)
 
 
 def _load_groupoid_arg(args) -> FiniteGroupoid:
@@ -252,7 +253,10 @@ def cmd_channel(args) -> int:
         _write_or_print(channel.to_json(), args.out, args.json)
         return EXIT_OK
     if args.action == "from-bisection":
-        perm = [int(x) for x in args.perm.split(",")]
+        try:
+            perm = [int(x) for x in args.perm.split(",")]
+        except ValueError as exc:
+            raise GroupoidError(f"bad --perm {args.perm!r}: {exc}") from exc
         channel = ch.from_flat_bisection(FlatBisection(perm))
         _write_or_print(channel.to_json(), args.out, args.json)
         return EXIT_OK
@@ -324,7 +328,7 @@ def cmd_channel(args) -> int:
                     "witness_found": True,
                     "trial": wit.trial,
                     "ancilla": wit.ancilla,
-                    "min_eigenvalue": wit.min_eigenvalue,
+                    "min_eigenvalue": _nan_to_none(wit.min_eigenvalue),
                     "state": complex_values_to_json(wit.state.values),
                 }
                 failed = True
@@ -455,9 +459,32 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_flags(args) -> None:
-    """Numeric flags out of range are input errors: a --tol that is not
-    finite or is negative, a count or dimension below 1 and a negative seed."""
+# per action: the positional inputs it reads and the flag it cannot run without
+NEEDS = {
+    ("groupoid", "make-pair"): (0, "n"),
+    ("groupoid", "product"): (2, None),
+    ("groupoid", "validate"): (1, None),
+    ("algebra", "convolve"): (2, None),
+    ("channel", "from-kraus"): (1, None),
+    ("channel", "from-bisection"): (0, "perm"),
+    ("channel", "apply"): (2, None),
+    ("channel", "check"): (1, None),
+    ("channel", "export"): (1, None),
+}
+
+
+def _check_args(args) -> None:
+    """Missing inputs and numeric flags out of range are input errors: fewer
+    positional inputs than the action reads, a missing required flag, a --tol
+    that is not finite or is negative, a count or dimension below 1 and a
+    negative seed."""
+    action = getattr(args, "action", None)
+    inputs, flag = NEEDS.get((args.command, action), (0, None))
+    if len(getattr(args, "inputs", ())) < inputs:
+        given = len(args.inputs)
+        raise GroupoidError(f"{args.command} {action} needs {inputs} input(s), got {given}")
+    if flag and getattr(args, flag) is None:
+        raise GroupoidError(f"{args.command} {action} needs --{flag}")
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0):
         raise GroupoidError(f"--tol must be finite and non-negative, got {tol}")
@@ -472,7 +499,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_flags(args)
+        _check_args(args)
         return args.func(args)
     except GroupoidError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

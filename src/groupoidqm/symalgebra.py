@@ -18,7 +18,8 @@ convention in which C₀ of the quotient is M_n(C) ⊗ M_n(C) on the nose.
 
 The convolution product, involution and left-regular operators are those of
 ``algebra`` on the vertical groupoid under ``SymmetroidMeasure.measure`` (μ₂,
-whose fiber weights are ν₂):
+whose fiber weights are ν₂), and a ``SymFunction`` is an ``AlgebraElement`` on
+that groupoid, passed to ``convolve`` and ``involute`` as it is:
 
     (f ⋆_S g)(Γ) = Σ_{Γ₁ ∈ S^{t1(Γ)}} ν₂(Γ₁) f(Γ₁) g(Γ₁⁻¹ ∘_V Γ)
     f*(Γ) = Δ₂(Γ)⁻¹ conj(f(Γ⁻¹))
@@ -164,16 +165,19 @@ def verify_modular_homomorphism(m2: SymmetroidMeasure, tol: float = DEFAULT_TOL)
 # -- functions on a general symmetroid --
 
 
-class SymFunction:
-    """A complex function on the transformations of a Symmetroid."""
+class SymFunction(AlgebraElement):
+    """A complex function on the transformations of a Symmetroid: an element
+    of the convolution algebra of ``symmetroid.vertical``, indexed by
+    Transformation.  Its sums, differences and scalar multiples are
+    AlgebraElements on that groupoid."""
 
-    __slots__ = ("symmetroid", "values")
+    __slots__ = ("symmetroid",)
 
     def __init__(self, symmetroid: Symmetroid, values: Sequence):
         if len(values) != len(symmetroid):
             raise ValueError("need one value per transformation")
+        super().__init__(symmetroid.vertical, values)
         self.symmetroid = symmetroid
-        self.values = list(values)
 
     @classmethod
     def zeros(cls, sym: Symmetroid) -> "SymFunction":
@@ -181,30 +185,24 @@ class SymFunction:
 
     @classmethod
     def delta(cls, sym: Symmetroid, t: Transformation) -> "SymFunction":
-        f = cls.zeros(sym)
-        f.values[sym.index[t]] = 1
-        return f
+        return super().delta(sym, sym.index[t])
 
     def __getitem__(self, t: Transformation):
         return self.values[self.symmetroid.index[t]]
 
-    def allclose(self, other: "SymFunction", tol: float = 1e-12) -> bool:
+    def _same_parent(self, other: AlgebraElement) -> None:
         if len(self.values) != len(other.values):
             raise GroupoidError("symmetroid functions live on different symmetroids")
-        return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
 
 
 def convolve_general(f: SymFunction, g: SymFunction, m2: SymmetroidMeasure) -> SymFunction:
     """⋆_S on a general symmetroid: ``convolve`` on the vertical groupoid."""
-    v = m2.symmetroid.vertical
-    out = convolve(AlgebraElement(v, f.values), AlgebraElement(v, g.values), m2.measure)
-    return SymFunction(f.symmetroid, out.values)
+    return SymFunction(f.symmetroid, convolve(f, g, m2.measure).values)
 
 
 def involute_general(f: SymFunction, m2: SymmetroidMeasure) -> SymFunction:
     """f*(Γ) = Δ₂(Γ)⁻¹ conj(f(Γ⁻¹)): ``involute`` on the vertical groupoid."""
-    out = involute(AlgebraElement(m2.symmetroid.vertical, f.values), m2.measure)
-    return SymFunction(f.symmetroid, out.values)
+    return SymFunction(f.symmetroid, involute(f, m2.measure).values)
 
 
 # -- quotient fast path over a pair groupoid --
@@ -333,9 +331,6 @@ class QuotientFunction:
     def _same_base(self, other: "QuotientFunction") -> None:
         if self.n != other.n:
             raise GroupoidError("quotient functions live over different bases")
-
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self.values), default=0.0)
 
     def to_json(self) -> dict:
         return {"n": self.n, "values": complex_values_to_json(self.values)}

@@ -119,10 +119,6 @@ class Symmetroid:
     def t1(self, t: Transformation) -> int:
         return self.vertical.target[self._id(t)]
 
-    def t1_fiber(self, beta: int) -> list[Transformation]:
-        """S^β = t1⁻¹(β)."""
-        return [self.transformations[i] for i in self.vertical.target_fiber(beta)]
-
     # -- vertical structure (a groupoid over G) --
 
     def vertical_unit(self, beta: int) -> Transformation:
@@ -280,9 +276,6 @@ class Bisection:
         z, w = divmod(self.t1_map[beta], n)
         return QClass(z, y, x, w)
 
-    def entry_for_t1(self, beta: int) -> QClass:
-        return self.entry_for_s1(self.t1_map.index(beta))
-
     def entries(self) -> list[QClass]:
         return [self.entry_for_s1(b) for b in range(self.n * self.n)]
 
@@ -309,9 +302,6 @@ class Bisection:
                     if q_horizontal_compose(left, right) != self.entry_for_s1(zz * n + xx):
                         return False
         return True
-
-    def is_vertical_identity(self) -> bool:
-        return all(self.t1_map[b] == b for b in range(self.n * self.n))
 
 
 def identity_bisection(n: int) -> Bisection:

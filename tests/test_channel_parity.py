@@ -1,0 +1,258 @@
+"""The channel diagnostics as algebra identities against the loops they replaced.
+
+The reference functions below are the index loops that ``dsf_check``,
+``tomogram``, the Kraus branch of ``is_unital`` and ``choi_kraus_decomposition``
+ran before they became calls into ``convolve``, ``involute``, ``apply`` and
+``psd_verdict``, and the re-wrapping ``convolve_general`` and
+``involute_general`` did before ``SymFunction`` became an ``AlgebraElement``.
+Verdicts and errors must agree; tomogram values may move by rounding only.
+"""
+
+import cmath
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from test_exact_path import cyclic_group_groupoid
+
+from groupoidqm import (
+    AlgebraElement,
+    GroupoidError,
+    GroupoidMeasure,
+    KrausFamily,
+    SymFunction,
+    Symmetroid,
+    bisection_indicator,
+    choi_kraus_decomposition,
+    convolve,
+    convolve_general,
+    dsf_check,
+    flat_bisections,
+    fourier_family,
+    induce_measure,
+    involute,
+    involute_general,
+    is_unital,
+    pair_groupoid,
+    random_kraus_channel,
+    random_positive_type,
+    to_choi,
+    tomogram,
+    weighted_pair_measure,
+)
+from groupoidqm import algebra, channels, eigen
+from groupoidqm.algebra import PSD_TOL, psd_verdict
+
+# -- the loops the algebra calls replaced --
+
+
+def loop_dsf_check(v, tol=1e-12):
+    g = v.groupoid
+    n = g.n_objects
+    if g.n_morphisms != n * n:
+        raise GroupoidError("dsf_check expects a function on a pair groupoid")
+    vals = v.values
+    for j in range(n):
+        for l in range(n):
+            acc = sum(vals[j * n + k] * vals[k * n + l] for k in range(n))
+            if abs(acc - vals[j * n + l]) > tol:
+                return False
+    for j in range(n):
+        for k in range(n):
+            if abs(vals[j * n + k].conjugate() - vals[k * n + j]) > tol:
+                return False
+    return True
+
+
+def loop_tomogram(psi, n, tol=PSD_TOL):
+    out = []
+    for l in range(n):
+        acc = 0
+        for r in range(n):
+            for s in range(n):
+                acc += (
+                    cmath.exp(-2j * cmath.pi * l * r / n)
+                    * psi.values[r * n + s]
+                    * cmath.exp(2j * cmath.pi * l * s / n)
+                )
+        acc = complex(acc) / n
+        if abs(acc.imag) > tol:
+            raise GroupoidError(f"tomogram value {l} is not real: {acc}")
+        out.append(acc.real)
+    return out
+
+
+def loop_is_unital_kraus(fam, tol=1e-12):
+    g = pair_groupoid(fam.n)
+    m = GroupoidMeasure.counting(g)
+    total = AlgebraElement.zeros(g)
+    for v in fam.members:
+        total = total + convolve(v, involute(v, m), m)
+    return total.allclose(AlgebraElement.units_indicator(g), tol)
+
+
+def two_solve_decomposition(ch, tol=PSD_TOL):
+    choi = to_choi(ch).matrix
+    assert psd_verdict(choi, tol).ok
+    w, v = eigen.hermitian_eigh(choi)
+    return [
+        [float(np.sqrt(w[i])) * complex(x) for x in v[:, i]]
+        for i in range(len(w) - 1, -1, -1)
+        if w[i] > tol
+    ]
+
+
+# -- inputs --
+
+
+def delta(n, j, k):
+    return AlgebraElement.delta(pair_groupoid(n), j * n + k)
+
+
+def dsf_inputs():
+    """Fourier members, units, deltas and exact projectors, each also perturbed
+    off idempotence (a real scale) and off self-adjointness (one entry)."""
+    cases = {}
+    for n in range(1, 6):
+        g = pair_groupoid(n)
+        for l, v in enumerate(fourier_family(n).members):
+            cases[f"fourier{n}-{l}"] = v
+        cases[f"units{n}"] = AlgebraElement.units_indicator(g)
+        cases[f"all-over-n{n}"] = AlgebraElement.constant(g, Fraction(1, n))
+        cases[f"int-twos{n}"] = AlgebraElement.constant(g, 2)
+        for j in range(n):
+            for k in range(n):
+                cases[f"delta{n}-{j}{k}"] = delta(n, j, k)
+    for name, v in list(cases.items()):
+        n = v.groupoid.n_objects
+        cases[name + "-scaled"] = v * (1 + 1e-6)
+        if n > 1:
+            cases[name + "-skew"] = v + 1e-6j * delta(n, 0, 1)
+    return cases
+
+
+def states(n, rng):
+    """Seeded positive-type states, a non-Hermitian one and every basis delta."""
+    out = {f"pos{i}": random_positive_type(n, rng) for i in range(4)}
+    vals = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+    out["general"] = AlgebraElement(pair_groupoid(n), list(vals))
+    for j in range(n):
+        for k in range(n):
+            out[f"delta{j}{k}"] = delta(n, j, k)
+    return out
+
+
+def kraus_families(n, rng):
+    """Complex and Fraction families, unital and not."""
+    g = pair_groupoid(n)
+    perms = [bisection_indicator(b) for b in flat_bisections(n)[:2]]
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    fams = {
+        "fourier": fourier_family(n),
+        "unitary": KrausFamily(n, [AlgebraElement(g, list(q.reshape(-1)))]),
+        "random": KrausFamily(n, [
+            AlgebraElement(g, list((rng.normal(size=n * n) + 1j * rng.normal(size=n * n)) / n))
+            for _ in range(2)
+        ]),
+        "fraction-unital": KrausFamily(n, [Fraction(3, 5) * perms[0], Fraction(4, 5) * perms[-1]]),
+        "fraction-random": KrausFamily(n, [
+            AlgebraElement(g, [Fraction(int(p), int(r)) for p, r in rng.integers(1, 6, (n * n, 2))])
+        ]),
+        "empty": KrausFamily(n, []),
+    }
+    fams["fourier-scaled"] = KrausFamily(n, [v * (1 + 1e-6) for v in fams["fourier"].members])
+    return fams
+
+
+# -- parity --
+
+
+def test_dsf_check_matches_loop():
+    verdicts = set()
+    for name, v in dsf_inputs().items():
+        assert dsf_check(v) == loop_dsf_check(v), name
+        verdicts.add(dsf_check(v))
+    assert verdicts == {True, False}
+
+
+def test_dsf_check_keeps_the_pair_groupoid_error():
+    f = AlgebraElement.units_indicator(cyclic_group_groupoid(3))
+    for check in (dsf_check, loop_dsf_check):
+        with pytest.raises(GroupoidError, match="pair groupoid"):
+            check(f)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tomogram_matches_loop(n):
+    rng = np.random.default_rng(100 + n)
+    for name, psi in states(n, rng).items():
+        try:
+            ref = loop_tomogram(psi, n)
+        except GroupoidError:
+            with pytest.raises(GroupoidError, match="is not real"):
+                tomogram(psi, n)
+            continue
+        new = tomogram(psi, n)
+        assert [type(v) for v in new] == [float] * n
+        if n in (3, 4) and name in {f"delta{j}{j}" for j in range(n)}:
+            assert new == ref, name
+        else:
+            assert max(abs(a - b) for a, b in zip(new, ref)) <= 1e-15, name
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_kraus_is_unital_matches_loop(n):
+    rng = np.random.default_rng(200 + n)
+    verdicts = set()
+    for name, fam in kraus_families(n, rng).items():
+        assert is_unital(fam) == loop_is_unital_kraus(fam), name
+        verdicts.add(is_unital(fam))
+    assert verdicts == {True, False}
+
+
+def test_choi_kraus_decomposition_solves_once_and_matches_two_solves(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigen.hermitian_eigh(matrix)
+
+    for module in (algebra, channels):
+        monkeypatch.setattr(module, "hermitian_eigh", counted)
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        ch = random_kraus_channel(n, rng)
+        calls.clear()
+        members = choi_kraus_decomposition(ch).members
+        assert len(calls) == 1
+        assert [v.values for v in members] == two_solve_decomposition(ch)
+
+
+def symmetroid_cases():
+    for base in (
+        weighted_pair_measure(pair_groupoid(2), (1, 2)),
+        GroupoidMeasure.counting(cyclic_group_groupoid(3)),
+    ):
+        sym = Symmetroid(base.groupoid)
+        yield sym, induce_measure(sym, base, tol=0)
+
+
+def test_general_operations_match_rewrapped_calls():
+    for sym, m2 in symmetroid_cases():
+        v, k = sym.vertical, len(sym)
+        rng = np.random.default_rng(k)
+        for values in (
+            [int(x) for x in rng.integers(-3, 4, size=k)],
+            [Fraction(int(p), int(q)) for p, q in rng.integers(1, 6, size=(k, 2))],
+            list(rng.normal(size=k) + 1j * rng.normal(size=k)),
+        ):
+            f, h = SymFunction(sym, values), SymFunction(sym, values[::-1])
+            fv, hv = AlgebraElement(v, f.values), AlgebraElement(v, h.values)
+            pairs = (
+                (convolve_general(f, h, m2), convolve(fv, hv, m2.measure)),
+                (involute_general(f, m2), involute(fv, m2.measure)),
+            )
+            for out, ref in pairs:
+                assert type(out) is SymFunction and out.symmetroid is sym
+                assert out.values == ref.values
+                assert [type(x) for x in out.values] == [type(x) for x in ref.values]

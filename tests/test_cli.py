@@ -489,3 +489,41 @@ def test_numeric_flags_out_of_range_are_input_errors(tmp_path, capsys, monkeypat
 def test_tol_zero_stays_valid(capsys):
     code, data, _ = run_json(capsys, "measure", "--n", "2", "--tol", "0")
     assert code == 0 and data["verdict"] == "haar"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["groupoid", "make-pair"],
+        ["groupoid", "product", "g.json"],
+        ["groupoid", "validate"],
+        ["algebra", "convolve", "f.json", "--n", "2"],
+        ["channel", "from-kraus"],
+        ["channel", "apply"],
+        ["channel", "apply", "ch.json"],
+        ["channel", "check"],
+        ["channel", "export"],
+        ["channel", "from-bisection"],
+        ["channel", "from-bisection", "--perm", "a,b"],
+    ],
+)
+def test_missing_inputs_are_input_errors(tmp_path, capsys, monkeypatch, argv):
+    _flag_inputs(tmp_path)
+    main(["groupoid", "make-pair", "--n", "2", "-o", str(tmp_path / "g.json")])
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv, "--json")
+    assert_input_error(code, out, err)
+
+
+def test_falsifier_witness_without_eigenvalue_is_a_failed_check(tmp_path, capsys):
+    # ψ -> iψ: the output of a positive state is not Hermitian, so its
+    # positive-type verdict fails with no eigenvalue
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"n": 1, "values": [[0.0, 1.0]]}))
+    argv = ["channel", "check", str(path), "--falsify-positivity", "1", "--seed", "0"]
+    code, data, _ = run_json(capsys, *argv)
+    assert code == 1
+    assert data["falsifier"]["witness_found"] and data["falsifier"]["min_eigenvalue"] is None
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and out.splitlines()[2].startswith("falsifier: ")
