@@ -198,10 +198,22 @@ def load_element(path: str, g: FiniteGroupoid) -> AlgebraElement:
         return element_from_json(json.load(fh), g)
 
 
+def _require_one_value_per_morphism(m: GroupoidMeasure, *value_lists) -> None:
+    """GroupoidError unless each list has one value per morphism of m's
+    groupoid: a gather would read a longer or shorter list without error."""
+    n = m.groupoid.n_morphisms
+    for values in value_lists:
+        if len(values) != n:
+            raise GroupoidError(
+                f"need one value per morphism of the measure's groupoid: {n}, got {len(values)}"
+            )
+
+
 def _left_translations(f: AlgebraElement, m: GroupoidMeasure, *value_lists):
     """The terms f(β)ν^{t(β)}(β) of ψ -> f⋆ψ at (β∘γ, γ), one per composable
     pair (β, γ) with f(β) != 0, in pair order, as (rows, columns, terms),
     followed by ``value_lists`` as arrays of the terms' dtype."""
+    _require_one_value_per_morphism(m, f.values, *value_lists)
     b, a, ba = m.groupoid.composable_arrays()
     m.groupoid.require_composites(b, a, ba)
     fv, nu, *others = _value_arrays(f.values, m.nu_targets, *value_lists)
@@ -220,6 +232,7 @@ def convolve(f: AlgebraElement, g: AlgebraElement, m: GroupoidMeasure) -> Algebr
 
 def involute(f: AlgebraElement, m: GroupoidMeasure) -> AlgebraElement:
     """f*(α) = δ(α)⁻¹ conj(f(α⁻¹)); an antilinear involution with (f⋆g)* = g*⋆f*."""
+    _require_one_value_per_morphism(m, f.values)
     inverse = np.asarray(m.groupoid.inverse, dtype=np.intp)
     fv, delta = _value_arrays(f.values, m.deltas)
     # δ(α)⁻¹ = δ(α⁻¹), a quotient of weights rather than a reciprocal

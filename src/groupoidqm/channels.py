@@ -462,10 +462,9 @@ def positivity_falsifier(
     rng = np.random.default_rng(seed)
     extended = extend_with_identity(ch, ancilla) if ancilla > 1 else ch
     dim = extended.n
-    g = pair_groupoid(dim)  # one groupoid for all trials: is_positive_type reads its pair arrays
     for trial in range(trials):
         rank = (trial % dim) + 1
-        psi = AlgebraElement(g, random_positive_type(dim, rng, rank=rank).values)
+        psi = random_positive_type(dim, rng, rank=rank)
         out = apply(extended, psi)
         verdict = is_positive_type(out, tol)
         if not verdict.ok:

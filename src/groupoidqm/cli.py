@@ -497,7 +497,14 @@ def _check_args(args) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse ends a nargs positional at the first option, so inputs after an
+    # option come back unparsed; they join the inputs in order
+    args, leftovers = parser.parse_known_args(argv)
+    stray = [t for t in leftovers if t.startswith("-")] if hasattr(args, "inputs") else leftovers
+    if stray:
+        parser.error(f"unrecognized arguments: {' '.join(stray)}")
+    if leftovers:
+        args.inputs += leftovers
     try:
         _check_args(args)
         return args.func(args)

@@ -14,7 +14,9 @@ tables can be loaded from JSON and are validated axiom by axiom.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import chain, repeat
+from types import MappingProxyType
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -74,7 +76,7 @@ class FiniteGroupoid:
         self.n_objects = int(n_objects)
         self.source = tuple(int(x) for x in source)
         self.target = tuple(int(x) for x in target)
-        self.compose_table = dict(compose_table)
+        self.compose_table = MappingProxyType(dict(compose_table))
         self.inverse = tuple(int(x) for x in inverse)
         self.unit_of = tuple(int(x) for x in unit_of)
         src_fib: list[list[int]] = [[] for _ in range(self.n_objects)]
@@ -180,11 +182,13 @@ class FiniteGroupoid:
         }
 
 
+@lru_cache(maxsize=64)
 def pair_groupoid(n: int) -> FiniteGroupoid:
     """The pair groupoid over n points: morphisms (j, k): k -> j, indexed j*n + k.
 
     Composition is (z, y)∘(y, x) = (z, x), inversion swaps the pair, and the
     unit at x is (x, x).  Its convolution algebra is the full matrix algebra.
+    Calls with one n share one (immutable) instance and so its pair arrays.
     """
     if n < 1:
         raise ValueError("pair_groupoid requires n >= 1")

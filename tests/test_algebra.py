@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from groupoidqm import (
     AlgebraElement,
     FiniteGroupoid,
+    GroupoidError,
     GroupoidMeasure,
     NormalizationError,
     StateFunction,
@@ -504,3 +505,23 @@ class TestPositiveTypeMixedFibers:
         # inf - inf in the Hermitian defect is NaN, which no tol rejects
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
             is_positive_type(function_from_blocks(g, blocks))
+
+
+@pytest.mark.parametrize("f_n, g_n", [(2, 3), (3, 2), (3, 3)])
+def test_convolve_rejects_functions_off_the_measure_groupoid(f_n, g_n):
+    # a gather over pair_groupoid(2)'s pairs would read a longer or shorter
+    # value list without error, or fail in numpy broadcasting
+    m = GroupoidMeasure.counting(pair_groupoid(2))
+    f = AlgebraElement.constant(pair_groupoid(f_n), 1)
+    g = AlgebraElement.constant(pair_groupoid(g_n), 1)
+    with pytest.raises(GroupoidError, match="one value per morphism"):
+        convolve(f, g, m)
+
+
+def test_involute_rejects_function_off_the_measure_groupoid():
+    m = GroupoidMeasure.counting(pair_groupoid(2))
+    f = AlgebraElement(pair_groupoid(3), list(range(9)))
+    with pytest.raises(GroupoidError, match="one value per morphism"):
+        involute(f, m)
+    with pytest.raises(GroupoidError, match="one value per morphism"):
+        left_regular_matrix(f, m)

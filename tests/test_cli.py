@@ -527,3 +527,58 @@ def test_falsifier_witness_without_eigenvalue_is_a_failed_check(tmp_path, capsys
     assert data["falsifier"]["witness_found"] and data["falsifier"]["min_eigenvalue"] is None
     code, out, _ = run(capsys, *argv)
     assert code == 1 and out.splitlines()[2].startswith("falsifier: ")
+
+
+@pytest.mark.parametrize(
+    "anywhere, last",
+    [
+        (
+            ["channel", "check", "--cp", "ch.json", "--json"],
+            ["channel", "check", "ch.json", "--cp", "--json"],
+        ),
+        (
+            ["channel", "apply", "ch.json", "--pad-to", "2", "delta:0,0"],
+            ["channel", "apply", "ch.json", "delta:0,0", "--pad-to", "2"],
+        ),
+        (
+            ["channel", "apply", "--pad-to", "2", "ch.json", "delta:0,0"],
+            ["channel", "apply", "ch.json", "delta:0,0", "--pad-to", "2"],
+        ),
+        (
+            ["algebra", "convolve", "f.json", "--n", "2", "f.json"],
+            ["algebra", "convolve", "f.json", "f.json", "--n", "2"],
+        ),
+        (
+            ["groupoid", "product", "--json", "g.json", "g.json"],
+            ["groupoid", "product", "g.json", "g.json", "--json"],
+        ),
+    ],
+)
+def test_options_may_sit_between_inputs(tmp_path, capsys, monkeypatch, anywhere, last):
+    _flag_inputs(tmp_path)
+    main(["groupoid", "make-pair", "--n", "2", "-o", str(tmp_path / "g.json")])
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    expected = run(capsys, *last)
+    assert run(capsys, *anywhere) == expected
+    assert expected[1] and not expected[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["channel", "check", "ch.json", "--bogus"],
+        ["channel", "check", "--bogus", "ch.json"],
+        ["measure", "--n", "2", "extra"],
+        ["symmetroid", "enumerate", "--n", "2", "extra"],
+    ],
+)
+def test_stray_arguments_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    _flag_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and not captured.out

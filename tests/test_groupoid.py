@@ -29,6 +29,14 @@ def test_pair_groupoid_rejects_zero():
         pair_groupoid(0)
 
 
+def test_pair_groupoid_is_shared_and_read_only():
+    g = pair_groupoid(3)
+    assert pair_groupoid(3) is g
+    with pytest.raises(TypeError):
+        g.compose_table[(0, 0)] = 1
+    assert g.compose_table[(0, 0)] == 0
+
+
 def test_pair_composition_and_inverse():
     n = 3
     g = pair_groupoid(n)

@@ -238,6 +238,21 @@ class TestQuotientConvolution:
             assert abs(star_general[t] - star_fast[sym.project(t)]) < 1e-10
 
 
+@pytest.mark.parametrize("f_n, g_n, m_n", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (3, 3, 2)])
+def test_convolve_general_rejects_functions_of_another_symmetroid(f_n, g_n, m_n):
+    def ones(n):
+        sym = Symmetroid(pair_groupoid(n))
+        return SymFunction(sym, [1] * len(sym))
+
+    sym = Symmetroid(pair_groupoid(m_n))
+    m2 = induce_measure(sym, GroupoidMeasure.counting(sym.groupoid))
+    with pytest.raises(GroupoidError, match="one value per morphism"):
+        convolve_general(ones(f_n), ones(g_n), m2)
+    other = f_n if f_n != m_n else g_n
+    with pytest.raises(GroupoidError, match="one value per morphism"):
+        involute_general(ones(other), m2)
+
+
 class TestRepresentation:
     def test_unit_maps_to_identity(self):
         n = 2
