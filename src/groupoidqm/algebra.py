@@ -19,7 +19,7 @@ the arithmetic is exact, on ints and Fractions, and otherwise on complex128.
 from __future__ import annotations
 
 import cmath
-import json
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,11 +193,6 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     return np.array(exact, dtype=object).reshape(out.shape)
 
 
-def load_element(path: str, g: FiniteGroupoid) -> AlgebraElement:
-    with open(path) as fh:
-        return element_from_json(json.load(fh), g)
-
-
 def _require_one_value_per_morphism(m: GroupoidMeasure, *value_lists) -> None:
     """GroupoidError unless each list has one value per morphism of m's
     groupoid: a gather would read a longer or shorter list without error."""
@@ -285,10 +280,15 @@ class PSDResult:
 def psd_verdict(matrix, tol: float = PSD_TOL) -> PSDResult:
     """Hermitian PSD within tol: defect <= tol and min eigenvalue >= -tol.
     Every positivity verdict in the package is this decision on some matrix."""
-    defect = hermitian_defect(matrix)
+    return _psd_result(hermitian_defect(matrix), lambda: hermitian_eigh(matrix), tol)
+
+
+def _psd_result(defect: float, eigh, tol: float) -> PSDResult:
+    """The verdict on a matrix with Hermitian defect ``defect``: above tol it
+    fails unsolved, otherwise ``eigh()`` gives its eigenpairs (w, v)."""
     if defect > tol:
         return PSDResult(False, float("nan"), defect)
-    w, v = hermitian_eigh(matrix)
+    w, v = eigh()
     return PSDResult(bool(w[0] >= -tol), float(w[0]), defect, v[:, 0], w, v)
 
 
@@ -311,14 +311,79 @@ def is_positive_type(phi: AlgebraElement, tol: float = PSD_TOL) -> PositiveTypeR
     the defining quadratic form, which only pairs morphisms with equal
     sources).  Fails with the offending block and an eigenvector witness.
     """
-    G = phi.groupoid
+    return positive_type_verdicts([phi], tol)[0]
+
+
+def positive_type_verdicts(
+    phis: Sequence[AlgebraElement], tol: float = PSD_TOL
+) -> list[PositiveTypeResult]:
+    """``is_positive_type`` of each function, with one solve per block order.
+
+    Every source-fiber block of every function is gathered first, and the
+    blocks that need a solve (Hermitian within tol and finite) are solved in
+    one stacked ``hermitian_eigh`` call per block order.  Each verdict is then
+    a walk over the function's objects in order: a block equal byte for byte
+    to one already walked is skipped, the first failing block decides, and
+    otherwise the first block with the least eigenvalue does.  A non-finite
+    block raises ValueError when, and only when, the walk reaches it.
+    """
+    phis = list(phis)
+    by_groupoid: dict[int, list[int]] = {}
+    for i, phi in enumerate(phis):
+        by_groupoid.setdefault(id(phi.groupoid), []).append(i)
+    walks = []
+    for members in by_groupoid.values():
+        G = phis[members[0]].groupoid
+        indices, objects = _fiber_gathers(G)
+        values = np.array([phis[i].values for i in members], dtype=np.complex128)
+        walks.append((G, members, objects, [values[:, idx] for idx in indices]))
+    solves = iter(_stacked_solves([stack for *_, stacks in walks for stack in stacks], tol))
+    results: list[PositiveTypeResult] = [None] * len(phis)  # type: ignore[list-item]
+    for G, members, objects, stacks in walks:
+        solves_of = [next(solves) for _ in stacks]
+        for p, i in enumerate(members):
+            worst = PositiveTypeResult(True, float("inf"), 0.0)
+            seen: set[bytes] = set()
+            for x, fiber, u, missing in objects:
+                if missing is not None:
+                    G.require_composites(*missing)
+                block = stacks[u][p]
+                key = block.tobytes()
+                if key in seen:
+                    continue
+                seen.add(key)
+                defects, solved, rows, w, v = solves_of[u]
+                verdict = _psd_result(
+                    float(defects[p]),
+                    lambda: (w[rows[p]], v[rows[p]]) if solved[p] else hermitian_eigh(block),
+                    tol,
+                )
+                if not verdict.ok or verdict.min_eigenvalue < worst.min_eigenvalue:
+                    worst = PositiveTypeResult(
+                        **vars(verdict), object_index=x, fiber=fiber, block=block
+                    )
+                if not worst.ok:
+                    break
+            results[i] = worst
+    return results
+
+
+@functools.lru_cache(maxsize=64)
+def _fiber_gathers(G: FiniteGroupoid):
+    """The source-fiber blocks of G as gathers, built once per groupoid (its
+    tables are read-only): the distinct index arrays and, per object x with a
+    nonempty source fiber in object order, (x, fiber, u, missing).
+    values[indices[u]] is x's block M[j, k] = phi(α_j ∘ α_k⁻¹), so objects
+    whose blocks read the same morphisms share u; ``missing`` is None, or the
+    arguments of the ``require_composites`` call that rejects x's block in a
+    malformed table."""
     _, a, ba = G.composable_arrays()
     inverse, target = (np.asarray(t, dtype=np.intp) for t in (G.inverse, G.target))
     # the pairs (·, α⁻¹) are contiguous and run over G_{t(α⁻¹)} in fiber order
     starts = np.searchsorted(a, inverse)
-    values = np.array(phi.values, dtype=np.complex128)
-    worst = PositiveTypeResult(True, float("inf"), 0.0)
-    seen: set[bytes] = set()
+    indices: list[np.ndarray] = []
+    shared: dict[bytes, int] = {}
+    objects = []
     for x in G.objects():
         fiber = G.source_fiber(x)
         if not fiber:
@@ -327,20 +392,37 @@ def is_positive_type(phi: AlgebraElement, tol: float = PSD_TOL) -> PositiveTypeR
         # column j reads a_i∘a_j⁻¹ from the pairs (a_i, a_j⁻¹), in G_x when t(a_j⁻¹) = x
         read = ba.take(starts[js] + np.arange(len(js))[:, None], mode="clip")
         idx = np.where(target[inverse[js]] == x, read, -1)  # -1: a malformed inverse
-        G.require_composites(js[:, None], inverse[js], idx)
-        block = values[idx]
-        key = block.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        verdict = psd_verdict(block, tol)
-        if not verdict.ok or verdict.min_eigenvalue < worst.min_eigenvalue:
-            worst = PositiveTypeResult(
-                **vars(verdict), object_index=x, fiber=fiber, block=block
-            )
-        if not worst.ok:
-            return worst
-    return worst
+        missing = (js[:, None], inverse[js], idx) if (idx < 0).any() else None
+        u = shared.setdefault(idx.tobytes(), len(indices))  # the bytes fix the order too
+        if u == len(indices):
+            idx.flags.writeable = False
+            indices.append(idx)
+        objects.append((x, fiber, u, missing))
+    return tuple(indices), tuple(objects)
+
+
+def _stacked_solves(stacks: list[np.ndarray], tol: float) -> list[tuple]:
+    """Per (F, d, d) stack of blocks: (defects, solved, rows, w, v).  The
+    blocks that are finite and Hermitian within tol are solved with one
+    ``hermitian_eigh`` call per order d; block f of the stack has Hermitian
+    defect defects[f] and, when solved[f], eigenpairs w[rows[f]], v[rows[f]]."""
+    orders: dict[int, list[int]] = {}
+    for k, stack in enumerate(stacks):
+        orders.setdefault(stack.shape[-1], []).append(k)
+    out: list[tuple] = [()] * len(stacks)
+    for ks in orders.values():
+        stack = np.concatenate([stacks[k] for k in ks])
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN defect, left to the solver
+            defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        solved = np.isfinite(stack).all(axis=(-2, -1)) & ~(defects > tol)
+        w, v = hermitian_eigh(stack[solved]) if solved.any() else (None, None)
+        rows = np.cumsum(solved) - 1
+        start = 0
+        for k in ks:
+            end = start + len(stacks[k])
+            out[k] = (defects[start:end], solved[start:end], rows[start:end], w, v)
+            start = end
+    return out
 
 
 def state_normalization(phi: AlgebraElement, m: GroupoidMeasure):

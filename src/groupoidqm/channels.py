@@ -42,7 +42,7 @@ from .algebra import (
     convolve,
     element_from_json,
     involute,
-    is_positive_type,
+    positive_type_verdicts,
     psd_verdict,
     state_normalization,
     value_array,
@@ -175,8 +175,17 @@ def apply(ch: Channel, psi: AlgebraElement) -> AlgebraElement:
         raise DimensionMismatchError(
             f"channel over {n} outcomes applied to a function on {g.n_morphisms} transitions"
         )
-    out = contract("lrsm,rs->lm", ch.kernel.tensor(), value_array(psi.values).reshape(n, n))
-    return AlgebraElement(g, out.reshape(-1).tolist())
+    out = _apply_tensor(ch.kernel.tensor(), value_array(psi.values))
+    return AlgebraElement(g, out.tolist())
+
+
+def _apply_tensor(f: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``apply`` with the kernel as its tensor f[l, r, s, m], to value arrays
+    of shape (..., n²): one contraction for a whole stack of inputs, each
+    output as if applied alone."""
+    n = f.shape[0]
+    out = contract("lrsm,...rs->...lm", f, values.reshape(*values.shape[:-1], n, n))
+    return out.reshape(values.shape)
 
 
 def compose_channels(ch2: Channel, ch1: Channel) -> Channel:
@@ -394,6 +403,10 @@ def tomogram(psi: AlgebraElement, n: int, tol: float = PSD_TOL) -> list[float]:
 
 # -- randomized positivity falsification --
 
+# the most trials the falsifier draws, applies and decides together: it bounds
+# the memory of a search over many trials
+_FALSIFIER_CHUNK = 32
+
 
 @dataclass
 class PositivityWitness:
@@ -455,24 +468,34 @@ def positivity_falsifier(
     trivially extended channel id_M ⊗ K.  This falsifies complete positivity
     without the Choi matrix; it is a sampler, never a verifier.  Trial ranks
     cycle from one (pure, maximally falsifying for entanglement-breaking
-    failures) upward.
+    failures) upward.  Trials are drawn in order from one seeded stream and
+    applied and decided a chunk at a time; the first failing trial is the
+    witness, and no chunk after it is drawn.  Chunks double from one trial
+    up to ``_FALSIFIER_CHUNK`` trials, so a witness at trial t is found after
+    at most 2t + 1 draws.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     extended = extend_with_identity(ch, ancilla) if ancilla > 1 else ch
     dim = extended.n
-    for trial in range(trials):
-        rank = (trial % dim) + 1
-        psi = random_positive_type(dim, rng, rank=rank)
-        out = apply(extended, psi)
-        verdict = is_positive_type(out, tol)
-        if not verdict.ok:
-            return PositivityWitness(
-                trial=trial,
-                ancilla=ancilla,
-                state=psi,
-                output=out,
-                min_eigenvalue=verdict.min_eigenvalue,
-            )
+    g = pair_groupoid(dim)
+    kernel = extended.kernel.tensor()
+    start, size = 0, 1
+    while start < trials:
+        chunk = range(start, min(start + size, trials))
+        states = [random_positive_type(dim, rng, rank=(trial % dim) + 1) for trial in chunk]
+        values = value_array([v for psi in states for v in psi.values]).reshape(len(chunk), -1)
+        outputs = [AlgebraElement(g, row) for row in _apply_tensor(kernel, values).tolist()]
+        verdicts = positive_type_verdicts(outputs, tol)
+        for trial, psi, out, verdict in zip(chunk, states, outputs, verdicts):
+            if not verdict.ok:
+                return PositivityWitness(
+                    trial=trial,
+                    ancilla=ancilla,
+                    state=psi,
+                    output=out,
+                    min_eigenvalue=verdict.min_eigenvalue,
+                )
+        start, size = chunk.stop, min(2 * size, _FALSIFIER_CHUNK)
     return None

@@ -8,6 +8,7 @@ on stdout), 2 input or usage error.  Every randomized subcommand requires
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -186,7 +187,7 @@ def cmd_algebra(args) -> int:
             "min_eigenvalue": _nan_to_none(res.min_eigenvalue),
             "hermitian_defect": res.hermitian_defect,
         }
-        if res.object_index is not None:
+        if not res.ok:
             payload["witness"] = {"object": res.object_index}
             if res.witness is not None:
                 payload["witness"]["eigenvector"] = complex_values_to_json(res.witness)
@@ -390,7 +391,10 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if summary["all_pass"] else EXIT_CHECK_FAILED
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call:
+    each parse returns a new namespace, and ``nargs`` inputs a new list."""
     p = argparse.ArgumentParser(
         prog="groupoidqm",
         description="Finite measured groupoids, symmetroid algebras and quantum dynamical maps.",

@@ -1,0 +1,265 @@
+"""``positive_type_verdicts`` and the chunked ``positivity_falsifier`` against
+the per-function loops they replaced.
+
+``loop_is_positive_type`` is the per-function walk ``is_positive_type`` ran
+before verdicts were batched: one gather and one ``psd_verdict`` per object.
+``loop_positivity_falsifier`` draws, applies and decides one trial at a time,
+with the single-state contraction ``apply`` used before.  Every field of every
+verdict and witness must agree bit for bit.
+"""
+
+import numpy as np
+import pytest
+from test_algebra import disjoint_pair_groupoids, function_from_blocks, psd
+
+from groupoidqm import (
+    AlgebraElement,
+    Channel,
+    channels,
+    extend_with_identity,
+    is_positive_type,
+    pair_groupoid,
+    positive_type_verdicts,
+    positivity_falsifier,
+    random_choi_hermitian_channel,
+    random_kraus_channel,
+    random_positive_type,
+    transpose_channel,
+)
+from groupoidqm.algebra import PSD_TOL, PositiveTypeResult, contract, psd_verdict, value_array
+from groupoidqm.channels import _FALSIFIER_CHUNK
+
+SIZES = (3, 2, 1, 4, 2)
+
+# -- the per-function loops --
+
+
+def loop_is_positive_type(phi, tol=PSD_TOL):
+    G = phi.groupoid
+    _, a, ba = G.composable_arrays()
+    inverse, target = (np.asarray(t, dtype=np.intp) for t in (G.inverse, G.target))
+    starts = np.searchsorted(a, inverse)
+    values = np.array(phi.values, dtype=np.complex128)
+    worst = PositiveTypeResult(True, float("inf"), 0.0)
+    seen = set()
+    for x in G.objects():
+        fiber = G.source_fiber(x)
+        if not fiber:
+            continue
+        js = np.array(fiber, dtype=np.intp)
+        read = ba.take(starts[js] + np.arange(len(js))[:, None], mode="clip")
+        idx = np.where(target[inverse[js]] == x, read, -1)
+        G.require_composites(js[:, None], inverse[js], idx)
+        block = values[idx]
+        key = block.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        verdict = psd_verdict(block, tol)
+        if not verdict.ok or verdict.min_eigenvalue < worst.min_eigenvalue:
+            worst = PositiveTypeResult(**vars(verdict), object_index=x, fiber=fiber, block=block)
+        if not worst.ok:
+            return worst
+    return worst
+
+
+def loop_apply(ch, psi):
+    n = ch.n
+    out = contract("lrsm,rs->lm", ch.kernel.tensor(), value_array(psi.values).reshape(n, n))
+    return AlgebraElement(psi.groupoid, out.reshape(-1).tolist())
+
+
+def loop_positivity_falsifier(ch, trials, seed, ancilla=1, tol=PSD_TOL):
+    rng = np.random.default_rng(seed)
+    extended = extend_with_identity(ch, ancilla) if ancilla > 1 else ch
+    dim = extended.n
+    for trial in range(trials):
+        psi = random_positive_type(dim, rng, rank=(trial % dim) + 1)
+        out = loop_apply(extended, psi)
+        verdict = loop_is_positive_type(out, tol)
+        if not verdict.ok:
+            return trial, psi, out, verdict.min_eigenvalue
+    return None
+
+
+def optional_arrays_equal(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.tobytes() == b.tobytes()
+    )
+
+
+def assert_same_verdict(got, want):
+    assert got.ok == want.ok
+    assert np.array_equal(got.min_eigenvalue, want.min_eigenvalue, equal_nan=True)
+    assert got.hermitian_defect == want.hermitian_defect
+    assert (got.object_index, got.fiber) == (want.object_index, want.fiber)
+    for field in ("block", "witness", "eigenvalues", "eigenvectors"):
+        assert optional_arrays_equal(getattr(got, field), getattr(want, field)), field
+
+
+# -- the batched walk --
+
+
+def mixed_fiber_functions():
+    """Functions on fibers of sizes 3, 2, 1, 4, 2: passing, failing at
+    different objects, and failing on a Hermitian defect (a NaN verdict)."""
+    g = disjoint_pair_groupoids(*SIZES)
+    rng = np.random.default_rng(41)
+    good = [psd(rng, n, 0.1) for n in SIZES]
+    cases = [good, [np.eye(n) for n in SIZES]]
+    for c in range(len(SIZES)):
+        negative = list(good)
+        negative[c] = good[c] - 5 * np.eye(SIZES[c])
+        cases.append(negative)
+    not_hermitian = list(good)
+    not_hermitian[1] = good[1] + [[0, 0], [1j, 0]]
+    cases.append(not_hermitian)
+    repeated = [np.eye(n) for n in SIZES]
+    repeated[1] = repeated[4] = np.diag([0.5, 2.0])  # byte-equal blocks at objects 3 and 10
+    cases.append(repeated)
+    return [function_from_blocks(g, blocks) for blocks in cases]
+
+
+def test_mixed_fibers_match_the_loop():
+    phis = mixed_fiber_functions()
+    got = positive_type_verdicts(phis)
+    assert len(got) == len(phis)
+    for res, phi in zip(got, phis):
+        assert_same_verdict(res, loop_is_positive_type(phi))
+    assert {res.ok for res in got} == {True, False}
+    assert any(np.isnan(res.min_eigenvalue) for res in got)
+
+
+def test_functions_on_several_groupoids_in_one_call():
+    rng = np.random.default_rng(7)
+    phis = mixed_fiber_functions()
+    for n in (1, 2, 3, 4):
+        g = pair_groupoid(n)
+        phis.append(random_positive_type(n, rng))
+        phis.append(AlgebraElement(g, list(rng.normal(size=n * n) + 1j * rng.normal(size=n * n))))
+        phis.append(AlgebraElement.constant(g, -1))
+    order = rng.permutation(len(phis))
+    phis = [phis[i] for i in order]
+    for res, phi in zip(positive_type_verdicts(phis), phis):
+        assert_same_verdict(res, loop_is_positive_type(phi))
+        assert_same_verdict(is_positive_type(phi), res)
+
+
+def test_tol_is_passed_through():
+    phi = random_positive_type(3, np.random.default_rng(2), rank=1)
+    shifted = phi - AlgebraElement.units_indicator(phi.groupoid) * 1e-6
+    for tol in (1e-10, 1e-3):
+        (got,) = positive_type_verdicts([shifted], tol)
+        assert_same_verdict(got, loop_is_positive_type(shifted, tol))
+    assert not positive_type_verdicts([shifted])[0].ok
+    assert positive_type_verdicts([shifted], 1e-3)[0].ok
+
+
+def test_no_functions_give_no_verdicts():
+    assert positive_type_verdicts([]) == []
+
+
+def test_inf_block_after_the_deciding_block_is_never_reached():
+    g = disjoint_pair_groupoids(*SIZES)
+    rng = np.random.default_rng(5)
+    blocks = [psd(rng, n, 0.1) for n in SIZES]
+    blocks[1] = blocks[1] - 5 * np.eye(2)
+    blocks[2] = [[np.inf]]
+    blocks[4] = [[np.inf, 0], [1, 1]]  # a non-finite block with an infinite defect
+    phi = function_from_blocks(g, blocks)
+    passing = function_from_blocks(g, [psd(rng, n, 0.1) for n in SIZES])
+    got = positive_type_verdicts([passing, phi])
+    assert_same_verdict(got[0], loop_is_positive_type(passing))
+    assert_same_verdict(got[1], loop_is_positive_type(phi))
+    assert (got[1].ok, got[1].object_index) == (False, 3)
+
+
+def test_inf_block_the_walk_reaches_raises():
+    g = disjoint_pair_groupoids(*SIZES)
+    rng = np.random.default_rng(5)
+    blocks = [psd(rng, n, 0.1) for n in SIZES]
+    blocks[2] = [[np.inf]]
+    phi = function_from_blocks(g, blocks)
+    passing = function_from_blocks(g, [psd(rng, n, 0.1) for n in SIZES])
+    # inf - inf in the Hermitian defect is NaN, which no tol rejects
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError) as want:
+            loop_is_positive_type(phi)
+        with pytest.raises(ValueError) as got:
+            positive_type_verdicts([passing, phi])
+    assert str(got.value) == str(want.value)
+
+
+# -- the falsifier --
+
+
+def falsifier_cases():
+    for n in (2, 3):
+        for ancilla in (1, 2):
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                yield n, ancilla, seed, "transpose", transpose_channel(n)
+                yield n, ancilla, seed, "hermitian", random_choi_hermitian_channel(n, rng)
+                yield n, ancilla, seed, "kraus", random_kraus_channel(n, rng)
+
+
+def assert_same_witness(got, want, ancilla):
+    if want is None:
+        assert got is None
+        return
+    trial, state, output, min_eigenvalue = want
+    assert (got.trial, got.ancilla) == (trial, ancilla)
+    assert np.array_equal(got.min_eigenvalue, min_eigenvalue, equal_nan=True)
+    assert got.state.values == state.values
+    assert got.output.values == output.values
+    assert got.state.groupoid is state.groupoid and got.output.groupoid is output.groupoid
+
+
+def test_falsifier_matches_the_loop():
+    found = 0
+    for n, ancilla, seed, _, chan in falsifier_cases():
+        want = loop_positivity_falsifier(chan, 10, seed, ancilla)
+        assert_same_witness(positivity_falsifier(chan, 10, seed, ancilla), want, ancilla)
+        found += want is not None
+    assert 0 < found < 240
+
+
+@pytest.mark.parametrize("n, seed", [(2, 1), (2, 3), (2, 9), (3, 2), (3, 4)])
+def test_falsifier_witness_in_a_full_chunk(n, seed):
+    # at tol = 0.45 only strongly entangled states fail, so the first failing
+    # trial lies beyond the chunks that double up to _FALSIFIER_CHUNK
+    chan = transpose_channel(n)
+    trials = 4 * _FALSIFIER_CHUNK
+    want = loop_positivity_falsifier(chan, trials, seed, ancilla=2, tol=0.45)
+    assert want is not None and want[0] >= 2 * _FALSIFIER_CHUNK
+    got = positivity_falsifier(chan, trials, seed, ancilla=2, tol=0.45)
+    assert_same_witness(got, want, 2)
+
+
+def test_falsifier_draws_at_most_twice_the_trials_of_its_witness(monkeypatch):
+    draws = []
+
+    def counted(*args, **kwargs):
+        draws.append(None)
+        return random_positive_type(*args, **kwargs)
+
+    monkeypatch.setattr(channels, "random_positive_type", counted)
+    for n, seed, tol in [(2, 0, PSD_TOL), (2, 1, 0.45), (3, 2, 0.45), (3, 5, 0.4)]:
+        draws.clear()
+        wit = positivity_falsifier(transpose_channel(n), 1000, seed, ancilla=2, tol=tol)
+        assert 0 < len(draws) <= 2 * wit.trial + 1
+
+
+def test_falsifier_without_a_witness_runs_every_chunk():
+    chan = random_kraus_channel(2, np.random.default_rng(13), members=2)
+    trials = 2 * _FALSIFIER_CHUNK + 5
+    assert loop_positivity_falsifier(chan, trials, 5, ancilla=2) is None
+    assert positivity_falsifier(chan, trials, 5, ancilla=2) is None
+
+
+def test_falsifier_on_a_non_hermitian_output():
+    # ψ -> iψ: every output fails on its Hermitian defect, with a NaN eigenvalue
+    chan = Channel(transpose_channel(1).kernel * 1j)
+    want = loop_positivity_falsifier(chan, 3, 0)
+    assert want is not None and np.isnan(want[3])
+    assert_same_witness(positivity_falsifier(chan, 3, 0), want, 1)

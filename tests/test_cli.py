@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from groupoidqm import pair_groupoid, transpose_channel
-from groupoidqm.cli import main
+from groupoidqm import cli, pair_groupoid, transpose_channel
+from groupoidqm.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -89,6 +89,19 @@ def test_algebra_check_positive(tmp_path, capsys):
     assert code == 1
     assert data["verdict"] is False
     assert abs(data["min_eigenvalue"] + 2) < 1e-9
+    assert data["witness"]["object"] == 0 and len(data["witness"]["eigenvector"]) == 2
+
+
+def test_algebra_check_positive_passing_prints_no_witness(tmp_path, capsys):
+    # the lowest eigenvector of a passing block witnesses nothing, and its sign is arbitrary
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"values": [[0.5, 0], [0.25, 0], [0.25, 0], [0.5, 0]]}))
+    code, data, _ = run_json(capsys, "algebra", "check-positive", str(path), "--n", "2")
+    assert code == 0
+    assert data == {"hermitian_defect": 0.0, "min_eigenvalue": 0.25, "verdict": True}
+    code, out, _ = run(capsys, "algebra", "check-positive", str(path), "--n", "2")
+    assert code == 0
+    assert out == "verdict: True\nmin_eigenvalue: 0.25\nhermitian_defect: 0.0\n"
 
 
 def test_symmetroid_enumerate(capsys):
@@ -582,3 +595,48 @@ def test_stray_arguments_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "unrecognized arguments" in captured.err and not captured.out
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _record_parses(monkeypatch):
+    """The inputs and check flags of every parse that reaches the action."""
+    parses = []
+    check_args = cli._check_args
+
+    def record(args):
+        parses.append((list(args.inputs), args.cp, args.unital))
+        check_args(args)
+
+    monkeypatch.setattr(cli, "_check_args", record)
+    return parses
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    _flag_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    fresh = run(capsys, "channel", "check", "ch.json", "--json")
+    parses = _record_parses(monkeypatch)
+    # inputs after an option are leftovers that join this call's inputs list
+    code, _, _ = run(capsys, "channel", "check", "--cp", "ch.json", "extra.json", "--json")
+    assert code == 0
+    assert run(capsys, "channel", "check", "ch.json", "--json") == fresh
+    assert parses == [(["ch.json", "extra.json"], True, False), (["ch.json"], False, False)]
+
+
+def test_usage_error_leaves_the_next_parse_unchanged(tmp_path, capsys, monkeypatch):
+    _flag_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    argv = ["channel", "check", "ch.json", "--unital", "--json"]
+    before = run(capsys, *argv)
+    parses = _record_parses(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["channel", "check", "ch.json", "--cp", "more.json", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv) == before
+    assert parses == [(["ch.json"], False, True)]
