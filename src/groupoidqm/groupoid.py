@@ -58,6 +58,7 @@ class FiniteGroupoid:
         "_source_fibers",
         "_target_fibers",
         "_pair_arrays",
+        "_pair_positions",
     )
 
     def __init__(
@@ -89,6 +90,21 @@ class FiniteGroupoid:
         self._source_fibers = tuple(tuple(f) for f in src_fib)
         self._target_fibers = tuple(tuple(f) for f in tgt_fib)
         self._pair_arrays = None
+        self._pair_positions = None
+
+    @classmethod
+    def _from_pair_arrays(cls, n_objects, source, target, pairs, inverse, unit_of):
+        """The groupoid whose :meth:`composable_arrays` are ``pairs`` = (B, A,
+        BA), given in :meth:`composable_pairs` order; its compose table lists
+        the pairs in that order."""
+        b, a, ba = pairs
+        g = cls(n_objects, source, target, {}, inverse, unit_of)
+        # built here and shared with no caller, so the table needs no copy
+        g.compose_table = MappingProxyType(dict(zip(zip(b.tolist(), a.tolist()), ba.tolist())))
+        for arr in pairs:
+            arr.flags.writeable = False
+        g._pair_arrays = pairs
+        return g
 
     @property
     def n_morphisms(self) -> int:
@@ -140,7 +156,8 @@ class FiniteGroupoid:
         """The composable pairs as read-only index arrays (B, A, BA), in
         :meth:`composable_pairs` order: pair k is (B[k], A[k]) with composite
         BA[k], which is -1 where the compose table lacks the pair (a malformed
-        table; :func:`validate` reports it).  Built on first use."""
+        table; :func:`validate` reports it).  Built on first use, unless the
+        groupoid was built from them (as ``Symmetroid.vertical`` is)."""
         if self._pair_arrays is None:
             fibers = [self._source_fibers[t] for t in self.target]
             b = np.fromiter(chain.from_iterable(fibers), np.intp)
@@ -151,6 +168,27 @@ class FiniteGroupoid:
                 arr.flags.writeable = False
             self._pair_arrays = (b, a, ba)
         return self._pair_arrays
+
+    def composites(self, b, a) -> np.ndarray:
+        """b∘a for each pair of the index arrays b and a (broadcast), read from
+        :meth:`composable_arrays` at the pair's position: the start of a's pairs
+        plus the position of b in the source fiber of t(a).  Raises
+        NotComposableError, with :meth:`compose`'s message, for the first pair
+        (row-major) with source(b) != target(a) or no composite in the table."""
+        b, a = np.broadcast_arrays(np.asarray(b, np.intp), np.asarray(a, np.intp))
+        if self._pair_positions is None:
+            source, target = np.asarray(self.source, np.intp), np.asarray(self.target, np.intp)
+            pairs_of = np.array([len(f) for f in self._source_fibers], np.intp)[target]
+            position = np.zeros(self.n_morphisms, np.intp)
+            for f in self._source_fibers:
+                position[list(f)] = range(len(f))
+            self._pair_positions = (np.cumsum(pairs_of) - pairs_of, position, source, target)
+        start, position, source, target = self._pair_positions
+        ok = source[b] == target[a]
+        ba = np.full(b.shape, -1, np.intp)
+        ba[ok] = self.composable_arrays()[2][start[a[ok]] + position[b[ok]]]
+        self.require_composites(b, a, ba)
+        return ba
 
     def require_composites(self, b, a, ba, key=None) -> None:
         """Raise NotComposableError for the first pair (b[i], a[i]) whose composite

@@ -8,16 +8,23 @@ are
     ν_x(α) = μ(α) / μ_Ω(s(α))   on the source fiber G_x,
 
 and the modular function is δ(α) = μ(α) / μ(α⁻¹), each built once into a
-tuple indexed by morphism that every consumer reads.  A measure is a Haar
-measure when the family ν^x is invariant under left translations; the
-verifiers below check that and the companion identities exhaustively.
+tuple indexed by morphism that every consumer reads.  With Fraction weights
+the numerators and denominators are read once and each entry is one
+Fraction(p·q', p'·q), with no Fraction operator call; int weights keep the
+rule that a quotient is an int where it divides and a Fraction otherwise,
+and float weights divide as floats.  A measure is a Haar measure when the
+family ν^x is invariant under left translations; the verifiers below check
+that and the companion identities exhaustively.
 
 The verifiers are gathers: every check reads its two sides through index
 arrays (the composable pairs of ``FiniteGroupoid.composable_arrays`` for the
 translation and homomorphism checks).  On ints and Fractions equality is
 decided first, exactly, by cross-multiplying numerators and denominators, and
 the defect ``abs(lhs - rhs)`` is computed only where the two sides differ; on
-floats and complex values every check computes its defect in Python.  A
+floats and complex values every check computes its defect in Python.  The
+sum checks (``verify_disintegration`` and the function sums of
+``symalgebra.verify_modular_formula``) decide an exact sum the same way: each
+side is one integer numerator over the lcm of its terms' denominators.  A
 violation is a defect above the tolerance.
 
 Object weights are user-supplied, defaulting to all ones (the convention under
@@ -34,6 +41,7 @@ import json
 import math
 import operator
 from fractions import Fraction
+from itertools import repeat
 from numbers import Rational
 from typing import Callable, Sequence
 
@@ -72,6 +80,36 @@ def _ratio(p, q):
     return p / q
 
 
+def _is_exact(*value_lists) -> bool:
+    return all(isinstance(v, Rational) for values in value_lists for v in values)
+
+
+def _exact_parts(values) -> tuple[list, list]:
+    """The numerators and denominators of rational values, as Python ints."""
+    return [int(v.numerator) for v in values], [int(v.denominator) for v in values]
+
+
+def _gather(values, index) -> list:
+    return list(map(values.__getitem__, index))
+
+
+def _times(first: list, *rest: list) -> list:
+    """The elementwise product of equal-length lists."""
+    for factor in rest:
+        first = list(map(operator.mul, first, factor))
+    return first
+
+
+def _products(values, i, j) -> list:
+    """values[i[k]] * values[j[k]] for each k; on Fractions one
+    Fraction(p·p', q·q') per entry, from numerators and denominators read once."""
+    if not all(isinstance(v, Fraction) for v in values):
+        return _times(_gather(values, i), _gather(values, j))
+    num, den = _exact_parts(values)
+    num, den = _times(_gather(num, i), _gather(num, j)), _times(_gather(den, i), _gather(den, j))
+    return list(map(Fraction, num, den))
+
+
 class GroupoidMeasure:
     """Positive morphism and object weights on a fixed groupoid, with the tables
     ``nu_targets`` (ν^x), ``nu_sources`` (ν_x) and ``deltas`` (δ) derived once."""
@@ -104,9 +142,19 @@ class GroupoidMeasure:
             self.object_weights = (1,) * groupoid.n_objects
         self.weights, self.object_weights = _ints_as_fractions(self.weights, self.object_weights)
         w, ow = self.weights, self.object_weights
-        self.nu_targets = tuple(map(_ratio, w, (ow[x] for x in groupoid.target)))
-        self.nu_sources = tuple(map(_ratio, w, (ow[x] for x in groupoid.source)))
-        self.deltas = tuple(map(_ratio, w, (w[i] for i in groupoid.inverse)))
+        g = groupoid
+        if all(isinstance(v, Fraction) for v in w + ow):
+            (wn, wd), (on, od) = _exact_parts(w), _exact_parts(ow)
+
+            def ratios(qn, qd, index):  # w[k] / q[index[k]], one Fraction per entry
+                qn, qd = _gather(qn, index), _gather(qd, index)
+                return tuple(map(Fraction, _times(wn, qd), _times(wd, qn)))
+
+            tables = ratios(on, od, g.target), ratios(on, od, g.source), ratios(wn, wd, g.inverse)
+        else:
+            by = ((ow, g.target), (ow, g.source), (w, g.inverse))
+            tables = (tuple(map(_ratio, w, _gather(q, index))) for q, index in by)
+        self.nu_targets, self.nu_sources, self.deltas = tables
 
     @classmethod
     def counting(cls, groupoid: FiniteGroupoid) -> "GroupoidMeasure":
@@ -242,7 +290,7 @@ def _report_defects(
     terms = (lhs, x) if op is None else (lhs, x, y)
     n_checks = len(lhs[1])
     rep = ViolationReport(checks=n_checks)
-    exact = all(all(isinstance(v, Rational) for v in values) for values, _ in terms)
+    exact = _is_exact(*(values for values, _ in terms))
     if exact and tol >= 0:
         differ = ~_exactly_equal(terms, op)
     else:  # a zero defect exceeds a negative tol; floats are compared by Python
@@ -263,8 +311,7 @@ def _exactly_equal(terms, op) -> np.ndarray:
     """lhs == rhs per check, on integer numerators and denominators (no gcd)."""
     parts = []
     for values, index in terms:
-        num = np.array([int(v.numerator) for v in values], dtype=object)
-        den = np.array([int(v.denominator) for v in values], dtype=object)
+        num, den = (np.array(p, dtype=object) for p in _exact_parts(values))
         parts.append((num[index], den[index]))
     (ln, ld), (xn, xd) = parts[:2]
     if op is None:
@@ -273,6 +320,25 @@ def _exactly_equal(terms, op) -> np.ndarray:
     if op is operator.truediv:
         yn, yd = yd, yn
     return ln * xd * yd == xn * yn * ld
+
+
+def _exact_terms(factors: list, divisors: list = ()) -> tuple[list, list]:
+    """The terms Π_j factors[j][k] / Π_j divisors[j][k], over lists of ints and
+    Fractions, as lists of integer numerators and denominators (unreduced)."""
+    parts = [_exact_parts(v) for v in factors] + [_exact_parts(v)[::-1] for v in divisors]
+    return _times(*(n for n, _ in parts)), _times(*(d for _, d in parts))
+
+
+def _sums_equal_exactly(lhs: tuple[list, list], rhs: tuple[list, list]) -> bool:
+    """Whether the sums of two :func:`_exact_terms` lists are equal: each sum is
+    one integer numerator over the lcm of its denominators, and the two are
+    cross-multiplied, with no Fraction arithmetic."""
+    sums = []
+    for num, den in (lhs, rhs):
+        common = math.lcm(*den)
+        sums.append((sum(map(operator.mul, num, map(operator.floordiv, repeat(common), den))), common))
+    (ln, ld), (rn, rd) = sums
+    return ln * rd == rn * ld
 
 
 def modular_homomorphism_report(
@@ -374,16 +440,24 @@ def verify_disintegration(
     """Check μ(E) == Σ_x ν^x(E ∩ G^x)·μ_Ω(x) for each subset E of morphisms.
 
     Defaults to the full morphism set plus all singletons; pass an iterable of
-    morphism collections to check more.
+    morphism collections to check more.  On ints and Fractions with tol >= 0 a
+    subset's two sums are compared on integer numerators, and the defect is
+    computed only where they differ.
     """
     rep = ViolationReport()
     if subsets is None:
         subsets = [list(g.morphisms())] + [[mid] for mid in g.morphisms()]
+    nu, ow, w = m.nu_targets, m.object_weights, m.weights
+    exact = tol >= 0 and _is_exact(nu, ow, w)
+    if exact:  # the terms ν^x(a)·μ_Ω(t(a)) and μ(a)
+        terms = _exact_terms([nu, _gather(ow, g.target)]), _exact_terms([w])
     for E in subsets:
         rep.checks += 1
         E = list(E)
-        lhs = sum(m.nu_targets[a] * m.object_weights[g.target[a]] for a in E)
-        rhs = sum(m.weights[a] for a in E)
+        if exact and _sums_equal_exactly(*([_gather(v, E) for v in side] for side in terms)):
+            continue
+        lhs = sum(nu[a] * ow[g.target[a]] for a in E)
+        rhs = sum(w[a] for a in E)
         defect = abs(lhs - rhs)
         if defect > tol:
             rep.add("disintegration", tuple(E), f"disintegration fails on E={E}", defect)

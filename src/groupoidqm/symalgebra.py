@@ -54,7 +54,12 @@ from .measure import (
     DEFAULT_TOL,
     GroupoidMeasure,
     NotHaarError,
+    _exact_terms,
+    _gather,
+    _is_exact,
+    _products,
     _report_defects,
+    _sums_equal_exactly,
     modular,
     modular_homomorphism_report,
     verify_left_invariance,
@@ -80,7 +85,11 @@ class NotPullbackError(GroupoidError):
 class SymmetroidMeasure:
     """μ₂, ν₂ and Δ₂ on S(G).  ``measure`` is the GroupoidMeasure on the vertical
     groupoid with atoms μ₂ and object weights μ_Ω(t(β))·μ_Ω(s(β)), so its fiber
-    weights are ν₂; ``weights`` (μ₂) and ``modular`` (Δ₂) are keyed by Γ."""
+    weights are ν₂; ``weights`` (μ₂) and ``modular`` (Δ₂) are keyed by Γ.
+
+    μ₂, its object weights and Δ₂ are products gathered over the α and γ of
+    every transformation; on a Fraction base each is one Fraction built from
+    the products of the base's numerators and of its denominators."""
 
     __slots__ = ("symmetroid", "base", "measure", "weights", "modular")
 
@@ -88,14 +97,14 @@ class SymmetroidMeasure:
         self.symmetroid = symmetroid
         self.base = base
         g, ts = base.groupoid, symmetroid.transformations
-        w, ow = base.weights, base.object_weights
+        alpha, _, gamma = zip(*ts)
         self.measure = GroupoidMeasure(
             symmetroid.vertical,
-            [w[t.alpha] * w[t.gamma] for t in ts],
-            [ow[g.target[b]] * ow[g.source[b]] for b in g.morphisms()],
+            _products(base.weights, alpha, gamma),
+            _products(base.object_weights, g.target, g.source),
         )
         self.weights = dict(zip(ts, self.measure.weights))
-        self.modular = {t: base.deltas[t.alpha] * base.deltas[t.gamma] for t in ts}
+        self.modular = dict(zip(ts, _products(base.deltas, alpha, gamma)))
 
     def mu2(self, t: Transformation):
         return self.weights[t]
@@ -134,13 +143,16 @@ def verify_modular_formula(
 
     Defaults to the basis of indicator functions, for which the check is the
     atomwise identity μ₂(Γ⁻¹) == μ₂(Γ)/Δ₂(Γ).  Extra functions may be given
-    as {Transformation: value} dicts.
+    as {Transformation: value} dicts; on int and Fraction values with tol >= 0
+    their two sums are compared on integer numerators, and the defect is
+    computed only where they differ.
     """
     sym = m2.symmetroid
     w, ts = m2.measure.weights, sym.transformations
+    delta = [m2.modular[t] for t in ts]
     idx = np.arange(len(ts))
     inverse = np.asarray(sym.vertical.inverse, dtype=np.intp)
-    quotient = ((w, idx), operator.truediv, ([m2.modular[t] for t in ts], idx))
+    quotient = ((w, idx), operator.truediv, (delta, idx))
 
     def describe(i):
         return (ts[i],), f"μ₂(Γ⁻¹) != μ₂(Γ)/Δ₂(Γ) at Γ={ts[i]}"
@@ -148,6 +160,12 @@ def verify_modular_formula(
     rep = _report_defects("modular-atom", tol, (w, inverse), quotient, describe)
     for i, f in enumerate(functions or []):
         rep.checks += 1
+        mu, values = [m2.mu2(t) for t in ts], [f.get(t, 0) for t in ts]
+        if tol >= 0 and _is_exact(mu, values, delta) and _sums_equal_exactly(
+            _exact_terms([mu, _gather(values, sym.vertical.inverse)]),
+            _exact_terms([mu, values], [delta]),
+        ):
+            continue
         lhs = sum(m2.mu2(t) * f.get(sym.vertical_inverse(t), 0) for t in sym.transformations)
         rhs = sum(m2.mu2(t) * f.get(t, 0) / m2.delta2(t) for t in sym.transformations)
         defect = abs(lhs - rhs)

@@ -7,8 +7,9 @@ translation, sending β to α∘β∘γ⁻¹.  The 2-source and 2-target are
 
 vertical composition Γ₂∘_V Γ₁ = (α₂∘α₁, β₁, γ₂∘γ₁) (defined when
 t1(Γ₁) = s1(Γ₂)) makes the set of all transformations a groupoid over the
-morphisms of G, built once as the FiniteGroupoid ``Symmetroid.vertical``, and
-a second, horizontal composition is inherited from the composition of G.
+morphisms of G, built once, by gathers over index arrays, as the
+FiniteGroupoid ``Symmetroid.vertical``, and a second, horizontal composition
+is inherited from the composition of G.
 Quotienting by the transformations built from isotropy elements leaves
 classes determined by the four endpoint objects
 
@@ -28,6 +29,8 @@ from __future__ import annotations
 
 from itertools import permutations
 from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .groupoid import FiniteGroupoid, GroupoidError, NotComposableError
 
@@ -53,42 +56,81 @@ class QClass(NamedTuple):
     w: int
 
 
+def _blocks(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For blocks of the given lengths laid end to end: each entry's block and
+    its position in that block."""
+    block = np.repeat(np.arange(len(lengths)), lengths)
+    return block, np.arange(len(block)) - (np.cumsum(lengths) - lengths)[block]
+
+
 class Symmetroid:
     """All transformations of a finite groupoid, with both compositions.
 
     Enumeration order is canonical: by beta, then alpha over the source fiber
-    of t(beta), then gamma over the source fiber of s(beta).
+    of t(beta), then gamma over the source fiber of s(beta), so the id of
+    (α, β, γ) is offset[β] + pos(α)·|G_{s(β)}| + pos(γ), where pos is the
+    position in a source fiber and offset[β] counts the transformations of
+    the betas before β.
 
     ``vertical`` is S(G) under vertical composition as a FiniteGroupoid over
     the morphisms of G: its morphism i is ``transformations[i]``, with source
     s1 and target t1.  The Transformation-typed methods read its tables.
+
+    The tables are built by gathers over index arrays, not per entry: t1 is
+    α∘β∘γ⁻¹ through ``FiniteGroupoid.composites``, and the vertical pairs come
+    out in ``composable_pairs()`` order, so they are handed to ``vertical`` as
+    its ``composable_arrays()`` and its compose table lists them in that
+    order.  The base is meant to be a groupoid (see ``validate``).  A base
+    whose table lacks a composite, or has one that does not compose further,
+    raises NotComposableError with ``compose``'s message; a composite with the
+    wrong endpoints raises NotComposableError naming the triple that is not a
+    transformation.
     """
 
     def __init__(self, groupoid: FiniteGroupoid):
-        self.groupoid = groupoid
-        g = groupoid
-        self.transformations: list[Transformation] = [
-            Transformation(a, b, c)
-            for b in g.morphisms()
-            for a in g.source_fiber(g.target[b])
-            for c in g.source_fiber(g.source[b])
-        ]
-        ts = self.transformations
-        self.index = index = {t: i for i, t in enumerate(ts)}
-        top = [g.compose(a, g.compose(b, g.inv(c))) for a, b, c in ts]
-        by_s1: list[list[int]] = [[] for _ in g.morphisms()]
-        for i, t in enumerate(ts):
-            by_s1[t.beta].append(i)
-        # Γ₂ ∘_V Γ₁ = (α₂∘α₁, β₁, γ₂∘γ₁), defined when t1(Γ₁) = s1(Γ₂)
-        compose = {
-            (i2, i1): index[(g.compose(ts[i2].alpha, a1), b1, g.compose(ts[i2].gamma, c1))]
-            for i1, (a1, b1, c1) in enumerate(ts)
-            for i2 in by_s1[top[i1]]
-        }
-        inverse = [index[(g.inv(a), top[i], g.inv(c))] for i, (a, _, c) in enumerate(ts)]
-        units = [index[(g.unit(g.target[b]), b, g.unit(g.source[b]))] for b in g.morphisms()]
-        source = [t.beta for t in ts]
-        self.vertical = FiniteGroupoid(g.n_morphisms, source, top, compose, inverse, units)
+        self.groupoid = g = groupoid
+        source, target = np.asarray(g.source, np.intp), np.asarray(g.target, np.intp)
+        inverse, unit = np.asarray(g.inverse, np.intp), np.asarray(g.unit_of, np.intp)
+        # the source fibers end to end, and each morphism's position in its own
+        fibers = np.argsort(source, kind="stable")
+        size = np.bincount(source, minlength=g.n_objects)
+        first = np.cumsum(size) - size
+        position = np.empty_like(source)
+        position[fibers] = np.arange(len(fibers)) - first[source[fibers]]
+        # transformation i = (α, β, γ): by β, then α over G_{t(β)}, then γ over G_{s(β)}
+        n_gamma = size[source]
+        count = size[target] * n_gamma
+        offset = np.cumsum(count) - count
+        beta, j = _blocks(count)
+        alpha = fibers[first[target[beta]] + j // n_gamma[beta]]
+        gamma = fibers[first[source[beta]] + j % n_gamma[beta]]
+
+        def ids_of(a, b, c):
+            """The ids of the transformations (a[i], b[i], c[i])."""
+            bad = np.flatnonzero((source[a] != target[b]) | (source[c] != source[b]))
+            if len(bad):
+                t = Transformation(*(int(v[bad[0]]) for v in (a, b, c)))
+                raise NotComposableError(f"{t} is not a transformation of this groupoid")
+            return offset[b] + position[a] * n_gamma[b] + position[c]
+
+        self.transformations: list[Transformation] = list(
+            map(Transformation, alpha.tolist(), beta.tolist(), gamma.tolist())
+        )
+        self.index = dict(zip(self.transformations, range(len(beta))))
+        top = g.composites(alpha, g.composites(beta, inverse[gamma]))
+        # Γ₂ ∘_V Γ₁ = (α₂∘α₁, β₁, γ₂∘γ₁) for each Γ₂ with s1(Γ₂) = t1(Γ₁), in
+        # composable_pairs() order: by Γ₁, then Γ₂ over the block of β = t1(Γ₁)
+        i1, i2 = _blocks(count[top])
+        i2 += offset[top[i1]]
+        ba = ids_of(g.composites(alpha[i2], alpha[i1]), beta[i1], g.composites(gamma[i2], gamma[i1]))
+        self.vertical = FiniteGroupoid._from_pair_arrays(
+            g.n_morphisms,
+            beta.tolist(),
+            top.tolist(),
+            (i2, i1, ba),
+            ids_of(inverse[alpha], top, inverse[gamma]).tolist(),
+            ids_of(unit[target], np.arange(g.n_morphisms), unit[source]).tolist(),
+        )
 
     def __len__(self) -> int:
         return len(self.transformations)

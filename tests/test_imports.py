@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-only ``eigen.py`` reaches ``numpy.linalg``.
+"""Every name a module of the package imports is used in that module, only
+``eigen.py`` reaches ``numpy.linalg``, and ``Symmetroid.__init__`` makes no
+per-entry ``compose``, ``inv`` or ``unit`` call.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
 re-exports.
@@ -63,3 +64,18 @@ def test_only_eigen_solves():
     modules = sorted(PACKAGE.glob("*.py"))
     solvers = [p.name for p in modules if reaches_linalg(ast.parse(p.read_text()))]
     assert solvers == ["eigen.py"]
+
+
+def test_symmetroid_tables_are_gathers():
+    # Symmetroid.__init__ builds its tables from index arrays; a per-entry
+    # compose, inv or unit call there would bring back the constructor loop
+    tree = ast.parse((PACKAGE / "symmetroid.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Symmetroid"]
+    (init,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    called = {
+        node.func.attr
+        for node in ast.walk(init)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert "composites" in called
+    assert called.isdisjoint({"compose", "inv", "unit"})
