@@ -49,7 +49,7 @@ from .algebra import (
 )
 # not called here: perfbench's tracer test pins this module's binding
 from .eigen import hermitian_eigh  # noqa: F401
-from .groupoid import GroupoidError, pair_groupoid
+from .groupoid import GroupoidError, is_pair_groupoid, pair_groupoid
 from .measure import GroupoidMeasure
 from .symmetroid import FlatBisection
 from .symalgebra import QuotientFunction, quotient_function_from_json, tensor_matrix
@@ -99,7 +99,7 @@ class KrausFamily:
                 f"{len(members)} members over {n} outcomes; at most {n * n} allowed"
             )
         for v in members:
-            if v.groupoid.n_morphisms != n * n:
+            if not is_pair_groupoid(v.groupoid, n):
                 raise DimensionMismatchError("Kraus member has the wrong dimension")
         self.n = n
         self.members = list(members)
@@ -171,7 +171,7 @@ def apply(ch: Channel, psi: AlgebraElement) -> AlgebraElement:
     """out(l, m) = Σ_{r,s} f((l,r),(s,m)) ψ(r, s)."""
     n = ch.n
     g = psi.groupoid
-    if g.n_morphisms != n * n:
+    if not is_pair_groupoid(g, n):
         raise DimensionMismatchError(
             f"channel over {n} outcomes applied to a function on {g.n_morphisms} transitions"
         )
@@ -352,7 +352,7 @@ def dsf_check(v: AlgebraElement, tol: float = 1e-12) -> bool:
     counting measure; such functions are exactly the projector-valued states
     generating decoherence channels."""
     g = v.groupoid
-    if g.n_morphisms != g.n_objects**2:
+    if not is_pair_groupoid(g):
         raise GroupoidError("dsf_check expects a function on a pair groupoid")
     m = GroupoidMeasure.counting(g)
     return convolve(v, v, m).allclose(v, tol) and involute(v, m).allclose(v, tol)
@@ -388,7 +388,7 @@ def tomogram(psi: AlgebraElement, n: int, tol: float = PSD_TOL) -> list[float]:
 
     Values must be real within tol (they are for positive-type inputs).
     """
-    if psi.groupoid.n_morphisms != n * n:
+    if not is_pair_groupoid(psi.groupoid, n):
         raise DimensionMismatchError("tomogram dimension mismatch")
     members = fourier_family(n).members
     m = GroupoidMeasure.counting(members[0].groupoid)

@@ -52,7 +52,7 @@ class FiniteGroupoid:
         "n_objects",
         "source",
         "target",
-        "compose_table",
+        "_compose_table",
         "inverse",
         "unit_of",
         "_source_fibers",
@@ -77,7 +77,7 @@ class FiniteGroupoid:
         self.n_objects = int(n_objects)
         self.source = tuple(int(x) for x in source)
         self.target = tuple(int(x) for x in target)
-        self.compose_table = MappingProxyType(dict(compose_table))
+        self._compose_table = MappingProxyType(dict(compose_table))
         self.inverse = tuple(int(x) for x in inverse)
         self.unit_of = tuple(int(x) for x in unit_of)
         src_fib: list[list[int]] = [[] for _ in range(self.n_objects)]
@@ -95,16 +95,22 @@ class FiniteGroupoid:
     @classmethod
     def _from_pair_arrays(cls, n_objects, source, target, pairs, inverse, unit_of):
         """The groupoid whose :meth:`composable_arrays` are ``pairs`` = (B, A,
-        BA), given in :meth:`composable_pairs` order; its compose table lists
-        the pairs in that order."""
-        b, a, ba = pairs
+        BA), given in :meth:`composable_pairs` order; its compose table is
+        built from them on first read and lists the pairs in that order."""
         g = cls(n_objects, source, target, {}, inverse, unit_of)
-        # built here and shared with no caller, so the table needs no copy
-        g.compose_table = MappingProxyType(dict(zip(zip(b.tolist(), a.tolist()), ba.tolist())))
         for arr in pairs:
             arr.flags.writeable = False
+        g._compose_table = None
         g._pair_arrays = pairs
         return g
+
+    @property
+    def compose_table(self) -> MappingProxyType:
+        """The read-only map (b, a) -> b∘a."""
+        if self._compose_table is None:
+            b, a, ba = (arr.tolist() for arr in self._pair_arrays)
+            self._compose_table = MappingProxyType(dict(zip(zip(b, a), ba)))
+        return self._compose_table
 
     @property
     def n_morphisms(self) -> int:
@@ -221,6 +227,13 @@ class FiniteGroupoid:
 
 
 @lru_cache(maxsize=64)
+def _pair_endpoints(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The source and target tables of the pair groupoid over n points."""
+    points = range(n)
+    return tuple(k for j in points for k in points), tuple(j for j in points for k in points)
+
+
+@lru_cache(maxsize=64)
 def pair_groupoid(n: int) -> FiniteGroupoid:
     """The pair groupoid over n points: morphisms (j, k): k -> j, indexed j*n + k.
 
@@ -230,8 +243,7 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     """
     if n < 1:
         raise ValueError("pair_groupoid requires n >= 1")
-    source = [k for j in range(n) for k in range(n)]
-    target = [j for j in range(n) for k in range(n)]
+    source, target = _pair_endpoints(n)
     compose = {}
     for z in range(n):
         for y in range(n):
@@ -240,6 +252,15 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     inverse = [k * n + j for j in range(n) for k in range(n)]
     units = [x * n + x for x in range(n)]
     return FiniteGroupoid(n, source, target, compose, inverse, units)
+
+
+def is_pair_groupoid(g: FiniteGroupoid, n: int | None = None) -> bool:
+    """Whether g is the pair groupoid over n points (default: its object count),
+    morphism j·n + k going k -> j, read from the source and target tables: on a
+    groupoid they fix the composition.  n² morphisms are not enough (two objects
+    with Z/2 isotropy and no arrows between them have four)."""
+    n = g.n_objects if n is None else n
+    return g.n_objects == n and (g.source, g.target) == _pair_endpoints(n)
 
 
 def pair_index(n: int, j: int, k: int) -> int:

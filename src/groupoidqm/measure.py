@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, GroupoidError
+from .groupoid import FiniteGroupoid, GroupoidError, is_pair_groupoid
 from .reports import ViolationReport
 
 DEFAULT_TOL = 1e-12
@@ -243,7 +243,7 @@ def weighted_pair_measure(g: FiniteGroupoid, w: Sequence, object_weights=None) -
     non-invariant alternatives.
     """
     n = g.n_objects
-    if len(w) != n or g.n_morphisms != n * n:
+    if len(w) != n or not is_pair_groupoid(g):
         raise ValueError("weighted_pair_measure expects a pair groupoid and one weight per point")
     (w,) = _ints_as_fractions(tuple(w))
     weights = [w[j] / w[k] for j in range(n) for k in range(n)]
@@ -290,9 +290,10 @@ def _report_defects(
     terms = (lhs, x) if op is None else (lhs, x, y)
     n_checks = len(lhs[1])
     rep = ViolationReport(checks=n_checks)
-    exact = _is_exact(*(values for values, _ in terms))
-    if exact and tol >= 0:
-        differ = ~_exactly_equal(terms, op)
+    # a value list that several terms read (Δ at b∘a, b and a) is read once
+    distinct = {id(values): values for values, _ in terms}
+    if tol >= 0 and _is_exact(*distinct.values()):
+        differ = ~_exactly_equal(terms, op, distinct)
     else:  # a zero defect exceeds a negative tol; floats are compared by Python
         differ = np.ones(n_checks, dtype=bool)
     suspects = np.flatnonzero(differ)
@@ -307,11 +308,16 @@ def _report_defects(
     return rep
 
 
-def _exactly_equal(terms, op) -> np.ndarray:
-    """lhs == rhs per check, on integer numerators and denominators (no gcd)."""
+def _exactly_equal(terms, op, distinct: dict) -> np.ndarray:
+    """lhs == rhs per check, on integer numerators and denominators (no gcd);
+    ``distinct`` maps the id of each value list the terms read to that list."""
+    arrays = {
+        key: [np.array(p, dtype=object) for p in _exact_parts(values)]
+        for key, values in distinct.items()
+    }
     parts = []
     for values, index in terms:
-        num, den = (np.array(p, dtype=object) for p in _exact_parts(values))
+        num, den = arrays[id(values)]
         parts.append((num[index], den[index]))
     (ln, ld), (xn, xd) = parts[:2]
     if op is None:

@@ -25,10 +25,14 @@ that groupoid, passed to ``convolve`` and ``involute`` as it is:
     f*(Γ) = Δ₂(Γ)⁻¹ conj(f(Γ⁻¹))
     A_f ψ = f ⋆_S ψ,
 
-with A_f A_g = A_{f⋆g} and A_f† = A_{f*} on L²(S, μ₂).  The quotient over a
-pair groupoid gets a fast path on the (n, n, n, n) tensor view of a
-QuotientFunction, indexed [z, y, x, w]; its row-major flattening is the
-package-wide order for every matrix export.
+with A_f A_g = A_{f⋆g} and A_f† = A_{f*} on L²(S, μ₂).
+
+Over a pair groupoid each quotient class is one transformation, and the fast
+path ``convolve_S``, ``involute_S``, ``rep_operator`` is this algebra in class
+order, contracted on the (n, n, n, n) tensor view of a QuotientFunction,
+indexed [z, y, x, w] (its row-major flattening is the package-wide order for
+every matrix export).  ``tests/test_quotient_parity.py`` pins it to the
+general algebra permuted by Γ -> q_index(sym.project(Γ)).
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .algebra import (
     involute,
     value_array,
 )
-from .groupoid import FiniteGroupoid, GroupoidError, pair_groupoid
+from .groupoid import FiniteGroupoid, GroupoidError, is_pair_groupoid, pair_groupoid
 from .measure import (
     DEFAULT_TOL,
     GroupoidMeasure,
@@ -227,41 +231,16 @@ def involute_general(f: SymFunction, m2: SymmetroidMeasure) -> SymFunction:
 
 
 class QuotientMeasure:
-    """Per-transition data of an induced measure, specialized to the quotient.
+    """The base measure, checked to live on a pair groupoid.  The class
+    ((z, y), (x, w)) has the legs (z, y) and (w, x), so the fast path reads ν₂
+    and Δ₂ as products of ``base.nu_targets`` and ``base.deltas``."""
 
-    For the class ((z, y), (x, w)) the two translation legs are the
-    transitions (z, y) and (w, x) of the base pair groupoid, so μ₂, ν₂ and Δ₂
-    are products of per-transition tables.
-    """
-
-    __slots__ = ("n", "base", "mu", "nu", "dl")
+    __slots__ = ("base",)
 
     def __init__(self, base: GroupoidMeasure):
-        g = base.groupoid
-        n = g.n_objects
-        if g.n_morphisms != n * n:
+        if not is_pair_groupoid(base.groupoid):
             raise GroupoidError("QuotientMeasure needs a pair-groupoid base")
-        self.n = n
         self.base = base
-        self.mu = base.weights
-        self.nu = base.nu_targets
-        self.dl = base.deltas
-
-    @classmethod
-    def counting(cls, n: int) -> "QuotientMeasure":
-        return cls(GroupoidMeasure.counting(pair_groupoid(n)))
-
-    def mu2(self, q: QClass):
-        n = self.n
-        return self.mu[q.z * n + q.y] * self.mu[q.w * n + q.x]
-
-    def nu2(self, q: QClass):
-        n = self.n
-        return self.nu[q.z * n + q.y] * self.nu[q.w * n + q.x]
-
-    def delta2(self, q: QClass):
-        n = self.n
-        return self.dl[q.z * n + q.y] * self.dl[q.w * n + q.x]
 
 
 class QuotientFunction:
@@ -376,7 +355,7 @@ def _weighted(f: QuotientFunction, qm: QuotientMeasure | None) -> np.ndarray:
         return t
     # ν takes the kernel's dtype, so that a complex kernel stays on complex128
     # arithmetic under the int and Fraction weights of an int-weighted base
-    nu = value_array(qm.nu).reshape(f.n, f.n).astype(t.dtype)
+    nu = value_array(qm.base.nu_targets).reshape(f.n, f.n).astype(t.dtype)
     return contract("lrsm,lr,ms->lrsm", t, nu, nu)
 
 
@@ -395,22 +374,14 @@ def convolve_S(
 
 
 def involute_S(f: QuotientFunction, qm: QuotientMeasure | None = None) -> QuotientFunction:
-    """f*((l,j),(k,m)) = Δ₂⁻¹ conj(f((j,l),(m,k)))."""
+    """f*((l,j),(k,m)) = Δ₂⁻¹ conj(f((j,l),(m,k))), where Δ₂⁻¹ = Δ₂(Γ⁻¹) =
+    δ(j,l)·δ(k,m) is a product of δ values, as in ``involute``; on a counting
+    base this is the antilinear modular involution conj(f(Γ⁻¹))."""
     t = np.conj(f.tensor().transpose(1, 0, 3, 2))
     if qm is not None:
-        dl = value_array(qm.dl).reshape(f.n, f.n)
-        if t.dtype == dl.dtype == object:
-            # Δ₂⁻¹ as the product of δ(α⁻¹) = δ(α)⁻¹ terms, so int kernels stay ints
-            t = t * (dl.T[:, :, None, None] * dl)
-        else:
-            dl = dl.astype(t.dtype)
-            t = t / (dl[:, :, None, None] * dl.T)
+        dl = value_array(qm.base.deltas).reshape(f.n, f.n).astype(t.dtype)  # as ν in _weighted
+        t = t * (dl.T[:, :, None, None] * dl)
     return QuotientFunction.from_tensor(t)
-
-
-def modular_involution(psi: QuotientFunction) -> QuotientFunction:
-    """(Jψ)(Γ) = conj(ψ(Γ⁻¹)); the antilinear modular involution."""
-    return involute_S(psi)
 
 
 def rep_operator(f: QuotientFunction, qm: QuotientMeasure | None = None) -> np.ndarray:
@@ -430,7 +401,7 @@ def pullback_embed(psi: AlgebraElement) -> QuotientFunction:
     """t1-pullback: value at ((l, j), (k, m)) is ψ(l, m); constant on 2-target fibers."""
     g = psi.groupoid
     n = g.n_objects
-    if g.n_morphisms != n * n:
+    if not is_pair_groupoid(g):
         raise GroupoidError("pullback_embed expects a function on a pair groupoid")
     p = value_array(psi.values).reshape(n, 1, 1, n)
     return QuotientFunction.from_tensor(np.broadcast_to(p, (n,) * 4))

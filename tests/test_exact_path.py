@@ -30,6 +30,7 @@ from groupoidqm import (
     induce_measure,
     involute,
     involute_S,
+    is_pair_groupoid,
     left_regular_matrix,
     modular_homomorphism_report,
     pair_groupoid,
@@ -192,11 +193,21 @@ def measures(g):
         "float-near-tol": GroupoidMeasure(g, _perturbed([1.0] * m, 1e-14, 1e-6)),
         "mixed": GroupoidMeasure(g, [0.5] + fracs[1:]),
     }
-    if m == n * n:  # the Haar family w_j / w_k
+    if m == n * n:  # the family w_j / w_k, Haar where g is a pair groupoid
         w = [Fraction(2) ** k for k in range(n)]
-        out["weighted-fraction"] = weighted_pair_measure(g, w)
-        out["weighted-float"] = weighted_pair_measure(g, [float(v) for v in w])
+        out["weighted-fraction"] = _ratio_measure(g, w)
+        out["weighted-float"] = _ratio_measure(g, [float(v) for v in w])
     return out
+
+
+def _ratio_measure(g, w):
+    """weighted_pair_measure(g, w), and the same weights w_j / w_k on a
+    groupoid with n² morphisms that is not a pair groupoid (the vertical
+    groupoid of a symmetroid, whose morphisms are labelled otherwise)."""
+    if is_pair_groupoid(g):
+        return weighted_pair_measure(g, w)
+    n = g.n_objects
+    return GroupoidMeasure(g, [w[j] / w[k] for j in range(n) for k in range(n)], w)
 
 
 CASES = [(gname, mname) for gname, make in GROUPOIDS.items() for mname in measures(make())]
@@ -425,11 +436,12 @@ def test_involute_S_keeps_int_kernels_exact():
     n = 2
     rng = np.random.default_rng(6)
     f = QuotientFunction(n, [int(v) for v in rng.integers(-4, 5, size=n**4)])
-    assert all(type(v) is int for v in involute_S(f, QuotientMeasure.counting(n)).values)
-    qm = QuotientMeasure(GroupoidMeasure(pair_groupoid(n), [1, 2, 3, 1], [1, 1]))
-    out = involute_S(f, qm).values
+    counting = GroupoidMeasure.counting(pair_groupoid(n))
+    assert all(type(v) is int for v in involute_S(f, QuotientMeasure(counting)).values)
+    m = GroupoidMeasure(pair_groupoid(n), [1, 2, 3, 1], [1, 1])
+    out = involute_S(f, QuotientMeasure(m)).values
     t = _tensor(f.values, n).transpose(1, 0, 3, 2)
-    dl = np.array([Fraction(v) for v in qm.dl], dtype=object).reshape(n, n)
+    dl = np.array([Fraction(v) for v in m.deltas], dtype=object).reshape(n, n)
     assert out == (t / (dl[:, :, None, None] * dl.T)).reshape(-1).tolist()
     assert {type(v) for v in out} <= {int, Fraction}
 
@@ -454,7 +466,7 @@ def einsum_apply(kernel, psi, n):
 def einsum_convolve_S(f, h, qm, n):
     t = _tensor(f, n)
     if qm is not None:
-        nu = value_array(qm.nu).reshape(n, n)
+        nu = value_array(qm.base.nu_targets).reshape(n, n)
         t = t * nu[:, :, None, None] * nu.T
     return np.einsum("lrsm,rjks->ljkm", t, _tensor(h, n)).reshape(-1).tolist()
 
@@ -484,13 +496,13 @@ def test_exact_contractions_match_einsum(kind, want):
     int_weights = GroupoidMeasure(g, [2] * 9, [1] * 3)  # ν = 2: an int-only weighted base
     for qm in (
         None,
-        QuotientMeasure.counting(n),
+        QuotientMeasure(GroupoidMeasure.counting(g)),
         QuotientMeasure(int_weights),
         QuotientMeasure(weighted_pair_measure(g, (Fraction(1, 3), 2, Fraction(5, 2)))),
     ):
         out = convolve_S(QuotientFunction(n, f), QuotientFunction(n, h), qm).values
         assert out == einsum_convolve_S(f, h, qm, n)
-        exact_weights = qm is None or all(type(v) is int for v in qm.nu)
+        exact_weights = qm is None or all(type(v) is int for v in qm.base.nu_targets)
         assert all(type(v) is (want if exact_weights else Fraction) for v in out)
         if exact_weights:
             _same(out, einsum_convolve_S(f, h, qm, n))
@@ -524,6 +536,6 @@ def test_complex_contractions_unchanged():
     assert apply(ch, AlgebraElement(g, psi)).values == einsum_apply(ch.kernel.values, psi, n)
     f, h = (list(rng.normal(size=n**4) + 1j * rng.normal(size=n**4)) for _ in range(2))
     weighted = QuotientMeasure(weighted_pair_measure(g, (0.5, 2.0, 3.0)))
-    for qm in (None, QuotientMeasure.counting(n), weighted):
+    for qm in (None, QuotientMeasure(GroupoidMeasure.counting(g)), weighted):
         out = convolve_S(QuotientFunction(n, f), QuotientFunction(n, h), qm).values
         _same(out, einsum_convolve_S(f, h, qm, n))

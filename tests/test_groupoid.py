@@ -3,17 +3,31 @@ import json
 import pytest
 
 from groupoidqm import (
+    AlgebraElement,
+    DimensionMismatchError,
     FiniteGroupoid,
+    GroupoidError,
+    GroupoidMeasure,
+    KrausFamily,
     NotComposableError,
+    QuotientMeasure,
+    Symmetroid,
     ValidationError,
+    apply,
     direct_product,
+    dsf_check,
     fibers,
     groupoid_from_json,
+    identity_channel,
     is_connected,
+    is_pair_groupoid,
     pair_groupoid,
     pair_index,
     pair_of,
+    pullback_embed,
+    tomogram,
     validate,
+    weighted_pair_measure,
 )
 
 
@@ -162,3 +176,49 @@ def test_json_loader_rejects_invalid():
     data["inverse"] = [0, 1, 2, 3]  # identity map is not the pair inverse
     with pytest.raises(ValidationError):
         groupoid_from_json(data)
+
+
+def two_isotropy_groupoid():
+    """Two objects, each with Z/2 isotropy, and no arrows between them: a
+    groupoid with 2² morphisms that is not a pair groupoid."""
+    compose = {(b, a): (b ^ a) | (b & 2) for b in range(4) for a in range(4) if b & 2 == a & 2}
+    return FiniteGroupoid(2, [0, 0, 1, 1], [0, 0, 1, 1], compose, [0, 1, 2, 3], [0, 2])
+
+
+def test_is_pair_groupoid():
+    for n in (1, 2, 3, 4):
+        g = pair_groupoid(n)
+        assert is_pair_groupoid(g) and is_pair_groupoid(g, n)
+        assert not is_pair_groupoid(g, n + 1)
+        assert is_pair_groupoid(groupoid_from_json(g.to_json()))
+    h = two_isotropy_groupoid()
+    assert validate(h).ok and h.n_morphisms == h.n_objects**2
+    assert not is_pair_groupoid(h)
+    # pair groupoids over four points whose morphisms are labelled otherwise
+    assert not is_pair_groupoid(Symmetroid(pair_groupoid(2)).vertical)
+    assert not is_pair_groupoid(direct_product(pair_groupoid(2), pair_groupoid(2)))
+
+
+def test_pair_groupoid_sites_reject_isotropy_with_their_own_errors():
+    g = two_isotropy_groupoid()
+    psi = AlgebraElement(g, [1, 0, 0, 1])
+    sites = [
+        (ValueError, "weighted_pair_measure expects a pair groupoid", lambda: weighted_pair_measure(g, (1, 2))),
+        (DimensionMismatchError, "Kraus member has the wrong dimension", lambda: KrausFamily(2, [psi])),
+        (
+            DimensionMismatchError,
+            "channel over 2 outcomes applied to a function on 4 transitions",
+            lambda: apply(identity_channel(2), psi),
+        ),
+        (GroupoidError, "dsf_check expects a function on a pair groupoid", lambda: dsf_check(psi)),
+        (DimensionMismatchError, "tomogram dimension mismatch", lambda: tomogram(psi, 2)),
+        (
+            GroupoidError,
+            "QuotientMeasure needs a pair-groupoid base",
+            lambda: QuotientMeasure(GroupoidMeasure.counting(g)),
+        ),
+        (GroupoidError, "pullback_embed expects a function on a pair groupoid", lambda: pullback_embed(psi)),
+    ]
+    for error, message, call in sites:
+        with pytest.raises(error, match=message):
+            call()

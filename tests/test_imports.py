@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, only
-``eigen.py`` reaches ``numpy.linalg``, and ``Symmetroid.__init__`` makes no
-per-entry ``compose``, ``inv`` or ``unit`` call.
+``eigen.py`` reaches ``numpy.linalg``, ``Symmetroid.__init__`` makes no
+per-entry ``compose``, ``inv`` or ``unit`` call, and ``QuotientMeasure``
+defines no method but ``__init__``.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
 re-exports.
@@ -66,12 +67,17 @@ def test_only_eigen_solves():
     assert solvers == ["eigen.py"]
 
 
+def methods(module: str, name: str) -> dict:
+    """The functions defined in the body of class ``name`` of ``module``, by name."""
+    tree = ast.parse((PACKAGE / module).read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+    return {n.name: n for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
 def test_symmetroid_tables_are_gathers():
     # Symmetroid.__init__ builds its tables from index arrays; a per-entry
     # compose, inv or unit call there would bring back the constructor loop
-    tree = ast.parse((PACKAGE / "symmetroid.py").read_text())
-    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Symmetroid"]
-    (init,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    init = methods("symmetroid.py", "Symmetroid")["__init__"]
     called = {
         node.func.attr
         for node in ast.walk(init)
@@ -79,3 +85,10 @@ def test_symmetroid_tables_are_gathers():
     }
     assert "composites" in called
     assert called.isdisjoint({"compose", "inv", "unit"})
+
+
+def test_quotient_measure_is_a_view_of_its_base():
+    # μ₂, ν₂ and Δ₂ are SymmetroidMeasure's; a method or table of the quotient's
+    # own would define the S(G) algebra a second time
+    assert list(methods("symalgebra.py", "QuotientMeasure")) == ["__init__"]
+    assert groupoidqm.QuotientMeasure.__slots__ == ("base",)

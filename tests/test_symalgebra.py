@@ -25,7 +25,6 @@ from groupoidqm import (
     induce_measure,
     involute_S,
     involute_general,
-    modular_involution,
     pair_groupoid,
     pair_index,
     pullback_embed,
@@ -193,10 +192,10 @@ class TestQuotientConvolution:
 
     def test_star_involutive(self):
         n = 2
-        qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (1, 2)))
         rng = np.random.default_rng(3)
         f = QuotientFunction(n, list(rng.normal(size=16) + 1j * rng.normal(size=16)))
-        assert involute_S(involute_S(f, qm), qm).allclose(f, 1e-12)
+        for qm in (None, QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (1, 2)))):
+            assert involute_S(involute_S(f, qm), qm).allclose(f, 1e-12)
 
     def test_associativity(self):
         n = 2
@@ -282,8 +281,10 @@ class TestRepresentation:
         n = 2
         meas = weighted_pair_measure(pair_groupoid(n), (1, 2))
         qm = QuotientMeasure(meas)
-        d = np.diag([float(qm.mu2(q)) for q in enumerate_quotient(n)])
-        dinv = np.diag([1 / float(qm.mu2(q)) for q in enumerate_quotient(n)])
+        # μ₂ of the class ((z, y), (x, w)) is μ(z, y)·μ(w, x)
+        mu = meas.weights
+        mu2 = [float(mu[pair_index(n, q.z, q.y)] * mu[pair_index(n, q.w, q.x)]) for q in enumerate_quotient(n)]
+        d, dinv = np.diag(mu2), np.diag([1 / v for v in mu2])
         rng = np.random.default_rng(8)
         for _ in range(10):
             f = QuotientFunction(n, list(rng.normal(size=16) + 1j * rng.normal(size=16)))
@@ -298,16 +299,19 @@ class TestRepresentation:
         assert np.linalg.matrix_rank(flat) == 16
 
     def test_modular_involution(self):
+        # on a counting base involute_S is the modular involution ψ -> conj(ψ(Γ⁻¹));
+        # under a weighted base it stays involutive and antilinear
         n = 2
         rng = np.random.default_rng(9)
         psi = QuotientFunction(n, list(rng.normal(size=16) + 1j * rng.normal(size=16)))
-        assert modular_involution(modular_involution(psi)).allclose(psi)
         c = 1.5 - 0.5j
-        lhs = modular_involution(psi * c)
-        rhs = modular_involution(psi) * c.conjugate()
-        assert lhs.allclose(rhs)
+        for qm in (None, QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (1, 2)))):
+            assert involute_S(involute_S(psi, qm), qm).allclose(psi)
+            lhs = involute_S(psi * c, qm)
+            rhs = involute_S(psi, qm) * c.conjugate()
+            assert lhs.allclose(rhs)
         q = QClass(1, 0, 1, 0)
-        assert modular_involution(QuotientFunction.delta(n, q)) == QuotientFunction.delta(
+        assert involute_S(QuotientFunction.delta(n, q)) == QuotientFunction.delta(
             n, q_vertical_inverse(q)
         )
 
@@ -479,7 +483,8 @@ class TestExactPath:
         assert all_fractions(pulled)
         assert fiber_restrict(pulled) == psi
         assert all(type(v) is Fraction for v in fiber_restrict(pulled).values)
-        assert modular_involution(pulled) == involute_S(pulled)
+        assert all_fractions(involute_S(pulled))
+        assert involute_S(involute_S(pulled)) == pulled
 
 
 class TestMismatchedBases:

@@ -8,6 +8,7 @@ field, with the compose table in the same insertion order.
 """
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from groupoidqm import (
     Symmetroid,
     Transformation,
     direct_product,
+    induce_measure,
     pair_groupoid,
+    verify_induced_equivariance,
+    verify_modular_formula,
+    verify_modular_homomorphism,
+    weighted_pair_measure,
 )
 
 
@@ -69,6 +75,18 @@ def test_gathered_symmetroid_matches_loop(name):
     for got, want in zip(sym.vertical.composable_arrays(), vertical.composable_arrays()):
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert not got.flags.writeable
+
+
+def test_symmetroid_verifiers_leave_the_vertical_compose_table_unbuilt():
+    g = pair_groupoid(3)
+    sym = Symmetroid(g)
+    m2 = induce_measure(sym, weighted_pair_measure(g, (Fraction(1, 3), 2, Fraction(5, 2))))
+    for verify in (verify_induced_equivariance, verify_modular_formula, verify_modular_homomorphism):
+        assert verify(m2).ok
+    assert sym.vertical._compose_table is None
+    b, a, ba = sym.vertical.composable_arrays()
+    assert list(sym.vertical.compose_table.items()) == list(zip(zip(b.tolist(), a.tolist()), ba.tolist()))
+    assert sym.vertical.compose_table is sym.vertical.compose_table
 
 
 @pytest.mark.parametrize("name", ["pair3", "z4", "two-component", "product"])
