@@ -224,15 +224,14 @@ def zero_pad(ch: Channel, n_to: int) -> Channel:
 
 
 def pad_element(psi: AlgebraElement, n_to: int) -> AlgebraElement:
+    """psi on pair_groupoid(n) as the corner of a function on pair_groupoid(n_to)."""
+    if not is_pair_groupoid(psi.groupoid):
+        raise DimensionMismatchError("pad_element expects a function on a pair groupoid")
     n = psi.groupoid.n_objects
     if n_to < n:
         raise DimensionMismatchError("can only pad to a larger dimension")
-    g = pair_groupoid(n_to)
-    out = AlgebraElement.zeros(g)
-    for j in range(n):
-        for k in range(n):
-            out.values[j * n_to + k] = psi.values[j * n + k]
-    return out
+    values = [psi.values[j * n + k] if j < n and k < n else 0 for j in range(n_to) for k in range(n_to)]
+    return AlgebraElement(pair_groupoid(n_to), values)
 
 
 # -- matrix representations --

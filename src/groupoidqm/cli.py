@@ -43,6 +43,7 @@ from .measure import (
     verify_inverse_relation,
     verify_left_invariance,
 )
+from .selftest import EXCHANGE_EXHAUSTIVE_MAX_N, exchange_identity_report, reproduce_reports
 from .symmetroid import (
     FlatBisection,
     enumerate_quotient,
@@ -208,14 +209,15 @@ def cmd_symmetroid(args) -> int:
         )
         return EXIT_OK
     if args.action == "check-exchange":
-        from .selftest import exchange_identity_report
-
-        if args.n > 2 and args.seed is None:
-            raise GroupoidError("--seed is required for sampled exchange checks (n > 2)")
+        sampled = args.n > EXCHANGE_EXHAUSTIVE_MAX_N
+        if sampled and args.seed is None:
+            raise GroupoidError(
+                f"--seed is required for sampled exchange checks (n > {EXCHANGE_EXHAUSTIVE_MAX_N})"
+            )
         violations, checked = exchange_identity_report(args.n, args.samples, args.seed)
         payload = {
             "n": args.n,
-            "mode": "exhaustive" if args.n <= 2 else f"sampled:{args.samples}",
+            "mode": f"sampled:{args.samples}" if sampled else "exhaustive",
             "report": f"{violations} violations / {checked} quadruples",
         }
         if args.seed is not None:
@@ -382,8 +384,6 @@ def cmd_examples(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    from .selftest import reproduce_reports
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = reproduce_reports(out_dir)
@@ -430,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("symmetroid", parents=[common], help="quotient symmetroid structure")
     ps.add_argument("action", choices=["enumerate", "check-exchange", "flat-bisections"])
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--samples", type=int, default=10000, help="sample count for n > 2")
+    ps.add_argument(
+        "--samples", type=int, default=10000, help=f"sample count for n > {EXCHANGE_EXHAUSTIVE_MAX_N}"
+    )
     ps.add_argument("--seed", type=int, help="PRNG seed (required when sampling)")
     ps.set_defaults(func=cmd_symmetroid)
 

@@ -164,14 +164,15 @@ def verify_modular_formula(
     rep = _report_defects("modular-atom", tol, (w, inverse), quotient, describe)
     for i, f in enumerate(functions or []):
         rep.checks += 1
-        mu, values = [m2.mu2(t) for t in ts], [f.get(t, 0) for t in ts]
-        if tol >= 0 and _is_exact(mu, values, delta) and _sums_equal_exactly(
-            _exact_terms([mu, _gather(values, sym.vertical.inverse)]),
-            _exact_terms([mu, values], [delta]),
+        values = [f.get(t, 0) for t in ts]
+        flipped = _gather(values, sym.vertical.inverse)
+        if tol >= 0 and _is_exact(w, values, delta) and _sums_equal_exactly(
+            _exact_terms([w, flipped]),
+            _exact_terms([w, values], [delta]),
         ):
             continue
-        lhs = sum(m2.mu2(t) * f.get(sym.vertical_inverse(t), 0) for t in sym.transformations)
-        rhs = sum(m2.mu2(t) * f.get(t, 0) / m2.delta2(t) for t in sym.transformations)
+        lhs = sum(map(operator.mul, w, flipped))
+        rhs = sum(mu * v / d for mu, v, d in zip(w, values, delta))
         defect = abs(lhs - rhs)
         if defect > tol:
             rep.add("modular-sum", (i,), f"Σ μ₂ f(Γ⁻¹) != Σ μ₂ Δ₂⁻¹ f for function {i}", defect)

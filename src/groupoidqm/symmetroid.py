@@ -47,7 +47,10 @@ class QClass(NamedTuple):
     """Quotient class ((z, y), (x, w)): 2-source (y, x), 2-target (z, w).
 
     The four fields are object indices; (y, x) is the transition x -> y the
-    class starts from and (z, w) the transition w -> z it produces.
+    class starts from and (z, w) the transition w -> z it produces.  They may
+    also be integer arrays of one shape, a class per element: the quotient's
+    composition rules then act elementwise and raise NotComposableError if any
+    element is not composable.
     """
 
     z: int
@@ -256,13 +259,19 @@ def q_t1(q: QClass) -> tuple[int, int]:
     return (q.z, q.w)
 
 
+def _everywhere(ok) -> bool:
+    """Whether a condition holds: a bool, or every entry of a boolean array
+    (the bool is tested first, so scalar classes stay off numpy)."""
+    return ok is True or bool(np.all(ok))
+
+
 def q_vertical_unit(y: int, x: int) -> QClass:
     return QClass(y, y, x, x)
 
 
 def q_vertical_compose(q2: QClass, q1: QClass) -> QClass:
     """Defined when t1(q1) == s1(q2); the result has s1(q1) and t1(q2)."""
-    if (q2.y, q2.x) != (q1.z, q1.w):
+    if not _everywhere((q2.y == q1.z) & (q2.x == q1.w)):
         raise NotComposableError(f"vertical composition undefined for {q2} ∘ {q1}")
     return QClass(q2.z, q1.y, q1.x, q2.w)
 
@@ -278,13 +287,13 @@ def q_horizontal_unit(y: int, x: int) -> QClass:
 
 def q_horizontal_compose(q2: QClass, q1: QClass) -> QClass:
     """Defined when s1(q2)∘s1(q1) and t1(q2)∘t1(q1) both compose in the base."""
-    if q2.x != q1.y or q2.w != q1.z:
+    if not _everywhere(q_horizontally_composable(q2, q1)):
         raise NotComposableError(f"horizontal composition undefined for {q2} ∘ {q1}")
     return QClass(q2.z, q2.y, q1.x, q1.w)
 
 
 def q_horizontally_composable(q2: QClass, q1: QClass) -> bool:
-    return q2.x == q1.y and q2.w == q1.z
+    return (q2.x == q1.y) & (q2.w == q1.z)
 
 
 def q_horizontal_inverse(q: QClass) -> QClass:

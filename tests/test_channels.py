@@ -570,6 +570,13 @@ class TestPaddingAndExtension:
         padded = pad_element(psi, 3)
         assert padded == delta(3, 1, 0)
 
+    def test_pad_element_keeps_values_and_types(self):
+        psi = AlgebraElement(pair_groupoid(2), [1, Fraction(1, 2), 2j, 3.5])
+        padded = pad_element(psi, 3)
+        assert padded.groupoid is pair_groupoid(3)
+        assert padded.values == [1, Fraction(1, 2), 0, 2j, 3.5, 0, 0, 0, 0]
+        assert [type(v) for v in padded.values] == [int, Fraction, int, complex, float, int, int, int, int]
+
     def test_extend_with_identity_blocks(self):
         # id_2 ⊗ K applied to a product state acts as K on the second factor
         n, M = 2, 2

@@ -119,8 +119,15 @@ def test_symmetroid_check_exchange_exhaustive(capsys):
 
 
 def test_symmetroid_check_exchange_requires_seed(capsys):
-    code, out, err = run(capsys, "symmetroid", "check-exchange", "--n", "3")
+    code, out, err = run(capsys, "symmetroid", "check-exchange", "--n", "6")
     assert code == 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_symmetroid_check_exchange_exhaustive_through_the_bound(capsys, n):
+    code, data, _ = run_json(capsys, "symmetroid", "check-exchange", "--n", str(n))
+    assert code == 0
+    assert data == {"n": n, "mode": "exhaustive", "report": f"0 violations / {n**9} quadruples"}
 
 
 def test_symmetroid_flat_bisections(capsys):
@@ -288,10 +295,10 @@ def test_examples_shift_output(capsys):
 
 def test_deterministic_output(capsys):
     _, out1, _ = run(
-        capsys, "symmetroid", "check-exchange", "--n", "3", "--seed", "7", "--json"
+        capsys, "symmetroid", "check-exchange", "--n", "6", "--seed", "7", "--json"
     )
     _, out2, _ = run(
-        capsys, "symmetroid", "check-exchange", "--n", "3", "--seed", "7", "--json"
+        capsys, "symmetroid", "check-exchange", "--n", "6", "--seed", "7", "--json"
     )
     assert out1 == out2
 

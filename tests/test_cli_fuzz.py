@@ -31,6 +31,7 @@ from groupoidqm.channels import kraus_from_json
 from groupoidqm.cli import main
 from groupoidqm.groupoid import groupoid_from_json
 from groupoidqm.measure import measure_from_json
+from groupoidqm.selftest import EXCHANGE_EXHAUSTIVE_MAX_N
 from groupoidqm.symalgebra import quotient_function_from_json
 
 JUNK = st.one_of(
@@ -262,11 +263,13 @@ def groupoid_invocations(draw):
 @st.composite
 def symmetroid_invocations(draw):
     action = draw(st.sampled_from(["enumerate", "check-exchange", "flat-bisections"]))
-    n = draw(st.integers(-1, 4))
-    samples = draw(st.integers(-1, 20) if action == "check-exchange" else COUNT)
+    exchange = action == "check-exchange"
+    # check-exchange draws up to one past its exhaustive bound, so that it samples too
+    n = draw(st.integers(-1, EXCHANGE_EXHAUSTIVE_MAX_N + 1 if exchange else 4))
+    samples = draw(st.integers(-1, 20) if exchange else COUNT)
     seed = draw(st.one_of(st.none(), st.integers(-1, 5)))
     reject = n < 1 or below(samples, 1) or below(seed, 0)
-    reject |= action == "check-exchange" and n > 2 and seed is None
+    reject |= exchange and n > EXCHANGE_EXHAUSTIVE_MAX_N and seed is None
     argv = ["symmetroid", action, f"--n={n}", *flag("samples", samples), *flag("seed", seed)]
     return argv, {}, reject
 

@@ -24,6 +24,7 @@ from groupoidqm import (
     pair_groupoid,
     pair_index,
     pair_of,
+    pad_element,
     pullback_embed,
     tomogram,
     validate,
@@ -218,6 +219,7 @@ def test_pair_groupoid_sites_reject_isotropy_with_their_own_errors():
             lambda: QuotientMeasure(GroupoidMeasure.counting(g)),
         ),
         (GroupoidError, "pullback_embed expects a function on a pair groupoid", lambda: pullback_embed(psi)),
+        (DimensionMismatchError, "pad_element expects a function on a pair groupoid", lambda: pad_element(psi, 3)),
     ]
     for error, message, call in sites:
         with pytest.raises(error, match=message):

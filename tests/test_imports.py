@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module, only
 ``eigen.py`` reaches ``numpy.linalg``, ``Symmetroid.__init__`` makes no
-per-entry ``compose``, ``inv`` or ``unit`` call, and ``QuotientMeasure``
-defines no method but ``__init__``.
+per-entry ``compose``, ``inv`` or ``unit`` call, ``exchange_identity_report``
+has no loop, and ``QuotientMeasure`` defines no method but ``__init__``.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
 re-exports.
@@ -85,6 +85,18 @@ def test_symmetroid_tables_are_gathers():
     }
     assert "composites" in called
     assert called.isdisjoint({"compose", "inv", "unit"})
+
+
+def test_exchange_check_has_no_per_quadruple_loop():
+    # exchange_identity_report composes all quadruples at once through the
+    # quotient's rules on arrays; a loop or comprehension there would bring
+    # back the per-quadruple check
+    tree = ast.parse((PACKAGE / "selftest.py").read_text())
+    (report,) = [
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "exchange_identity_report"
+    ]
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert [type(n).__name__ for n in ast.walk(report) if isinstance(n, loops)] == []
 
 
 def test_quotient_measure_is_a_view_of_its_base():

@@ -1,5 +1,6 @@
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from groupoidqm import (
@@ -33,6 +34,7 @@ from groupoidqm import (
     q_vertical_unit,
     shift_bisection,
 )
+from groupoidqm import selftest
 from groupoidqm.selftest import exchange_identity_report
 
 
@@ -242,10 +244,77 @@ class TestExchangeIdentity:
         assert violations == 0
         assert checked == 2**9
 
-    def test_sampled_n3(self):
-        violations, checked = exchange_identity_report(3, samples=10000, seed=20260810)
-        assert violations == 0
-        assert checked == 10000
+    def test_exhaustive_n3(self):
+        assert exchange_identity_report(3) == (0, 3**9)
+
+    def test_exhaustive_through_the_bound(self):
+        assert selftest.EXCHANGE_EXHAUSTIVE_MAX_N == 5
+        for n in (4, 5):
+            assert exchange_identity_report(n, samples=7, seed=1) == (0, n**9)
+
+    def test_sampled_n6(self):
+        report = exchange_identity_report(6, samples=1000, seed=20260810)
+        assert report == (0, 1000)
+        assert exchange_identity_report(6, samples=1000, seed=20260810) == report
+
+    def test_scalar_rules_unchanged(self):
+        # the scalar path of the broadcast rules keeps its types and messages
+        q2, q1 = QClass(0, 1, 2, 0), QClass(0, 2, 1, 1)
+        assert q_horizontal_compose(q2, q1) == QClass(0, 1, 1, 1)
+        assert all(type(v) is int for v in q_horizontal_compose(q2, q1))
+        assert q_horizontally_composable(q2, q1) is True
+        with pytest.raises(NotComposableError, match=r"vertical composition undefined for QClass"):
+            q_vertical_compose(q2, q1)
+
+    @staticmethod
+    def loop_count(n, columns):
+        """The per-quadruple oracle: compose each quadruple on its own."""
+        violations = 0
+        for free in columns:
+            gp2, gp1, g2, g1 = selftest._exchange_quadruple(n, tuple(int(v) for v in free))
+            lhs = selftest.q_vertical_compose(
+                selftest.q_horizontal_compose(gp2, gp1), selftest.q_horizontal_compose(g2, g1)
+            )
+            rhs = selftest.q_horizontal_compose(
+                selftest.q_vertical_compose(gp2, g2), selftest.q_vertical_compose(gp1, g1)
+            )
+            violations += lhs != rhs
+        return violations
+
+    def test_planted_fault_counts_as_the_loop(self, monkeypatch):
+        # a horizontal rule that takes z from q1.y, with no guard; the vertical
+        # guard is dropped too, so that the wrong class reaches the comparison
+        # instead of raising NotComposableError
+        monkeypatch.setattr(
+            selftest, "q_horizontal_compose", lambda q2, q1: QClass(q1.y, q2.y, q1.x, q1.w)
+        )
+        monkeypatch.setattr(
+            selftest, "q_vertical_compose", lambda q2, q1: QClass(q2.z, q1.y, q1.x, q2.w)
+        )
+        for n, expected in ((2, 256), (3, 13122)):
+            oracle = self.loop_count(n, product(range(n), repeat=9))
+            assert oracle == expected
+            assert exchange_identity_report(n) == (expected, n**9)
+        columns = np.random.default_rng(5).integers(0, 6, size=(9, 1000)).T
+        assert exchange_identity_report(6, samples=1000, seed=5) == (self.loop_count(6, columns), 1000)
+
+    @pytest.mark.parametrize("row, field, rule", [(2, "x", "horizontal"), (0, "y", "vertical")])
+    def test_non_composable_quadruple_raises(self, monkeypatch, row, field, rule):
+        # x2 = y1 (or y'2 = z2) broken in the quadruples with z1 = 1 only, so
+        # that one non-composable element among composable ones must raise
+        exchange_quadruple = selftest._exchange_quadruple
+
+        def broken(n, free):
+            quad = list(exchange_quadruple(n, free))
+            g1 = quad[3]
+            quad[row] = quad[row]._replace(**{field: (getattr(quad[row], field) + (g1.z == 1)) % n})
+            return tuple(quad)
+
+        monkeypatch.setattr(selftest, "_exchange_quadruple", broken)
+        with pytest.raises(NotComposableError, match=f"{rule} composition undefined"):
+            self.loop_count(2, product(range(2), repeat=9))
+        with pytest.raises(NotComposableError, match=f"{rule} composition undefined"):
+            exchange_identity_report(2)
 
 
 class TestBisections:
