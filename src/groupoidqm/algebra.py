@@ -13,7 +13,10 @@ matrix algebra.
 
 The operations are gathers over ``FiniteGroupoid.composable_arrays()``.  Values
 may be ints, Fractions, floats or complex; when every value and weight is exact
-the arithmetic is exact, on ints and Fractions, and otherwise on complex128.
+the arithmetic is exact, and otherwise on complex128.  Exact arithmetic runs on
+Python ints: each operand is read once as integer numerators over the lcm of
+its denominators, and each output is one Fraction over the product of those
+lcms (``contract`` and ``convolve``), with no Fraction operator call.
 """
 
 from __future__ import annotations
@@ -23,14 +26,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Sequence
 
 import numpy as np
 
 from .eigen import hermitian_defect, hermitian_eigh
 from .groupoid import FiniteGroupoid, GroupoidError
-from .measure import GroupoidMeasure
+from .measure import GroupoidMeasure, _is_exact
 
 PSD_TOL = 1e-10
 
@@ -150,8 +152,7 @@ def value_array(values) -> np.ndarray:
     (an int or a Fraction), so that exact inputs keep exact outputs, and
     complex128 otherwise.  Contract such arrays with :func:`contract`, which
     keeps the object path off per-entry Fraction arithmetic."""
-    exact = all(isinstance(v, Rational) for v in values)
-    return np.array(values, dtype=object if exact else np.complex128)
+    return np.array(values, dtype=object if _is_exact(values) else np.complex128)
 
 
 def _value_arrays(*value_lists) -> list[np.ndarray]:
@@ -160,6 +161,13 @@ def _value_arrays(*value_lists) -> list[np.ndarray]:
     multiply and float arithmetic never mixes with Fractions."""
     joined = value_array([v for vs in value_lists for v in vs])
     return np.split(joined, np.cumsum([len(vs) for vs in value_lists[:-1]]))
+
+
+def _numerators(values) -> tuple[list[int], int]:
+    """Rational values as integer numerators over the lcm of their denominators."""
+    denominators = [int(v.denominator) for v in values]
+    lcm = math.lcm(*denominators)
+    return [int(v.numerator) * (lcm // d) for v, d in zip(values, denominators)], lcm
 
 
 def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
@@ -176,16 +184,11 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     if not all(op.dtype == object for op in operands):
         return np.einsum(subscripts, *operands)
     flat = [op.ravel().tolist() for op in operands]
-    values = [v for vs in flat for v in vs]
-    if not (
-        any(isinstance(v, Fraction) for v in values)
-        and all(isinstance(v, Rational) for v in values)
-    ):
+    if not (any(isinstance(v, Fraction) for vs in flat for v in vs) and _is_exact(*flat)):
         return np.einsum(subscripts, *operands)
     numerators, denominator = [], 1
     for op, vs in zip(operands, flat):
-        lcm = math.lcm(*(int(v.denominator) for v in vs))
-        scaled = [int(v.numerator) * (lcm // int(v.denominator)) for v in vs]
+        scaled, lcm = _numerators(vs)
         numerators.append(np.array(scaled, dtype=object).reshape(op.shape))
         denominator *= lcm
     out = np.einsum(subscripts, *numerators)
@@ -218,11 +221,41 @@ def _left_translations(f: AlgebraElement, m: GroupoidMeasure, *value_lists):
 
 def convolve(f: AlgebraElement, g: AlgebraElement, m: GroupoidMeasure) -> AlgebraElement:
     """(f ⋆ g)(α) = Σ_{β ∈ G^{t(α)}} f(β) g(β⁻¹∘α) ν^{t(α)}(β): the terms
-    f(β)ν(β)·g(γ) at α = β∘γ, summed by α."""
+    f(β)ν(β)·g(γ) at α = β∘γ, summed by α.
+
+    A zero f(β) adds no term, so an output with no term is the int 0.  On
+    ints and Fractions the terms are products of integer numerators, and an
+    output is a Fraction iff one of its terms has a Fraction factor, else an
+    int; other values take the ``value_array`` dtype of all three lists.
+    """
+    lists = (f.values, m.nu_targets, g.values)
+    if {type(v) for vs in lists for v in vs} <= {int, Fraction}:
+        return AlgebraElement(m.groupoid, _convolve_numerators(m, *lists))
     rows, cols, terms, gv = _left_translations(f, m, g.values)
     out = np.zeros(m.groupoid.n_morphisms, dtype=terms.dtype)
     np.add.at(out, rows, terms * gv[cols])
     return AlgebraElement(m.groupoid, out.tolist())
+
+
+def _convolve_numerators(m: GroupoidMeasure, fv, nu, gv) -> list:
+    """``convolve`` on int and Fraction values, with no Fraction arithmetic."""
+    _require_one_value_per_morphism(m, fv, gv)
+    b, a, ba = m.groupoid.composable_arrays()
+    m.groupoid.require_composites(b, a, ba)
+    (fn, fl), (nn, nl), (gn, gl) = (_numerators(vs) for vs in (fv, nu, gv))
+    fn, nn, gn = (np.array(x, dtype=object) for x in (fn, nn, gn))
+    pairs = np.flatnonzero(fn.astype(bool)[b])  # a zero f(β) adds no term
+    b, a, ba = b[pairs], a[pairs], ba[pairs]
+    sums = np.zeros(m.groupoid.n_morphisms, dtype=object)
+    np.add.at(sums, ba, (fn * nn)[b] * gn[a])
+    ff, fnu, fg = (np.array([type(v) is Fraction for v in vs], dtype=bool) for vs in (fv, nu, gv))
+    fraction = np.zeros(len(sums), dtype=bool)
+    fraction[ba[(ff | fnu)[b] | fg[a]]] = True  # the outputs with a Fraction factor in a term
+    denominator = fl * nl * gl
+    return [
+        Fraction(s, denominator) if q else s // denominator
+        for s, q in zip(sums.tolist(), fraction.tolist())
+    ]
 
 
 def involute(f: AlgebraElement, m: GroupoidMeasure) -> AlgebraElement:

@@ -220,7 +220,7 @@ def cmd_symmetroid(args) -> int:
             "mode": f"sampled:{args.samples}" if sampled else "exhaustive",
             "report": f"{violations} violations / {checked} quadruples",
         }
-        if args.seed is not None:
+        if sampled:  # the exhaustive check reads no seed, so it echoes none
             payload["seed"] = args.seed
         _emit(payload, args.json)
         return EXIT_OK if violations == 0 else EXIT_CHECK_FAILED

@@ -60,7 +60,8 @@ class NotHaarError(GroupoidError):
 def _positive(values, what: str):
     vals = tuple(values)
     for i, v in enumerate(vals):
-        if not v > 0:
+        # a Fraction's sign is its numerator's: no Fraction comparison
+        if not (v.numerator > 0 if type(v) is Fraction else v > 0):
             raise ValueError(f"{what} {i} must be strictly positive, got {v!r}")
     return vals
 
@@ -81,7 +82,10 @@ def _ratio(p, q):
 
 
 def _is_exact(*value_lists) -> bool:
-    return all(isinstance(v, Rational) for values in value_lists for v in values)
+    """Whether every value is a ``numbers.Rational``; the package's one
+    exact-type gate, which spares ints and Fractions the ABC check."""
+    flat = (v for values in value_lists for v in values)
+    return all(type(v) in (int, Fraction) or isinstance(v, Rational) for v in flat)
 
 
 def _exact_parts(values) -> tuple[list, list]:

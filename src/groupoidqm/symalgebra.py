@@ -349,14 +349,19 @@ def quotient_function_from_json(data: dict) -> QuotientFunction:
     return QuotientFunction(n, values)
 
 
-def _weighted(f: QuotientFunction, qm: QuotientMeasure | None) -> np.ndarray:
-    """ν(l,r) ν(m,s) f((l,r),(s,m)) at [l, r, s, m]; f itself on a counting base."""
-    t = f.tensor()
+def _base_table(values, t: np.ndarray) -> np.ndarray:
+    """A base table (ν or δ) as an (n, n) array of the kernel tensor t's dtype,
+    so that a complex kernel stays on complex128 arithmetic under the int and
+    Fraction weights of an int-weighted base."""
+    return value_array(values).reshape(t.shape[:2]).astype(t.dtype)
+
+
+def _weighted(t: np.ndarray, qm: QuotientMeasure | None) -> np.ndarray:
+    """ν(l,r) ν(m,s) t[l, r, s, m] for the tensor view t of a kernel; t itself
+    on a counting base."""
     if qm is None:
         return t
-    # ν takes the kernel's dtype, so that a complex kernel stays on complex128
-    # arithmetic under the int and Fraction weights of an int-weighted base
-    nu = value_array(qm.base.nu_targets).reshape(f.n, f.n).astype(t.dtype)
+    nu = _base_table(qm.base.nu_targets, t)
     return contract("lrsm,lr,ms->lrsm", t, nu, nu)
 
 
@@ -366,11 +371,19 @@ def convolve_S(
     """(f ⋆_S g)((l,j),(k,m)) = Σ_{r,s} ν(l,r) ν(m,s) f((l,r),(s,m)) g((r,j),(k,s)).
 
     With a counting base the fiber weights are 1 and this is multiplication in
-    M_n ⊗ M_n under the matrix-unit identification.
+    M_n ⊗ M_n under the matrix-unit identification.  On two exact kernels the
+    weights are operands of one ``contract``, so the exact arithmetic is done
+    once; a complex kernel is weighted first and then contracted, which keeps
+    its rounding.
     """
     if g.n != f.n:
         raise GroupoidError("quotient functions live over different bases")
-    out = contract("lrsm,rjks->ljkm", _weighted(f, qm), g.tensor())
+    t, u = f.tensor(), g.tensor()
+    if qm is not None and t.dtype == u.dtype == object:
+        nu = _base_table(qm.base.nu_targets, t)
+        out = contract("lrsm,lr,ms,rjks->ljkm", t, nu, nu, u)
+    else:
+        out = contract("lrsm,rjks->ljkm", _weighted(t, qm), u)
     return QuotientFunction.from_tensor(out)
 
 
@@ -380,7 +393,7 @@ def involute_S(f: QuotientFunction, qm: QuotientMeasure | None = None) -> Quotie
     base this is the antilinear modular involution conj(f(Γ⁻¹))."""
     t = np.conj(f.tensor().transpose(1, 0, 3, 2))
     if qm is not None:
-        dl = value_array(qm.base.deltas).reshape(f.n, f.n).astype(t.dtype)  # as ν in _weighted
+        dl = _base_table(qm.base.deltas, t)
         t = t * (dl.T[:, :, None, None] * dl)
     return QuotientFunction.from_tensor(t)
 
@@ -393,7 +406,7 @@ def rep_operator(f: QuotientFunction, qm: QuotientMeasure | None = None) -> np.n
     """
     n = f.n
     mat = np.zeros((n,) * 8, dtype=np.complex128)
-    w = _weighted(f, qm).astype(np.complex128)
+    w = _weighted(f.tensor(), qm).astype(np.complex128)
     np.einsum("ljkmrjks->lrsmjk", mat)[...] = w[..., None, None]
     return mat.reshape(n**4, n**4)
 

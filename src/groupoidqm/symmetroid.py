@@ -341,18 +341,17 @@ class Bisection:
         return hash((self.n, self.t1_map))
 
     def is_flat(self) -> bool:
-        """Exact multiplicativity b(β'∘β) = b(β') ∘_H b(β) on all composable pairs."""
+        """Exact multiplicativity b(β'∘β) = b(β') ∘_H b(β) on all composable pairs.
+
+        With (Z, W)[y, x] the 2-target of the entry at β = (y, x), the pair
+        ((z', y'), (y', x')) composes horizontally iff W[z', y'] = Z[y', x'].
+        That for all (z', y', x') makes Z[y, x] = W[z, y] = a(y) for one map a,
+        so the composite's 2-target (Z[z', y'], W[y', x']) = (a(z'), a(x')) is
+        the entry at (z', x') already: flatness is this one array check.
+        """
         n = self.n
-        for zz in range(n):
-            for yy in range(n):
-                for xx in range(n):
-                    left = self.entry_for_s1(zz * n + yy)
-                    right = self.entry_for_s1(yy * n + xx)
-                    if not q_horizontally_composable(left, right):
-                        return False
-                    if q_horizontal_compose(left, right) != self.entry_for_s1(zz * n + xx):
-                        return False
-        return True
+        Z, W = np.divmod(np.array(self.t1_map, dtype=np.intp).reshape(n, n), n)
+        return bool(np.all(W[:, :, None] == Z[None, :, :]))
 
 
 def identity_bisection(n: int) -> Bisection:

@@ -123,6 +123,15 @@ def test_symmetroid_check_exchange_requires_seed(capsys):
     assert code == 2
 
 
+def test_symmetroid_check_exchange_echoes_a_seed_only_when_it_samples(capsys):
+    code, data, _ = run_json(capsys, "symmetroid", "check-exchange", "--n", "2", "--seed", "4")
+    assert code == 0
+    assert data == {"n": 2, "mode": "exhaustive", "report": "0 violations / 512 quadruples"}
+    code, data, _ = run_json(capsys, "symmetroid", "check-exchange", "--n", "6", "--seed", "7")
+    assert code == 0
+    assert data["seed"] == 7
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_symmetroid_check_exchange_exhaustive_through_the_bound(capsys, n):
     code, data, _ = run_json(capsys, "symmetroid", "check-exchange", "--n", str(n))

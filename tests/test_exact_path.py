@@ -7,6 +7,8 @@ arrays; the reports must agree check for check and violation for violation.
 """
 
 from fractions import Fraction
+from numbers import Rational
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +42,8 @@ from groupoidqm import (
     verify_right_invariance,
     weighted_pair_measure,
 )
-from groupoidqm.algebra import value_array
+from groupoidqm.algebra import contract, value_array
+from groupoidqm.measure import _is_exact
 from groupoidqm.reports import ViolationReport
 from groupoidqm.symalgebra import SymmetroidMeasure
 
@@ -539,3 +542,69 @@ def test_complex_contractions_unchanged():
     for qm in (None, QuotientMeasure(GroupoidMeasure.counting(g)), weighted):
         out = convolve_S(QuotientFunction(n, f), QuotientFunction(n, h), qm).values
         _same(out, einsum_convolve_S(f, h, qm, n))
+
+
+# -- the exact-type gate and the Fraction-free kernels --
+
+
+class _Half(Fraction):
+    """A Fraction subclass: Rational, but not a Fraction by type."""
+
+
+@pytest.mark.parametrize(
+    "v,exact",
+    [
+        (3, True),
+        (Fraction(1, 3), True),
+        (np.int64(3), True),
+        (True, True),
+        (_Half(1, 2), True),
+        (0.5, False),
+        (np.float64(0.5), False),
+        (1j, False),
+    ],
+    ids=repr,
+)
+def test_exact_gate_classifies_values_as_the_abc_does(v, exact):
+    """``_is_exact`` tests the type before the ABC; the three gates on it keep
+    the ``isinstance(v, Rational)`` rule."""
+    assert isinstance(v, Rational) is exact
+    assert _is_exact([v], [1]) is exact
+    assert value_array([v, 1]).dtype == (object if exact else np.complex128)
+    half = np.array([Fraction(1, 2)], dtype=object)
+    out = contract("i,i->i", np.array([v], dtype=object), half)
+    assert (type(out[0]) is Fraction) is exact
+
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__truediv__")
+
+
+def fraction_operator_calls(op) -> int:
+    """The number of Fraction arithmetic operator calls that op() makes."""
+    calls = []
+
+    def counted(name):
+        original = getattr(Fraction, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    with mock.patch.multiple(Fraction, **{name: counted(name) for name in FRACTION_OPERATORS}):
+        op()
+    return len(calls)
+
+
+def test_exact_kernels_make_no_fraction_arithmetic():
+    assert fraction_operator_calls(lambda: 1 + Fraction(1, 2) * 3) == 2  # the counters count
+    rng = np.random.default_rng(15)
+    g = pair_groupoid(4)
+    m = weighted_pair_measure(g, (Fraction(1, 2), 1, Fraction(3), Fraction(2, 5)))
+    f, h = (AlgebraElement(g, _fractions(rng, 16)) for _ in range(2))
+    assert fraction_operator_calls(lambda: convolve(f, h, m)) == 0
+    g3 = pair_groupoid(3)
+    qm = QuotientMeasure(weighted_pair_measure(g3, (Fraction(1, 3), 2, Fraction(5, 2))))
+    k, k2 = (QuotientFunction(3, _fractions(rng, 81)) for _ in range(2))
+    assert fraction_operator_calls(lambda: convolve_S(k, k2, qm)) == 0

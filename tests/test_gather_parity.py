@@ -149,8 +149,9 @@ def measures(g):
 
 
 def value_lists(g, seed):
-    """int, Fraction, float, complex and mixed exact/complex values, with a zero
-    of the list's own type at every third place from the second."""
+    """int, Fraction, float, complex, numpy-integer and mixed exact/complex
+    values, with a zero of the list's own type at every third place from the
+    second."""
     rng = np.random.default_rng(seed + g.n_morphisms)
     m = g.n_morphisms
     lists = {
@@ -158,6 +159,7 @@ def value_lists(g, seed):
         "fraction": [Fraction(int(p), int(q)) for p, q in rng.integers(1, 5, size=(m, 2))],
         "float": [float(v) for v in rng.normal(size=m)],
         "complex": [complex(v) for v in rng.normal(size=m) + 1j * rng.normal(size=m)],
+        "numpy-int": list(rng.integers(-3, 4, size=m)),  # Rational, but neither int nor Fraction
     }
     for values in lists.values():
         for i in range(1, m, 3):

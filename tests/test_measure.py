@@ -137,6 +137,24 @@ def test_measure_rejects_nonpositive_weights():
         GroupoidMeasure(g, [1, 1, 1, 1], object_weights=[1, -2])
 
 
+@pytest.mark.parametrize(
+    "bad", [Fraction(0), Fraction(-1, 3), 0, -2, 0.0, -0.5, float("nan")], ids=repr
+)
+def test_nonpositive_weights_raise_one_message(bad):
+    """A Fraction's sign is read from its numerator; the errors are those of v > 0."""
+    g = pair_groupoid(2)
+    for kwargs, want in (
+        ({"weights": [1, 1, bad, 1]}, f"morphism weight 2 must be strictly positive, got {bad!r}"),
+        (
+            {"weights": [1] * 4, "object_weights": [Fraction(1, 2), bad]},
+            f"object weight 1 must be strictly positive, got {bad!r}",
+        ),
+    ):
+        with pytest.raises(ValueError) as err:
+            GroupoidMeasure(g, **kwargs)
+        assert str(err.value) == want
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(2, 4),

@@ -317,6 +317,59 @@ class TestExchangeIdentity:
             exchange_identity_report(2)
 
 
+def loop_is_flat(b: Bisection) -> bool:
+    """The per-triple loop ``Bisection.is_flat`` replaced: the oracle."""
+    n = b.n
+    for zz in range(n):
+        for yy in range(n):
+            for xx in range(n):
+                left = b.entry_for_s1(zz * n + yy)
+                right = b.entry_for_s1(yy * n + xx)
+                if not q_horizontally_composable(left, right):
+                    return False
+                if q_horizontal_compose(left, right) != b.entry_for_s1(zz * n + xx):
+                    return False
+    return True
+
+
+def seeded_bisections(n: int, count: int, seed: int) -> list[Bisection]:
+    """Bijections of the n² transitions: every other one a flat bisection with
+    two entries swapped, the rest uniform, so that few of either kind is flat
+    but the near misses break one rule at a time."""
+    rng = np.random.default_rng(seed)
+    flats = [list(b.bisection.t1_map) for b in flat_bisections(n)]
+    out = []
+    for k in range(count):
+        if k % 2:
+            out.append(Bisection(n, rng.permutation(n * n).tolist()))
+            continue
+        tau = list(flats[rng.integers(len(flats))])
+        i, j = rng.choice(n * n, size=2, replace=k % 4 == 0)  # i == j keeps it flat
+        tau[i], tau[j] = tau[j], tau[i]
+        out.append(Bisection(n, tau))
+    return out
+
+
+class TestFlatnessCheck:
+    def test_all_bijections_n2_match_the_loop(self):
+        verdicts = [(b.is_flat(), loop_is_flat(b)) for b in all_bisections(2)]
+        assert len(verdicts) == 24
+        assert all(new == ref for new, ref in verdicts)
+        assert {new for new, _ in verdicts} == {True, False}
+
+    def test_seeded_bijections_n3_match_the_loop(self):
+        bs = seeded_bisections(3, 200, seed=15)
+        verdicts = [b.is_flat() for b in bs]
+        assert verdicts == [loop_is_flat(b) for b in bs]
+        assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_flat_bisections_unchanged(self, n):
+        bs = flat_bisections(n)
+        assert [b.perm for b in bs] == list(permutations(range(n)))
+        assert all(loop_is_flat(b.bisection) for b in bs)
+
+
 class TestBisections:
     def test_flat_bisections_are_the_permutations(self):
         for n in (2, 3):
