@@ -14,16 +14,16 @@ matrix algebra.
 The operations are gathers over ``FiniteGroupoid.composable_arrays()``.  Values
 may be ints, Fractions, floats or complex; when every value and weight is exact
 the arithmetic is exact, and otherwise on complex128.  Exact arithmetic runs on
-Python ints: each operand is read once as integer numerators over the lcm of
-its denominators, and each output is one Fraction over the product of those
-lcms (``contract`` and ``convolve``), with no Fraction operator call.
+Python ints: each operand is read once by ``measure._parts`` and put over the
+lcm of its denominators by ``measure._over_lcm``, and each output is one
+Fraction over the product of those lcms (``contract`` and ``convolve``), with
+no Fraction operator call.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,7 +32,7 @@ import numpy as np
 
 from .eigen import hermitian_defect, hermitian_eigh
 from .groupoid import FiniteGroupoid, GroupoidError
-from .measure import GroupoidMeasure, _is_exact
+from .measure import GroupoidMeasure, _is_exact, _over_lcm, _parts
 
 PSD_TOL = 1e-10
 
@@ -163,13 +163,6 @@ def _value_arrays(*value_lists) -> list[np.ndarray]:
     return np.split(joined, np.cumsum([len(vs) for vs in value_lists[:-1]]))
 
 
-def _numerators(values) -> tuple[list[int], int]:
-    """Rational values as integer numerators over the lcm of their denominators."""
-    denominators = [int(v.denominator) for v in values]
-    lcm = math.lcm(*denominators)
-    return [int(v.numerator) * (lcm // d) for v, d in zip(values, denominators)], lcm
-
-
 def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     """``np.einsum(subscripts, *operands)``, with one Fraction per output on
     exact inputs.
@@ -188,8 +181,8 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
         return np.einsum(subscripts, *operands)
     numerators, denominator = [], 1
     for op, vs in zip(operands, flat):
-        scaled, lcm = _numerators(vs)
-        numerators.append(np.array(scaled, dtype=object).reshape(op.shape))
+        scaled, lcm = _over_lcm(*_parts(vs))
+        numerators.append(scaled.reshape(op.shape))
         denominator *= lcm
     out = np.einsum(subscripts, *numerators)
     exact = [Fraction(v, denominator) for v in out.ravel().tolist()]
@@ -242,8 +235,7 @@ def _convolve_numerators(m: GroupoidMeasure, fv, nu, gv) -> list:
     _require_one_value_per_morphism(m, fv, gv)
     b, a, ba = m.groupoid.composable_arrays()
     m.groupoid.require_composites(b, a, ba)
-    (fn, fl), (nn, nl), (gn, gl) = (_numerators(vs) for vs in (fv, nu, gv))
-    fn, nn, gn = (np.array(x, dtype=object) for x in (fn, nn, gn))
+    (fn, fl), (nn, nl), (gn, gl) = (_over_lcm(*_parts(vs)) for vs in (fv, nu, gv))
     pairs = np.flatnonzero(fn.astype(bool)[b])  # a zero f(β) adds no term
     b, a, ba = b[pairs], a[pairs], ba[pairs]
     sums = np.zeros(m.groupoid.n_morphisms, dtype=object)

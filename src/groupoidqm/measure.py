@@ -9,22 +9,25 @@ are
 
 and the modular function is δ(α) = μ(α) / μ(α⁻¹), each built once into a
 tuple indexed by morphism that every consumer reads.  With Fraction weights
-the numerators and denominators are read once and each entry is one
-Fraction(p·q', p'·q), with no Fraction operator call; int weights keep the
-rule that a quotient is an int where it divides and a Fraction otherwise,
-and float weights divide as floats.  A measure is a Haar measure when the
-family ν^x is invariant under left translations; the verifiers below check
-that and the companion identities exhaustively.
+each entry is one Fraction(p·q', p'·q), with no Fraction operator call; int
+weights keep the rule that a quotient is an int where it divides and a
+Fraction otherwise, and float weights divide as floats.  A measure is a Haar
+measure when the family ν^x is invariant under left translations; the
+verifiers below check that and the companion identities exhaustively.
 
 The verifiers are gathers: every check reads its two sides through index
 arrays (the composable pairs of ``FiniteGroupoid.composable_arrays`` for the
 translation and homomorphism checks).  On ints and Fractions equality is
-decided first, exactly, by cross-multiplying numerators and denominators, and
-the defect ``abs(lhs - rhs)`` is computed only where the two sides differ; on
-floats and complex values every check computes its defect in Python.  The
-sum checks (``verify_disintegration`` and the function sums of
-``symalgebra.verify_modular_formula``) decide an exact sum the same way: each
-side is one integer numerator over the lcm of its terms' denominators.  A
+decided first, exactly, and the defect ``abs(lhs - rhs)`` is computed only
+where the two sides differ; on floats and complex values every check
+computes its defect in Python.  Exact values have one integer format:
+``_parts`` is the one reader of numerators and denominators, which it gives
+as object arrays of Python ints.  An equality check cross-multiplies them
+entry by entry.  A sum check (``verify_disintegration`` and the function sums
+of ``symalgebra.verify_modular_formula``), like a contraction in ``algebra``,
+puts each side over the lcm of its denominators (``_over_lcm``) and compares
+the two.  Equalities are not put over one lcm: with denominators as far
+apart as Δ₂'s on S(G), the scaled numerators grow into multi-digit ints.  A
 violation is a defect above the tolerance.
 
 Object weights are user-supplied, defaulting to all ones (the convention under
@@ -41,7 +44,6 @@ import json
 import math
 import operator
 from fractions import Fraction
-from itertools import repeat
 from numbers import Rational
 from typing import Callable, Sequence
 
@@ -88,30 +90,34 @@ def _is_exact(*value_lists) -> bool:
     return all(type(v) in (int, Fraction) or isinstance(v, Rational) for v in flat)
 
 
-def _exact_parts(values) -> tuple[list, list]:
-    """The numerators and denominators of rational values, as Python ints."""
-    return [int(v.numerator) for v in values], [int(v.denominator) for v in values]
+def _parts(values) -> tuple[np.ndarray, np.ndarray]:
+    """The integer numerators and denominators of rational values, as object
+    arrays of Python ints: the one reader of the exact format."""
+    return (
+        np.array([int(v.numerator) for v in values], dtype=object),
+        np.array([int(v.denominator) for v in values], dtype=object),
+    )
+
+
+def _over_lcm(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, int]:
+    """The fractions num / den as integer numerators over the lcm of den."""
+    lcm = math.lcm(*den.tolist())
+    return num * (lcm // den), lcm
 
 
 def _gather(values, index) -> list:
     return list(map(values.__getitem__, index))
 
 
-def _times(first: list, *rest: list) -> list:
-    """The elementwise product of equal-length lists."""
-    for factor in rest:
-        first = list(map(operator.mul, first, factor))
-    return first
-
-
 def _products(values, i, j) -> list:
     """values[i[k]] * values[j[k]] for each k; on Fractions one
     Fraction(p·p', q·q') per entry, from numerators and denominators read once."""
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
     if not all(isinstance(v, Fraction) for v in values):
-        return _times(_gather(values, i), _gather(values, j))
-    num, den = _exact_parts(values)
-    num, den = _times(_gather(num, i), _gather(num, j)), _times(_gather(den, i), _gather(den, j))
-    return list(map(Fraction, num, den))
+        v = np.array(values, dtype=object)
+        return (v[i] * v[j]).tolist()
+    num, den = _parts(values)
+    return list(map(Fraction, (num[i] * num[j]).tolist(), (den[i] * den[j]).tolist()))
 
 
 class GroupoidMeasure:
@@ -148,13 +154,12 @@ class GroupoidMeasure:
         w, ow = self.weights, self.object_weights
         g = groupoid
         if all(isinstance(v, Fraction) for v in w + ow):
-            (wn, wd), (on, od) = _exact_parts(w), _exact_parts(ow)
-
-            def ratios(qn, qd, index):  # w[k] / q[index[k]], one Fraction per entry
-                qn, qd = _gather(qn, index), _gather(qd, index)
-                return tuple(map(Fraction, _times(wn, qd), _times(wd, qn)))
-
-            tables = ratios(on, od, g.target), ratios(on, od, g.source), ratios(wn, wd, g.inverse)
+            (wn, wd), (on, od) = _parts(w), _parts(ow)
+            t, s, inv = (np.asarray(i, dtype=np.intp) for i in (g.target, g.source, g.inverse))
+            by = ((on, od, t), (on, od, s), (wn, wd, inv))  # w[k] / q[i[k]], one Fraction each
+            tables = (
+                tuple(map(Fraction, (wn * qd[i]).tolist(), (wd * qn[i]).tolist())) for qn, qd, i in by
+            )
         else:
             by = ((ow, g.target), (ow, g.source), (w, g.inverse))
             tables = (tuple(map(_ratio, w, _gather(q, index))) for q, index in by)
@@ -313,42 +318,15 @@ def _report_defects(
 
 
 def _exactly_equal(terms, op, distinct: dict) -> np.ndarray:
-    """lhs == rhs per check, on integer numerators and denominators (no gcd);
-    ``distinct`` maps the id of each value list the terms read to that list."""
-    arrays = {
-        key: [np.array(p, dtype=object) for p in _exact_parts(values)]
-        for key, values in distinct.items()
-    }
-    parts = []
-    for values, index in terms:
-        num, den = arrays[id(values)]
-        parts.append((num[index], den[index]))
-    (ln, ld), (xn, xd) = parts[:2]
+    """lhs == rhs per check, cross-multiplied on integer numerators and
+    denominators (no gcd); ``distinct`` maps the id of each value list the
+    terms read to that list."""
+    parts = {key: _parts(values) for key, values in distinct.items()}
+    (ln, ld), (xn, xd), *y = [[p[index] for p in parts[id(values)]] for values, index in terms]
     if op is None:
         return ln * xd == xn * ld
-    yn, yd = parts[2]
-    if op is operator.truediv:
-        yn, yd = yd, yn
+    yn, yd = y[0] if op is operator.mul else y[0][::-1]
     return ln * xd * yd == xn * yn * ld
-
-
-def _exact_terms(factors: list, divisors: list = ()) -> tuple[list, list]:
-    """The terms Π_j factors[j][k] / Π_j divisors[j][k], over lists of ints and
-    Fractions, as lists of integer numerators and denominators (unreduced)."""
-    parts = [_exact_parts(v) for v in factors] + [_exact_parts(v)[::-1] for v in divisors]
-    return _times(*(n for n, _ in parts)), _times(*(d for _, d in parts))
-
-
-def _sums_equal_exactly(lhs: tuple[list, list], rhs: tuple[list, list]) -> bool:
-    """Whether the sums of two :func:`_exact_terms` lists are equal: each sum is
-    one integer numerator over the lcm of its denominators, and the two are
-    cross-multiplied, with no Fraction arithmetic."""
-    sums = []
-    for num, den in (lhs, rhs):
-        common = math.lcm(*den)
-        sums.append((sum(map(operator.mul, num, map(operator.floordiv, repeat(common), den))), common))
-    (ln, ld), (rn, rd) = sums
-    return ln * rd == rn * ld
 
 
 def modular_homomorphism_report(
@@ -459,13 +437,17 @@ def verify_disintegration(
         subsets = [list(g.morphisms())] + [[mid] for mid in g.morphisms()]
     nu, ow, w = m.nu_targets, m.object_weights, m.weights
     exact = tol >= 0 and _is_exact(nu, ow, w)
-    if exact:  # the terms ν^x(a)·μ_Ω(t(a)) and μ(a)
-        terms = _exact_terms([nu, _gather(ow, g.target)]), _exact_terms([w])
+    if exact:  # the terms ν^x(a)·μ_Ω(t(a)) and μ(a), as numerators and denominators
+        (nn, nd), (on, od) = _parts(nu), _parts(ow)
+        t = np.asarray(g.target, dtype=np.intp)
+        terms = (nn * on[t], nd * od[t]), _parts(w)
     for E in subsets:
         rep.checks += 1
         E = list(E)
-        if exact and _sums_equal_exactly(*([_gather(v, E) for v in side] for side in terms)):
-            continue
+        if exact:
+            (ln, ld), (rn, rd) = (_over_lcm(num[E], den[E]) for num, den in terms)
+            if sum(ln.tolist()) * rd == sum(rn.tolist()) * ld:
+                continue
         lhs = sum(nu[a] * ow[g.target[a]] for a in E)
         rhs = sum(w[a] for a in E)
         defect = abs(lhs - rhs)

@@ -58,12 +58,12 @@ from .measure import (
     DEFAULT_TOL,
     GroupoidMeasure,
     NotHaarError,
-    _exact_terms,
     _gather,
     _is_exact,
+    _over_lcm,
+    _parts,
     _products,
     _report_defects,
-    _sums_equal_exactly,
     modular,
     modular_homomorphism_report,
     verify_left_invariance,
@@ -89,13 +89,14 @@ class NotPullbackError(GroupoidError):
 class SymmetroidMeasure:
     """μ₂, ν₂ and Δ₂ on S(G).  ``measure`` is the GroupoidMeasure on the vertical
     groupoid with atoms μ₂ and object weights μ_Ω(t(β))·μ_Ω(s(β)), so its fiber
-    weights are ν₂; ``weights`` (μ₂) and ``modular`` (Δ₂) are keyed by Γ.
+    weights are ν₂ and its modular ratios ``measure.deltas`` are Δ₂, equal to
+    δ(α)·δ(γ); ``weights`` and ``modular`` key them by Γ.
 
-    μ₂, its object weights and Δ₂ are products gathered over the α and γ of
-    every transformation; on a Fraction base each is one Fraction built from
-    the products of the base's numerators and of its denominators."""
+    μ₂ and its object weights are products gathered over the α and γ of every
+    transformation; on a Fraction base each is one Fraction built from the
+    products of the base's numerators and of its denominators."""
 
-    __slots__ = ("symmetroid", "base", "measure", "weights", "modular")
+    __slots__ = ("symmetroid", "base", "measure")
 
     def __init__(self, symmetroid: Symmetroid, base: GroupoidMeasure):
         self.symmetroid = symmetroid
@@ -107,17 +108,25 @@ class SymmetroidMeasure:
             _products(base.weights, alpha, gamma),
             _products(base.object_weights, g.target, g.source),
         )
-        self.weights = dict(zip(ts, self.measure.weights))
-        self.modular = dict(zip(ts, _products(base.deltas, alpha, gamma)))
+
+    @property
+    def weights(self) -> dict:
+        """μ₂ keyed by Γ, read from ``measure.weights``."""
+        return dict(zip(self.symmetroid.transformations, self.measure.weights))
+
+    @property
+    def modular(self) -> dict:
+        """Δ₂ keyed by Γ, read from ``measure.deltas``."""
+        return dict(zip(self.symmetroid.transformations, self.measure.deltas))
 
     def mu2(self, t: Transformation):
-        return self.weights[t]
+        return self.measure.weights[self.symmetroid.index[t]]
 
     def nu2(self, t: Transformation):
         return self.measure.nu_target(self.symmetroid.index[t])
 
     def delta2(self, t: Transformation):
-        return self.modular[t]
+        return self.measure.delta(self.symmetroid.index[t])
 
 
 def induce_measure(sym: Symmetroid, m: GroupoidMeasure, tol: float = DEFAULT_TOL) -> SymmetroidMeasure:
@@ -151,9 +160,8 @@ def verify_modular_formula(
     their two sums are compared on integer numerators, and the defect is
     computed only where they differ.
     """
-    sym = m2.symmetroid
-    w, ts = m2.measure.weights, sym.transformations
-    delta = [m2.modular[t] for t in ts]
+    sym, ts = m2.symmetroid, m2.symmetroid.transformations
+    w, delta = m2.measure.weights, m2.measure.deltas
     idx = np.arange(len(ts))
     inverse = np.asarray(sym.vertical.inverse, dtype=np.intp)
     quotient = ((w, idx), operator.truediv, (delta, idx))
@@ -162,16 +170,19 @@ def verify_modular_formula(
         return (ts[i],), f"μ₂(Γ⁻¹) != μ₂(Γ)/Δ₂(Γ) at Γ={ts[i]}"
 
     rep = _report_defects("modular-atom", tol, (w, inverse), quotient, describe)
+    exact = bool(functions) and tol >= 0 and _is_exact(w, delta)
+    if exact:
+        (wn, wd), (dn, dd) = _parts(w), _parts(delta)
     for i, f in enumerate(functions or []):
         rep.checks += 1
         values = [f.get(t, 0) for t in ts]
-        flipped = _gather(values, sym.vertical.inverse)
-        if tol >= 0 and _is_exact(w, values, delta) and _sums_equal_exactly(
-            _exact_terms([w, flipped]),
-            _exact_terms([w, values], [delta]),
-        ):
-            continue
-        lhs = sum(map(operator.mul, w, flipped))
+        if exact and _is_exact(values):  # the terms μ₂ f(Γ⁻¹) and μ₂ Δ₂⁻¹ f
+            vn, vd = _parts(values)
+            sides = (wn * vn[inverse], wd * vd[inverse]), (wn * vn * dd, wd * vd * dn)
+            (ln, ld), (rn, rd) = (_over_lcm(*side) for side in sides)
+            if sum(ln.tolist()) * rd == sum(rn.tolist()) * ld:
+                continue
+        lhs = sum(map(operator.mul, w, _gather(values, inverse)))
         rhs = sum(mu * v / d for mu, v, d in zip(w, values, delta))
         defect = abs(lhs - rhs)
         if defect > tol:
@@ -181,8 +192,7 @@ def verify_modular_formula(
 
 def verify_modular_homomorphism(m2: SymmetroidMeasure, tol: float = DEFAULT_TOL) -> ViolationReport:
     """Δ₂(Γ₂ ∘_V Γ₁) == Δ₂(Γ₂)·Δ₂(Γ₁) over all vertically composable pairs."""
-    values = [m2.modular[t] for t in m2.symmetroid.transformations]
-    return modular_homomorphism_report(m2.symmetroid.vertical, values, tol)
+    return modular_homomorphism_report(m2.symmetroid.vertical, m2.measure.deltas, tol)
 
 
 # -- functions on a general symmetroid --

@@ -34,11 +34,15 @@ from groupoidqm import (
     involute_S,
     is_pair_groupoid,
     left_regular_matrix,
+    modular,
     modular_homomorphism_report,
     pair_groupoid,
+    verify_disintegration,
+    verify_induced_equivariance,
     verify_inverse_relation,
     verify_left_invariance,
     verify_modular_formula,
+    verify_modular_homomorphism,
     verify_right_invariance,
     weighted_pair_measure,
 )
@@ -141,11 +145,13 @@ def assert_same_report(new, ref):
 
 
 def cyclic_group_groupoid(k):
+    """Z/k as a one-object groupoid: morphisms 0..k-1, addition mod k."""
     compose = {(b, a): (b + a) % k for b in range(k) for a in range(k)}
     return FiniteGroupoid(1, [0] * k, [0] * k, compose, [(-a) % k for a in range(k)], [0])
 
 
 def two_component_groupoid():
+    """A 2-point pair groupoid (morphisms 0..3) and a unit at object 2 (morphism 4)."""
     p = pair_groupoid(2)
     compose = dict(p.compose_table)
     compose[(4, 4)] = 4
@@ -304,7 +310,7 @@ def test_symmetroid_checks_match_loops(n):
                 verify_left_invariance(v, m2.measure, tol),
                 loop_left_invariance(v, m2.measure, tol),
             )
-            values = [m2.modular[t] for t in sym.transformations]
+            values = list(m2.modular.values())
             assert_same_report(
                 modular_homomorphism_report(v, values, tol),
                 loop_modular_homomorphism_report(v, values, tol),
@@ -312,8 +318,10 @@ def test_symmetroid_checks_match_loops(n):
     # Δ₂ altered by less and by more than the tolerance: one atom passes, one fails
     m2 = SymmetroidMeasure(sym, bases["haar-fraction"])
     ts = sym.transformations
-    m2.modular[ts[1]] += Fraction(1, 10**14)
-    m2.modular[ts[2]] += Fraction(1, 10**6)
+    deltas = list(m2.measure.deltas)
+    deltas[1] += Fraction(1, 10**14)
+    deltas[2] += Fraction(1, 10**6)
+    m2.measure.deltas = tuple(deltas)
     rep = verify_modular_formula(m2)
     assert [v.where for v in rep.violations] == [(ts[2],)]
     assert_same_report(rep, loop_modular_atoms(m2))
@@ -604,6 +612,23 @@ def test_exact_kernels_make_no_fraction_arithmetic():
     m = weighted_pair_measure(g, (Fraction(1, 2), 1, Fraction(3), Fraction(2, 5)))
     f, h = (AlgebraElement(g, _fractions(rng, 16)) for _ in range(2))
     assert fraction_operator_calls(lambda: convolve(f, h, m)) == 0
+    # the measure tables and every exact check, on the same Fraction measure
+    sym = Symmetroid(g)
+    m2 = induce_measure(sym, m)
+    fs = [dict(zip(sym.transformations, _fractions(rng, len(sym)))) for _ in range(2)]
+    checks = {
+        "GroupoidMeasure": lambda: GroupoidMeasure(g, m.weights, m.object_weights),
+        "induce_measure": lambda: induce_measure(sym, m),
+        "verify_disintegration": lambda: verify_disintegration(g, m),
+        "verify_left_invariance": lambda: verify_left_invariance(g, m),
+        "verify_inverse_relation": lambda: verify_inverse_relation(g, m),
+        "modular": lambda: modular(g, m),
+        "verify_modular_formula": lambda: verify_modular_formula(m2, fs),
+        "verify_modular_homomorphism": lambda: verify_modular_homomorphism(m2),
+        "verify_induced_equivariance": lambda: verify_induced_equivariance(m2),
+    }
+    assert all(type(v) is Fraction for v in m.weights + m.object_weights)
+    assert {name: fraction_operator_calls(op) for name, op in checks.items()} == dict.fromkeys(checks, 0)
     g3 = pair_groupoid(3)
     qm = QuotientMeasure(weighted_pair_measure(g3, (Fraction(1, 3), 2, Fraction(5, 2))))
     k, k2 = (QuotientFunction(3, _fractions(rng, 81)) for _ in range(2))

@@ -2,11 +2,13 @@
 they replaced.
 
 ``GroupoidMeasure`` builds ν^x, ν_x and δ of Fraction weights from integer
-numerators and denominators, and ``SymmetroidMeasure`` builds μ₂, its object
-weights and Δ₂ as gathered products.  ``verify_disintegration`` and the sum
+numerators and denominators, and ``SymmetroidMeasure`` builds μ₂ and its
+object weights as gathered products.  ``verify_disintegration`` and the sum
 checks of ``verify_modular_formula`` decide exact sums on integer numerators.
 Every table must match the old formula in value and in type, and every report
-the old loop check for check and violation for violation.
+the old loop check for check and violation for violation.  Δ₂ is the vertical
+measure's ``deltas``, which equals the old product δ(α)·δ(γ) in value on
+exact bases and within 2 ulp on float ones.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from test_exact_path import assert_same_report, cyclic_group_groupoid, loop_modular_atoms
-from test_gather_parity import ratio
+from test_gather_parity import assert_delta2_is_the_product, ratio
 
 from groupoidqm import (
     GroupoidMeasure,
@@ -146,7 +148,8 @@ def test_symmetroid_measure_matches_per_transformation_products(gname, bname):
         assert_same_values(got, ref)
     assert list(m2.weights) == sym.transformations == list(m2.modular)
     assert_same_values(m2.weights.values(), want[0])
-    assert_same_values(m2.modular.values(), modular.values())
+    assert_same_values(m2.modular.values(), v.deltas)
+    assert_delta2_is_the_product(v.deltas, modular.values())
     assert type(m2.modular) is dict
 
 
@@ -229,12 +232,13 @@ def test_modular_sum_violations_match_loop(bname):
     m2 = SymmetroidMeasure(sym, GroupoidMeasure(g, *bases(g)[bname]))
     ts = sym.transformations
     small = Fraction(1, 10**20) if bname != "float" else 1e-15
-    m2.modular[ts[3]] += small
-    m2.modular[ts[5]] *= 3
+    deltas, weights = list(m2.measure.deltas), list(m2.measure.weights)
+    deltas[3] += small
+    deltas[5] *= 3
     # μ₂ at the inverse of t: the sum over t⁻¹ moves, the sum over t does not
     t = next(t for t in ts[6:] if sym.vertical_inverse(t) != t)
-    m2.weights[sym.vertical_inverse(t)] *= 2
-    m2.measure.weights = tuple(m2.weights.values())
+    weights[sym.index[sym.vertical_inverse(t)]] *= 2
+    m2.measure.deltas, m2.measure.weights = tuple(deltas), tuple(weights)
     fs = functions(sym, 1) + [{ts[3]: 1}, {ts[5]: Fraction(1, 2)}, {t: 1}, {ts[6]: 0}]
     for tol in (0, 1e-12):
         got = verify_modular_formula(m2, fs, tol)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_exact_path import cyclic_group_groupoid, two_component_groupoid
 
 from groupoidqm import (
     AlgebraElement,
-    FiniteGroupoid,
     GroupoidMeasure,
     NotComposableError,
     NotHaarError,
@@ -33,29 +33,6 @@ from groupoidqm import (
     verify_modular_formula,
     verify_modular_homomorphism,
 )
-
-
-def cyclic_group_groupoid(k: int) -> FiniteGroupoid:
-    """Z/k as a one-object groupoid: morphisms 0..k-1, addition mod k."""
-    compose = {(b, a): (b + a) % k for b in range(k) for a in range(k)}
-    inverse = [(-a) % k for a in range(k)]
-    return FiniteGroupoid(1, [0] * k, [0] * k, compose, inverse, [0])
-
-
-def two_component_groupoid() -> FiniteGroupoid:
-    """Disjoint union of a 2-point pair groupoid and a single unit."""
-    # morphisms 0..3: pair groupoid on {0, 1}; morphism 4: unit at object 2
-    p = pair_groupoid(2)
-    compose = dict(p.compose_table)
-    compose[(4, 4)] = 4
-    return FiniteGroupoid(
-        3,
-        list(p.source) + [2],
-        list(p.target) + [2],
-        compose,
-        list(p.inverse) + [4],
-        list(p.unit_of) + [4],
-    )
 
 
 class TestGroupGroupoid:

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, only
 ``eigen.py`` reaches ``numpy.linalg``, ``Symmetroid.__init__`` makes no
 per-entry ``compose``, ``inv`` or ``unit`` call, ``exchange_identity_report``
-has no loop, and ``QuotientMeasure`` defines no method but ``__init__``.
+has no loop, ``QuotientMeasure`` defines no method but ``__init__``, and
+only ``measure._parts`` reads numerators and denominators.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
 re-exports.
@@ -104,3 +105,16 @@ def test_quotient_measure_is_a_view_of_its_base():
     # own would define the S(G) algebra a second time
     assert list(methods("symalgebra.py", "QuotientMeasure")) == ["__init__"]
     assert groupoidqm.QuotientMeasure.__slots__ == ("base",)
+
+
+def test_one_reader_of_the_exact_format():
+    # measure._parts is the one place that reads numerators and denominators;
+    # _positive's sign test is the one exception, so that a second integer
+    # format cannot grow beside it
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+                    readers.add((path.name, getattr(top, "name", None)))
+    assert readers == {("measure.py", "_parts"), ("measure.py", "_positive")}
