@@ -342,47 +342,36 @@ def is_positive_type(phi: AlgebraElement, tol: float = PSD_TOL) -> PositiveTypeR
 def positive_type_verdicts(
     phis: Sequence[AlgebraElement], tol: float = PSD_TOL
 ) -> list[PositiveTypeResult]:
-    """``is_positive_type`` of each function, with one solve per block order.
+    """``is_positive_type`` of each function, with one solve per distinct gather.
 
-    Every source-fiber block of every function is gathered first, and the
-    blocks that need a solve (Hermitian within tol and finite) are solved in
-    one stacked ``hermitian_eigh`` call per block order.  Each verdict is then
-    a walk over the function's objects in order: a block equal byte for byte
-    to one already walked is skipped, the first failing block decides, and
-    otherwise the first block with the least eigenvalue does.  A non-finite
-    block raises ValueError when, and only when, the walk reaches it.
+    The functions on one groupoid are decided together: each distinct
+    source-fiber gather of that groupoid reads one stack of blocks, one per
+    function, and each stack is decided by ``_stacked_verdicts``.  Each
+    verdict is then a walk over the function's objects in order: the first
+    failing block decides, and otherwise the first block with the least
+    eigenvalue does.  Objects that share a gather share its verdicts; a block
+    equal byte for byte to an earlier one is not skipped, since its equal
+    verdict cannot change the walk's result.  A non-finite block raises
+    ValueError when, and only when, the walk reaches it; a table that lacks
+    a composite that a block reads raises NotComposableError before any
+    block is decided.
     """
     phis = list(phis)
     by_groupoid: dict[int, list[int]] = {}
     for i, phi in enumerate(phis):
         by_groupoid.setdefault(id(phi.groupoid), []).append(i)
-    walks = []
-    for members in by_groupoid.values():
-        G = phis[members[0]].groupoid
-        indices, objects = _fiber_gathers(G)
-        values = np.array([phis[i].values for i in members], dtype=np.complex128)
-        walks.append((G, members, objects, [values[:, idx] for idx in indices]))
-    solves = iter(_stacked_solves([stack for *_, stacks in walks for stack in stacks], tol))
     results: list[PositiveTypeResult] = [None] * len(phis)  # type: ignore[list-item]
-    for G, members, objects, stacks in walks:
-        solves_of = [next(solves) for _ in stacks]
+    for members in by_groupoid.values():
+        indices, objects = _fiber_gathers(phis[members[0]].groupoid)
+        values = np.array([phis[i].values for i in members], dtype=np.complex128)
+        stacks = [values[:, idx] for idx in indices]
+        verdicts = [_stacked_verdicts(stack, tol) for stack in stacks]
         for p, i in enumerate(members):
             worst = PositiveTypeResult(True, float("inf"), 0.0)
-            seen: set[bytes] = set()
-            for x, fiber, u, missing in objects:
-                if missing is not None:
-                    G.require_composites(*missing)
-                block = stacks[u][p]
-                key = block.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                defects, solved, rows, w, v = solves_of[u]
-                verdict = _psd_result(
-                    float(defects[p]),
-                    lambda: (w[rows[p]], v[rows[p]]) if solved[p] else hermitian_eigh(block),
-                    tol,
-                )
+            for x, fiber, u in objects:
+                block, verdict = stacks[u][p], verdicts[u][p]
+                if verdict is None:
+                    verdict = psd_verdict(block, tol)  # not finite: the solver raises
                 if not verdict.ok or verdict.min_eigenvalue < worst.min_eigenvalue:
                     worst = PositiveTypeResult(
                         **vars(verdict), object_index=x, fiber=fiber, block=block
@@ -397,15 +386,12 @@ def positive_type_verdicts(
 def _fiber_gathers(G: FiniteGroupoid):
     """The source-fiber blocks of G as gathers, built once per groupoid (its
     tables are read-only): the distinct index arrays and, per object x with a
-    nonempty source fiber in object order, (x, fiber, u, missing).
-    values[indices[u]] is x's block M[j, k] = phi(α_j ∘ α_k⁻¹), so objects
-    whose blocks read the same morphisms share u; ``missing`` is None, or the
-    arguments of the ``require_composites`` call that rejects x's block in a
-    malformed table."""
-    _, a, ba = G.composable_arrays()
-    inverse, target = (np.asarray(t, dtype=np.intp) for t in (G.inverse, G.target))
-    # the pairs (·, α⁻¹) are contiguous and run over G_{t(α⁻¹)} in fiber order
-    starts = np.searchsorted(a, inverse)
+    nonempty source fiber in object order, (x, fiber, u).  values[indices[u]]
+    is x's block M[j, k] = phi(α_j ∘ α_k⁻¹), read through ``G.composites``,
+    so objects whose blocks read the same morphisms share u.  A table that
+    lacks a composite that some block reads raises NotComposableError here,
+    for the first such object in object order."""
+    inverse = np.asarray(G.inverse, dtype=np.intp)
     indices: list[np.ndarray] = []
     shared: dict[bytes, int] = {}
     objects = []
@@ -414,40 +400,30 @@ def _fiber_gathers(G: FiniteGroupoid):
         if not fiber:
             continue
         js = np.array(fiber, dtype=np.intp)
-        # column j reads a_i∘a_j⁻¹ from the pairs (a_i, a_j⁻¹), in G_x when t(a_j⁻¹) = x
-        read = ba.take(starts[js] + np.arange(len(js))[:, None], mode="clip")
-        idx = np.where(target[inverse[js]] == x, read, -1)  # -1: a malformed inverse
-        missing = (js[:, None], inverse[js], idx) if (idx < 0).any() else None
+        idx = G.composites(js[:, None], inverse[js])
         u = shared.setdefault(idx.tobytes(), len(indices))  # the bytes fix the order too
         if u == len(indices):
             idx.flags.writeable = False
             indices.append(idx)
-        objects.append((x, fiber, u, missing))
+        objects.append((x, fiber, u))
     return tuple(indices), tuple(objects)
 
 
-def _stacked_solves(stacks: list[np.ndarray], tol: float) -> list[tuple]:
-    """Per (F, d, d) stack of blocks: (defects, solved, rows, w, v).  The
-    blocks that are finite and Hermitian within tol are solved with one
-    ``hermitian_eigh`` call per order d; block f of the stack has Hermitian
-    defect defects[f] and, when solved[f], eigenpairs w[rows[f]], v[rows[f]]."""
-    orders: dict[int, list[int]] = {}
-    for k, stack in enumerate(stacks):
-        orders.setdefault(stack.shape[-1], []).append(k)
-    out: list[tuple] = [()] * len(stacks)
-    for ks in orders.values():
-        stack = np.concatenate([stacks[k] for k in ks])
-        with np.errstate(invalid="ignore"):  # inf - inf: a NaN defect, left to the solver
-            defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        solved = np.isfinite(stack).all(axis=(-2, -1)) & ~(defects > tol)
-        w, v = hermitian_eigh(stack[solved]) if solved.any() else (None, None)
-        rows = np.cumsum(solved) - 1
-        start = 0
-        for k in ks:
-            end = start + len(stacks[k])
-            out[k] = (defects[start:end], solved[start:end], rows[start:end], w, v)
-            start = end
-    return out
+def _stacked_verdicts(stack: np.ndarray, tol: float) -> list[PSDResult | None]:
+    """``psd_verdict`` of each block of an (F, d, d) stack, with one
+    ``hermitian_eigh`` call for the blocks that are finite and Hermitian
+    within tol; None for a non-finite block within tol, which only
+    ``psd_verdict`` decides (its solver raises ValueError)."""
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN defect, left to the solver
+        defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    solved = finite & ~(defects > tol)
+    w, v = hermitian_eigh(stack[solved]) if solved.any() else (None, None)
+    rows = np.cumsum(solved) - 1
+    return [
+        _psd_result(d, lambda r=r: (w[r], v[r]), tol) if f or d > tol else None
+        for d, f, r in zip(defects.tolist(), finite.tolist(), rows.tolist())
+    ]
 
 
 def state_normalization(phi: AlgebraElement, m: GroupoidMeasure):

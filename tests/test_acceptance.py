@@ -11,6 +11,7 @@ import numpy as np
 from groupoidqm import (
     AlgebraElement,
     GroupoidMeasure,
+    QClass,
     QuotientFunction,
     Symmetroid,
     apply,
@@ -35,6 +36,10 @@ from groupoidqm import (
     pair_index,
     positive_type_verdicts,
     positivity_falsifier,
+    psd_verdict,
+    q_horizontal_compose,
+    q_horizontal_inverse,
+    q_index,
     random_kraus_channel,
     random_positive_type,
     shift_bisection,
@@ -156,11 +161,28 @@ def test_criterion_3_induced_modular_function():
     _passed(3, f"atomwise identity on {len(sym)} transformations, {pairs} homomorphism pairs, equivariance empty")
 
 
+def flat_gram_gathers(n):
+    """Per (x, w), the index array of the flat Gram block
+    G[(z, y), (z', y')] = f(Γ_j ∘_H Γ_k^{-H}) over the classes Γ = ((z, y), (x, w)),
+    built from the horizontal composition itself."""
+    z, y = (a.ravel() for a in np.indices((n, n)))
+    gathers = []
+    for x in range(n):
+        for w in range(n):
+            group = QClass(z, y, np.full_like(z, x), np.full_like(z, w))
+            rows = QClass(*(f[:, None] for f in group))
+            cols = QClass(*(f[None, :] for f in group))
+            gathers.append(q_index(n, q_horizontal_compose(rows, q_horizontal_inverse(cols))))
+    return gathers
+
+
 def test_criterion_4_channel_state_duality():
-    """is_flat_psd == is_cp on 200 seeded Choi-Hermitian kernels per n, with the
-    transpose channel as the negative control (Choi min eigenvalue -1)."""
+    """is_flat_psd == is_cp on 200 seeded Choi-Hermitian kernels per n, and so
+    does the conjunction of psd_verdict on the n² flat Gram blocks built here,
+    with the transpose channel as the negative control (Choi min eigenvalue -1)."""
     rng = np.random.default_rng(SEED)
     for n in (2, 3):
+        gathers = flat_gram_gathers(n)
         disagreements = 0
         positives = 0
         for trial in range(200):
@@ -173,7 +195,9 @@ def test_criterion_4_channel_state_duality():
             ch = channel_from_choi(ChoiMatrix(n, h))
             cp = is_cp(ch).ok
             flat = is_flat_psd(ch).ok
-            disagreements += cp != flat
+            values = np.array(ch.kernel.values, dtype=np.complex128)
+            gram = all([psd_verdict(values[idx]).ok for idx in gathers])
+            disagreements += (cp != flat) + (cp != gram)
             positives += cp
         assert disagreements == 0
         assert 0 < positives < 200
@@ -181,7 +205,9 @@ def test_criterion_4_channel_state_duality():
     assert not control.ok
     assert abs(control.min_eigenvalue + 1) <= 1e-10
     assert not is_flat_psd(transpose_channel(2)).ok
-    _passed(4, "400 random Hermitian kernels, zero disagreements; transpose min eig = -1")
+    swap = np.array(transpose_channel(2).kernel.values)
+    assert not any(psd_verdict(swap[idx]).ok for idx in flat_gram_gathers(2))
+    _passed(4, "400 random Hermitian kernels, zero disagreements, also on the flat Gram blocks; transpose min eig = -1")
 
 
 def test_criterion_5_shift_bisection_example():

@@ -1,8 +1,9 @@
 """``positive_type_verdicts`` and the chunked ``positivity_falsifier`` against
 the per-function loops they replaced.
 
-``loop_is_positive_type`` is the per-function walk ``is_positive_type`` ran
-before verdicts were batched: one gather and one ``psd_verdict`` per object.
+``loop_is_positive_type`` (from ``test_gather_parity``) is the per-function
+walk ``is_positive_type`` ran before its blocks were gathers: one
+``G.compose`` per block entry and one ``psd_verdict`` per object.
 ``loop_positivity_falsifier`` draws, applies and decides one trial at a time,
 with the single-state contraction ``apply`` used before.  Every field of every
 verdict and witness must agree bit for bit.
@@ -11,6 +12,7 @@ verdict and witness must agree bit for bit.
 import numpy as np
 import pytest
 from test_algebra import disjoint_pair_groupoids, function_from_blocks, psd
+from test_gather_parity import loop_is_positive_type
 
 from groupoidqm import (
     AlgebraElement,
@@ -26,41 +28,12 @@ from groupoidqm import (
     random_positive_type,
     transpose_channel,
 )
-from groupoidqm.algebra import PSD_TOL, PositiveTypeResult, contract, psd_verdict, value_array
+from groupoidqm.algebra import PSD_TOL, contract, value_array
 from groupoidqm.channels import _FALSIFIER_CHUNK
 
 SIZES = (3, 2, 1, 4, 2)
 
 # -- the per-function loops --
-
-
-def loop_is_positive_type(phi, tol=PSD_TOL):
-    G = phi.groupoid
-    _, a, ba = G.composable_arrays()
-    inverse, target = (np.asarray(t, dtype=np.intp) for t in (G.inverse, G.target))
-    starts = np.searchsorted(a, inverse)
-    values = np.array(phi.values, dtype=np.complex128)
-    worst = PositiveTypeResult(True, float("inf"), 0.0)
-    seen = set()
-    for x in G.objects():
-        fiber = G.source_fiber(x)
-        if not fiber:
-            continue
-        js = np.array(fiber, dtype=np.intp)
-        read = ba.take(starts[js] + np.arange(len(js))[:, None], mode="clip")
-        idx = np.where(target[inverse[js]] == x, read, -1)
-        G.require_composites(js[:, None], inverse[js], idx)
-        block = values[idx]
-        key = block.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        verdict = psd_verdict(block, tol)
-        if not verdict.ok or verdict.min_eigenvalue < worst.min_eigenvalue:
-            worst = PositiveTypeResult(**vars(verdict), object_index=x, fiber=fiber, block=block)
-        if not worst.ok:
-            return worst
-    return worst
 
 
 def loop_apply(ch, psi):

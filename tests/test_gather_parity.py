@@ -305,6 +305,14 @@ def test_gathers_raise_on_a_missing_pair():
     assert str(got.value) == str(want.value)
 
 
+def test_positive_type_raises_on_a_missing_pair_whatever_the_values():
+    # -1 fails at object 0, before the walk reaches the block that lacks m2∘m6
+    f = AlgebraElement.constant(_pair3_missing((2, 6)), -1)
+    with pytest.raises(NotComposableError) as got:
+        is_positive_type(f)
+    assert str(got.value) == "morphisms m2:2->0 and m6:0->2 do not compose"
+
+
 def test_positive_type_raises_on_an_inverse_with_wrong_endpoints():
     p = pair_groupoid(2)
     g = FiniteGroupoid(2, p.source, p.target, p.compose_table, [0, 1, 2, 3], p.unit_of)

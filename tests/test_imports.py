@@ -118,3 +118,21 @@ def test_one_reader_of_the_exact_format():
                 if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
                     readers.add((path.name, getattr(top, "name", None)))
     assert readers == {("measure.py", "_parts"), ("measure.py", "_positive")}
+
+
+def test_positive_type_blocks_read_through_composites():
+    # _fiber_gathers reads each block through FiniteGroupoid.composites; a
+    # gather of its own from composable_arrays would duplicate it, and a
+    # tobytes key in the walk would bring back the per-object dedup
+    tree = ast.parse((PACKAGE / "algebra.py").read_text())
+    called = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            called[top.name] = {
+                node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+            }
+    assert "composites" in called["_fiber_gathers"]
+    assert called["_fiber_gathers"].isdisjoint({"composable_arrays", "searchsorted"})
+    assert "tobytes" not in called["positive_type_verdicts"]
