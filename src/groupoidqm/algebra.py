@@ -14,10 +14,10 @@ matrix algebra.
 The operations are gathers over ``FiniteGroupoid.composable_arrays()``.  Values
 may be ints, Fractions, floats or complex; when every value and weight is exact
 the arithmetic is exact, and otherwise on complex128.  Exact arithmetic runs on
-Python ints: each operand is read once by ``measure._parts`` and put over the
-lcm of its denominators by ``measure._over_lcm``, and each output is one
-Fraction over the product of those lcms (``contract`` and ``convolve``), with
-no Fraction operator call.
+Python ints, with no Fraction operator call: ``contract`` puts each operand
+over the lcm of its denominators (``measure._over_lcm``), and ``convolve``
+multiplies its terms by ``measure._product_parts`` and sums them over their
+one lcm by ``measure._group_sums``; each output is built once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .eigen import hermitian_defect, hermitian_eigh
 from .groupoid import FiniteGroupoid, GroupoidError
-from .measure import GroupoidMeasure, _is_exact, _over_lcm, _parts
+from .measure import GroupoidMeasure, _group_sums, _is_exact, _over_lcm, _parts, _product_parts
 
 PSD_TOL = 1e-10
 
@@ -139,8 +139,14 @@ def complex_values_to_json(values) -> list[list[float]]:
 
 
 def complex_values_from_json(pairs) -> list[complex]:
-    """[[re, im], ...] as complex numbers; ValueError on a non-finite one."""
-    values = [complex(re, im) for re, im in pairs]
+    """[[re, im], ...] as complex numbers; TypeError on a boolean part, and
+    ValueError on a value that is not finite or too large for a float."""
+    try:
+        values = [complex(re, im) for re, im in pairs]
+    except OverflowError as exc:
+        raise ValueError(f"value too large for a float: {exc}") from exc
+    if any(type(re) is bool or type(im) is bool for re, im in pairs):
+        raise TypeError("a boolean is not a number")
     for v in values:
         if not cmath.isfinite(v):
             raise ValueError(f"non-finite value {v}")
@@ -235,15 +241,14 @@ def _convolve_numerators(m: GroupoidMeasure, fv, nu, gv) -> list:
     _require_one_value_per_morphism(m, fv, gv)
     b, a, ba = m.groupoid.composable_arrays()
     m.groupoid.require_composites(b, a, ba)
-    (fn, fl), (nn, nl), (gn, gl) = (_over_lcm(*_parts(vs)) for vs in (fv, nu, gv))
-    pairs = np.flatnonzero(fn.astype(bool)[b])  # a zero f(β) adds no term
+    parts = {id(vs): _parts(vs) for vs in (fv, nu, gv)}
+    pairs = np.flatnonzero(parts[id(fv)][0].astype(bool)[b])  # a zero f(β) adds no term
     b, a, ba = b[pairs], a[pairs], ba[pairs]
-    sums = np.zeros(m.groupoid.n_morphisms, dtype=object)
-    np.add.at(sums, ba, (fn * nn)[b] * gn[a])
+    terms = _product_parts(((fv, b), (nu, b), (gv, a)), parts)
+    sums, denominator = _group_sums(*terms, ba, m.groupoid.n_morphisms)
     ff, fnu, fg = (np.array([type(v) is Fraction for v in vs], dtype=bool) for vs in (fv, nu, gv))
     fraction = np.zeros(len(sums), dtype=bool)
     fraction[ba[(ff | fnu)[b] | fg[a]]] = True  # the outputs with a Fraction factor in a term
-    denominator = fl * nl * gl
     return [
         Fraction(s, denominator) if q else s // denominator
         for s, q in zip(sums.tolist(), fraction.tolist())

@@ -8,27 +8,25 @@ are
     ν_x(α) = μ(α) / μ_Ω(s(α))   on the source fiber G_x,
 
 and the modular function is δ(α) = μ(α) / μ(α⁻¹), each built once into a
-tuple indexed by morphism that every consumer reads.  With Fraction weights
-each entry is one Fraction(p·q', p'·q), with no Fraction operator call; int
-weights keep the rule that a quotient is an int where it divides and a
-Fraction otherwise, and float weights divide as floats.  A measure is a Haar
+tuple indexed by morphism that every consumer reads: one Fraction per entry
+with Fraction weights; with int weights an int where the quotient divides
+and a Fraction otherwise; with float weights a float.  A measure is a Haar
 measure when the family ν^x is invariant under left translations; the
 verifiers below check that and the companion identities exhaustively.
 
-The verifiers are gathers: every check reads its two sides through index
-arrays (the composable pairs of ``FiniteGroupoid.composable_arrays`` for the
-translation and homomorphism checks).  On ints and Fractions equality is
-decided first, exactly, and the defect ``abs(lhs - rhs)`` is computed only
-where the two sides differ; on floats and complex values every check
-computes its defect in Python.  Exact values have one integer format:
-``_parts`` is the one reader of numerators and denominators, which it gives
-as object arrays of Python ints.  An equality check cross-multiplies them
-entry by entry.  A sum check (``verify_disintegration`` and the function sums
-of ``symalgebra.verify_modular_formula``), like a contraction in ``algebra``,
-puts each side over the lcm of its denominators (``_over_lcm``) and compares
-the two.  Equalities are not put over one lcm: with denominators as far
-apart as Δ₂'s on S(G), the scaled numerators grow into multi-digit ints.  A
-violation is a defect above the tolerance.
+The verifiers are gathers: each is one ``_report_defects`` call whose two
+sides are products of values read through index arrays (the composable pairs
+of ``FiniteGroupoid.composable_arrays`` for the translation and homomorphism
+checks), and a sum check sums those products by check.  Exact values have
+one integer format, object arrays of Python-int numerators and denominators
+read by ``_parts``, and two kernels: ``_product_parts`` multiplies gathered
+values term by term (both sides of every check, the Fraction tables below,
+the S(G) atoms of ``_products``, the terms of ``algebra.convolve``), and
+``_group_sums`` sums terms by group over their one lcm (the sum checks and
+``convolve``).  On ints and Fractions a check cross-multiplies its two sides
+and computes the defect ``abs(lhs - rhs)`` only where they differ; on floats
+and complex values every check computes its defect in Python.  A violation
+is a defect above the tolerance.
 
 Object weights are user-supplied, defaulting to all ones (the convention under
 which the counting measure gives unit fiber weights and matrix-unit
@@ -105,8 +103,26 @@ def _over_lcm(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, int]:
     return num * (lcm // den), lcm
 
 
-def _gather(values, index) -> list:
-    return list(map(values.__getitem__, index))
+def _product_parts(side: tuple, parts: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The integer numerators and denominators of a side's products, term by
+    term.  A side is a tuple of factors: ``(values, index)`` multiplies term k
+    by values[index[k]] and ``(values, index, -1)`` divides it; the first
+    multiplies.  ``parts`` maps the id of each value list to its ``_parts``."""
+    (values, index, *_), *rest = side
+    num, den = (p[index] for p in parts[id(values)])
+    for values, index, *inverse in rest:
+        n, d = parts[id(values)]
+        num, den = (num * d[index], den * n[index]) if inverse else (num * n[index], den * d[index])
+    return num, den
+
+
+def _group_sums(num: np.ndarray, den: np.ndarray, ids: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """The sums of the terms num / den by group, term k adding to group
+    ids[k] < n: integer numerators over the one lcm of den, and that lcm."""
+    scaled, lcm = _over_lcm(num, den)
+    sums = np.zeros(n, dtype=object)
+    np.add.at(sums, ids, scaled)
+    return sums, lcm
 
 
 def _products(values, i, j) -> list:
@@ -116,8 +132,8 @@ def _products(values, i, j) -> list:
     if not all(isinstance(v, Fraction) for v in values):
         v = np.array(values, dtype=object)
         return (v[i] * v[j]).tolist()
-    num, den = _parts(values)
-    return list(map(Fraction, (num[i] * num[j]).tolist(), (den[i] * den[j]).tolist()))
+    num, den = _product_parts(((values, i), (values, j)), {id(values): _parts(values)})
+    return list(map(Fraction, num.tolist(), den.tolist()))
 
 
 class GroupoidMeasure:
@@ -153,16 +169,13 @@ class GroupoidMeasure:
         self.weights, self.object_weights = _ints_as_fractions(self.weights, self.object_weights)
         w, ow = self.weights, self.object_weights
         g = groupoid
-        if all(isinstance(v, Fraction) for v in w + ow):
-            (wn, wd), (on, od) = _parts(w), _parts(ow)
-            t, s, inv = (np.asarray(i, dtype=np.intp) for i in (g.target, g.source, g.inverse))
-            by = ((on, od, t), (on, od, s), (wn, wd, inv))  # w[k] / q[i[k]], one Fraction each
-            tables = (
-                tuple(map(Fraction, (wn * qd[i]).tolist(), (wd * qn[i]).tolist())) for qn, qd, i in by
-            )
+        by = ((ow, g.target), (ow, g.source), (w, g.inverse))  # w[k] / q[i[k]]
+        if all(isinstance(v, Fraction) for v in w + ow):  # one Fraction each
+            parts, k = {id(w): _parts(w), id(ow): _parts(ow)}, np.arange(len(w))
+            quotients = (_product_parts(((w, k), (q, np.asarray(i), -1)), parts) for q, i in by)
+            tables = (tuple(map(Fraction, num.tolist(), den.tolist())) for num, den in quotients)
         else:
-            by = ((ow, g.target), (ow, g.source), (w, g.inverse))
-            tables = (tuple(map(_ratio, w, _gather(q, index))) for q, index in by)
+            tables = (tuple(map(_ratio, w, map(q.__getitem__, i))) for q, i in by)
         self.nu_targets, self.nu_sources, self.deltas = tables
 
     @classmethod
@@ -281,52 +294,54 @@ def _report_defects(
     rhs: tuple,
     describe: Callable[[int], tuple[tuple, str]],
     key: np.ndarray | None = None,
+    groups: tuple[np.ndarray, int] | None = None,
 ) -> ViolationReport:
     """The report of the checks lhs_i == rhs_i, with a violation for each i
     whose defect abs(lhs_i - rhs_i) exceeds tol.
 
-    A term ``(values, index)`` reads values[index[i]] at check i.  ``lhs`` is a
-    term; ``rhs`` is a term or ``(x, op, y)`` for two terms and ``op``
-    ``operator.mul`` or ``operator.truediv``.  When every operand is an int
-    or a Fraction, equality is decided first, exactly, by cross-multiplying
-    numerators and denominators, and only the checks that differ get their
-    defect computed.  Otherwise every check computes ``abs(lhs - rhs) > tol``
-    on the original Python values, as a per-check loop would.  ``describe(i)`` gives
-    the violation's ``where`` and message; violations are added in increasing
-    ``key`` (default: check order).
+    A side is a tuple of factors, as ``_product_parts`` reads them.  Without
+    ``groups`` term i is check i; with ``groups = (ids, n)`` check c < n sums
+    the terms k with ids[k] == c.  When every value is an int or a Fraction,
+    equality is decided first, exactly, by the two kernels, and only the
+    checks that differ get their defect computed.  Otherwise every check
+    computes ``abs(lhs - rhs) > tol`` in Python, as a per-check loop would:
+    products left to right, sums by ``sum`` over the terms in order.
+    ``describe(i)`` gives the violation's ``where`` and message; violations
+    are added in increasing ``key`` (default: check order).
     """
-    x, op, y = rhs if len(rhs) == 3 else (rhs, None, None)
-    terms = (lhs, x) if op is None else (lhs, x, y)
-    n_checks = len(lhs[1])
-    rep = ViolationReport(checks=n_checks)
-    # a value list that several terms read (Δ at b∘a, b and a) is read once
-    distinct = {id(values): values for values, _ in terms}
+    rep = ViolationReport(checks=len(lhs[0][1]) if groups is None else groups[1])
+    # a value list that several factors read (Δ at b∘a, b and a) is read once
+    distinct = {id(values): values for values, *_ in lhs + rhs}
     if tol >= 0 and _is_exact(*distinct.values()):
-        differ = ~_exactly_equal(terms, op, distinct)
+        parts = {i: _parts(values) for i, values in distinct.items()}
+        sides = [_product_parts(side, parts) for side in (lhs, rhs)]
+        (ln, ld), (rn, rd) = sides if groups is None else [_group_sums(*s, *groups) for s in sides]
+        differ = ln * rd != rn * ld
     else:  # a zero defect exceeds a negative tol; floats are compared by Python
-        differ = np.ones(n_checks, dtype=bool)
+        differ = np.ones(rep.checks, dtype=bool)
     suspects = np.flatnonzero(differ)
     if key is not None:
         suspects = suspects[np.argsort(key[suspects], kind="stable")]
     for i in suspects.tolist():
-        l, *r = (values[index[i]] for values, index in terms)
-        defect = abs(l - (r[0] if op is None else op(*r)))
+        if groups is None:
+            l, r = _product(lhs, i), _product(rhs, i)
+        else:  # the sums of check i's terms, in order
+            terms = np.flatnonzero(groups[0] == i).tolist()
+            l, r = (sum(_product(side, k) for k in terms) for side in (lhs, rhs))
+        defect = abs(l - r)
         if defect > tol:
             where, message = describe(i)
             rep.add(kind, where, message, defect)
     return rep
 
 
-def _exactly_equal(terms, op, distinct: dict) -> np.ndarray:
-    """lhs == rhs per check, cross-multiplied on integer numerators and
-    denominators (no gcd); ``distinct`` maps the id of each value list the
-    terms read to that list."""
-    parts = {key: _parts(values) for key, values in distinct.items()}
-    (ln, ld), (xn, xd), *y = [[p[index] for p in parts[id(values)]] for values, index in terms]
-    if op is None:
-        return ln * xd == xn * ld
-    yn, yd = y[0] if op is operator.mul else y[0][::-1]
-    return ln * xd * yd == xn * yn * ld
+def _product(side: tuple, k: int):
+    """Term k of a side on its Python values, each factor applied left to right."""
+    (values, index, *_), *rest = side
+    v = values[index[k]]
+    for values, index, *inverse in rest:
+        v = v / values[index[k]] if inverse else v * values[index[k]]
+    return v
 
 
 def modular_homomorphism_report(
@@ -340,8 +355,7 @@ def modular_homomorphism_report(
         bi, ai = int(b[i]), int(a[i])
         return (bi, ai), f"not multiplicative on ({g.label(bi)}, {g.label(ai)})"
 
-    rhs = ((values, b), operator.mul, (values, a))
-    return _report_defects("modular-hom", tol, (values, ba), rhs, describe)
+    return _report_defects("modular-hom", tol, ((values, ba),), ((values, b), (values, a)), describe)
 
 
 def modular(g: FiniteGroupoid, m: GroupoidMeasure, tol: float = DEFAULT_TOL) -> ModularFunction:
@@ -358,6 +372,24 @@ def modular(g: FiniteGroupoid, m: GroupoidMeasure, tol: float = DEFAULT_TOL) -> 
     return ModularFunction(g, m.deltas)
 
 
+def _translation_report(
+    g: FiniteGroupoid, kind: str, values: Sequence, tol: float, right: bool, message: str
+) -> ViolationReport:
+    """The left (right) translation check of ``verify_left_invariance``
+    (``verify_right_invariance``); ``message`` takes the labels of β and γ."""
+    b, a, ba = g.composable_arrays()
+    moved, fixed = (a, b) if right else (b, a)
+    gamma = np.asarray(g.inverse, dtype=np.intp)[moved]
+    key = gamma * g.n_morphisms + fixed
+    g.require_composites(b, a, ba, key)
+
+    def describe(i):
+        gm, beta = int(gamma[i]), int(fixed[i])
+        return (gm, beta), message.format(g.label(beta), g.label(gm))
+
+    return _report_defects(kind, tol, ((values, fixed),), ((values, ba),), describe, key)
+
+
 def verify_left_invariance(
     g: FiniteGroupoid, m: GroupoidMeasure, tol: float = DEFAULT_TOL
 ) -> ViolationReport:
@@ -367,17 +399,8 @@ def verify_left_invariance(
     The check (γ, β) is the composable pair (γ⁻¹, β); violations come in
     order of γ, then β.
     """
-    b, a, ba = g.composable_arrays()
-    gamma = np.asarray(g.inverse, dtype=np.intp)[b]
-    key = gamma * g.n_morphisms + a
-    g.require_composites(b, a, ba, key)
-
-    def describe(i):
-        gm, beta = int(gamma[i]), int(a[i])
-        return (gm, beta), f"ν^y({g.label(beta)}) != ν^x(γ⁻¹∘β) for γ={g.label(gm)}"
-
-    terms = (m.nu_targets, a), (m.nu_targets, ba)
-    return _report_defects("left-invariance", tol, *terms, describe, key)
+    message = "ν^y({}) != ν^x(γ⁻¹∘β) for γ={}"
+    return _translation_report(g, "left-invariance", m.nu_targets, tol, False, message)
 
 
 def verify_inverse_relation(
@@ -385,13 +408,13 @@ def verify_inverse_relation(
 ) -> ViolationReport:
     """Check τ⋆(ν^x) = δ⁻¹·ν_x: ν^x(α⁻¹) == δ(α)⁻¹·ν_x(α) for every α in G_x."""
     alphas = np.argsort(g.source, kind="stable")  # G_0, then G_1, ...
-    lhs = (m.nu_targets, np.asarray(g.inverse, dtype=np.intp)[alphas])
+    lhs = ((m.nu_targets, np.asarray(g.inverse, dtype=np.intp)[alphas]),)
 
     def describe(i):
         alpha = int(alphas[i])
         return (g.source[alpha], alpha), f"τ⋆ν^x != δ⁻¹ν_x at α={g.label(alpha)}"
 
-    rhs = ((m.nu_sources, alphas), operator.truediv, (m.deltas, alphas))
+    rhs = ((m.nu_sources, alphas), (m.deltas, alphas, -1))
     return _report_defects("inverse-relation", tol, lhs, rhs, describe)
 
 
@@ -406,51 +429,29 @@ def verify_right_invariance(
     The check (γ, α) is the composable pair (α, γ⁻¹); violations come in
     order of γ, then α.
     """
-    b, a, ba = g.composable_arrays()
-    gamma = np.asarray(g.inverse, dtype=np.intp)[a]
-    key = gamma * g.n_morphisms + b
-    g.require_composites(b, a, ba, key)
-
-    def describe(i):
-        gm, alpha = int(gamma[i]), int(b[i])
-        return (gm, alpha), f"ν_x({g.label(alpha)}) != ν_y(α∘γ⁻¹) for γ={g.label(gm)}"
-
-    terms = (m.nu_sources, b), (m.nu_sources, ba)
-    return _report_defects("right-invariance", tol, *terms, describe, key)
+    message = "ν_x({}) != ν_y(α∘γ⁻¹) for γ={}"
+    return _translation_report(g, "right-invariance", m.nu_sources, tol, True, message)
 
 
 def verify_disintegration(
-    g: FiniteGroupoid,
-    m: GroupoidMeasure,
-    subsets=None,
-    tol: float = DEFAULT_TOL,
+    g: FiniteGroupoid, m: GroupoidMeasure, subsets=None, tol: float = DEFAULT_TOL
 ) -> ViolationReport:
     """Check μ(E) == Σ_x ν^x(E ∩ G^x)·μ_Ω(x) for each subset E of morphisms.
 
     Defaults to the full morphism set plus all singletons; pass an iterable of
-    morphism collections to check more.  On ints and Fractions with tol >= 0 a
-    subset's two sums are compared on integer numerators, and the defect is
-    computed only where they differ.
+    morphism collections to check more.  The subsets are the checks of one
+    grouped ``_report_defects`` call, with the terms ν^x(a)·μ_Ω(t(a)) and
+    μ(a) for each a in E.
     """
-    rep = ViolationReport()
     if subsets is None:
         subsets = [list(g.morphisms())] + [[mid] for mid in g.morphisms()]
-    nu, ow, w = m.nu_targets, m.object_weights, m.weights
-    exact = tol >= 0 and _is_exact(nu, ow, w)
-    if exact:  # the terms ν^x(a)·μ_Ω(t(a)) and μ(a), as numerators and denominators
-        (nn, nd), (on, od) = _parts(nu), _parts(ow)
-        t = np.asarray(g.target, dtype=np.intp)
-        terms = (nn * on[t], nd * od[t]), _parts(w)
-    for E in subsets:
-        rep.checks += 1
-        E = list(E)
-        if exact:
-            (ln, ld), (rn, rd) = (_over_lcm(num[E], den[E]) for num, den in terms)
-            if sum(ln.tolist()) * rd == sum(rn.tolist()) * ld:
-                continue
-        lhs = sum(nu[a] * ow[g.target[a]] for a in E)
-        rhs = sum(w[a] for a in E)
-        defect = abs(lhs - rhs)
-        if defect > tol:
-            rep.add("disintegration", tuple(E), f"disintegration fails on E={E}", defect)
-    return rep
+    subsets = [list(E) for E in subsets]
+    a = np.array([operator.index(x) for E in subsets for x in E], dtype=np.intp)  # no float index
+    ids = np.repeat(np.arange(len(subsets)), [len(E) for E in subsets])
+    lhs = (m.nu_targets, a), (m.object_weights, np.asarray(g.target, dtype=np.intp)[a])
+
+    def describe(c):
+        return tuple(subsets[c]), f"disintegration fails on E={subsets[c]}"
+
+    groups = (ids, len(subsets))
+    return _report_defects("disintegration", tol, lhs, ((m.weights, a),), describe, groups=groups)

@@ -365,6 +365,35 @@ def test_channel_check_nan_kernel_is_input_error(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize(
+    "data,argv",
+    [
+        ({"n": 1, "values": [[10**400, 0]]}, ["channel", "apply", "{}", "units"]),
+        ({"n": 1, "members": [{"values": [[0, -(10**400)]]}]}, ["channel", "from-kraus", "{}"]),
+        ({"values": [[10**400, 0]]}, ["algebra", "check-positive", "{}", "--n", "1"]),
+    ],
+    ids=["kernel", "kraus", "function"],
+)
+def test_huge_integer_is_input_error(tmp_path, capsys, data, argv):
+    # an integer too large for a float in a [re, im] pair
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("pair", [[True, False], [1, False]])
+def test_boolean_value_is_input_error(tmp_path, capsys, pair):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"values": [pair]}))
+    code, out, err = run(capsys, "algebra", "check-positive", str(path), "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
 def test_overflowing_output_is_input_error_not_nan_json(tmp_path, capsys):
     # finite Kraus entries whose products overflow: the kernel holds inf
     kpath = tmp_path / "k.json"

@@ -198,6 +198,15 @@ def test_disintegration_violations_match_loop(bname):
     assert (4,) in {v.where for v in verify_disintegration(g, m, subsets, 0).violations}
 
 
+@pytest.mark.parametrize("bname", ["fraction", "float"])
+def test_disintegration_rejects_a_float_index(bname):
+    # a subset is read through one index array; 1.5 must not become morphism 1
+    g = pair_groupoid(3)
+    m = GroupoidMeasure(g, *bases(g)[bname])
+    with pytest.raises((TypeError, IndexError)):
+        verify_disintegration(g, m, [[0], [1.5]])
+
+
 def functions(sym, seed):
     """{Transformation: value} dicts: Fraction, int, float and complex values,
     a sparse one, and one with a key that is not a transformation."""

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, only
 ``eigen.py`` reaches ``numpy.linalg``, ``Symmetroid.__init__`` makes no
 per-entry ``compose``, ``inv`` or ``unit`` call, ``exchange_identity_report``
-has no loop, ``QuotientMeasure`` defines no method but ``__init__``, and
-only ``measure._parts`` reads numerators and denominators.
+has no loop, ``QuotientMeasure`` defines no method but ``__init__``,
+only ``measure._parts`` reads numerators and denominators, and exact products
+and sums go through the two kernels of ``measure``.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
 re-exports.
@@ -136,3 +137,36 @@ def test_positive_type_blocks_read_through_composites():
     assert "composites" in called["_fiber_gathers"]
     assert called["_fiber_gathers"].isdisjoint({"composable_arrays", "searchsorted"})
     assert "tobytes" not in called["positive_type_verdicts"]
+
+
+def functions(module: str) -> dict:
+    """The top-level functions of ``module``, by name."""
+    tree = ast.parse((PACKAGE / module).read_text())
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
+def called_names(node) -> set:
+    return {
+        call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    }
+
+
+def test_exact_arithmetic_goes_through_two_kernels():
+    # measure._product_parts and measure._group_sums do the exact products and
+    # sums; a helper of symalgebra's own over the exact format, a second
+    # equality decider or a per-check loop would bring back what they merged
+    tree = ast.parse((PACKAGE / "symalgebra.py").read_text())
+    from_measure = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "measure"
+        for alias in node.names
+    }
+    assert from_measure.isdisjoint({"_parts", "_over_lcm", "_is_exact", "_gather"})
+    assert "_exactly_equal" not in functions("measure.py")
+    for module, name in (("measure.py", "verify_disintegration"), ("symalgebra.py", "verify_modular_formula")):
+        assert [n for n in ast.walk(functions(module)[name]) if isinstance(n, ast.For)] == []
+    convolve = called_names(functions("algebra.py")["_convolve_numerators"])
+    assert "_group_sums" in convolve and "_over_lcm" not in convolve

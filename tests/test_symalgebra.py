@@ -32,6 +32,7 @@ from groupoidqm import (
     rep_operator,
     tensor_matrix,
     verify_induced_equivariance,
+    verify_left_invariance,
     verify_modular_formula,
     verify_modular_homomorphism,
     weighted_pair_measure,
@@ -112,6 +113,20 @@ class TestInducedMeasure:
         rng = np.random.default_rng(0)
         f = {t: complex(a, b) for t, (a, b) in zip(sym.transformations, rng.normal(size=(len(sym), 2)))}
         assert verify_modular_formula(m2, functions=[f]).ok
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_modular_formula_holds_on_non_haar_bases(self, n, seed):
+        # Δ₂ is built as μ₂(Γ)/μ₂(Γ⁻¹), so the formula holds for every base
+        # measure; the Haar property is equivariance's to test
+        g = pair_groupoid(n)
+        rng = np.random.default_rng(seed)
+        weights = [Fraction(int(p), int(q)) for p, q in rng.integers(1, 9, size=(g.n_morphisms, 2))]
+        base = GroupoidMeasure(g, weights)
+        assert not verify_left_invariance(g, base).ok
+        m2 = SymmetroidMeasure(Symmetroid(g), base)
+        assert verify_modular_formula(m2).ok
+        assert not verify_induced_equivariance(m2).ok
 
     def test_modular_homomorphism_exhaustive_n2(self):
         g = pair_groupoid(2)
