@@ -14,16 +14,19 @@ matrix algebra.
 The operations are gathers over ``FiniteGroupoid.composable_arrays()``.  Values
 may be ints, Fractions, floats or complex; when every value and weight is exact
 the arithmetic is exact, and otherwise on complex128.  Exact arithmetic runs on
-Python ints, with no Fraction operator call: ``contract`` puts each operand
-over the lcm of its denominators (``measure._over_lcm``), and ``convolve``
-multiplies its terms by ``measure._product_parts`` and sums them over their
-one lcm by ``measure._group_sums``; each output is built once.
+integer numerators and denominators (``measure._Table``; int64 where
+``measure._narrowed`` bounds it, else Python ints), with no Fraction operator
+call: ``contract`` puts each operand over the lcm of its denominators
+(``measure._over_lcm``), ``convolve``, ``involute`` and ``left_regular_matrix``
+multiply their terms by ``measure._product_parts``, and ``convolve`` sums them
+over their one lcm by ``measure._group_sums``; each output is built once.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,7 +35,7 @@ import numpy as np
 
 from .eigen import hermitian_defect, hermitian_eigh
 from .groupoid import FiniteGroupoid, GroupoidError
-from .measure import GroupoidMeasure, _group_sums, _is_exact, _over_lcm, _parts, _product_parts
+from .measure import GroupoidMeasure, _group_sums, _is_exact, _narrowed, _over_lcm, _product_parts, _Table
 
 PSD_TOL = 1e-10
 
@@ -169,28 +172,41 @@ def _value_arrays(*value_lists) -> list[np.ndarray]:
     return np.split(joined, np.cumsum([len(vs) for vs in value_lists[:-1]]))
 
 
-def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+def contract(subscripts: str, *operands) -> np.ndarray:
     """``np.einsum(subscripts, *operands)``, with one Fraction per output on
-    exact inputs.
+    exact inputs.  An operand is an array or a measure table in integer form
+    (``measure._Table.reshape``), which stands for an object array.
 
     When every operand is an object array of ints and Fractions and one of
     them holds a Fraction, each operand is scaled to integer numerators over
-    the lcm of its denominators, the integers are contracted, and each output
-    is one Fraction over the product of those lcms.  So every output is a
-    Fraction, also where all of its terms are ints.  Otherwise this is plain
-    ``np.einsum``: int-only inputs give ints, complex128 inputs complex128.
+    the lcm of its denominators; the operands whose indices all occur in the
+    first one's weight it by broadcasting, the rest are contracted with it,
+    and each output is one Fraction over the product of those lcms.  So
+    every output is a Fraction, also where all of its terms are ints.  The
+    integers are int64 where ``measure._narrowed`` bounds the contraction.
+    Otherwise this is plain ``np.einsum``: int-only inputs give ints,
+    complex128 inputs complex128.
     """
-    if not all(op.dtype == object for op in operands):
+    if not all(isinstance(op, _Table) or op.dtype == object for op in operands):
         return np.einsum(subscripts, *operands)
-    flat = [op.ravel().tolist() for op in operands]
-    if not (any(isinstance(v, Fraction) for vs in flat for v in vs) and _is_exact(*flat)):
-        return np.einsum(subscripts, *operands)
-    numerators, denominator = [], 1
-    for op, vs in zip(operands, flat):
-        scaled, lcm = _over_lcm(*_parts(vs))
-        numerators.append(scaled.reshape(op.shape))
-        denominator *= lcm
-    out = np.einsum(subscripts, *numerators)
+    tables = [t if isinstance(t, _Table) else _Table(t.ravel().tolist()).reshape(t.shape) for t in operands]
+    if not (all(t.num is not None for t in tables) and any(t.fraction.any() for t in tables)):
+        arrays = (
+            np.array(op.read(), dtype=object).reshape(op.fraction.shape) if isinstance(op, _Table) else op
+            for op in operands
+        )
+        return np.einsum(subscripts, *arrays)
+    inputs, output = subscripts.split("->")
+    specs = inputs.split(",")
+    scaled, lcms, bits = zip(*(_over_lcm(t) for t in tables))
+    sizes = {c: n for spec, a in zip(specs, scaled) for c, n in zip(spec[::-1], a.shape[::-1])}
+    ops = _narrowed(scaled, *bits, terms=math.prod(n for c, n in sizes.items() if c not in output + "."))
+    weights = [k for k, spec in enumerate(specs) if k == 0 or "." not in spec and set(spec) <= set(specs[0])]
+    rest = [k for k in range(1, len(specs)) if k not in weights]
+    first = np.einsum(",".join(specs[k] for k in weights) + "->" + specs[0], *(ops[k] for k in weights))
+    contraction = ",".join([specs[0]] + [specs[k] for k in rest]) + "->" + output
+    out = np.einsum(contraction, first, *(ops[k] for k in rest))
+    denominator = math.prod(lcms)
     exact = [Fraction(v, denominator) for v in out.ravel().tolist()]
     return np.array(exact, dtype=object).reshape(out.shape)
 
@@ -206,16 +222,18 @@ def _require_one_value_per_morphism(m: GroupoidMeasure, *value_lists) -> None:
             )
 
 
-def _left_translations(f: AlgebraElement, m: GroupoidMeasure, *value_lists):
-    """The terms f(β)ν^{t(β)}(β) of ψ -> f⋆ψ at (β∘γ, γ), one per composable
-    pair (β, γ) with f(β) != 0, in pair order, as (rows, columns, terms),
-    followed by ``value_lists`` as arrays of the terms' dtype."""
-    _require_one_value_per_morphism(m, f.values, *value_lists)
+def _translation_pairs(m: GroupoidMeasure, nonzero: np.ndarray):
+    """The composable pairs (β, γ) with nonzero[β], in pair order, as arrays
+    (β, γ, β∘γ): a zero f(β) adds no term, not even a zero."""
     b, a, ba = m.groupoid.composable_arrays()
     m.groupoid.require_composites(b, a, ba)
-    fv, nu, *others = _value_arrays(f.values, m.nu_targets, *value_lists)
-    pairs = np.flatnonzero(fv[b] != 0)  # a zero f(β) adds no term, not even a zero
-    return (ba[pairs], a[pairs], (fv * nu)[b[pairs]], *others)
+    pairs = np.flatnonzero(nonzero[b])
+    return b[pairs], a[pairs], ba[pairs]
+
+
+def _exact(*tables: _Table) -> bool:
+    """Whether every value is an int or a Fraction (a table not yet read holds only those)."""
+    return all(t.num is not None and {type(v) for v in t.values or ()} <= {int, Fraction} for t in tables)
 
 
 def convolve(f: AlgebraElement, g: AlgebraElement, m: GroupoidMeasure) -> AlgebraElement:
@@ -227,53 +245,60 @@ def convolve(f: AlgebraElement, g: AlgebraElement, m: GroupoidMeasure) -> Algebr
     output is a Fraction iff one of its terms has a Fraction factor, else an
     int; other values take the ``value_array`` dtype of all three lists.
     """
-    lists = (f.values, m.nu_targets, g.values)
-    if {type(v) for vs in lists for v in vs} <= {int, Fraction}:
-        return AlgebraElement(m.groupoid, _convolve_numerators(m, *lists))
-    rows, cols, terms, gv = _left_translations(f, m, g.values)
-    out = np.zeros(m.groupoid.n_morphisms, dtype=terms.dtype)
-    np.add.at(out, rows, terms * gv[cols])
+    _require_one_value_per_morphism(m, f.values, g.values)
+    tables = (_Table(f.values), m._tables["nu_targets"], _Table(g.values))
+    if _exact(*tables):
+        return AlgebraElement(m.groupoid, _convolve_numerators(m, *tables))
+    fv, nu, gv = _value_arrays(f.values, m.nu_targets, g.values)
+    b, a, ba = _translation_pairs(m, fv != 0)
+    out = np.zeros(m.groupoid.n_morphisms, dtype=fv.dtype)
+    np.add.at(out, ba, (fv * nu)[b] * gv[a])
     return AlgebraElement(m.groupoid, out.tolist())
 
 
-def _convolve_numerators(m: GroupoidMeasure, fv, nu, gv) -> list:
+def _convolve_numerators(m: GroupoidMeasure, f: _Table, nu: _Table, g: _Table) -> tuple:
     """``convolve`` on int and Fraction values, with no Fraction arithmetic."""
-    _require_one_value_per_morphism(m, fv, gv)
-    b, a, ba = m.groupoid.composable_arrays()
-    m.groupoid.require_composites(b, a, ba)
-    parts = {id(vs): _parts(vs) for vs in (fv, nu, gv)}
-    pairs = np.flatnonzero(parts[id(fv)][0].astype(bool)[b])  # a zero f(β) adds no term
-    b, a, ba = b[pairs], a[pairs], ba[pairs]
-    terms = _product_parts(((fv, b), (nu, b), (gv, a)), parts)
-    sums, denominator = _group_sums(*terms, ba, m.groupoid.n_morphisms)
-    ff, fnu, fg = (np.array([type(v) is Fraction for v in vs], dtype=bool) for vs in (fv, nu, gv))
-    fraction = np.zeros(len(sums), dtype=bool)
-    fraction[ba[(ff | fnu)[b] | fg[a]]] = True  # the outputs with a Fraction factor in a term
-    return [
-        Fraction(s, denominator) if q else s // denominator
-        for s, q in zip(sums.tolist(), fraction.tolist())
-    ]
+    b, a, ba = _translation_pairs(m, f.num != 0)
+    sums = _group_sums(_product_parts(((f, b), (nu, b), (g, a))), ba, m.groupoid.n_morphisms)
+    sums.fraction = np.zeros(m.groupoid.n_morphisms, dtype=bool)
+    sums.fraction[ba[(f.fraction | nu.fraction)[b] | g.fraction[a]]] = True  # a Fraction factor in a term
+    return sums.read()
 
 
 def involute(f: AlgebraElement, m: GroupoidMeasure) -> AlgebraElement:
-    """f*(α) = δ(α)⁻¹ conj(f(α⁻¹)); an antilinear involution with (f⋆g)* = g*⋆f*."""
+    """f*(α) = δ(α)⁻¹ conj(f(α⁻¹)); an antilinear involution with (f⋆g)* = g*⋆f*.
+    δ(α)⁻¹ = δ(α⁻¹), a quotient of weights rather than a reciprocal; on ints
+    and Fractions each output is built once, from the integer product."""
     _require_one_value_per_morphism(m, f.values)
     inverse = np.asarray(m.groupoid.inverse, dtype=np.intp)
-    fv, delta = _value_arrays(f.values, m.deltas)
-    # δ(α)⁻¹ = δ(α⁻¹), a quotient of weights rather than a reciprocal
-    return AlgebraElement(m.groupoid, (delta[inverse] * np.conj(fv[inverse])).tolist())
+    ft, delta = _Table(f.values), m._tables["deltas"]
+    if _exact(ft, delta):  # their own conjugates
+        product = _product_parts(((delta, inverse), (ft, inverse)))
+        product.fraction = (delta.fraction | ft.fraction)[inverse]
+        return AlgebraElement(m.groupoid, product.read())
+    fv, dl = _value_arrays(f.values, m.deltas)
+    return AlgebraElement(m.groupoid, (dl[inverse] * np.conj(fv[inverse])).tolist())
 
 
 def left_regular_matrix(f: AlgebraElement, m: GroupoidMeasure) -> np.ndarray:
     """Matrix of ψ -> f⋆ψ in the basis {δ_α} of L²(G, μ).
 
     Column γ is f⋆δ_γ, whose one term at α (when s(α) = s(γ)) comes from
-    β = α∘γ⁻¹: the entry is f(β) ν^{t(α)}(β).
+    β = α∘γ⁻¹: the entry is f(β) ν^{t(α)}(β), on ints and Fractions the
+    integer quotient num / den, rounded once as complex(Fraction) rounds.
     """
     n = m.groupoid.n_morphisms
-    rows, cols, terms = _left_translations(f, m)
+    _require_one_value_per_morphism(m, f.values)
     mat = np.zeros((n, n), dtype=np.complex128)
-    mat[rows, cols] = terms
+    ft, nu = _Table(f.values), m._tables["nu_targets"]
+    if _exact(ft, nu):
+        b, a, ba = _translation_pairs(m, ft.num != 0)
+        terms = _product_parts(((ft, b), (nu, b)))
+        mat[ba, a] = [p / q for p, q in zip(terms.num.tolist(), terms.den.tolist())]
+    else:
+        fv, nuv = _value_arrays(f.values, m.nu_targets)
+        b, a, ba = _translation_pairs(m, fv != 0)
+        mat[ba, a] = (fv * nuv)[b]
     return mat
 
 

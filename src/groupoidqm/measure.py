@@ -7,26 +7,30 @@ are
     ν^x(α) = μ(α) / μ_Ω(t(α))   on the target fiber G^x,
     ν_x(α) = μ(α) / μ_Ω(s(α))   on the source fiber G_x,
 
-and the modular function is δ(α) = μ(α) / μ(α⁻¹), each built once into a
-tuple indexed by morphism that every consumer reads: one Fraction per entry
-with Fraction weights; with int weights an int where the quotient divides
-and a Fraction otherwise; with float weights a float.  A measure is a Haar
-measure when the family ν^x is invariant under left translations; the
-verifiers below check that and the companion identities exhaustively.
+and the modular function is δ(α) = μ(α) / μ(α⁻¹), each a tuple indexed by
+morphism that every consumer reads: one Fraction per entry with Fraction
+weights; with int weights an int where the quotient divides and a Fraction
+otherwise; with float weights a float.  The weights and δ are built in the
+constructor, ν^x and ν_x on first read.  A measure is a Haar measure when the
+family ν^x is invariant under left translations; the verifiers below check
+that and the companion identities exhaustively.
 
 The verifiers are gathers: each is one ``_report_defects`` call whose two
 sides are products of values read through index arrays (the composable pairs
 of ``FiniteGroupoid.composable_arrays`` for the translation and homomorphism
 checks), and a sum check sums those products by check.  Exact values have
-one integer format, object arrays of Python-int numerators and denominators
-read by ``_parts``, and two kernels: ``_product_parts`` multiplies gathered
-values term by term (both sides of every check, the Fraction tables below,
-the S(G) atoms of ``_products``, the terms of ``algebra.convolve``), and
-``_group_sums`` sums terms by group over their one lcm (the sum checks and
-``convolve``).  On ints and Fractions a check cross-multiplies its two sides
-and computes the defect ``abs(lhs - rhs)`` only where they differ; on floats
-and complex values every check computes its defect in Python.  A violation
-is a defect above the tolerance.
+one integer form, a ``_Table`` of numerators and denominators read by
+``_parts``; a measure builds those of its five tables once, from those of
+its weights (or, for S(G), of its base's), and assigning a table replaces
+them.  Two kernels do the exact arithmetic: ``_product_parts`` multiplies
+gathered values term by term (both sides of every check, the tables, the
+terms of ``algebra.convolve``), and ``_group_sums`` sums terms by group over
+their one lcm (the sum checks and ``convolve``).  They run on int64 where
+``_narrowed`` proves from the bit lengths of the data that no product or sum
+reaches 2**62, and on Python ints otherwise.  On ints and Fractions a check
+cross-multiplies its two sides and computes the defect ``abs(lhs - rhs)``
+only where they differ; on floats and complex values every check computes
+its defect in Python.  A violation is a defect above the tolerance.
 
 Object weights are user-supplied, defaulting to all ones (the convention under
 which the counting measure gives unit fiber weights and matrix-unit
@@ -38,6 +42,8 @@ int or a Fraction, so the counting measure has int fiber weights.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import operator
@@ -84,63 +90,137 @@ def _ratio(p, q):
 def _is_exact(*value_lists) -> bool:
     """Whether every value is a ``numbers.Rational``; the package's one
     exact-type gate, which spares ints and Fractions the ABC check."""
-    flat = (v for values in value_lists for v in values)
+    if all(map({int, Fraction}.__contains__, map(type, itertools.chain.from_iterable(value_lists)))):
+        return True  # the common case, at C speed
+    flat = itertools.chain.from_iterable(value_lists)
     return all(type(v) in (int, Fraction) or isinstance(v, Rational) for v in flat)
 
 
-def _parts(values) -> tuple[np.ndarray, np.ndarray]:
-    """The integer numerators and denominators of rational values, as object
-    arrays of Python ints: the one reader of the exact format."""
-    return (
-        np.array([int(v.numerator) for v in values], dtype=object),
-        np.array([int(v.denominator) for v in values], dtype=object),
-    )
+def _uniform(values) -> bool | None:
+    """True when every value is a Fraction, False when every one is an int, else None."""
+    if all(isinstance(v, Fraction) for v in values):
+        return True
+    return False if all(isinstance(v, int) for v in values) else None
 
 
-def _over_lcm(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, int]:
-    """The fractions num / den as integer numerators over the lcm of den."""
-    lcm = math.lcm(*den.tolist())
-    return num * (lcm // den), lcm
+_INT64_BITS = 62  # |x| < 2**62: one spare bit inside int64
 
 
-def _product_parts(side: tuple, parts: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The integer numerators and denominators of a side's products, term by
-    term.  A side is a tuple of factors: ``(values, index)`` multiplies term k
-    by values[index[k]] and ``(values, index, -1)`` divides it; the first
-    multiplies.  ``parts`` maps the id of each value list to its ``_parts``."""
-    (values, index, *_), *rest = side
-    num, den = (p[index] for p in parts[id(values)])
-    for values, index, *inverse in rest:
-        n, d = parts[id(values)]
-        num, den = (num * d[index], den * n[index]) if inverse else (num * n[index], den * d[index])
-    return num, den
+def _narrowed(arrays, *bits: int, terms: int = 0) -> list[np.ndarray]:
+    """The integer arrays as int64 if their products (of factors below 2**b1,
+    2**b2, ... so below 2**(b1 + b2 + ...)) and sums of ``terms`` of those stay
+    below 2**62, else as object arrays of Python ints: the one maker of int64
+    exact values, since ``np.einsum`` and ``np.add.at`` wrap on overflow."""
+    dtype = np.int64 if sum(bits) + terms.bit_length() <= _INT64_BITS else object
+    return [np.asarray(a, dtype=dtype) for a in arrays]
 
 
-def _group_sums(num: np.ndarray, den: np.ndarray, ids: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """The sums of the terms num / den by group, term k adding to group
-    ids[k] < n: integer numerators over the one lcm of den, and that lcm."""
-    scaled, lcm = _over_lcm(num, den)
-    sums = np.zeros(n, dtype=object)
+def _parts(values) -> tuple[list, list]:
+    """The integer numerators and denominators of rational values, as lists
+    of Python ints: the one reader of the exact format."""
+    return [int(v.numerator) for v in values], [int(v.denominator) for v in values]
+
+
+class _Table:
+    """A value list in integer form: numerators ``num`` and denominators
+    ``den`` (None unless every value is exact), bounds ``nbits`` and ``dbits``
+    of their bit lengths (their own by default), and ``fraction``, True where
+    a value is a Fraction.  Made from integers, it builds its values on first
+    ``read``: Fraction(num, den) where ``fraction`` is set, else num // den."""
+
+    __slots__ = ("values", "num", "den", "nbits", "dbits", "fraction")
+
+    def __init__(self, values=None, num=None, den=None, bits=None, fraction=None):
+        own = bits is None  # else a kernel's bounds, on arrays of the dtype they allow
+        if num is None and values is not None and _is_exact(values):
+            num, den = _parts(values)
+            fraction = np.array([isinstance(v, Fraction) for v in values], dtype=bool)
+            bits = [max(map(abs, a), default=0).bit_length() for a in (num, den)]
+        elif num is not None and own:
+            bits = [int(np.abs(a).max(initial=0)).bit_length() for a in (num, den)]
+        if num is not None and own:
+            num, den = _narrowed((num, den), max(bits))
+        self.values, self.num, self.den, self.fraction = values, num, den, fraction
+        self.nbits, self.dbits = bits or (None, None)
+
+    def read(self):
+        if self.values is None:
+            rows = zip(*(a.ravel().tolist() for a in (self.num, self.den, self.fraction)))
+            self.values = tuple(Fraction(n, d) if q else n // d for n, d, q in rows)
+        return self.values
+
+    def __getitem__(self, k):
+        return self.read()[k]
+
+    def reshape(self, shape) -> "_Table":
+        """The integer form in ``shape``, for ``algebra.contract``; itself when it has none."""
+        if self.num is None:
+            return self
+        num, den, fraction = (a.reshape(shape) for a in (self.num, self.den, self.fraction))
+        return _Table(None, num, den, (self.nbits, self.dbits), fraction)
+
+
+def _lowest_terms(t: _Table, fractions: bool) -> _Table:
+    """t in lowest terms: all Fractions when ``fractions``, else an int where
+    the quotient is whole."""
+    g = np.gcd(t.num, t.den)
+    low = _Table(None, t.num // g, t.den // g)
+    low.fraction = (low.den != 1) | fractions
+    return low
+
+
+def _over_lcm(t: _Table) -> tuple[np.ndarray, int, int]:
+    """t's values as integer numerators over the lcm of t.den, that lcm, and
+    a bound of the numerators' bit lengths."""
+    lcm = math.lcm(*set(t.den.ravel().tolist()))
+    num, den = _narrowed((t.num, t.den), t.nbits, lcm.bit_length())
+    return num * (lcm // den), lcm, t.nbits + lcm.bit_length()
+
+
+def _product_parts(side: tuple) -> _Table:
+    """The integer form of a side's products, term by term.  A side is a
+    tuple of factors on exact ``_Table``s: ``(table, index)`` multiplies term
+    k by table[index[k]], ``(table, index, -1)`` divides it."""
+    gathered = []
+    for t, index, *inverse in side:
+        num, den = t.num[index], t.den[index]
+        gathered.append((den, num, t.dbits, t.nbits) if inverse else (num, den, t.nbits, t.dbits))
+    nums, dens, nbits, dbits = zip(*gathered)
+    num, den = (functools.reduce(operator.mul, _narrowed(a, *b)) for a, b in ((nums, nbits), (dens, dbits)))
+    return _Table(None, num, den, (sum(nbits), sum(dbits)))
+
+
+def _group_sums(t: _Table, ids: np.ndarray, n: int) -> _Table:
+    """The sums of the terms of t by group, term k adding to group ids[k] < n,
+    as integer numerators over the one lcm of t.den."""
+    scaled, lcm, bits = _over_lcm(t)
+    (scaled,) = _narrowed((scaled,), bits, terms=len(ids))
+    sums = np.zeros(n, dtype=scaled.dtype)
     np.add.at(sums, ids, scaled)
-    return sums, lcm
+    bounds = (bits + len(ids).bit_length(), lcm.bit_length())
+    return _Table(None, sums, np.full(n, lcm, dtype=object), bounds)
 
 
-def _products(values, i, j) -> list:
-    """values[i[k]] * values[j[k]] for each k; on Fractions one
-    Fraction(p·p', q·q') per entry, from numerators and denominators read once."""
-    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-    if not all(isinstance(v, Fraction) for v in values):
-        v = np.array(values, dtype=object)
-        return (v[i] * v[j]).tolist()
-    num, den = _product_parts(((values, i), (values, j)), {id(values): _parts(values)})
-    return list(map(Fraction, num.tolist(), den.tolist()))
+def _table(name: str, doc: str) -> property:
+    """A measure table, read through its ``_Table``; assigning replaces the integer form too."""
+
+    def assign(m, values):
+        m._tables[name] = _Table(values)
+
+    return property(lambda m: m._tables[name].read(), assign, doc=doc)
 
 
 class GroupoidMeasure:
     """Positive morphism and object weights on a fixed groupoid, with the tables
     ``nu_targets`` (ν^x), ``nu_sources`` (ν_x) and ``deltas`` (δ) derived once."""
 
-    __slots__ = ("groupoid", "weights", "object_weights", "nu_targets", "nu_sources", "deltas")
+    __slots__ = ("groupoid", "_tables")
+
+    weights = _table("weights", "μ by morphism.")
+    object_weights = _table("object_weights", "μ_Ω by object.")
+    nu_targets = _table("nu_targets", "ν^x by morphism, built on first read.")
+    nu_sources = _table("nu_sources", "ν_x by morphism, built on first read.")
+    deltas = _table("deltas", "δ by morphism.")
 
     def __init__(
         self,
@@ -152,31 +232,54 @@ class GroupoidMeasure:
         self.groupoid = groupoid
         if len(weights) != groupoid.n_morphisms:
             raise ValueError("need one weight per morphism")
-        self.weights = _positive(weights, "morphism weight")
+        w = _positive(weights, "morphism weight")
         if object_weights is not None:
             if target_pushforward:
                 raise ValueError("give object_weights or target_pushforward, not both")
             if len(object_weights) != groupoid.n_objects:
                 raise ValueError("need one weight per object")
-            self.object_weights = _positive(object_weights, "object weight")
+            ow = _positive(object_weights, "object weight")
         elif target_pushforward:
-            self.object_weights = tuple(
-                sum(self.weights[m] for m in groupoid.target_fiber(x))
-                for x in groupoid.objects()
-            )
+            ow = tuple(sum(w[m] for m in groupoid.target_fiber(x)) for x in groupoid.objects())
         else:
-            self.object_weights = (1,) * groupoid.n_objects
-        self.weights, self.object_weights = _ints_as_fractions(self.weights, self.object_weights)
-        w, ow = self.weights, self.object_weights
-        g = groupoid
-        by = ((ow, g.target), (ow, g.source), (w, g.inverse))  # w[k] / q[i[k]]
-        if all(isinstance(v, Fraction) for v in w + ow):  # one Fraction each
-            parts, k = {id(w): _parts(w), id(ow): _parts(ow)}, np.arange(len(w))
-            quotients = (_product_parts(((w, k), (q, np.asarray(i), -1)), parts) for q, i in by)
-            tables = (tuple(map(Fraction, num.tolist(), den.tolist())) for num, den in quotients)
-        else:
-            tables = (tuple(map(_ratio, w, map(q.__getitem__, i))) for q, i in by)
-        self.nu_targets, self.nu_sources, self.deltas = tables
+            ow = (1,) * groupoid.n_objects
+        w, ow = _ints_as_fractions(w, ow)
+        self._derive(_Table(w), _Table(ow), _uniform(w + ow))
+
+    @classmethod
+    def _product_measure(cls, groupoid: FiniteGroupoid, base: "GroupoidMeasure", morphisms, objects):
+        """The measure on ``groupoid`` with weights base.weights[i]·base.weights[j]
+        for (i, j) in zip(*morphisms), and object weights likewise over
+        ``objects``: on an exact base one value per entry, from its integer form."""
+        fractions = _uniform((*base.weights, *base.object_weights))
+        by = (("weights", morphisms), ("object_weights", objects))
+        pairs = [(base._tables[name], *(np.asarray(k, dtype=np.intp) for k in ij)) for name, ij in by]
+        if fractions is None:
+            values = [np.array(t.values, dtype=object) for t, _, _ in pairs]
+            return cls(groupoid, *((v[i] * v[j]).tolist() for v, (_, i, j) in zip(values, pairs)))
+        m = cls.__new__(cls)
+        m.groupoid = groupoid
+        products = (_lowest_terms(_product_parts(((t, i), (t, j))), fractions) for t, i, j in pairs)
+        m._derive(*products, fractions)
+        return m
+
+    def _derive(self, w: _Table, ow: _Table, fractions: bool | None) -> None:
+        """Set the five tables from the weight tables: ν^x = μ/μ_Ω∘t, ν_x =
+        μ/μ_Ω∘s and δ = μ/μ∘inv, from the integer form on exact weights
+        (``fractions`` not None), else entry by entry by ``_ratio``.  Only ν
+        is left to be built on first read."""
+        g = self.groupoid
+        self._tables = {"weights": w, "object_weights": ow}
+        k = np.arange(g.n_morphisms)
+        by = (("nu_targets", ow, g.target), ("nu_sources", ow, g.source), ("deltas", w, g.inverse))
+        for name, q, i in by:
+            if fractions is None:
+                self._tables[name] = _Table(tuple(map(_ratio, w.values, map(q.values.__getitem__, i))))
+            else:
+                quotient = _product_parts(((w, k), (q, np.asarray(i, dtype=np.intp), -1)))
+                self._tables[name] = _lowest_terms(quotient, fractions)
+        for t in (w, ow, self._tables["deltas"]):
+            t.read()
 
     @classmethod
     def counting(cls, groupoid: FiniteGroupoid) -> "GroupoidMeasure":
@@ -299,7 +402,8 @@ def _report_defects(
     """The report of the checks lhs_i == rhs_i, with a violation for each i
     whose defect abs(lhs_i - rhs_i) exceeds tol.
 
-    A side is a tuple of factors, as ``_product_parts`` reads them.  Without
+    A side is a tuple of factors, as ``_product_parts`` reads them, on value
+    lists or ``_Table``s.  Without
     ``groups`` term i is check i; with ``groups = (ids, n)`` check c < n sums
     the terms k with ids[k] == c.  When every value is an int or a Fraction,
     equality is decided first, exactly, by the two kernels, and only the
@@ -311,11 +415,15 @@ def _report_defects(
     """
     rep = ViolationReport(checks=len(lhs[0][1]) if groups is None else groups[1])
     # a value list that several factors read (Δ at b∘a, b and a) is read once
-    distinct = {id(values): values for values, *_ in lhs + rhs}
-    if tol >= 0 and _is_exact(*distinct.values()):
-        parts = {i: _parts(values) for i, values in distinct.items()}
-        sides = [_product_parts(side, parts) for side in (lhs, rhs)]
-        (ln, ld), (rn, rd) = sides if groups is None else [_group_sums(*s, *groups) for s in sides]
+    tables = {id(v): v if isinstance(v, _Table) else _Table(v) for v, *_ in lhs + rhs}
+    if tol >= 0 and all(t.num is not None for t in tables.values()):
+        sides = [_product_parts(tuple((tables[id(v)], *f) for v, *f in side)) for side in (lhs, rhs)]
+        if groups is not None:
+            sides = [_group_sums(s, *groups) for s in sides]
+        l, r = sides
+        if max(l.nbits + r.dbits, r.nbits + l.dbits) > _INT64_BITS:  # bound the products by their own bits
+            l, r = (_Table(None, t.num, t.den) for t in sides)
+        ln, ld, rn, rd = _narrowed((l.num, l.den, r.num, r.den), max(l.nbits + r.dbits, r.nbits + l.dbits))
         differ = ln * rd != rn * ld
     else:  # a zero defect exceeds a negative tol; floats are compared by Python
         differ = np.ones(rep.checks, dtype=bool)
@@ -365,7 +473,7 @@ def modular(g: FiniteGroupoid, m: GroupoidMeasure, tol: float = DEFAULT_TOL) -> 
     δ(β∘α) != δ(β)·δ(α) beyond `tol`; such a measure has no Haar
     disintegration.
     """
-    rep = modular_homomorphism_report(g, m.deltas, tol)
+    rep = modular_homomorphism_report(g, m._tables["deltas"], tol)
     if not rep.ok:
         first = rep.violations[0]
         raise NotHaarError(f"modular function is {first.message}: defect {first.magnitude:.3e}")
@@ -373,7 +481,7 @@ def modular(g: FiniteGroupoid, m: GroupoidMeasure, tol: float = DEFAULT_TOL) -> 
 
 
 def _translation_report(
-    g: FiniteGroupoid, kind: str, values: Sequence, tol: float, right: bool, message: str
+    g: FiniteGroupoid, kind: str, values: _Table, tol: float, right: bool, message: str
 ) -> ViolationReport:
     """The left (right) translation check of ``verify_left_invariance``
     (``verify_right_invariance``); ``message`` takes the labels of β and γ."""
@@ -400,7 +508,7 @@ def verify_left_invariance(
     order of γ, then β.
     """
     message = "ν^y({}) != ν^x(γ⁻¹∘β) for γ={}"
-    return _translation_report(g, "left-invariance", m.nu_targets, tol, False, message)
+    return _translation_report(g, "left-invariance", m._tables["nu_targets"], tol, False, message)
 
 
 def verify_inverse_relation(
@@ -408,13 +516,14 @@ def verify_inverse_relation(
 ) -> ViolationReport:
     """Check τ⋆(ν^x) = δ⁻¹·ν_x: ν^x(α⁻¹) == δ(α)⁻¹·ν_x(α) for every α in G_x."""
     alphas = np.argsort(g.source, kind="stable")  # G_0, then G_1, ...
-    lhs = ((m.nu_targets, np.asarray(g.inverse, dtype=np.intp)[alphas]),)
+    t = m._tables
+    lhs = ((t["nu_targets"], np.asarray(g.inverse, dtype=np.intp)[alphas]),)
 
     def describe(i):
         alpha = int(alphas[i])
         return (g.source[alpha], alpha), f"τ⋆ν^x != δ⁻¹ν_x at α={g.label(alpha)}"
 
-    rhs = ((m.nu_sources, alphas), (m.deltas, alphas, -1))
+    rhs = ((t["nu_sources"], alphas), (t["deltas"], alphas, -1))
     return _report_defects("inverse-relation", tol, lhs, rhs, describe)
 
 
@@ -430,7 +539,7 @@ def verify_right_invariance(
     order of γ, then α.
     """
     message = "ν_x({}) != ν_y(α∘γ⁻¹) for γ={}"
-    return _translation_report(g, "right-invariance", m.nu_sources, tol, True, message)
+    return _translation_report(g, "right-invariance", m._tables["nu_sources"], tol, True, message)
 
 
 def verify_disintegration(
@@ -448,10 +557,11 @@ def verify_disintegration(
     subsets = [list(E) for E in subsets]
     a = np.array([operator.index(x) for E in subsets for x in E], dtype=np.intp)  # no float index
     ids = np.repeat(np.arange(len(subsets)), [len(E) for E in subsets])
-    lhs = (m.nu_targets, a), (m.object_weights, np.asarray(g.target, dtype=np.intp)[a])
+    t = m._tables
+    lhs = (t["nu_targets"], a), (t["object_weights"], np.asarray(g.target, dtype=np.intp)[a])
 
     def describe(c):
         return tuple(subsets[c]), f"disintegration fails on E={subsets[c]}"
 
     groups = (ids, len(subsets))
-    return _report_defects("disintegration", tol, lhs, ((m.weights, a),), describe, groups=groups)
+    return _report_defects("disintegration", tol, lhs, ((t["weights"], a),), describe, groups=groups)

@@ -57,7 +57,6 @@ from .measure import (
     DEFAULT_TOL,
     GroupoidMeasure,
     NotHaarError,
-    _products,
     _report_defects,
     modular,
     modular_homomorphism_report,
@@ -88,20 +87,18 @@ class SymmetroidMeasure:
     δ(α)·δ(γ); ``weights`` and ``modular`` key them by Γ.
 
     μ₂ and its object weights are products gathered over the α and γ of every
-    transformation; on a Fraction base each is one Fraction built from the
-    products of the base's numerators and of its denominators."""
+    transformation; on an exact base each is one value built from the base's
+    integer form, and so are the vertical ν₂ and Δ₂ tables."""
 
     __slots__ = ("symmetroid", "base", "measure")
 
     def __init__(self, symmetroid: Symmetroid, base: GroupoidMeasure):
         self.symmetroid = symmetroid
         self.base = base
-        g, ts = base.groupoid, symmetroid.transformations
-        alpha, _, gamma = zip(*ts)
-        self.measure = GroupoidMeasure(
-            symmetroid.vertical,
-            _products(base.weights, alpha, gamma),
-            _products(base.object_weights, g.target, g.source),
+        g = base.groupoid
+        alpha, _, gamma = zip(*symmetroid.transformations)
+        self.measure = GroupoidMeasure._product_measure(
+            symmetroid.vertical, base, (alpha, gamma), (g.target, g.source)
         )
 
     @property
@@ -159,7 +156,7 @@ def verify_modular_formula(
     ``verify_modular_homomorphism`` are the Haar tests.
     """
     sym, ts = m2.symmetroid, m2.symmetroid.transformations
-    w, delta = m2.measure.weights, m2.measure.deltas
+    w, delta = m2.measure._tables["weights"], m2.measure._tables["deltas"]
     idx = np.arange(len(ts))
     inverse = np.asarray(sym.vertical.inverse, dtype=np.intp)
 
@@ -185,7 +182,7 @@ def verify_modular_formula(
 
 def verify_modular_homomorphism(m2: SymmetroidMeasure, tol: float = DEFAULT_TOL) -> ViolationReport:
     """Δ₂(Γ₂ ∘_V Γ₁) == Δ₂(Γ₂)·Δ₂(Γ₁) over all vertically composable pairs."""
-    return modular_homomorphism_report(m2.symmetroid.vertical, m2.measure.deltas, tol)
+    return modular_homomorphism_report(m2.symmetroid.vertical, m2.measure._tables["deltas"], tol)
 
 
 # -- functions on a general symmetroid --
@@ -359,12 +356,19 @@ def _base_table(values, t: np.ndarray) -> np.ndarray:
     return value_array(values).reshape(t.shape[:2]).astype(t.dtype)
 
 
+def _nu(qm: QuotientMeasure, t: np.ndarray):
+    """ν as a ``contract`` operand beside the kernel tensor t: the base's
+    integer form when both are exact."""
+    nu = qm.base._tables["nu_targets"]
+    return nu.reshape(t.shape[:2]) if nu.num is not None and t.dtype == object else _base_table(nu.read(), t)
+
+
 def _weighted(t: np.ndarray, qm: QuotientMeasure | None) -> np.ndarray:
     """ν(l,r) ν(m,s) t[l, r, s, m] for the tensor view t of a kernel; t itself
     on a counting base."""
     if qm is None:
         return t
-    nu = _base_table(qm.base.nu_targets, t)
+    nu = _nu(qm, t)
     return contract("lrsm,lr,ms->lrsm", t, nu, nu)
 
 
@@ -375,15 +379,16 @@ def convolve_S(
 
     With a counting base the fiber weights are 1 and this is multiplication in
     M_n ⊗ M_n under the matrix-unit identification.  On two exact kernels the
-    weights are operands of one ``contract``, so the exact arithmetic is done
-    once; a complex kernel is weighted first and then contracted, which keeps
-    its rounding.
+    weights are operands of one ``contract``, which weights the numerators of
+    t by those of ν and contracts them with u's, so the exact arithmetic is
+    done once; a complex kernel is weighted first and then contracted, which
+    keeps its rounding.
     """
     if g.n != f.n:
         raise GroupoidError("quotient functions live over different bases")
     t, u = f.tensor(), g.tensor()
     if qm is not None and t.dtype == u.dtype == object:
-        nu = _base_table(qm.base.nu_targets, t)
+        nu = _nu(qm, t)
         out = contract("lrsm,lr,ms,rjks->ljkm", t, nu, nu, u)
     else:
         out = contract("lrsm,rjks->ljkm", _weighted(t, qm), u)

@@ -633,3 +633,87 @@ def test_exact_kernels_make_no_fraction_arithmetic():
     qm = QuotientMeasure(weighted_pair_measure(g3, (Fraction(1, 3), 2, Fraction(5, 2))))
     k, k2 = (QuotientFunction(3, _fractions(rng, 81)) for _ in range(2))
     assert fraction_operator_calls(lambda: convolve_S(k, k2, qm)) == 0
+
+
+def fractions_built(op) -> int:
+    """The number of ``Fraction.__new__`` calls that op() makes."""
+    calls = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(cls)
+        return new(cls, *args, **kwargs)
+
+    with mock.patch.object(Fraction, "__new__", counted):
+        op()
+    return len(calls)
+
+
+def test_exact_tables_and_checks_build_no_needless_fraction():
+    assert fractions_built(lambda: Fraction(1, 2) * 3) == 2  # the counter counts
+    g = pair_groupoid(4)
+    m = weighted_pair_measure(g, (Fraction(1, 2), 1, Fraction(3), Fraction(2, 5)))
+    # the weights exist; δ is built, ν only on first read
+    fresh = []
+    assert fractions_built(lambda: fresh.append(GroupoidMeasure(g, m.weights, m.object_weights))) == 16
+    base = fresh[0]
+    # μ₂ and Δ₂ per transformation and the object weights per base morphism
+    sym = Symmetroid(g)
+    assert fractions_built(lambda: fresh.append(induce_measure(sym, base))) == 256 + 256 + 16
+    m2 = fresh[1]
+    unimodular = GroupoidMeasure.counting(g).with_exact()
+    checks = {
+        "verify_left_invariance": lambda: verify_left_invariance(g, base),
+        "verify_right_invariance": lambda: verify_right_invariance(g, unimodular),
+        "verify_inverse_relation": lambda: verify_inverse_relation(g, base),
+        "verify_disintegration": lambda: verify_disintegration(g, base),
+        "modular": lambda: modular_homomorphism_report(g, base.deltas),
+        "verify_induced_equivariance": lambda: verify_induced_equivariance(m2),
+        "verify_modular_formula": lambda: verify_modular_formula(m2),
+        "verify_modular_homomorphism": lambda: verify_modular_homomorphism(m2),
+    }
+    assert all(op().ok for op in checks.values())
+    assert fractions_built(lambda: modular(g, base)) == 0
+    assert {name: fractions_built(op) for name, op in checks.items()} == dict.fromkeys(checks, 0)
+    assert fractions_built(lambda: base.nu_targets) == 16
+    assert fractions_built(lambda: base.nu_sources) == 16
+    assert base.nu_targets == m.nu_targets and base.nu_sources == m.nu_sources
+    assert fractions_built(lambda: m2.measure.nu_targets) == 256
+
+
+def loop_involute(f, m):
+    """δ(α⁻¹)·conj(f(α⁻¹)) per entry, as Python arithmetic on the values."""
+    inverse = m.groupoid.inverse
+    return [m.deltas[inverse[a]] * f.values[inverse[a]].conjugate() for a in m.groupoid.morphisms()]
+
+
+def loop_left_regular_matrix(f, m):
+    """f(β)·ν(β) at (β∘γ, γ) per composable pair, each product cast to complex."""
+    g = m.groupoid
+    mat = np.zeros((g.n_morphisms,) * 2, dtype=np.complex128)
+    for b, a in g.composable_pairs():
+        if f.values[b] != 0:
+            mat[g.compose(b, a), a] = complex(f.values[b] * m.nu_targets[b])
+    return mat
+
+
+def test_involute_and_left_regular_matrix_match_per_entry_arithmetic():
+    g = pair_groupoid(3)
+    rng = np.random.default_rng(21)
+    bases = {
+        "fraction": weighted_pair_measure(g, (Fraction(1, 3), 2, Fraction(5, 7))),
+        "int": GroupoidMeasure(g, [2, 3, 4, 6, 1, 5, 7, 2, 3], [2, 3, 1]),
+        "counting": GroupoidMeasure.counting(g),
+    }
+    values = {
+        "fraction": _fractions(rng, 9),
+        "int": [int(v) for v in rng.integers(-4, 5, size=9)],
+        "mixed": [Fraction(1, 3), 2, 0, Fraction(-5, 2), 1, 0, 3, Fraction(7, 9), -1],
+        "big": [Fraction(3**50 + k, 2**70 + 1) for k in range(9)],
+    }
+    for m in bases.values():
+        for vs in values.values():
+            f = AlgebraElement(g, vs)
+            _same(involute(f, m).values, loop_involute(f, m))
+            got, want = left_regular_matrix(f, m), loop_left_regular_matrix(f, m)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -2,8 +2,9 @@
 ``eigen.py`` reaches ``numpy.linalg``, ``Symmetroid.__init__`` makes no
 per-entry ``compose``, ``inv`` or ``unit`` call, ``exchange_identity_report``
 has no loop, ``QuotientMeasure`` defines no method but ``__init__``,
-only ``measure._parts`` reads numerators and denominators, and exact products
-and sums go through the two kernels of ``measure``.
+only ``measure._parts`` reads numerators and denominators, and only where a
+``measure._Table`` is made, exact products and sums go through the two
+kernels of ``measure``, and only ``measure._narrowed`` names int64.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
 re-exports.
@@ -170,3 +171,47 @@ def test_exact_arithmetic_goes_through_two_kernels():
         assert [n for n in ast.walk(functions(module)[name]) if isinstance(n, ast.For)] == []
     convolve = called_names(functions("algebra.py")["_convolve_numerators"])
     assert "_group_sums" in convolve and "_over_lcm" not in convolve
+
+
+def top_level_uses(test) -> set:
+    """(module, top-level name) of every node of the package for which test(node) holds."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(test(node) for node in ast.walk(top)):
+                found.add((path.name, getattr(top, "name", None)))
+    return found
+
+
+def test_int64_only_in_the_bit_bound_helper():
+    # exact values become int64 only in measure._narrowed, which checks the bit
+    # bound first: np.einsum and np.add.at wrap silently on int64 overflow
+    def names_int64(node):
+        return (
+            isinstance(node, ast.Attribute) and node.attr == "int64"
+            or isinstance(node, ast.Name) and node.id == "int64"
+            or isinstance(node, ast.Constant) and node.value == "int64"
+        )
+
+    assert top_level_uses(names_int64) == {("measure.py", "_narrowed")}
+
+
+def test_measure_tables_are_read_once():
+    # a value list is read by measure._parts only when a _Table is made of it,
+    # so a measure's tables are read once, in its constructor; symalgebra
+    # builds S(G)'s tables through GroupoidMeasure and imports no helper of the
+    # integer form, and no per-entry product helper sits beside the kernels
+    def calls_parts(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_parts"
+
+    assert top_level_uses(calls_parts) == {("measure.py", "_Table")}
+    tree = ast.parse((PACKAGE / "symalgebra.py").read_text())
+    from_measure = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "measure"
+        for alias in node.names
+    }
+    helpers = {"_parts", "_over_lcm", "_is_exact", "_narrowed", "_Table", "_product_parts", "_group_sums"}
+    assert from_measure.isdisjoint(helpers | {"_lowest_terms"})
+    assert "_products" not in functions("measure.py")
