@@ -374,17 +374,9 @@ def positive_type_verdicts(
 ) -> list[PositiveTypeResult]:
     """``is_positive_type`` of each function, with one solve per distinct gather.
 
-    The functions on one groupoid are decided together: each distinct
-    source-fiber gather of that groupoid reads one stack of blocks, one per
-    function, and each stack is decided by ``_stacked_verdicts``.  Each
-    verdict is then a walk over the function's objects in order: the first
-    failing block decides, and otherwise the first block with the least
-    eigenvalue does.  Objects that share a gather share its verdicts; a block
-    equal byte for byte to an earlier one is not skipped, since its equal
-    verdict cannot change the walk's result.  A non-finite block raises
-    ValueError when, and only when, the walk reaches it; a table that lacks
-    a composite that a block reads raises NotComposableError before any
-    block is decided.
+    The functions on one groupoid are decided together, as the rows of one
+    complex128 array, by ``_PositiveTypeStack``; groupoids are taken in the
+    order of their first function.
     """
     phis = list(phis)
     by_groupoid: dict[int, list[int]] = {}
@@ -392,68 +384,120 @@ def positive_type_verdicts(
         by_groupoid.setdefault(id(phi.groupoid), []).append(i)
     results: list[PositiveTypeResult] = [None] * len(phis)  # type: ignore[list-item]
     for members in by_groupoid.values():
-        indices, objects = _fiber_gathers(phis[members[0]].groupoid)
         values = np.array([phis[i].values for i in members], dtype=np.complex128)
-        stacks = [values[:, idx] for idx in indices]
-        verdicts = [_stacked_verdicts(stack, tol) for stack in stacks]
+        stack = _PositiveTypeStack(phis[members[0]].groupoid, values, tol)
         for p, i in enumerate(members):
-            worst = PositiveTypeResult(True, float("inf"), 0.0)
-            for x, fiber, u in objects:
-                block, verdict = stacks[u][p], verdicts[u][p]
-                if verdict is None:
-                    verdict = psd_verdict(block, tol)  # not finite: the solver raises
-                if not verdict.ok or verdict.min_eigenvalue < worst.min_eigenvalue:
-                    worst = PositiveTypeResult(
-                        **vars(verdict), object_index=x, fiber=fiber, block=block
-                    )
-                if not worst.ok:
-                    break
-            results[i] = worst
+            results[i] = stack.result(p)
     return results
+
+
+class _PositiveTypeStack:
+    """``is_positive_type`` of each row of an (F, N) complex128 array of
+    functions on the groupoid G, decided as arrays.
+
+    Each distinct source-fiber gather of G reads one (F, d, d) stack of
+    blocks, one per function, and each stack is decided by one
+    ``_StackedSolve``.  A function's verdict is that of a walk over its
+    objects in order: the first failing block decides, and otherwise the
+    first block with the least eigenvalue does.  Objects that share a gather
+    share its verdicts, so only the first object of each gather can decide,
+    and the gathers are in the order of their first objects: the walk is one
+    over gathers.  ``ok`` holds the verdicts, and ``result(p)`` builds row
+    p's ``PositiveTypeResult`` from the stacked solves, with no solve of its
+    own.  A non-finite block raises ValueError here when, and only when, the
+    walk of its row reaches it; a table that lacks a composite that a block
+    reads raises NotComposableError before any block is decided.
+    """
+
+    __slots__ = ("heads", "blocks", "solves", "ok")
+
+    def __init__(self, G: FiniteGroupoid, values: np.ndarray, tol: float):
+        indices, self.heads = _fiber_gathers(G)
+        self.blocks = [values[:, idx] for idx in indices]
+        self.solves = [_StackedSolve(block, tol) for block in self.blocks]
+        self.ok = np.ones(len(values), dtype=bool)
+        for solve in self.solves:
+            self.ok &= solve.ok
+        if any(solve.unsolvable.any() for solve in self.solves):
+            for p in range(len(values)):
+                u = self._deciding(p)
+                if self.solves[u].unsolvable[p]:
+                    psd_verdict(self.blocks[u][p], tol)  # not finite: the solver raises
+
+    def _deciding(self, p: int) -> int:
+        """The gather of row p's deciding block."""
+        for u, solve in enumerate(self.solves):
+            if not solve.ok[p]:
+                return u
+        return min(range(len(self.solves)), key=lambda u: self.solves[u].least[p])
+
+    def result(self, p: int) -> PositiveTypeResult:
+        if not self.solves:  # no block to walk
+            return PositiveTypeResult(True, float("inf"), 0.0)
+        u = self._deciding(p)
+        x, fiber = self.heads[u]
+        verdict = self.solves[u].verdict(p)
+        return PositiveTypeResult(**vars(verdict), object_index=x, fiber=fiber, block=self.blocks[u][p])
 
 
 @functools.lru_cache(maxsize=64)
 def _fiber_gathers(G: FiniteGroupoid):
     """The source-fiber blocks of G as gathers, built once per groupoid (its
-    tables are read-only): the distinct index arrays and, per object x with a
-    nonempty source fiber in object order, (x, fiber, u).  values[indices[u]]
-    is x's block M[j, k] = phi(α_j ∘ α_k⁻¹), read through ``G.composites``,
-    so objects whose blocks read the same morphisms share u.  A table that
+    tables are read-only): the distinct index arrays, in the order of the
+    first object with a nonempty source fiber that reads each, and that
+    object x with its fiber as (x, fiber).  values[indices[u]] is x's block
+    M[j, k] = phi(α_j ∘ α_k⁻¹), read through ``G.composites``, and later
+    objects whose blocks read the same morphisms share u.  A table that
     lacks a composite that some block reads raises NotComposableError here,
     for the first such object in object order."""
     inverse = np.asarray(G.inverse, dtype=np.intp)
     indices: list[np.ndarray] = []
-    shared: dict[bytes, int] = {}
-    objects = []
+    heads = []
+    seen: set[bytes] = set()
     for x in G.objects():
         fiber = G.source_fiber(x)
         if not fiber:
             continue
         js = np.array(fiber, dtype=np.intp)
         idx = G.composites(js[:, None], inverse[js])
-        u = shared.setdefault(idx.tobytes(), len(indices))  # the bytes fix the order too
-        if u == len(indices):
+        key = idx.tobytes()  # the bytes fix the order too
+        if key not in seen:
+            seen.add(key)
             idx.flags.writeable = False
             indices.append(idx)
-        objects.append((x, fiber, u))
-    return tuple(indices), tuple(objects)
+            heads.append((x, fiber))
+    return tuple(indices), tuple(heads)
 
 
-def _stacked_verdicts(stack: np.ndarray, tol: float) -> list[PSDResult | None]:
-    """``psd_verdict`` of each block of an (F, d, d) stack, with one
+class _StackedSolve:
+    """``psd_verdict`` of each block of an (F, d, d) stack, as arrays, with one
     ``hermitian_eigh`` call for the blocks that are finite and Hermitian
-    within tol; None for a non-finite block within tol, which only
-    ``psd_verdict`` decides (its solver raises ValueError)."""
-    with np.errstate(invalid="ignore"):  # inf - inf: a NaN defect, left to the solver
-        defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    solved = finite & ~(defects > tol)
-    w, v = hermitian_eigh(stack[solved]) if solved.any() else (None, None)
-    rows = np.cumsum(solved) - 1
-    return [
-        _psd_result(d, lambda r=r: (w[r], v[r]), tol) if f or d > tol else None
-        for d, f, r in zip(defects.tolist(), finite.tolist(), rows.tolist())
-    ]
+    within tol.  ``least`` holds their least eigenvalues (NaN for the other
+    blocks) and ``ok`` every block's verdict.  ``unsolvable`` marks the
+    non-finite blocks within tol, which only ``psd_verdict`` decides (its
+    solver raises ValueError); ``verdict(p)`` is the PSDResult of any other
+    block p."""
+
+    __slots__ = ("tol", "defects", "solved", "w", "v", "least", "ok", "unsolvable")
+
+    def __init__(self, stack: np.ndarray, tol: float):
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN defect, left to the solver
+            self.defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        finite = np.isfinite(self.defects)  # a non-finite entry makes the defect inf or NaN
+        rejected = self.defects > tol
+        self.solved = finite & ~rejected
+        self.w = self.v = None
+        self.least = np.full(len(stack), np.nan)
+        if self.solved.any():
+            self.w, self.v = hermitian_eigh(stack[self.solved])
+            self.least[self.solved] = self.w[:, 0]
+        self.ok = self.least >= -tol
+        self.unsolvable = ~finite & ~rejected
+        self.tol = tol
+
+    def verdict(self, p: int) -> PSDResult:
+        r = np.count_nonzero(self.solved[:p])
+        return _psd_result(float(self.defects[p]), lambda: (self.w[r], self.v[r]), self.tol)
 
 
 def state_normalization(phi: AlgebraElement, m: GroupoidMeasure):

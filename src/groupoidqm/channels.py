@@ -38,11 +38,11 @@ from .algebra import (
     AlgebraElement,
     PSD_TOL,
     PSDResult,
+    _PositiveTypeStack,
     contract,
     convolve,
     element_from_json,
     involute,
-    positive_type_verdicts,
     psd_verdict,
     state_normalization,
     value_array,
@@ -203,13 +203,17 @@ def extend_with_identity(ch: Channel, m_ancilla: int) -> Channel:
     carries f across the second factor and the identity across the first:
     its value at ((a·n+l, a·n+j), (b·n+k, b·n+m)) is f((l,j),(k,m)).
     """
-    n, M = ch.n, m_ancilla
+    return Channel(QuotientFunction.from_tensor(_extended_tensor(ch.kernel.tensor(), m_ancilla)))
+
+
+def _extended_tensor(t: np.ndarray, m_ancilla: int) -> np.ndarray:
+    """The tensor of id_M ⊗ K from the kernel tensor t of K, in t's dtype."""
+    n, M = t.shape[0], m_ancilla
     if M < 1:
         raise ValueError("ancilla dimension must be at least 1")
-    t = ch.kernel.tensor()
     big = np.zeros((M, n) * 4, dtype=t.dtype)
     np.einsum("alajbkbm->abljkm", big)[...] = t
-    return Channel(QuotientFunction.from_tensor(big.reshape((M * n,) * 4)))
+    return big.reshape((M * n,) * 4)
 
 
 def zero_pad(ch: Channel, n_to: int) -> Channel:
@@ -419,14 +423,43 @@ class PositivityWitness:
 
 
 def random_positive_type(n: int, rng: np.random.Generator, rank: int | None = None) -> AlgebraElement:
-    """Gram construction: ψ(j, k) = Σ_i ξ_i(j) conj(ξ_i(k)), trace one."""
+    """A random state on pair_groupoid(n) by the Gram construction:
+    ψ(j, k) = Σ_i ξ_i(j) conj(ξ_i(k)) over ``rank`` vectors ξ_i with standard
+    normal real and imaginary parts, scaled to trace one.  A rank of None is
+    drawn from 1..n first.  The state is the one-trial case of
+    ``_random_gram_states``; its values are numpy complex128 scalars.
+    """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if rank is None:
         rank = int(rng.integers(1, n + 1))
-    vecs = rng.normal(size=(rank, n)) + 1j * rng.normal(size=(rank, n))
-    mat = sum(np.outer(v, v.conj()) for v in vecs)
-    mat = mat / np.trace(mat).real
-    g = pair_groupoid(n)
-    return AlgebraElement(g, [mat[j, k] for j in range(n) for k in range(n)])
+    elif rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
+    (mat,) = _random_gram_states(n, rng, np.array([rank]))
+    return AlgebraElement(pair_groupoid(n), list(mat.reshape(-1)))
+
+
+def _random_gram_states(n: int, rng: np.random.Generator, ranks: np.ndarray) -> np.ndarray:
+    """One trace-one Gram state of each rank, as an (F, n, n) complex128 stack:
+    bit for bit the states ``sum(np.outer(v, v.conj()) for v in vecs)``
+    divided by its real trace gives one at a time.
+
+    One ``rng.normal`` call draws the whole stream in the per-state order:
+    each state's real parts (rank × n), then its imaginary parts.  The
+    vectors are zero-padded to the largest rank.  The Python ``sum`` over the
+    rank starts from int 0, as the per-state sum does (a −0.0 becomes +0.0),
+    and a padded zero term adds nothing.  Each trace sums one diagonal, as
+    ``np.trace`` does (pairwise from n = 8 on).
+    """
+    rows = rng.normal(size=(2 * int(ranks.sum()), n))
+    # state f's rows are its ranks[f] real rows, then as many imaginary rows
+    i = np.arange(ranks.max())[:, None]
+    real = 2 * (ranks.cumsum() - ranks) + i
+    vecs = rows.take(real, axis=0, mode="clip") + 1j * rows.take(real + ranks, axis=0, mode="clip")
+    vecs[i >= ranks] = 0  # (rank, state, n), zero past each state's rank
+    gram = sum(vecs[:, :, :, None] * vecs[:, :, None, :].conj())
+    traces = gram.diagonal(0, 1, 2).sum(axis=1)
+    return gram / traces.real[:, None, None]
 
 
 def random_kraus_channel(n: int, rng: np.random.Generator, members: int | None = None) -> Channel:
@@ -463,38 +496,41 @@ def positivity_falsifier(
     """Search for a positive-type input mapped to a non-positive-type output.
 
     Random positive-type states are drawn on the product of the channel's
-    base with an ancilla pair groupoid of the given size and fed through the
-    trivially extended channel id_M ⊗ K.  This falsifies complete positivity
-    without the Choi matrix; it is a sampler, never a verifier.  Trial ranks
-    cycle from one (pure, maximally falsifying for entanglement-breaking
-    failures) upward.  Trials are drawn in order from one seeded stream and
-    applied and decided a chunk at a time; the first failing trial is the
-    witness, and no chunk after it is drawn.  Chunks double from one trial
-    up to ``_FALSIFIER_CHUNK`` trials, so a witness at trial t is found after
-    at most 2t + 1 draws.
+    base with an ancilla pair groupoid of the given size (at least one) and
+    fed through the trivially extended channel id_M ⊗ K.  This falsifies
+    complete positivity without the Choi matrix; it is a sampler, never a
+    verifier.  Trial ranks cycle from one (pure, maximally falsifying for
+    entanglement-breaking failures) upward.  Trials are drawn in order from
+    one seeded stream, as ``random_positive_type`` would draw them one at a
+    time, and handled a chunk at a time as arrays: one draw of the chunk's
+    Gram states, one contraction with the kernel tensor of id_M ⊗ K, built
+    once, and one stacked positive-type decision.  The first failing trial
+    is the witness, the only trial made into ``AlgebraElement``s, and no
+    chunk after it is drawn.  Chunks double from one trial up to
+    ``_FALSIFIER_CHUNK`` trials, so a witness at trial t is found after at
+    most 2t + 1 draws.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    extended = extend_with_identity(ch, ancilla) if ancilla > 1 else ch
-    dim = extended.n
+    kernel = _extended_tensor(ch.kernel.tensor(), ancilla)
+    dim = kernel.shape[0]
     g = pair_groupoid(dim)
-    kernel = extended.kernel.tensor()
+    rng = np.random.default_rng(seed)
     start, size = 0, 1
     while start < trials:
-        chunk = range(start, min(start + size, trials))
-        states = [random_positive_type(dim, rng, rank=(trial % dim) + 1) for trial in chunk]
-        values = value_array([v for psi in states for v in psi.values]).reshape(len(chunk), -1)
-        outputs = [AlgebraElement(g, row) for row in _apply_tensor(kernel, values).tolist()]
-        verdicts = positive_type_verdicts(outputs, tol)
-        for trial, psi, out, verdict in zip(chunk, states, outputs, verdicts):
-            if not verdict.ok:
-                return PositivityWitness(
-                    trial=trial,
-                    ancilla=ancilla,
-                    state=psi,
-                    output=out,
-                    min_eigenvalue=verdict.min_eigenvalue,
-                )
-        start, size = chunk.stop, min(2 * size, _FALSIFIER_CHUNK)
+        chunk = np.arange(start, min(start + size, trials))
+        states = _random_gram_states(dim, rng, chunk % dim + 1).reshape(len(chunk), -1)
+        outputs = _apply_tensor(kernel, states)
+        verdicts = _PositiveTypeStack(g, outputs.astype(np.complex128, copy=False), tol)
+        failing = np.flatnonzero(~verdicts.ok)
+        if failing.size:
+            p = failing[0]
+            return PositivityWitness(
+                trial=int(chunk[p]),
+                ancilla=ancilla,
+                state=AlgebraElement(g, list(states[p])),
+                output=AlgebraElement(g, outputs[p].tolist()),
+                min_eigenvalue=verdicts.result(p).min_eigenvalue,
+            )
+        start, size = start + len(chunk), min(2 * size, _FALSIFIER_CHUNK)
     return None

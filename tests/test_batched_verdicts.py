@@ -4,10 +4,14 @@ the per-function loops they replaced.
 ``loop_is_positive_type`` (from ``test_gather_parity``) is the per-function
 walk ``is_positive_type`` ran before its blocks were gathers: one
 ``G.compose`` per block entry and one ``psd_verdict`` per object.
-``loop_positivity_falsifier`` draws, applies and decides one trial at a time,
-with the single-state contraction ``apply`` used before.  Every field of every
-verdict and witness must agree bit for bit.
+``loop_random_positive_type`` is the per-state Gram construction
+``random_positive_type`` ran before states were drawn as a stack.
+``loop_positivity_falsifier`` draws through it, applies and decides one
+trial at a time, with the single-state contraction ``apply`` used before.
+Every field of every verdict and witness must agree bit for bit.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +33,8 @@ from groupoidqm import (
     transpose_channel,
 )
 from groupoidqm.algebra import PSD_TOL, contract, value_array
-from groupoidqm.channels import _FALSIFIER_CHUNK
+from groupoidqm.channels import _FALSIFIER_CHUNK, _random_gram_states
+from groupoidqm.symalgebra import QuotientFunction
 
 SIZES = (3, 2, 1, 4, 2)
 
@@ -42,12 +47,21 @@ def loop_apply(ch, psi):
     return AlgebraElement(psi.groupoid, out.reshape(-1).tolist())
 
 
+def loop_random_positive_type(n, rng, rank=None):
+    if rank is None:
+        rank = int(rng.integers(1, n + 1))
+    vecs = rng.normal(size=(rank, n)) + 1j * rng.normal(size=(rank, n))
+    mat = sum(np.outer(v, v.conj()) for v in vecs)
+    mat = mat / np.trace(mat).real
+    return AlgebraElement(pair_groupoid(n), [mat[j, k] for j in range(n) for k in range(n)])
+
+
 def loop_positivity_falsifier(ch, trials, seed, ancilla=1, tol=PSD_TOL):
     rng = np.random.default_rng(seed)
     extended = extend_with_identity(ch, ancilla) if ancilla > 1 else ch
     dim = extended.n
     for trial in range(trials):
-        psi = random_positive_type(dim, rng, rank=(trial % dim) + 1)
+        psi = loop_random_positive_type(dim, rng, rank=(trial % dim) + 1)
         out = loop_apply(extended, psi)
         verdict = loop_is_positive_type(out, tol)
         if not verdict.ok:
@@ -163,17 +177,62 @@ def test_inf_block_the_walk_reaches_raises():
     assert str(got.value) == str(want.value)
 
 
+# -- the draws --
+
+
+def assert_same_values(got, want):
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_random_positive_type_matches_the_loop(n):
+    # from n = 8 on, np.trace sums the diagonal pairwise
+    for rank in [None, *range(1, n + 2)]:
+        for seed in range(3):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_positive_type(n, got_rng, rank)
+            want = loop_random_positive_type(n, want_rng, rank)
+            assert got.groupoid is want.groupoid
+            assert_same_values(got.values, want.values)
+            assert got_rng.normal() == want_rng.normal()  # the streams end together
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_a_stack_of_states_matches_the_loop(n):
+    for ranks in ([n], list(range(1, n + 2)), [n, 1, n, 2, 1], [(t % n) + 1 for t in range(_FALSIFIER_CHUNK)]):
+        got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = _random_gram_states(n, got_rng, np.array(ranks))
+        assert got.shape == (len(ranks), n, n) and got.dtype == np.complex128
+        for state, rank in zip(got, ranks):
+            want = loop_random_positive_type(n, want_rng, rank)
+            assert_same_values(list(state.reshape(-1)), want.values)
+        assert got_rng.normal() == want_rng.normal()
+
+
 # -- the falsifier --
 
 
+def fraction_channel(n):
+    """An exact kernel with Fraction and int values, contracted on the object
+    path: not positive."""
+    def f(q):
+        if q.y == q.w and q.x == q.z:
+            return Fraction(2, 3)
+        return Fraction(-1, 7) if q.y == q.z else 0
+
+    return Channel(QuotientFunction.from_callable(n, f))
+
+
 def falsifier_cases():
-    for n in (2, 3):
-        for ancilla in (1, 2):
+    for n, ancillas in ((2, (1, 2)), (3, (1, 2, 3))):
+        for ancilla in ancillas:
             for seed in range(20):
                 rng = np.random.default_rng(seed)
                 yield n, ancilla, seed, "transpose", transpose_channel(n)
                 yield n, ancilla, seed, "hermitian", random_choi_hermitian_channel(n, rng)
                 yield n, ancilla, seed, "kraus", random_kraus_channel(n, rng)
+            yield n, ancilla, 0, "fraction", fraction_channel(n)
 
 
 def assert_same_witness(got, want, ancilla):
@@ -183,18 +242,20 @@ def assert_same_witness(got, want, ancilla):
     trial, state, output, min_eigenvalue = want
     assert (got.trial, got.ancilla) == (trial, ancilla)
     assert np.array_equal(got.min_eigenvalue, min_eigenvalue, equal_nan=True)
-    assert got.state.values == state.values
-    assert got.output.values == output.values
+    assert_same_values(got.state.values, state.values)
+    assert_same_values(got.output.values, output.values)
     assert got.state.groupoid is state.groupoid and got.output.groupoid is output.groupoid
 
 
 def test_falsifier_matches_the_loop():
     found = 0
+    cases = 0
     for n, ancilla, seed, _, chan in falsifier_cases():
         want = loop_positivity_falsifier(chan, 10, seed, ancilla)
         assert_same_witness(positivity_falsifier(chan, 10, seed, ancilla), want, ancilla)
         found += want is not None
-    assert 0 < found < 240
+        cases += 1
+    assert 0 < found < cases
 
 
 @pytest.mark.parametrize("n, seed", [(2, 1), (2, 3), (2, 9), (3, 2), (3, 4)])
@@ -212,11 +273,11 @@ def test_falsifier_witness_in_a_full_chunk(n, seed):
 def test_falsifier_draws_at_most_twice_the_trials_of_its_witness(monkeypatch):
     draws = []
 
-    def counted(*args, **kwargs):
-        draws.append(None)
-        return random_positive_type(*args, **kwargs)
+    def counted(n, rng, ranks):
+        draws.extend(ranks)
+        return _random_gram_states(n, rng, ranks)
 
-    monkeypatch.setattr(channels, "random_positive_type", counted)
+    monkeypatch.setattr(channels, "_random_gram_states", counted)
     for n, seed, tol in [(2, 0, PSD_TOL), (2, 1, 0.45), (3, 2, 0.45), (3, 5, 0.4)]:
         draws.clear()
         wit = positivity_falsifier(transpose_channel(n), 1000, seed, ancilla=2, tol=tol)

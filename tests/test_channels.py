@@ -383,6 +383,18 @@ class TestPositivity:
         ch = random_kraus_channel(2, rng, members=2)
         assert positivity_falsifier(ch, trials=100, seed=5, ancilla=2) is None
 
+    @pytest.mark.parametrize("ancilla", [0, -2])
+    def test_falsifier_rejects_an_ancilla_below_one(self, ancilla):
+        # with ancilla=2 the same call finds a witness at trial 0
+        assert positivity_falsifier(transpose_channel(2), trials=20, seed=1, ancilla=2).trial == 0
+        with pytest.raises(ValueError, match="ancilla dimension must be at least 1"):
+            positivity_falsifier(transpose_channel(2), trials=20, seed=1, ancilla=ancilla)
+
+    @pytest.mark.parametrize("n, rank, name", [(0, None, "n"), (-1, 1, "n"), (3, 0, "rank"), (3, -1, "rank")])
+    def test_random_positive_type_rejects_sizes_below_one(self, n, rank, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            random_positive_type(n, np.random.default_rng(0), rank)
+
     def test_falsifier_deterministic(self):
         w1 = positivity_falsifier(transpose_channel(2), trials=20, seed=123, ancilla=2)
         w2 = positivity_falsifier(transpose_channel(2), trials=20, seed=123, ancilla=2)

@@ -209,6 +209,31 @@ def test_channel_check_passes_for_bisection(tmp_path, capsys):
     assert data["flat_psd"]["block"] == [0, 0]
 
 
+def test_channel_check_decides_the_choi_matrix_once(tmp_path, capsys, monkeypatch):
+    from groupoidqm import algebra
+
+    path = tmp_path / "transpose.json"
+    path.write_text(json.dumps(transpose_channel(2).to_json()))
+    solves = []
+    solve = algebra.hermitian_eigh
+
+    def counted(a):
+        solves.append(np.shape(a))
+        return solve(a)
+
+    monkeypatch.setattr(algebra, "hermitian_eigh", counted)
+    code, data, _ = run_json(capsys, "channel", "check", str(path), "--cp", "--flat-psd")
+    assert code == 1
+    # is_flat_psd is is_cp, so the flat_psd section reports the same solve
+    assert solves == [(4, 4)]
+    assert data["flat_psd"]["min_eigenvalue"] == data["cp"]["min_eigenvalue"]
+    solves.clear()
+    assert run_json(capsys, "channel", "check", str(path), "--flat-psd")[1] == {
+        "n": 2, "flat_psd": data["flat_psd"]
+    }
+    assert solves == [(4, 4)]
+
+
 def test_channel_falsify_requires_seed(tmp_path, capsys):
     path = tmp_path / "transpose.json"
     path.write_text(json.dumps(transpose_channel(2).to_json()))

@@ -4,7 +4,8 @@ per-entry ``compose``, ``inv`` or ``unit`` call, ``exchange_identity_report``
 has no loop, ``QuotientMeasure`` defines no method but ``__init__``,
 only ``measure._parts`` reads numerators and denominators, and only where a
 ``measure._Table`` is made, exact products and sums go through the two
-kernels of ``measure``, and only ``measure._narrowed`` names int64.
+kernels of ``measure``, only ``measure._narrowed`` names int64, and
+``positivity_falsifier`` makes ``AlgebraElement``s only for its witness.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
 re-exports.
@@ -215,3 +216,25 @@ def test_measure_tables_are_read_once():
     helpers = {"_parts", "_over_lcm", "_is_exact", "_narrowed", "_Table", "_product_parts", "_group_sums"}
     assert from_measure.isdisjoint(helpers | {"_lowest_terms"})
     assert "_products" not in functions("measure.py")
+
+
+def test_falsifier_works_on_arrays_up_to_its_witness():
+    # positivity_falsifier draws a chunk's states as one stack and builds the
+    # kernel tensor of id_M ⊗ K once; a per-trial random_positive_type, an
+    # extended Channel or an AlgebraElement outside the witness would bring
+    # back the per-trial conversions
+    falsifier = functions("channels.py")["positivity_falsifier"]
+    called = called_names(falsifier)
+    assert called.isdisjoint({"random_positive_type", "extend_with_identity", "positive_type_verdicts"})
+    assert {"_random_gram_states", "_extended_tensor", "_apply_tensor", "_PositiveTypeStack"} <= called
+    witnesses = [
+        node for node in ast.walk(falsifier)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PositivityWitness"
+    ]
+    assert len(witnesses) == 1
+    inside = {id(node) for node in ast.walk(witnesses[0])}
+    elements = [
+        node for node in ast.walk(falsifier)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "AlgebraElement"
+    ]
+    assert len(elements) == 2 and all(id(node) in inside for node in elements)
