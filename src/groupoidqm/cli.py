@@ -300,7 +300,7 @@ def cmd_channel(args) -> int:
                 "min_eigenvalue": _nan_to_none(res.min_eigenvalue),
                 "hermitian_defect": res.hermitian_defect,
             }
-            if res.witness is not None and not res.ok:
+            if not res.ok and res.witness is not None:
                 payload["cp"]["witness"] = complex_values_to_json(res.witness)
             failed |= not res.ok
         if args.flat_psd:

@@ -21,12 +21,22 @@ from test_gather_parity import loop_is_positive_type
 from groupoidqm import (
     AlgebraElement,
     Channel,
+    PositiveTypeResult,
     channels,
+    choi_kraus_decomposition,
+    eigen,
     extend_with_identity,
+    hermitian_eigh,
+    identity_channel,
+    is_cp,
+    is_flat_psd,
     is_positive_type,
+    kernel_positive_type,
+    min_eigenvalue,
     pair_groupoid,
     positive_type_verdicts,
     positivity_falsifier,
+    psd_verdict,
     random_choi_hermitian_channel,
     random_kraus_channel,
     random_positive_type,
@@ -214,8 +224,8 @@ def test_a_stack_of_states_matches_the_loop(n):
 
 
 def fraction_channel(n):
-    """An exact kernel with Fraction and int values, contracted on the object
-    path: not positive."""
+    """An exact kernel with Fraction and int values, cast to complex128 beside
+    the complex states it is contracted with: not positive."""
     def f(q):
         if q.y == q.w and q.x == q.z:
             return Fraction(2, 3)
@@ -297,3 +307,110 @@ def test_falsifier_on_a_non_hermitian_output():
     want = loop_positivity_falsifier(chan, 3, 0)
     assert want is not None and np.isnan(want[3])
     assert_same_witness(positivity_falsifier(chan, 3, 0), want, 1)
+
+
+# -- verdicts on eigenvalues alone, eigenvectors solved when read --
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Each solve as ("values" or "vectors", shape), through the two bindings
+    that solve: eigen's, which every verdict reads, and channels' own."""
+    made = []
+
+    def counted(a, vectors=True):
+        made.append(("vectors" if vectors else "values", np.shape(a)))
+        return hermitian_eigh(a, vectors=vectors)
+
+    monkeypatch.setattr(eigen, "hermitian_eigh", counted)
+    monkeypatch.setattr(channels, "hermitian_eigh", counted)
+    return made
+
+
+def test_values_only_solve_matches_the_vector_solve_and_checks_its_input():
+    rng = np.random.default_rng(2)
+    for d in (1, 4, 9):
+        a = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        w, v = hermitian_eigh(a, vectors=False)
+        assert v is None and w.shape == (3, d)
+        assert np.allclose(w, hermitian_eigh(a)[0], rtol=0, atol=1e-12 * np.abs(a).max())
+        assert w.tobytes() == np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2).tobytes()
+    for bad in (np.ones((2, 3)), np.ones(4), np.array([[1.0, np.inf], [np.inf, 1.0]])):
+        with pytest.raises(ValueError):
+            hermitian_eigh(bad, vectors=False)
+
+
+def test_passing_verdicts_make_no_vector_solve(solves):
+    rng = np.random.default_rng(3)
+    ch = random_kraus_channel(3, rng, members=9)
+    assert is_cp(ch).ok and is_flat_psd(ch).ok
+    assert kernel_positive_type(identity_channel(3))[0]
+    states = [random_positive_type(n, rng) for n in (1, 2, 3, 4)]
+    assert all(r.ok for r in positive_type_verdicts(states))
+    assert positivity_falsifier(ch, 10, 0, ancilla=2) is None
+    assert min_eigenvalue(np.eye(3)) == 1.0
+    assert solves and {kind for kind, _ in solves} == {"values"}
+
+
+def test_a_failing_verdict_solves_eigenvectors_only_when_read(solves):
+    wit = positivity_falsifier(transpose_channel(2), 10, 0, ancilla=2)
+    assert wit is not None and wit.min_eigenvalue < 0
+    res = is_cp(transpose_channel(3))
+    assert not res.ok
+    assert {kind for kind, _ in solves} == {"values"}
+    solves.clear()
+    first = res.witness
+    assert solves == [("vectors", (9, 9))]
+    assert res.witness.tobytes() == first.tobytes()
+    assert res.eigenvectors is res.eigenvectors
+    assert len(solves) == 1
+    # a PositiveTypeResult made from a verdict keeps the solve it read
+    copied = PositiveTypeResult(**vars(res), object_index=0)
+    assert copied.eigenvectors is res.eigenvectors
+    assert len(solves) == 1
+
+
+def test_reading_a_stacked_verdicts_witness_solves_its_block_once(solves):
+    g = pair_groupoid(2)
+    phi = AlgebraElement(g, [-1, 1, 1, -1])  # the block [[-1, 1], [1, -1]]
+    (res,) = positive_type_verdicts([phi])
+    assert not res.ok and solves == [("values", (1, 2, 2))]
+    solves.clear()
+    assert np.allclose(res.block @ res.witness, -2 * res.witness, atol=1e-12)
+    assert res.witness is not None
+    assert solves == [("vectors", (2, 2))]
+
+
+def test_choi_kraus_decomposition_makes_its_one_solve_with_vectors(solves):
+    choi_kraus_decomposition(random_kraus_channel(2, np.random.default_rng(4)))
+    assert solves == [("vectors", (4, 4))]
+
+
+def witness_matrices():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 5, 9, 16):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = (a + a.conj().T) / 2
+        yield h
+        yield 1e6 * h
+        yield 1e-6 * (h @ h)
+    for n in (2, 3, 4):
+        yield channels.to_choi(transpose_channel(n)).matrix
+
+
+def test_the_witness_is_an_eigenvector_of_the_least_eigenvalue():
+    for m in witness_matrices():
+        res = psd_verdict(m)
+        x = res.witness
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(m @ x - res.min_eigenvalue * x) <= 1e-10 * np.abs(m).max()
+
+
+def test_a_defect_failed_verdict_makes_no_solve_and_has_no_witness(solves):
+    res = psd_verdict(np.array([[1.0, 1e-3], [0.0, 1.0]]))
+    assert not res.ok and np.isnan(res.min_eigenvalue)
+    assert (res.witness, res.eigenvectors, res.eigenvalues) == (None, None, None)
+    (stacked,) = positive_type_verdicts([AlgebraElement(pair_groupoid(2), [1, 1j, 0, 1])])
+    assert not stacked.ok and np.isnan(stacked.min_eigenvalue)
+    assert stacked.witness is None
+    assert solves == []

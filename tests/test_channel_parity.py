@@ -6,6 +6,9 @@ ran before they became calls into ``convolve``, ``involute``, ``apply`` and
 ``psd_verdict``, and the re-wrapping ``convolve_general`` and
 ``involute_general`` did before ``SymFunction`` became an ``AlgebraElement``.
 Verdicts and errors must agree; tomogram values may move by rounding only.
+``object_einsum`` is the object-dtype contraction an exact kernel beside
+complex values ran on before ``contract`` cast it to complex128; those
+outputs must agree bit for bit.
 """
 
 import cmath
@@ -19,7 +22,9 @@ from groupoidqm import (
     AlgebraElement,
     GroupoidError,
     GroupoidMeasure,
+    Channel,
     KrausFamily,
+    QuotientFunction,
     SymFunction,
     Symmetroid,
     bisection_indicator,
@@ -29,6 +34,7 @@ from groupoidqm import (
     dsf_check,
     flat_bisections,
     fourier_family,
+    identity_channel,
     induce_measure,
     involute,
     involute_general,
@@ -38,6 +44,7 @@ from groupoidqm import (
     random_positive_type,
     to_choi,
     tomogram,
+    transpose_channel,
     weighted_pair_measure,
 )
 from groupoidqm import algebra, channels, eigen
@@ -256,3 +263,59 @@ def test_general_operations_match_rewrapped_calls():
                 assert type(out) is SymFunction and out.symmetroid is sym
                 assert out.values == ref.values
                 assert [type(x) for x in out.values] == [type(x) for x in ref.values]
+
+
+# -- exact kernels beside complex values --
+
+
+def object_einsum(subscripts, *operands):
+    return np.einsum(subscripts, *(op.astype(object) for op in operands)).astype(np.complex128)
+
+
+def shift_channel(n):
+    """ψ -> SψS† for the cyclic shift S: a permutation kernel of ints."""
+    return Channel(QuotientFunction.from_callable(
+        n, lambda q: int(q.z == (q.y + 1) % n and q.w == (q.x + 1) % n)
+    ))
+
+
+def rational_kraus_channel(n, rng):
+    g = pair_groupoid(n)
+    members = []
+    for _ in range(int(rng.integers(1, min(3, n * n) + 1))):
+        ps, qs = rng.integers(-3, 4, size=n * n), rng.integers(1, 7, size=n * n)
+        members.append(AlgebraElement(g, [Fraction(int(p), int(q)) for p, q in zip(ps, qs)]))
+    return channels.from_kraus(KrausFamily(n, members))
+
+
+def exact_kernels(rng):
+    for n in (1, 2, 3):
+        yield from (identity_channel(n), transpose_channel(n), shift_channel(n))
+        yield from (rational_kraus_channel(n, rng) for _ in range(4))
+
+
+def test_exact_kernels_beside_complex_states_match_the_object_contraction():
+    rng = np.random.default_rng(17)
+    fractions = 0
+    for ch in exact_kernels(rng):
+        assert ch.kernel.tensor().dtype == object
+        fractions += any(isinstance(v, Fraction) for v in ch.kernel.values)
+        for ancilla in (1, 2):
+            kernel = channels._extended_tensor(ch.kernel.tensor(), ancilla)
+            d = kernel.shape[0]
+            states = channels._random_gram_states(d, rng, np.arange(8) % d + 1)
+            for values in (states, -states, np.where(rng.random(states.shape) < 0.3, -0.0, states)):
+                got = channels._apply_tensor(kernel, values.reshape(8, -1))
+                want = object_einsum("lrsm,...rs->...lm", kernel, values).reshape(8, -1)
+                assert got.dtype == np.complex128
+                assert got.tobytes() == want.tobytes()
+    assert fractions > 0
+
+
+def test_a_complex_kernel_beside_exact_values_matches_the_object_contraction():
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 3):
+        kernel = random_kraus_channel(n, rng).kernel.tensor()
+        exact = np.array([Fraction(int(p), 5) for p in rng.integers(-9, 10, size=n * n)])
+        got = algebra.contract("lrsm,rs->lm", kernel, exact.reshape(n, n))
+        assert got.tobytes() == object_einsum("lrsm,rs->lm", kernel, exact.reshape(n, n)).tobytes()

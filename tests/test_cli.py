@@ -210,28 +210,52 @@ def test_channel_check_passes_for_bisection(tmp_path, capsys):
 
 
 def test_channel_check_decides_the_choi_matrix_once(tmp_path, capsys, monkeypatch):
-    from groupoidqm import algebra
+    from groupoidqm import eigen
 
     path = tmp_path / "transpose.json"
     path.write_text(json.dumps(transpose_channel(2).to_json()))
     solves = []
-    solve = algebra.hermitian_eigh
+    solve = eigen.hermitian_eigh
 
-    def counted(a):
-        solves.append(np.shape(a))
-        return solve(a)
+    def counted(a, **kwargs):
+        solves.append((np.shape(a), "vectors" if kwargs.get("vectors", True) else "values"))
+        return solve(a, **kwargs)
 
-    monkeypatch.setattr(algebra, "hermitian_eigh", counted)
+    monkeypatch.setattr(eigen, "hermitian_eigh", counted)
     code, data, _ = run_json(capsys, "channel", "check", str(path), "--cp", "--flat-psd")
     assert code == 1
-    # is_flat_psd is is_cp, so the flat_psd section reports the same solve
-    assert solves == [(4, 4)]
+    # is_flat_psd is is_cp, so the flat_psd section reports the same solve;
+    # only the printed cp witness reads eigenvectors
+    assert solves == [((4, 4), "values"), ((4, 4), "vectors")]
+    assert "witness" in data["cp"]
     assert data["flat_psd"]["min_eigenvalue"] == data["cp"]["min_eigenvalue"]
     solves.clear()
     assert run_json(capsys, "channel", "check", str(path), "--flat-psd")[1] == {
         "n": 2, "flat_psd": data["flat_psd"]
     }
-    assert solves == [(4, 4)]
+    assert solves == [((4, 4), "values")]
+
+
+def test_passing_checks_solve_no_eigenvectors(tmp_path, capsys, monkeypatch):
+    from groupoidqm import eigen, identity_channel
+
+    channel = tmp_path / "identity.json"
+    channel.write_text(json.dumps(identity_channel(2).to_json()))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"values": [[1, 0], [0.5, 0], [0.5, 0], [1, 0]]}))
+    vectors = []
+    solve = eigen.hermitian_eigh
+
+    def counted(a, **kwargs):
+        vectors.append(kwargs.get("vectors", True))
+        return solve(a, **kwargs)
+
+    monkeypatch.setattr(eigen, "hermitian_eigh", counted)
+    code, data, _ = run_json(capsys, "channel", "check", str(channel), "--cp", "--flat-psd")
+    assert code == 0 and "witness" not in data["cp"]
+    code, data, _ = run_json(capsys, "algebra", "check-positive", str(phi), "--n", "2")
+    assert code == 0 and "witness" not in data
+    assert vectors == [False, False]
 
 
 def test_channel_falsify_requires_seed(tmp_path, capsys):

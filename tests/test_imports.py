@@ -4,8 +4,9 @@ per-entry ``compose``, ``inv`` or ``unit`` call, ``exchange_identity_report``
 has no loop, ``QuotientMeasure`` defines no method but ``__init__``,
 only ``measure._parts`` reads numerators and denominators, and only where a
 ``measure._Table`` is made, exact products and sums go through the two
-kernels of ``measure``, only ``measure._narrowed`` names int64, and
-``positivity_falsifier`` makes ``AlgebraElement``s only for its witness.
+kernels of ``measure``, only ``measure._narrowed`` names int64,
+``positivity_falsifier`` makes ``AlgebraElement``s only for its witness, and
+eigenvectors are solved only where they are read.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
 re-exports.
@@ -20,7 +21,7 @@ import groupoidqm
 
 PACKAGE = Path(groupoidqm.__file__).parent
 # names kept on purpose, with the reason
-KEPT = {("channels.py", "hermitian_eigh"): "perfbench's tracer test wraps this binding"}
+KEPT = {("algebra.py", "hermitian_eigh"): "perfbench's tracer test wraps this binding"}
 
 
 def imported_names(tree):
@@ -238,3 +239,32 @@ def test_falsifier_works_on_arrays_up_to_its_witness():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "AlgebraElement"
     ]
     assert len(elements) == 2 and all(id(node) in inside for node in elements)
+
+
+
+def test_eigenvectors_are_solved_only_where_read():
+    # a verdict reads only eigenvalues, so every hermitian_eigh call without
+    # vectors=False is in PSDResult (its eigenvector property, solved when
+    # read) or in the Kraus factorisation; a reference that is not a call (a
+    # partial, an alias) could hide an eager vector solve, so there is none
+    def names_solver(node):
+        return (
+            isinstance(node, ast.Name) and node.id == "hermitian_eigh"
+            or isinstance(node, ast.Attribute) and node.attr == "hermitian_eigh"
+        )
+
+    def solves(node):
+        return isinstance(node, ast.Call) and names_solver(node.func)
+
+    def solves_vectors(node):
+        return solves(node) and not any(
+            k.arg == "vectors" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in node.keywords
+        )
+
+    assert top_level_uses(solves_vectors) == {
+        ("algebra.py", "PSDResult"),
+        ("channels.py", "choi_kraus_decomposition"),
+    }
+    nodes = [n for path in PACKAGE.glob("*.py") for n in ast.walk(ast.parse(path.read_text()))]
+    assert sum(map(names_solver, nodes)) == sum(map(solves, nodes))
