@@ -370,6 +370,8 @@ def _psd_result(matrix: np.ndarray, defect: float, eigh, tol: float) -> PSDResul
     if defect > tol:
         return PSDResult(False, float("nan"), defect)
     w, v = eigh()
+    if not len(w):  # a 0×0 matrix, decided as is_positive_type decides no block
+        return PSDResult(True, float("inf"), defect)
     return PSDResult(bool(w[0] >= -tol), float(w[0]), defect, w, matrix, v)
 
 

@@ -43,7 +43,7 @@ from .measure import (
     verify_inverse_relation,
     verify_left_invariance,
 )
-from .selftest import EXCHANGE_EXHAUSTIVE_MAX_N, exchange_identity_report, reproduce_reports
+from .selftest import exchange_identity_report, reproduce_reports
 from .symmetroid import (
     FlatBisection,
     enumerate_quotient,
@@ -209,20 +209,9 @@ def cmd_symmetroid(args) -> int:
         )
         return EXIT_OK
     if args.action == "check-exchange":
-        sampled = args.n > EXCHANGE_EXHAUSTIVE_MAX_N
-        if sampled and args.seed is None:
-            raise GroupoidError(
-                f"--seed is required for sampled exchange checks (n > {EXCHANGE_EXHAUSTIVE_MAX_N})"
-            )
-        violations, checked = exchange_identity_report(args.n, args.samples, args.seed)
-        payload = {
-            "n": args.n,
-            "mode": f"sampled:{args.samples}" if sampled else "exhaustive",
-            "report": f"{violations} violations / {checked} quadruples",
-        }
-        if sampled:  # the exhaustive check reads no seed, so it echoes none
-            payload["seed"] = args.seed
-        _emit(payload, args.json)
+        violations, checked = exchange_identity_report(args.n)
+        report = f"{violations} violations / {checked} quadruples"
+        _emit({"n": args.n, "mode": "exhaustive", "report": report}, args.json)
         return EXIT_OK if violations == 0 else EXIT_CHECK_FAILED
     if args.action == "flat-bisections":
         bs = flat_bisections(args.n)
@@ -431,10 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("symmetroid", parents=[common], help="quotient symmetroid structure")
     ps.add_argument("action", choices=["enumerate", "check-exchange", "flat-bisections"])
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument(
-        "--samples", type=int, default=10000, help=f"sample count for n > {EXCHANGE_EXHAUSTIVE_MAX_N}"
-    )
-    ps.add_argument("--seed", type=int, help="PRNG seed (required when sampling)")
     ps.set_defaults(func=cmd_symmetroid)
 
     pc = sub.add_parser("channel", parents=[common], help="build, check, apply and export channels")
@@ -495,7 +480,7 @@ def _check_args(args) -> None:
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0):
         raise GroupoidError(f"--tol must be finite and non-negative, got {tol}")
-    lows = {"n": 1, "samples": 1, "falsify_positivity": 1, "ancilla": 1, "pad_to": 1, "seed": 0}
+    lows = {"n": 1, "falsify_positivity": 1, "ancilla": 1, "pad_to": 1, "seed": 0}
     for name, low in lows.items():
         value = getattr(args, name, None)
         if value is not None and value < low:

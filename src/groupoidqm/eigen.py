@@ -20,6 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 
+def _square(a) -> np.ndarray:
+    """``a`` as complex128, not copied if it already is; raises ValueError
+    unless it is a square matrix or a stack of them."""
+    A = np.asarray(a, dtype=np.complex128)
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    return A
+
+
 def hermitian_eigh(a, vectors: bool = True):
     """Eigenvalues and eigenvectors of a Hermitian matrix, or a stack of them.
 
@@ -31,9 +40,7 @@ def hermitian_eigh(a, vectors: bool = True):
     Hermiticity defects must check them separately.  Raises ValueError unless
     the input is a finite square matrix or stack of them.
     """
-    A = np.array(a, dtype=np.complex128)
-    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    A = _square(a)
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     H = (A + A.conj().swapaxes(-1, -2)) / 2
@@ -41,12 +48,12 @@ def hermitian_eigh(a, vectors: bool = True):
 
 
 def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
+    """Smallest eigenvalue of a Hermitian matrix; inf for a 0×0 one."""
     w, _ = hermitian_eigh(a, vectors=False)
-    return float(w[0])
+    return float(w[0]) if len(w) else float("inf")
 
 
 def hermitian_defect(a) -> float:
-    """max |A - A†| entrywise; zero on exactly Hermitian input."""
-    A = np.asarray(a, dtype=np.complex128)
-    return float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
+    """max |A - A†| entrywise; zero on exactly Hermitian input and on a 0×0 matrix."""
+    A = _square(a)
+    return float(np.max(np.abs(A - A.conj().swapaxes(-1, -2)), initial=0.0))

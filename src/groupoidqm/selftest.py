@@ -1,7 +1,9 @@
-"""Built-in structural checks and the worked-example report generator."""
+"""Built-in structural checks, among them the exchange identity decided
+exactly at every n, and the worked-example report generator."""
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from .symmetroid import (
 from .symalgebra import induce_measure
 
 
-def _exchange_quadruple(n: int, free: tuple[int, ...]) -> tuple[QClass, QClass, QClass, QClass]:
+def _exchange_quadruple(free: tuple[int, ...]) -> tuple[QClass, QClass, QClass, QClass]:
     """Build an admissible exchange quadruple from nine free object indices.
 
     The constraints (horizontal composability of the bottom and top rows,
@@ -38,29 +40,41 @@ def _exchange_quadruple(n: int, free: tuple[int, ...]) -> tuple[QClass, QClass, 
     return gp2, gp1, g2, g1
 
 
-EXCHANGE_EXHAUSTIVE_MAX_N = 5
+@functools.cache
+def _set_partitions(k: int) -> np.ndarray:
+    """The B_k set partitions of k indices as the columns of a read-only (k, B_k)
+    int8 array of restricted-growth strings, in lexicographic order: each label
+    is at most one above every label before it, and equal labels share a block."""
+    strings, top = np.zeros((0, 1), dtype=np.int8), np.full(1, -1)
+    for _ in range(k):  # a string whose top label is t grows by 0, 1, ..., t + 1
+        parent = np.repeat(np.arange(len(top)), top + 2)
+        label = np.arange(len(parent)) - np.searchsorted(parent, parent)
+        strings = np.vstack((strings[:, parent], label.astype(np.int8)))
+        top = np.maximum(top[parent], label)
+    strings.flags.writeable = False
+    return strings
 
 
-def exchange_identity_report(n: int, samples: int = 10000, seed: int | None = None):
-    """Check the exchange identity on the quotient symmetroid.
-
-    Exhaustive over all n⁹ admissible quadruples for n <= 5
-    (EXCHANGE_EXHAUSTIVE_MAX_N), ``samples`` seeded ones otherwise.  The
-    quadruples are the columns of one (9, N) index array, composed once by
-    the quotient's rules on arrays.  At n = 5 (1,953,125 quadruples) that
-    takes about 30 ms with a 41 MB tracemalloc peak (2 cores, Python 3.11,
-    numpy 2.4); both grow fivefold at n = 6, which is why the bound is 5.
-    Returns (violations, quadruples_checked).
+def exchange_identity_report(n: int):
+    """Check the exchange identity on the quotient symmetroid at all n⁹
+    admissible quadruples (none for n < 1).  The rules only copy and compare
+    indices, so a quadruple's verdict depends only on which of its nine free
+    indices are equal: one representative of each of the B₉ = 21,147 set
+    partitions, composed on arrays, stands for the n(n-1)…(n-k+1) quadruples
+    that label its k blocks with distinct points (none when k > n).  About
+    1 ms at any n once the partitions are built, 2 ms to build them (2 cores,
+    Python 3.11, numpy 2.4).  Returns (violations, quadruples_checked).
     """
-    if n <= EXCHANGE_EXHAUSTIVE_MAX_N:
-        free = np.indices((n,) * 9, dtype=np.int8).reshape(9, -1)
-    else:
-        free = np.random.default_rng(seed).integers(0, n, size=(9, samples))
-    gp2, gp1, g2, g1 = _exchange_quadruple(n, free)
+    free = _set_partitions(9)
+    top = free.max(axis=0)  # a partition's blocks, less one
+    free, top = np.compress(top < n, free, axis=1), top[top < n]
+    gp2, gp1, g2, g1 = _exchange_quadruple(free)
     lhs = q_vertical_compose(q_horizontal_compose(gp2, gp1), q_horizontal_compose(g2, g1))
     rhs = q_horizontal_compose(q_vertical_compose(gp2, g2), q_vertical_compose(gp1, g1))
     violations = np.any(np.asarray(lhs) != np.asarray(rhs), axis=0)
-    return int(np.count_nonzero(violations)), free.shape[1]
+    weights = np.cumprod(np.arange(n, n - 9, -1, dtype=object))  # labellings of 1, ..., 9 blocks
+    violating, checked = np.bincount(top[violations], minlength=9), np.bincount(top, minlength=9)
+    return int(violating @ weights), int(checked @ weights)
 
 
 # -- machine-readable reports for the two worked dynamical maps --

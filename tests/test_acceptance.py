@@ -274,14 +274,14 @@ def test_criterion_6_fourier_decoherence_example():
 
 
 def test_criterion_7_exchange_identity():
-    """Zero violations: exhaustive at n=2 and n=3, 10⁴ seeded samples at n=6."""
-    v2, c2 = exchange_identity_report(2)
-    assert v2 == 0 and c2 == 512
-    v3, c3 = exchange_identity_report(3)
-    assert v3 == 0 and c3 == 3**9
-    v6, c6 = exchange_identity_report(6, samples=10**4, seed=SEED)
-    assert v6 == 0 and c6 == 10**4
-    _passed(7, f"n=2, 3 exhaustive ({c2}, {c3} quadruples), n=6 sampled ({c6})")
+    """Zero violations among all n⁹ quadruples at n = 2, 3, 6 and 9, with no
+    seed: every n is decided exactly from the equality patterns."""
+    checked = []
+    for n in (2, 3, 6, 9):
+        violations, quadruples = exchange_identity_report(n)
+        assert violations == 0 and quadruples == n**9
+        checked.append(quadruples)
+    _passed(7, f"n=2, 3, 6, 9 exhaustive ({', '.join(map(str, checked))} quadruples)")
 
 
 def test_criterion_8_positive_type_preservation():

@@ -272,6 +272,17 @@ class TestPSDVerdict:
         # the same matrix passes once tol covers its defect
         assert psd_verdict(m, tol=1e-2).ok
 
+    def test_empty_matrix_passes_with_no_eigenvalue(self):
+        # as is_positive_type decides a groupoid with no block
+        res = psd_verdict(np.zeros((0, 0)))
+        assert res.ok and res.min_eigenvalue == np.inf and res.hermitian_defect == 0.0
+        assert res.witness is None and res.eigenvalues is None
+
+    def test_non_square_matrix_is_rejected_before_its_defect(self):
+        for shape in ((2, 3), (3,), (0, 2)):
+            with pytest.raises(ValueError, match="expected a square matrix"):
+                psd_verdict(np.ones(shape))
+
     def test_is_positive_type_reports_the_deciding_blocks_verdict(self):
         n = 3
         g = pair_groupoid(n)

@@ -118,21 +118,18 @@ def test_symmetroid_check_exchange_exhaustive(capsys):
     assert "0 violations / 512 quadruples" in out
 
 
-def test_symmetroid_check_exchange_requires_seed(capsys):
-    code, out, err = run(capsys, "symmetroid", "check-exchange", "--n", "6")
-    assert code == 2
+def test_symmetroid_check_exchange_rejects_seed_and_samples(capsys):
+    # the check is exact at every n, so it reads no seed and draws no sample
+    for n in ("2", "6"):
+        for flag in ("--seed=4", "--samples=5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["symmetroid", "check-exchange", "--n", n, flag])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert f"unrecognized arguments: {flag}" in captured.err and not captured.out
 
 
-def test_symmetroid_check_exchange_echoes_a_seed_only_when_it_samples(capsys):
-    code, data, _ = run_json(capsys, "symmetroid", "check-exchange", "--n", "2", "--seed", "4")
-    assert code == 0
-    assert data == {"n": 2, "mode": "exhaustive", "report": "0 violations / 512 quadruples"}
-    code, data, _ = run_json(capsys, "symmetroid", "check-exchange", "--n", "6", "--seed", "7")
-    assert code == 0
-    assert data["seed"] == 7
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 9, 12])
 def test_symmetroid_check_exchange_exhaustive_through_the_bound(capsys, n):
     code, data, _ = run_json(capsys, "symmetroid", "check-exchange", "--n", str(n))
     assert code == 0
@@ -352,13 +349,9 @@ def test_examples_shift_output(capsys):
 
 
 def test_deterministic_output(capsys):
-    _, out1, _ = run(
-        capsys, "symmetroid", "check-exchange", "--n", "6", "--seed", "7", "--json"
-    )
-    _, out2, _ = run(
-        capsys, "symmetroid", "check-exchange", "--n", "6", "--seed", "7", "--json"
-    )
-    assert out1 == out2
+    code, out1, _ = run(capsys, "symmetroid", "check-exchange", "--n", "6", "--json")
+    _, out2, _ = run(capsys, "symmetroid", "check-exchange", "--n", "6", "--json")
+    assert code == 0 and out1 == out2
 
 
 def test_bad_input_exits_2(tmp_path, capsys):
@@ -577,11 +570,11 @@ def _flag_inputs(tmp_path):
         ["algebra", "check-positive", "f.json", "--n", "0"],
         ["symmetroid", "enumerate", "--n", "0"],
         ["examples", "fourier", "--n", "0"],
-        ["symmetroid", "check-exchange", "--n", "3", "--samples", "-5", "--seed", "1"],
+        ["symmetroid", "check-exchange", "--n", "0"],
         ["channel", "check", "ch.json", "--falsify-positivity", "0", "--seed", "1"],
         ["channel", "check", "ch.json", "--falsify-positivity", "3", "--ancilla", "-2", "--seed", "1"],
         ["channel", "apply", "ch.json", "delta:0,0", "--pad-to", "0"],
-        ["symmetroid", "check-exchange", "--n", "3", "--samples", "5", "--seed", "-1"],
+        ["symmetroid", "flat-bisections", "--n", "-2"],
         ["channel", "check", "ch.json", "--falsify-positivity", "2", "--seed", "-3"],
     ],
 )

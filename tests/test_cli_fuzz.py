@@ -31,7 +31,6 @@ from groupoidqm.channels import kraus_from_json
 from groupoidqm.cli import main
 from groupoidqm.groupoid import groupoid_from_json
 from groupoidqm.measure import measure_from_json
-from groupoidqm.selftest import EXCHANGE_EXHAUSTIVE_MAX_N
 from groupoidqm.symalgebra import quotient_function_from_json
 
 JUNK = st.one_of(
@@ -263,15 +262,26 @@ def groupoid_invocations(draw):
 @st.composite
 def symmetroid_invocations(draw):
     action = draw(st.sampled_from(["enumerate", "check-exchange", "flat-bisections"]))
-    exchange = action == "check-exchange"
-    # check-exchange draws up to one past its exhaustive bound, so that it samples too
-    n = draw(st.integers(-1, EXCHANGE_EXHAUSTIVE_MAX_N + 1 if exchange else 4))
-    samples = draw(st.integers(-1, 20) if exchange else COUNT)
-    seed = draw(st.one_of(st.none(), st.integers(-1, 5)))
-    reject = n < 1 or below(samples, 1) or below(seed, 0)
-    reject |= exchange and n > EXCHANGE_EXHAUSTIVE_MAX_N and seed is None
-    argv = ["symmetroid", action, f"--n={n}", *flag("samples", samples), *flag("seed", seed)]
-    return argv, {}, reject
+    # check-exchange is exact at every n; from n = 9 on every equality pattern
+    # of its nine free indices has a labelling
+    n = draw(st.integers(-1, 12 if action == "check-exchange" else 4))
+    return ["symmetroid", action, f"--n={n}"], {}, n < 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    action=st.sampled_from(["enumerate", "check-exchange", "flat-bisections"]),
+    n=st.integers(-1, 12),
+    flag=st.sampled_from(["seed", "samples"]),
+    value=st.integers(-1, 10**4),
+)
+def test_symmetroid_takes_no_seed_or_samples(action, n, flag, value):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(["symmetroid", action, f"--n={n}", f"--{flag}={value}"])
+    assert exc.value.code == 2 and out.getvalue() == ""
+    assert f"unrecognized arguments: --{flag}" in err.getvalue()
 
 
 @st.composite

@@ -69,6 +69,20 @@ def test_hermitian_defect():
 def test_rejects_nonsquare():
     with pytest.raises(ValueError):
         hermitian_eigh(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        hermitian_defect(np.ones((2, 3)))
+
+
+def test_empty_matrix():
+    assert min_eigenvalue(np.zeros((0, 0))) == np.inf
+    assert hermitian_defect(np.zeros((0, 0))) == 0.0
+
+
+def test_input_is_left_unchanged():
+    a = np.array([[2.0, 1j], [-1j, 2.0]])
+    before = a.copy()
+    w, v = hermitian_eigh(a)
+    assert np.array_equal(a, before) and np.allclose(w, [1.0, 3.0])
 
 
 def test_degenerate_spectrum():

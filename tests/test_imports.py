@@ -5,8 +5,9 @@ has no loop, ``QuotientMeasure`` defines no method but ``__init__``,
 only ``measure._parts`` reads numerators and denominators, and only where a
 ``measure._Table`` is made, exact products and sums go through the two
 kernels of ``measure``, only ``measure._narrowed`` names int64,
-``positivity_falsifier`` makes ``AlgebraElement``s only for its witness, and
-eigenvectors are solved only where they are read.
+``positivity_falsifier`` makes ``AlgebraElement``s only for its witness,
+eigenvectors are solved only where they are read, and the quotient's rules
+only read, compare and copy fields.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
 re-exports.
@@ -102,6 +103,66 @@ def test_exchange_check_has_no_per_quadruple_loop():
     ]
     loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     assert [type(n).__name__ for n in ast.walk(report) if isinstance(n, loops)] == []
+
+
+Q_RULES = {
+    "symmetroid.py": (
+        "q_vertical_compose", "q_vertical_unit", "q_vertical_inverse",
+        "q_horizontal_compose", "q_horizontal_unit", "q_horizontal_inverse",
+        "q_horizontally_composable",
+    ),
+    "selftest.py": ("_exchange_quadruple",),
+}
+# what a q-rule body may hold besides field reads, tuples, the docstring and
+# the raise with its f-string message
+Q_RULE_NODES = (
+    ast.Expr, ast.Return, ast.Assign, ast.If, ast.Raise, ast.Tuple, ast.Name, ast.Load,
+    ast.Store, ast.Attribute, ast.Call, ast.Compare, ast.Eq, ast.BinOp, ast.BitAnd,
+    ast.UnaryOp, ast.Not, ast.Constant, ast.JoinedStr, ast.FormattedValue,
+)
+Q_RULE_CALLS = {"QClass", "_everywhere", "q_horizontally_composable", "NotComposableError"}
+
+
+def q_rule_offences(fn: ast.FunctionDef) -> list[str]:
+    """What in the body of ``fn`` does more than read, compare with ``==``,
+    ``&`` and copy fields: arithmetic, an integer constant, indexing, a
+    comparison other than ``==``, a call other than the rules' own."""
+    offences = []
+    for node in (n for stmt in fn.body for n in ast.walk(stmt)):
+        if not isinstance(node, Q_RULE_NODES):
+            offences.append(type(node).__name__)
+        elif isinstance(node, ast.Constant) and not isinstance(node.value, str):
+            offences.append(f"constant {node.value!r}")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) not in Q_RULE_CALLS:
+            offences.append(f"call {ast.unparse(node.func)}")
+        elif isinstance(node, ast.Attribute) and not isinstance(node.value, ast.Name):
+            offences.append(f"read {ast.unparse(node)}")
+    return offences
+
+
+@pytest.mark.parametrize(
+    "module, name", [(m, f) for m, names in Q_RULES.items() for f in names], ids=lambda v: v
+)
+def test_q_rules_only_compare_and_copy_fields(module, name):
+    # the exchange identity and the quotient laws are decided on one
+    # representative per equality pattern of their free indices; that holds
+    # only while the rules commute with relabelling the points, which
+    # arithmetic, an integer constant or indexing would break
+    tree = ast.parse((PACKAGE / module).read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    assert q_rule_offences(fn) == []
+
+
+def test_q_rule_guard_sees_arithmetic_constants_indexing_and_order():
+    planted = ast.parse(
+        "def rule(q2, q1):\n"
+        "    if q2.x < q1.y:\n"
+        "        raise ValueError(q2)\n"
+        "    return QClass(q2.z + 1, q1[0], -q1.x, q2.w % q1.w)"
+    ).body[0]
+    assert set(q_rule_offences(planted)) == {
+        "Lt", "call ValueError", "Add", "constant 1", "Subscript", "constant 0", "USub", "Mod",
+    }
 
 
 def test_quotient_measure_is_a_view_of_its_base():

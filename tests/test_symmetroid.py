@@ -238,6 +238,104 @@ class TestQuotient:
         assert count > 0
 
 
+class TestQuotientOverPatterns:
+    """The rules commute with relabelling the points, so an identity between
+    them holds at every n once it holds on one representative of each
+    equality pattern of its free indices."""
+
+    @staticmethod
+    def composed(rule, q2, q1):
+        try:
+            return rule(q2, q1)
+        except NotComposableError:
+            return None
+
+    # a transposition and a 3-cycle: together they generate every relabelling
+    # of three points
+    @pytest.mark.parametrize("sigma", [(1, 0, 2), (1, 2, 0)])
+    def test_rules_commute_with_relabelling(self, sigma):
+        relabel = lambda q: None if q is None else QClass(*(sigma[v] for v in q))
+        classes = enumerate_quotient(3)
+        for q in classes:
+            assert q_vertical_inverse(relabel(q)) == relabel(q_vertical_inverse(q))
+            assert q_horizontal_inverse(relabel(q)) == relabel(q_horizontal_inverse(q))
+        for y, x in product(range(3), repeat=2):
+            assert q_vertical_unit(sigma[y], sigma[x]) == relabel(q_vertical_unit(y, x))
+            assert q_horizontal_unit(sigma[y], sigma[x]) == relabel(q_horizontal_unit(y, x))
+        for q2, q1 in product(classes, repeat=2):
+            r2, r1 = relabel(q2), relabel(q1)
+            assert q_horizontally_composable(r2, r1) == q_horizontally_composable(q2, q1)
+            for rule in (q_vertical_compose, q_horizontal_compose):
+                assert self.composed(rule, r2, r1) == relabel(self.composed(rule, q2, q1))
+
+    def test_exchange_quadruple_commutes_with_a_random_relabelling(self):
+        rng = np.random.default_rng(20261019)
+        sigma = rng.permutation(6)
+        free = rng.integers(0, 6, size=(9, 1000))
+        relabelled = selftest._exchange_quadruple(sigma[free])
+        for q, r in zip(selftest._exchange_quadruple(free), relabelled):
+            assert np.array_equal(r, sigma[np.asarray(q)])
+        assert np.any(sigma != np.arange(6))
+
+    def test_vertical_associativity_at_every_n(self):
+        # q2 starts where q1 ends, q3 where q2 ends: eight free indices
+        z1, y1, x1, w1, z2, w2, z3, w3 = selftest._set_partitions(8)
+        q1, q2, q3 = QClass(z1, y1, x1, w1), QClass(z2, z1, w1, w2), QClass(z3, z2, w2, w3)
+        lhs = q_vertical_compose(q_vertical_compose(q3, q2), q1)
+        rhs = q_vertical_compose(q3, q_vertical_compose(q2, q1))
+        assert z1.size == 4140 and np.array_equal(lhs, rhs)
+
+    def test_horizontal_associativity_at_every_n(self):
+        # x2 = y1 and w2 = z1, x3 = y2 and w3 = z2: eight free indices
+        z1, y1, x1, w1, z2, y2, z3, y3 = selftest._set_partitions(8)
+        q1, q2, q3 = QClass(z1, y1, x1, w1), QClass(z2, y2, y1, z1), QClass(z3, y3, y2, z2)
+        lhs = q_horizontal_compose(q_horizontal_compose(q3, q2), q1)
+        rhs = q_horizontal_compose(q3, q_horizontal_compose(q2, q1))
+        assert z1.size == 4140 and np.array_equal(lhs, rhs)
+
+
+def bell(k):
+    """B_k from the Bell triangle."""
+    row = [1]
+    for _ in range(k):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
+
+
+def exchange_sides(free):
+    """Both sides of the exchange identity at the quadruples of ``free``,
+    through selftest's bindings of the rules, so that a planted fault
+    reaches them."""
+    gp2, gp1, g2, g1 = selftest._exchange_quadruple(free)
+    lhs = selftest.q_vertical_compose(
+        selftest.q_horizontal_compose(gp2, gp1), selftest.q_horizontal_compose(g2, g1)
+    )
+    rhs = selftest.q_horizontal_compose(
+        selftest.q_vertical_compose(gp2, g2), selftest.q_vertical_compose(gp1, g1)
+    )
+    return lhs, rhs
+
+
+def array_count(n):
+    """The n⁹ oracle: every admissible quadruple at n as one column of one
+    index array, composed at once."""
+    free = np.indices((n,) * 9, dtype=np.int8).reshape(9, -1)
+    lhs, rhs = exchange_sides(free)
+    return int(np.count_nonzero(np.any(np.asarray(lhs) != np.asarray(rhs), axis=0))), free.shape[1]
+
+
+def loop_count(n, columns):
+    """The per-quadruple oracle: compose each quadruple on its own."""
+    violations = 0
+    for free in columns:
+        lhs, rhs = exchange_sides(tuple(int(v) for v in free))
+        violations += lhs != rhs
+    return violations
+
+
 class TestExchangeIdentity:
     def test_exhaustive_n2(self):
         violations, checked = exchange_identity_report(2)
@@ -248,14 +346,30 @@ class TestExchangeIdentity:
         assert exchange_identity_report(3) == (0, 3**9)
 
     def test_exhaustive_through_the_bound(self):
-        assert selftest.EXCHANGE_EXHAUSTIVE_MAX_N == 5
-        for n in (4, 5):
-            assert exchange_identity_report(n, samples=7, seed=1) == (0, n**9)
+        # from n = 9 on every equality pattern of the nine free indices has a
+        # labelling, so at n = 9, 10 and 12 every pattern carries weight
+        for n in (4, 5, 6, 8, 9, 10, 12):
+            assert exchange_identity_report(n) == (0, n**9)
 
-    def test_sampled_n6(self):
-        report = exchange_identity_report(6, samples=1000, seed=20260810)
-        assert report == (0, 1000)
-        assert exchange_identity_report(6, samples=1000, seed=20260810) == report
+    def test_no_quadruples_below_one_point(self):
+        assert exchange_identity_report(0) == exchange_identity_report(-2) == (0, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_array_oracle(self, n):
+        assert exchange_identity_report(n) == array_count(n) == (0, n**9)
+
+    def test_set_partitions_are_the_restricted_growth_strings(self):
+        for k in range(10):
+            strings = selftest._set_partitions(k)
+            assert strings.shape == (k, bell(k)) and strings.dtype == np.int8
+            assert not strings.flags.writeable
+            assert selftest._set_partitions(k) is strings
+        for k in range(7):
+            growth = [
+                s for s in product(range(k), repeat=k)
+                if all(s[i] <= max(s[:i], default=-1) + 1 for i in range(k))
+            ]
+            assert [tuple(c) for c in selftest._set_partitions(k).T] == growth
 
     def test_scalar_rules_unchanged(self):
         # the scalar path of the broadcast rules keeps its types and messages
@@ -265,21 +379,6 @@ class TestExchangeIdentity:
         assert q_horizontally_composable(q2, q1) is True
         with pytest.raises(NotComposableError, match=r"vertical composition undefined for QClass"):
             q_vertical_compose(q2, q1)
-
-    @staticmethod
-    def loop_count(n, columns):
-        """The per-quadruple oracle: compose each quadruple on its own."""
-        violations = 0
-        for free in columns:
-            gp2, gp1, g2, g1 = selftest._exchange_quadruple(n, tuple(int(v) for v in free))
-            lhs = selftest.q_vertical_compose(
-                selftest.q_horizontal_compose(gp2, gp1), selftest.q_horizontal_compose(g2, g1)
-            )
-            rhs = selftest.q_horizontal_compose(
-                selftest.q_vertical_compose(gp2, g2), selftest.q_vertical_compose(gp1, g1)
-            )
-            violations += lhs != rhs
-        return violations
 
     def test_planted_fault_counts_as_the_loop(self, monkeypatch):
         # a horizontal rule that takes z from q1.y, with no guard; the vertical
@@ -292,29 +391,48 @@ class TestExchangeIdentity:
             selftest, "q_vertical_compose", lambda q2, q1: QClass(q2.z, q1.y, q1.x, q2.w)
         )
         for n, expected in ((2, 256), (3, 13122)):
-            oracle = self.loop_count(n, product(range(n), repeat=9))
-            assert oracle == expected
-            assert exchange_identity_report(n) == (expected, n**9)
-        columns = np.random.default_rng(5).integers(0, 6, size=(9, 1000)).T
-        assert exchange_identity_report(6, samples=1000, seed=5) == (self.loop_count(6, columns), 1000)
+            assert loop_count(n, product(range(n), repeat=9)) == expected
+        expected = {1: 0, 2: 256, 3: 13_122, 4: 196_608, 5: 1_562_500}
+        for n in range(1, 6):
+            assert exchange_identity_report(n) == array_count(n) == (expected[n], n**9)
 
     @pytest.mark.parametrize("row, field, rule", [(2, "x", "horizontal"), (0, "y", "vertical")])
     def test_non_composable_quadruple_raises(self, monkeypatch, row, field, rule):
-        # x2 = y1 (or y'2 = z2) broken in the quadruples with z1 = 1 only, so
-        # that one non-composable element among composable ones must raise
+        # x2 = y1 (or y'2 = z2) broken in the quadruples with z1 = y1 only, by
+        # taking the field from x1 there, so that one non-composable element
+        # among composable ones must raise; the fault is an equality pattern,
+        # as every fault the pattern check can see must be
         exchange_quadruple = selftest._exchange_quadruple
 
-        def broken(n, free):
-            quad = list(exchange_quadruple(n, free))
+        def broken(free):
+            quad = list(exchange_quadruple(free))
             g1 = quad[3]
-            quad[row] = quad[row]._replace(**{field: (getattr(quad[row], field) + (g1.z == 1)) % n})
+            faulty = np.where(g1.z == g1.y, g1.x, getattr(quad[row], field))
+            quad[row] = quad[row]._replace(**{field: faulty})
             return tuple(quad)
 
         monkeypatch.setattr(selftest, "_exchange_quadruple", broken)
         with pytest.raises(NotComposableError, match=f"{rule} composition undefined"):
-            self.loop_count(2, product(range(2), repeat=9))
+            loop_count(2, product(range(2), repeat=9))
         with pytest.raises(NotComposableError, match=f"{rule} composition undefined"):
             exchange_identity_report(2)
+
+    def test_fault_that_needs_three_points_is_not_seen_at_two(self, monkeypatch):
+        # x2 = y1 broken only where z1, y1 and x1 are three distinct points:
+        # no quadruple at n = 2 is touched, so the partitions with three or
+        # more blocks must stay out of the check there, as the loop shows
+        exchange_quadruple = selftest._exchange_quadruple
+
+        def broken(free):
+            gp2, gp1, g2, g1 = exchange_quadruple(free)
+            distinct = (g1.z != g1.y) & (g1.y != g1.x) & (g1.z != g1.x)
+            return gp2, gp1, g2._replace(x=np.where(distinct, g1.x, g2.x)), g1
+
+        monkeypatch.setattr(selftest, "_exchange_quadruple", broken)
+        assert loop_count(2, product(range(2), repeat=9)) == 0
+        assert exchange_identity_report(2) == (0, 2**9)
+        with pytest.raises(NotComposableError, match="horizontal composition undefined"):
+            exchange_identity_report(3)
 
 
 def loop_is_flat(b: Bisection) -> bool:
