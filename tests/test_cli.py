@@ -118,15 +118,32 @@ def test_symmetroid_check_exchange_exhaustive(capsys):
     assert "0 violations / 512 quadruples" in out
 
 
-def test_symmetroid_check_exchange_rejects_seed_and_samples(capsys):
-    # the check is exact at every n, so it reads no seed and draws no sample
+def test_symmetroid_check_exchange_rejects_seed(capsys):
+    # the check is exact at every n, so it reads no seed
     for n in ("2", "6"):
-        for flag in ("--seed=4", "--samples=5"):
-            with pytest.raises(SystemExit) as exc:
-                main(["symmetroid", "check-exchange", "--n", n, flag])
-            assert exc.value.code == 2
-            captured = capsys.readouterr()
-            assert f"unrecognized arguments: {flag}" in captured.err and not captured.out
+        with pytest.raises(SystemExit) as exc:
+            main(["symmetroid", "check-exchange", "--n", n, "--seed=4"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --seed=4" in captured.err and not captured.out
+
+
+def test_symmetroid_check_exchange_rejects_samples(capsys):
+    # ... and draws no sample
+    for n in ("2", "6"):
+        with pytest.raises(SystemExit) as exc:
+            main(["symmetroid", "check-exchange", "--n", n, "--samples=5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --samples=5" in captured.err and not captured.out
+
+
+def test_symmetroid_check_exchange_echoes_no_seed(capsys):
+    # below and above the old sampling bound the output is the same three keys
+    for n in (2, 6):
+        code, data, _ = run_json(capsys, "symmetroid", "check-exchange", "--n", str(n))
+        assert code == 0
+        assert set(data) == {"n", "mode", "report"} and data["mode"] == "exhaustive"
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 9, 12])

@@ -348,8 +348,12 @@ class TestExchangeIdentity:
     def test_exhaustive_through_the_bound(self):
         # from n = 9 on every equality pattern of the nine free indices has a
         # labelling, so at n = 9, 10 and 12 every pattern carries weight
-        for n in (4, 5, 6, 8, 9, 10, 12):
+        for n in (4, 5, 8, 9, 10, 12):
             assert exchange_identity_report(n) == (0, n**9)
+
+    def test_exact_n6(self):
+        # the first n above the old sampling bound is decided over all 6^9 quadruples
+        assert exchange_identity_report(6) == (0, 6**9)
 
     def test_no_quadruples_below_one_point(self):
         assert exchange_identity_report(0) == exchange_identity_report(-2) == (0, 0)
