@@ -323,13 +323,12 @@ def norm_sq(psi: AlgebraElement, m: GroupoidMeasure):
 
 @dataclass
 class PSDResult:
-    """The verdict of ``psd_verdict``: a defect above tol fails with a NaN
-    ``min_eigenvalue``, no witness and no eigenpairs; otherwise the verdict's
-    one solve gives the ascending ``eigenvalues``, and ``matrix`` is the
-    matrix solved.  ``eigenvectors`` (as columns) and ``witness``, an
-    eigenvector of the least eigenvalue, are solved from ``matrix`` on first
-    read, by one ``eigen.hermitian_eigh`` call kept for later reads, unless
-    the solve already gave them."""
+    """The verdict of ``psd_verdict`` on ``matrix``: a defect above tol fails
+    with a NaN ``min_eigenvalue``, no witness and no eigenpairs; otherwise the
+    verdict's one solve gives the ascending ``eigenvalues``.  ``eigenvectors``
+    (as columns) and ``witness``, an eigenvector of the least eigenvalue, are
+    then solved from ``matrix`` on first read, by one ``eigen.hermitian_eigh``
+    call kept for later reads, unless the solve already gave them."""
 
     ok: bool
     min_eigenvalue: float
@@ -343,7 +342,7 @@ class PSDResult:
 
     @property
     def eigenvectors(self) -> np.ndarray | None:
-        if self._eigenvectors is None and self.matrix is not None:
+        if self._eigenvectors is None and self.eigenvalues is not None:
             self._eigenvectors = eigen.hermitian_eigh(self.matrix)[1]
         return self._eigenvectors
 
@@ -368,7 +367,7 @@ def _psd_result(matrix: np.ndarray, defect: float, eigh, tol: float) -> PSDResul
     tol it fails unsolved, otherwise ``eigh()`` gives its eigenvalues w and
     eigenvectors v, or None for v to solve them only when read."""
     if defect > tol:
-        return PSDResult(False, float("nan"), defect)
+        return PSDResult(False, float("nan"), defect, matrix=matrix)
     w, v = eigh()
     if not len(w):  # a 0×0 matrix, decided as is_positive_type decides no block
         return PSDResult(True, float("inf"), defect)
@@ -377,13 +376,12 @@ def _psd_result(matrix: np.ndarray, defect: float, eigh, tol: float) -> PSDResul
 
 @dataclass
 class PositiveTypeResult(PSDResult):
-    """The verdict of the deciding block: the matrix ``block`` over the source
-    fiber ``fiber`` of object ``object_index`` that failed first in object
-    order or, when every block passes, has the smallest eigenvalue."""
+    """The verdict of the deciding block: the ``matrix`` over the source fiber
+    ``fiber`` of object ``object_index`` that failed first in object order
+    or, when every block passes, has the smallest eigenvalue."""
 
     object_index: int | None = None
     fiber: tuple[int, ...] | None = None
-    block: np.ndarray | None = None
 
 
 def is_positive_type(phi: AlgebraElement, tol: float = PSD_TOL) -> PositiveTypeResult:
@@ -438,12 +436,11 @@ class _PositiveTypeStack:
     NotComposableError before any block is decided.
     """
 
-    __slots__ = ("heads", "blocks", "solves", "ok")
+    __slots__ = ("heads", "solves", "ok")
 
     def __init__(self, G: FiniteGroupoid, values: np.ndarray, tol: float):
         indices, self.heads = _fiber_gathers(G)
-        self.blocks = [values[:, idx] for idx in indices]
-        self.solves = [_StackedSolve(block, tol) for block in self.blocks]
+        self.solves = [_StackedSolve(values[:, idx], tol) for idx in indices]
         self.ok = np.ones(len(values), dtype=bool)
         for solve in self.solves:
             self.ok &= solve.ok
@@ -451,7 +448,7 @@ class _PositiveTypeStack:
             for p in range(len(values)):
                 u = self._deciding(p)
                 if self.solves[u].unsolvable[p]:
-                    psd_verdict(self.blocks[u][p], tol)  # not finite: the solver raises
+                    psd_verdict(self.solves[u].stack[p], tol)  # not finite: the solver raises
 
     def _deciding(self, p: int) -> int:
         """The gather of row p's deciding block."""
@@ -466,7 +463,7 @@ class _PositiveTypeStack:
         u = self._deciding(p)
         x, fiber = self.heads[u]
         verdict = self.solves[u].verdict(p)
-        return PositiveTypeResult(**vars(verdict), object_index=x, fiber=fiber, block=self.blocks[u][p])
+        return PositiveTypeResult(**vars(verdict), object_index=x, fiber=fiber)
 
 
 @functools.lru_cache(maxsize=64)

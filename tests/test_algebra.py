@@ -3,10 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import delta, disjoint_pair_groupoids, function_from_blocks, psd
 
 from groupoidqm import (
     AlgebraElement,
-    FiniteGroupoid,
     GroupoidError,
     GroupoidMeasure,
     NormalizationError,
@@ -41,10 +41,6 @@ def matmul(a, b):
     return [[sum(a[i][r] * b[r][j] for r in range(n)) for j in range(n)] for i in range(n)]
 
 
-def delta(g, n, j, k):
-    return AlgebraElement.delta(g, pair_index(n, j, k))
-
-
 def random_element(g, rng, integer=False):
     if integer:
         vals = [complex(int(a), int(b)) for a, b in rng.integers(-3, 4, size=(g.n_morphisms, 2))]
@@ -59,8 +55,8 @@ class TestConvolution:
         g = pair_groupoid(n)
         m = GroupoidMeasure.counting(g)
         # δ_(l,r) ⋆ δ_(r,s) = δ_(l,s); zero when the middle indices differ
-        assert convolve(delta(g, n, 0, 1), delta(g, n, 1, 2), m) == delta(g, n, 0, 2)
-        assert convolve(delta(g, n, 0, 1), delta(g, n, 2, 0), m) == AlgebraElement.zeros(g)
+        assert convolve(delta(n, 0, 1), delta(n, 1, 2), m) == delta(n, 0, 2)
+        assert convolve(delta(n, 0, 1), delta(n, 2, 0), m) == AlgebraElement.zeros(g)
 
     def test_all_basis_pairs_match_matrix_oracle(self):
         n = 3
@@ -122,7 +118,7 @@ class TestInvolution:
         n = 3
         g = pair_groupoid(n)
         m = GroupoidMeasure.counting(g)
-        assert involute(delta(g, n, 1, 2), m) == delta(g, n, 2, 1)
+        assert involute(delta(n, 1, 2), m) == delta(n, 2, 1)
 
     def test_weighted_scales_by_modular(self):
         n = 3
@@ -130,11 +126,11 @@ class TestInvolution:
         m = weighted_pair_measure(g, W124)
         # f*(α) = δ(α)⁻¹ conj(f(α⁻¹)): the only nonzero of (δ_(1,0))* sits at
         # α = (0,1) with weight δ((0,1))⁻¹ = ((1/2)/2)⁻¹ = 4
-        star = involute(delta(g, n, 1, 0), m)
+        star = involute(delta(n, 1, 0), m)
         expected = AlgebraElement.zeros(g)
         expected.values[pair_index(n, 0, 1)] = 4
         assert star == expected
-        assert involute(star, m) == delta(g, n, 1, 0)
+        assert involute(star, m) == delta(n, 1, 0)
 
     def test_involution_is_the_l2_adjoint(self):
         # the convention test: π(f*) must be the adjoint of π(f) with respect
@@ -183,7 +179,7 @@ class TestLeftRegular:
         n = 2
         g = pair_groupoid(n)
         m = GroupoidMeasure.counting(g)
-        mat = left_regular_matrix(delta(g, n, 0, 1), m)
+        mat = left_regular_matrix(delta(n, 0, 1), m)
         for k in range(n):
             src = pair_index(n, 1, k)
             dst = pair_index(n, 0, k)
@@ -291,7 +287,7 @@ class TestPSDVerdict:
         h = a @ a.conj().T
         phi = AlgebraElement(g, [h[j, k] for j in range(n) for k in range(n)])
         res = is_positive_type(phi)
-        expected = psd_verdict(res.block)
+        expected = psd_verdict(res.matrix)
         assert res.ok == expected.ok
         assert res.min_eigenvalue == expected.min_eigenvalue
         assert res.hermitian_defect == expected.hermitian_defect
@@ -315,10 +311,10 @@ class TestPositiveType:
         n = 2
         g = pair_groupoid(n)
         phi = (
-            delta(g, n, 0, 1)
-            + delta(g, n, 1, 0)
-            - delta(g, n, 0, 0)
-            - delta(g, n, 1, 1)
+            delta(n, 0, 1)
+            + delta(n, 1, 0)
+            - delta(n, 0, 0)
+            - delta(n, 1, 1)
         )
         res = is_positive_type(phi)
         assert not res.ok
@@ -329,7 +325,7 @@ class TestPositiveType:
     def test_non_hermitian_rejected(self):
         n = 2
         g = pair_groupoid(n)
-        res = is_positive_type(delta(g, n, 0, 1))
+        res = is_positive_type(delta(n, 0, 1))
         assert not res.ok
         assert res.hermitian_defect > 0
 
@@ -425,41 +421,6 @@ class TestStates:
         assert abs(state_normalization(unnorm, m) - 2) < 1e-12
 
 
-def disjoint_pair_groupoids(*sizes):
-    """Disjoint union of pair groupoids; component c has sizes[c] objects, so
-    source fibers have different sizes across components."""
-    source, target, inverse, units, compose = [], [], [], [], {}
-    obj = mor = 0
-    for n in sizes:
-        for j in range(n):
-            for k in range(n):
-                source.append(obj + k)
-                target.append(obj + j)
-                inverse.append(mor + k * n + j)
-        units += [mor + x * n + x for x in range(n)]
-        for z in range(n):
-            for y in range(n):
-                for x in range(n):
-                    compose[(mor + z * n + y, mor + y * n + x)] = mor + z * n + x
-        obj += n
-        mor += n * n
-    return FiniteGroupoid(obj, source, target, compose, inverse, units)
-
-
-def function_from_blocks(g, blocks):
-    """phi((j, k)) = blocks[c][j, k] on component c: every fiber block of
-    component c is blocks[c]."""
-    values = []
-    for block in blocks:
-        values += [complex(v) for v in np.asarray(block).ravel()]
-    return AlgebraElement(g, values)
-
-
-def psd(rng, n, shift=0.0):
-    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return b @ b.conj().T / n + shift * np.eye(n)
-
-
 class TestPositiveTypeMixedFibers:
     """Fibers of sizes 3, 2, 1, 4, 2: the first failing block in object order
     decides, and a passing verdict reports the first block attaining the least
@@ -499,7 +460,7 @@ class TestPositiveTypeMixedFibers:
             block = np.asarray(blocks[component], dtype=complex)
             assert (res.ok, res.object_index) == (ok, first[component]), name
             assert res.fiber == g.source_fiber(first[component]), name
-            assert np.array_equal(res.block, block), name
+            assert np.array_equal(res.matrix, block), name
             if hermitian_defect(block) > 1e-10:
                 assert res.hermitian_defect == hermitian_defect(block), name
                 assert np.isnan(res.min_eigenvalue), name

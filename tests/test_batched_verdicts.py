@@ -1,22 +1,28 @@
 """``positive_type_verdicts`` and the chunked ``positivity_falsifier`` against
 the per-function loops they replaced.
 
-``loop_is_positive_type`` (from ``test_gather_parity``) is the per-function
-walk ``is_positive_type`` ran before its blocks were gathers: one
-``G.compose`` per block entry and one ``psd_verdict`` per object.
+The references are in ``oracles``.  ``loop_is_positive_type`` is the
+per-function walk ``is_positive_type`` ran before its blocks were gathers:
+one ``G.compose`` per block entry and one ``psd_verdict`` per object.
 ``loop_random_positive_type`` is the per-state Gram construction
 ``random_positive_type`` ran before states were drawn as a stack.
-``loop_positivity_falsifier`` draws through it, applies and decides one
-trial at a time, with the single-state contraction ``apply`` used before.
-Every field of every verdict and witness must agree bit for bit.
+``loop_positivity_falsifier`` draws through it, applies each state by the
+einsum formula ``einsum_apply`` and decides one trial at a time.  Every
+field of every verdict and witness must agree bit for bit.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_algebra import disjoint_pair_groupoids, function_from_blocks, psd
-from test_gather_parity import loop_is_positive_type
+from oracles import (
+    disjoint_pair_groupoids,
+    function_from_blocks,
+    loop_is_positive_type,
+    loop_positivity_falsifier,
+    loop_random_positive_type,
+    psd,
+)
 
 from groupoidqm import (
     AlgebraElement,
@@ -25,7 +31,6 @@ from groupoidqm import (
     channels,
     choi_kraus_decomposition,
     eigen,
-    extend_with_identity,
     hermitian_eigh,
     identity_channel,
     is_cp,
@@ -42,42 +47,11 @@ from groupoidqm import (
     random_positive_type,
     transpose_channel,
 )
-from groupoidqm.algebra import PSD_TOL, contract, value_array
+from groupoidqm.algebra import PSD_TOL
 from groupoidqm.channels import _FALSIFIER_CHUNK, _random_gram_states
 from groupoidqm.symalgebra import QuotientFunction
 
 SIZES = (3, 2, 1, 4, 2)
-
-# -- the per-function loops --
-
-
-def loop_apply(ch, psi):
-    n = ch.n
-    out = contract("lrsm,rs->lm", ch.kernel.tensor(), value_array(psi.values).reshape(n, n))
-    return AlgebraElement(psi.groupoid, out.reshape(-1).tolist())
-
-
-def loop_random_positive_type(n, rng, rank=None):
-    if rank is None:
-        rank = int(rng.integers(1, n + 1))
-    vecs = rng.normal(size=(rank, n)) + 1j * rng.normal(size=(rank, n))
-    mat = sum(np.outer(v, v.conj()) for v in vecs)
-    mat = mat / np.trace(mat).real
-    return AlgebraElement(pair_groupoid(n), [mat[j, k] for j in range(n) for k in range(n)])
-
-
-def loop_positivity_falsifier(ch, trials, seed, ancilla=1, tol=PSD_TOL):
-    rng = np.random.default_rng(seed)
-    extended = extend_with_identity(ch, ancilla) if ancilla > 1 else ch
-    dim = extended.n
-    for trial in range(trials):
-        psi = loop_random_positive_type(dim, rng, rank=(trial % dim) + 1)
-        out = loop_apply(extended, psi)
-        verdict = loop_is_positive_type(out, tol)
-        if not verdict.ok:
-            return trial, psi, out, verdict.min_eigenvalue
-    return None
-
 
 def optional_arrays_equal(a, b):
     return (a is None and b is None) or (
@@ -90,7 +64,7 @@ def assert_same_verdict(got, want):
     assert np.array_equal(got.min_eigenvalue, want.min_eigenvalue, equal_nan=True)
     assert got.hermitian_defect == want.hermitian_defect
     assert (got.object_index, got.fiber) == (want.object_index, want.fiber)
-    for field in ("block", "witness", "eigenvalues", "eigenvectors"):
+    for field in ("matrix", "witness", "eigenvalues", "eigenvectors"):
         assert optional_arrays_equal(getattr(got, field), getattr(want, field)), field
 
 
@@ -190,7 +164,7 @@ def test_inf_block_the_walk_reaches_raises():
 # -- the draws --
 
 
-def assert_same_values(got, want):
+def assert_same_bytes(got, want):
     assert [type(v) for v in got] == [type(v) for v in want]
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
@@ -204,7 +178,7 @@ def test_random_positive_type_matches_the_loop(n):
             got = random_positive_type(n, got_rng, rank)
             want = loop_random_positive_type(n, want_rng, rank)
             assert got.groupoid is want.groupoid
-            assert_same_values(got.values, want.values)
+            assert_same_bytes(got.values, want.values)
             assert got_rng.normal() == want_rng.normal()  # the streams end together
 
 
@@ -216,7 +190,7 @@ def test_a_stack_of_states_matches_the_loop(n):
         assert got.shape == (len(ranks), n, n) and got.dtype == np.complex128
         for state, rank in zip(got, ranks):
             want = loop_random_positive_type(n, want_rng, rank)
-            assert_same_values(list(state.reshape(-1)), want.values)
+            assert_same_bytes(list(state.reshape(-1)), want.values)
         assert got_rng.normal() == want_rng.normal()
 
 
@@ -252,8 +226,8 @@ def assert_same_witness(got, want, ancilla):
     trial, state, output, min_eigenvalue = want
     assert (got.trial, got.ancilla) == (trial, ancilla)
     assert np.array_equal(got.min_eigenvalue, min_eigenvalue, equal_nan=True)
-    assert_same_values(got.state.values, state.values)
-    assert_same_values(got.output.values, output.values)
+    assert_same_bytes(got.state.values, state.values)
+    assert_same_bytes(got.output.values, output.values)
     assert got.state.groupoid is state.groupoid and got.output.groupoid is output.groupoid
 
 
@@ -376,7 +350,7 @@ def test_reading_a_stacked_verdicts_witness_solves_its_block_once(solves):
     (res,) = positive_type_verdicts([phi])
     assert not res.ok and solves == [("values", (1, 2, 2))]
     solves.clear()
-    assert np.allclose(res.block @ res.witness, -2 * res.witness, atol=1e-12)
+    assert np.allclose(res.matrix @ res.witness, -2 * res.witness, atol=1e-12)
     assert res.witness is not None
     assert solves == [("vectors", (2, 2))]
 
@@ -410,6 +384,7 @@ def test_a_defect_failed_verdict_makes_no_solve_and_has_no_witness(solves):
     res = psd_verdict(np.array([[1.0, 1e-3], [0.0, 1.0]]))
     assert not res.ok and np.isnan(res.min_eigenvalue)
     assert (res.witness, res.eigenvectors, res.eigenvalues) == (None, None, None)
+    assert res.matrix.tolist() == [[1.0, 1e-3], [0.0, 1.0]]  # the block it failed on
     (stacked,) = positive_type_verdicts([AlgebraElement(pair_groupoid(2), [1, 1j, 0, 1])])
     assert not stacked.ok and np.isnan(stacked.min_eigenvalue)
     assert stacked.witness is None

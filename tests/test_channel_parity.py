@@ -1,6 +1,6 @@
 """The channel diagnostics as algebra identities against the loops they replaced.
 
-The reference functions below are the index loops that ``dsf_check``,
+The references, in ``oracles``, are the index loops that ``dsf_check``,
 ``tomogram``, the Kraus branch of ``is_unital`` and ``choi_kraus_decomposition``
 ran before they became calls into ``convolve``, ``involute``, ``apply`` and
 ``psd_verdict``, and the re-wrapping ``convolve_general`` and
@@ -11,12 +11,19 @@ complex values ran on before ``contract`` cast it to complex128; those
 outputs must agree bit for bit.
 """
 
-import cmath
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_exact_path import cyclic_group_groupoid
+from oracles import (
+    cyclic_group_groupoid,
+    delta,
+    loop_dsf_check,
+    loop_is_unital_kraus,
+    loop_tomogram,
+    object_einsum,
+    two_solve_decomposition,
+)
 
 from groupoidqm import (
     AlgebraElement,
@@ -42,78 +49,13 @@ from groupoidqm import (
     pair_groupoid,
     random_kraus_channel,
     random_positive_type,
-    to_choi,
     tomogram,
     transpose_channel,
     weighted_pair_measure,
 )
 from groupoidqm import algebra, channels, eigen
-from groupoidqm.algebra import PSD_TOL, psd_verdict
-
-# -- the loops the algebra calls replaced --
-
-
-def loop_dsf_check(v, tol=1e-12):
-    g = v.groupoid
-    n = g.n_objects
-    if g.n_morphisms != n * n:
-        raise GroupoidError("dsf_check expects a function on a pair groupoid")
-    vals = v.values
-    for j in range(n):
-        for l in range(n):
-            acc = sum(vals[j * n + k] * vals[k * n + l] for k in range(n))
-            if abs(acc - vals[j * n + l]) > tol:
-                return False
-    for j in range(n):
-        for k in range(n):
-            if abs(vals[j * n + k].conjugate() - vals[k * n + j]) > tol:
-                return False
-    return True
-
-
-def loop_tomogram(psi, n, tol=PSD_TOL):
-    out = []
-    for l in range(n):
-        acc = 0
-        for r in range(n):
-            for s in range(n):
-                acc += (
-                    cmath.exp(-2j * cmath.pi * l * r / n)
-                    * psi.values[r * n + s]
-                    * cmath.exp(2j * cmath.pi * l * s / n)
-                )
-        acc = complex(acc) / n
-        if abs(acc.imag) > tol:
-            raise GroupoidError(f"tomogram value {l} is not real: {acc}")
-        out.append(acc.real)
-    return out
-
-
-def loop_is_unital_kraus(fam, tol=1e-12):
-    g = pair_groupoid(fam.n)
-    m = GroupoidMeasure.counting(g)
-    total = AlgebraElement.zeros(g)
-    for v in fam.members:
-        total = total + convolve(v, involute(v, m), m)
-    return total.allclose(AlgebraElement.units_indicator(g), tol)
-
-
-def two_solve_decomposition(ch, tol=PSD_TOL):
-    choi = to_choi(ch).matrix
-    assert psd_verdict(choi, tol).ok
-    w, v = eigen.hermitian_eigh(choi)
-    return [
-        [float(np.sqrt(w[i])) * complex(x) for x in v[:, i]]
-        for i in range(len(w) - 1, -1, -1)
-        if w[i] > tol
-    ]
-
 
 # -- inputs --
-
-
-def delta(n, j, k):
-    return AlgebraElement.delta(pair_groupoid(n), j * n + k)
 
 
 def dsf_inputs():
@@ -266,10 +208,6 @@ def test_general_operations_match_rewrapped_calls():
 
 
 # -- exact kernels beside complex values --
-
-
-def object_einsum(subscripts, *operands):
-    return np.einsum(subscripts, *(op.astype(object) for op in operands)).astype(np.complex128)
 
 
 def shift_channel(n):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import delta
 
 from groupoidqm import (
     AlgebraElement,
@@ -43,7 +44,6 @@ from groupoidqm import (
     left_regular_matrix,
     pad_element,
     pair_groupoid,
-    pair_index,
     positivity_falsifier,
     psd_verdict,
     q_horizontal_compose,
@@ -59,10 +59,6 @@ from groupoidqm import (
     transpose_channel,
     zero_pad,
 )
-
-
-def delta(n, j, k):
-    return AlgebraElement.delta(pair_groupoid(n), pair_index(n, j, k))
 
 
 def to_matrix(psi, n):

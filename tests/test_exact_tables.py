@@ -15,118 +15,41 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_exact_path import assert_same_report, cyclic_group_groupoid, loop_modular_atoms
-from test_gather_parity import assert_delta2_is_the_product, ratio
+from oracles import (
+    BIG,
+    GROUPOIDS,
+    assert_delta2_is_the_product,
+    assert_same_report,
+    assert_same_values,
+    cases,
+    loop_disintegration,
+    loop_modular_formula,
+    measure,
+    old_symmetroid_measure,
+    old_tables,
+    weight_grid,
+)
 
 from groupoidqm import (
     GroupoidMeasure,
     Symmetroid,
-    direct_product,
     pair_groupoid,
     verify_disintegration,
     verify_modular_formula,
     weighted_pair_measure,
 )
-from groupoidqm.reports import ViolationReport
 from groupoidqm.symalgebra import SymmetroidMeasure
 
-BIG = 2**70
-
-# -- the formulas and loops the gathers replaced --
-
-
-def old_tables(g, weights, object_weights):
-    """(weights, object weights, ν^x, ν_x, δ) with per-entry ratios, after the
-    rule that turns every int into a Fraction when any weight is a Fraction."""
-    w, ow = tuple(weights), tuple(object_weights)
-    if any(isinstance(v, Fraction) for v in w + ow):
-        w, ow = (tuple(Fraction(v) if isinstance(v, int) else v for v in t) for t in (w, ow))
-    nu_t = [ratio(w[a], ow[g.target[a]]) for a in g.morphisms()]
-    nu_s = [ratio(w[a], ow[g.source[a]]) for a in g.morphisms()]
-    delta = [ratio(w[a], w[g.inverse[a]]) for a in g.morphisms()]
-    return w, ow, nu_t, nu_s, delta
+NAMES, KINDS = ("pair3", "z3", "product"), ("counting", "int", "mixed", "fraction", "float", "big")
+CASES = cases(NAMES, KINDS)
+# the tables also over the Haar family w_j / w_k, which pair3 draws
+TABLE_CASES = cases(NAMES, KINDS + ("weighted-fraction", "weighted-float"))
 
 
-def old_symmetroid_measure(sym, base):
-    """(μ₂, object weights, Δ₂) as the per-transformation products built them."""
-    g, ts = base.groupoid, sym.transformations
-    w, ow = base.weights, base.object_weights
-    mu2 = [w[t.alpha] * w[t.gamma] for t in ts]
-    ow2 = [ow[g.target[b]] * ow[g.source[b]] for b in g.morphisms()]
-    return mu2, ow2, {t: base.deltas[t.alpha] * base.deltas[t.gamma] for t in ts}
-
-
-def loop_disintegration(g, m, subsets=None, tol=1e-12):
-    rep = ViolationReport()
-    if subsets is None:
-        subsets = [list(g.morphisms())] + [[mid] for mid in g.morphisms()]
-    for E in subsets:
-        rep.checks += 1
-        E = list(E)
-        lhs = sum(m.nu_targets[a] * m.object_weights[g.target[a]] for a in E)
-        rhs = sum(m.weights[a] for a in E)
-        defect = abs(lhs - rhs)
-        if defect > tol:
-            rep.add("disintegration", tuple(E), f"disintegration fails on E={E}", defect)
-    return rep
-
-
-def loop_modular_formula(m2, functions, tol=1e-12):
-    sym = m2.symmetroid
-    rep = loop_modular_atoms(m2, tol)
-    for i, f in enumerate(functions):
-        rep.checks += 1
-        lhs = sum(m2.mu2(t) * f.get(sym.vertical_inverse(t), 0) for t in sym.transformations)
-        rhs = sum(m2.mu2(t) * f.get(t, 0) / m2.delta2(t) for t in sym.transformations)
-        defect = abs(lhs - rhs)
-        if defect > tol:
-            rep.add("modular-sum", (i,), f"Σ μ₂ f(Γ⁻¹) != Σ μ₂ Δ₂⁻¹ f for function {i}", defect)
-    return rep
-
-
-# -- bases --
-
-
-def bases(g):
-    """Counting, int, mixed int/Fraction, Fraction, float and huge-numerator
-    Fraction weights on g (not all Haar)."""
-    rng = np.random.default_rng(5 + g.n_morphisms)
-    m, n = g.n_morphisms, g.n_objects
-    ints = [int(v) for v in rng.integers(1, 7, size=m)]
-    fracs = [Fraction(int(p), int(q)) for p, q in rng.integers(1, 9, size=(m, 2))]
-    return {
-        "counting": ((1,) * m, (1,) * n),
-        "int": (ints, [int(v) for v in rng.integers(1, 5, size=n)]),
-        "mixed": ([f if k % 2 else i for k, (i, f) in enumerate(zip(ints, fracs))], [2] * n),
-        "fraction": (fracs, [Fraction(k + 1, k + 2) for k in range(n)]),
-        "float": ([float(v) for v in rng.uniform(0.5, 3.0, size=m)], [1.5] * n),
-        "big": (
-            [Fraction(BIG + 3 * k + 1, 3**45 + k) for k in range(m)],
-            [Fraction(BIG - k, 7**30) for k in range(n)],
-        ),
-    }
-
-
-BASE_GROUPOIDS = {
-    "pair3": lambda: pair_groupoid(3),
-    "z3": lambda: cyclic_group_groupoid(3),
-    "product": lambda: direct_product(pair_groupoid(2), cyclic_group_groupoid(2)),
-}
-
-
-def assert_same_values(got, want):
-    got, want = list(got), list(want)
-    assert got == want
-    assert [type(v) for v in got] == [type(v) for v in want]
-
-
-CASES = [(gname, bname) for gname, make in BASE_GROUPOIDS.items() for bname in bases(make())]
-
-
-@pytest.mark.parametrize("gname,bname", CASES)
+@pytest.mark.parametrize("gname,bname", TABLE_CASES)
 def test_measure_tables_match_per_entry_ratios(gname, bname):
-    g = BASE_GROUPOIDS[gname]()
-    weights, object_weights = bases(g)[bname]
+    g = GROUPOIDS[gname]()
+    weights, object_weights = weight_grid(g)[bname]
     m = GroupoidMeasure(g, weights, object_weights)
     want = old_tables(g, weights, object_weights)
     for got, ref in zip((m.weights, m.object_weights, m.nu_targets, m.nu_sources, m.deltas), want):
@@ -134,10 +57,10 @@ def test_measure_tables_match_per_entry_ratios(gname, bname):
         assert_same_values(got, ref)
 
 
-@pytest.mark.parametrize("gname,bname", CASES)
+@pytest.mark.parametrize("gname,bname", TABLE_CASES)
 def test_symmetroid_measure_matches_per_transformation_products(gname, bname):
-    g = BASE_GROUPOIDS[gname]()
-    base = GroupoidMeasure(g, *bases(g)[bname])
+    g = GROUPOIDS[gname]()
+    base = measure(g, bname)
     sym = Symmetroid(g)
     m2 = SymmetroidMeasure(sym, base)
     mu2, ow2, modular = old_symmetroid_measure(sym, base)
@@ -170,8 +93,8 @@ def test_big_numerators_stay_exact():
 @pytest.mark.parametrize("gname,bname", CASES)
 @pytest.mark.parametrize("tol", [1e-12, 0, -1])
 def test_disintegration_matches_loop(gname, bname, tol):
-    g = BASE_GROUPOIDS[gname]()
-    m = GroupoidMeasure(g, *bases(g)[bname])
+    g = GROUPOIDS[gname]()
+    m = measure(g, bname)
     ms = g.n_morphisms
 
     def custom():
@@ -185,7 +108,7 @@ def test_disintegration_matches_loop(gname, bname, tol):
 @pytest.mark.parametrize("bname", ["int", "fraction", "big", "float"])
 def test_disintegration_violations_match_loop(bname):
     g = pair_groupoid(3)
-    m = GroupoidMeasure(g, *bases(g)[bname])
+    m = measure(g, bname)
     nu = list(m.nu_targets)
     nu[4] += Fraction(1, 10**20) if bname != "float" else 1e-15
     nu[7] *= 2
@@ -202,7 +125,7 @@ def test_disintegration_violations_match_loop(bname):
 def test_disintegration_rejects_a_float_index(bname):
     # a subset is read through one index array; 1.5 must not become morphism 1
     g = pair_groupoid(3)
-    m = GroupoidMeasure(g, *bases(g)[bname])
+    m = measure(g, bname)
     with pytest.raises((TypeError, IndexError)):
         verify_disintegration(g, m, [[0], [1.5]])
 
@@ -227,8 +150,8 @@ def functions(sym, seed):
 @pytest.mark.parametrize("gname,bname", CASES)
 @pytest.mark.parametrize("tol", [1e-12, 0, -1])
 def test_modular_sums_match_loop(gname, bname, tol):
-    g = BASE_GROUPOIDS[gname]()
-    m2 = SymmetroidMeasure(Symmetroid(g), GroupoidMeasure(g, *bases(g)[bname]))
+    g = GROUPOIDS[gname]()
+    m2 = SymmetroidMeasure(Symmetroid(g), measure(g, bname))
     fs = functions(m2.symmetroid, g.n_morphisms)
     got = verify_modular_formula(m2, fs, tol)
     assert_same_report(got, loop_modular_formula(m2, fs, tol))
@@ -238,7 +161,7 @@ def test_modular_sums_match_loop(gname, bname, tol):
 def test_modular_sum_violations_match_loop(bname):
     g = pair_groupoid(2)
     sym = Symmetroid(g)
-    m2 = SymmetroidMeasure(sym, GroupoidMeasure(g, *bases(g)[bname]))
+    m2 = SymmetroidMeasure(sym, measure(g, bname))
     ts = sym.transformations
     small = Fraction(1, 10**20) if bname != "float" else 1e-15
     deltas, weights = list(m2.measure.deltas), list(m2.measure.weights)

@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_exact_path import cyclic_group_groupoid, two_component_groupoid
+from oracles import (
+    cyclic_group_groupoid,
+    reference_convolve_general,
+    reference_involute_general,
+    two_component_groupoid,
+)
 
 from groupoidqm import (
     AlgebraElement,
     GroupoidMeasure,
     NotComposableError,
-    NotHaarError,
     QClass,
     SymFunction,
     Symmetroid,
@@ -230,38 +234,6 @@ class TestVerticalGroupoid:
                 call()
 
 
-def reference_convolve(f, h, base):
-    """Σ over the 2-target fiber of t1(Γ) of ν₂(Γ₁) f(Γ₁) h(Γ₁⁻¹ ∘_V Γ), with
-    every piece written out on triples."""
-    sym, g = f.symmetroid, base.groupoid
-
-    def t1(t):
-        return g.compose(t.alpha, g.compose(t.beta, g.inv(t.gamma)))
-
-    out = []
-    for t in sym.transformations:
-        acc = 0
-        for l in sym.transformations:
-            if t1(l) != t1(t) or f[l] == 0:
-                continue
-            nu2 = base.nu_target(l.alpha) * base.nu_target(l.gamma)
-            rest = Transformation(g.compose(g.inv(l.alpha), t.alpha), t.beta, g.compose(g.inv(l.gamma), t.gamma))
-            acc += nu2 * f[l] * h[rest]
-        out.append(acc)
-    return out
-
-
-def reference_involute(f, base):
-    """Δ₂(Γ)⁻¹ conj(f(Γ⁻¹)) with Δ₂ = δ(α)·δ(γ) and Γ⁻¹ = (α⁻¹, t1(Γ), γ⁻¹)."""
-    sym, g = f.symmetroid, base.groupoid
-    out = []
-    for a, b, c in sym.transformations:
-        top = g.compose(a, g.compose(b, g.inv(c)))
-        inverse = Transformation(g.inv(a), top, g.inv(c))
-        out.append(f[inverse].conjugate() / (base.delta(a) * base.delta(c)))
-    return out
-
-
 class TestGeneralConvolutionExact:
     @pytest.mark.parametrize(
         "base",
@@ -284,6 +256,9 @@ class TestGeneralConvolutionExact:
         assert 0 in f.values  # the reference skips zero terms as convolve does
         prod = convolve_general(f, h, m2)
         star = involute_general(f, m2)
-        for out, ref in ((prod, reference_convolve(f, h, base)), (star, reference_involute(f, base))):
+        for out, ref in (
+            (prod, reference_convolve_general(f, h, base)),
+            (star, reference_involute_general(f, base)),
+        ):
             assert all(type(v) is Fraction for v in out.values)
             assert out.values == ref

@@ -7,7 +7,8 @@ only ``measure._parts`` reads numerators and denominators, and only where a
 kernels of ``measure``, only ``measure._narrowed`` names int64,
 ``positivity_falsifier`` makes ``AlgebraElement``s only for its witness,
 eigenvectors are solved only where they are read, and the quotient's rules
-only read, compare and copy fields.
+only read, compare and copy fields.  Among the tests, only ``oracles.py``
+defines reference loops, and no test module imports another.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
 re-exports.
@@ -329,3 +330,72 @@ def test_eigenvectors_are_solved_only_where_read():
     }
     nodes = [n for path in PACKAGE.glob("*.py") for n in ast.walk(ast.parse(path.read_text()))]
     assert sum(map(names_solver, nodes)) == sum(map(solves, nodes))
+
+
+TESTS = Path(__file__).parent
+ORACLE_PREFIXES = ("loop_", "reference_", "ref_", "old_", "einsum_")
+
+
+def statements(nodes):
+    """The statements among nodes and in their bodies, at any depth."""
+    for node in nodes:
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from statements(getattr(node, field, ()))
+
+
+def oracle_offences(tree) -> list[str]:
+    """The module-level reference functions a test module defines and the
+    test modules it imports from."""
+    offences = [
+        f"defines {node.name}"
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith(ORACLE_PREFIXES)
+    ]
+    for node in statements(tree.body):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        offences += [f"imports {m}" for m in modules if m.split(".")[0].startswith("test_")]
+    return offences
+
+
+def test_oracles_are_defined_once():
+    # a parity test's reference lives in tests/oracles.py, so that each
+    # operation has one oracle; a loop of a test module's own, or one read
+    # from another test module, would grow a second generation beside it
+    modules = sorted(p for p in TESTS.glob("*.py") if p.name != "oracles.py")
+    found = {p.name: oracle_offences(ast.parse(p.read_text())) for p in modules}
+    assert {name: offences for name, offences in found.items() if offences} == {}
+    assert "test_imports.py" in found
+
+
+def test_oracle_guard_sees_definitions_and_test_imports():
+    planted = ast.parse(
+        "import test_algebra\n"
+        "from test_exact_path import measures\n"
+        "def loop_convolve(f, g, m):\n"
+        "    from test_gather_parity import loop_involute\n"
+        "def einsum_apply(kernel, psi, n):\n"
+        "    pass\n"
+        "class Helpers:\n"
+        "    def loop_inside_a_class(self):\n"
+        "        pass\n"
+        "def oracle_of_another_name():\n"
+        "    import oracles\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ImportError:\n"
+        "        import test_channels.fixtures\n"
+    )
+    assert sorted(oracle_offences(planted)) == [
+        "defines einsum_apply",
+        "defines loop_convolve",
+        "imports test_algebra",
+        "imports test_channels.fixtures",
+        "imports test_exact_path",
+        "imports test_gather_parity",
+    ]

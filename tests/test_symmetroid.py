@@ -2,6 +2,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from oracles import array_count, loop_count, loop_is_flat
 
 from groupoidqm import (
     Bisection,
@@ -279,15 +280,36 @@ class TestQuotientOverPatterns:
 
     def test_vertical_associativity_at_every_n(self):
         # q2 starts where q1 ends, q3 where q2 ends: eight free indices
-        z1, y1, x1, w1, z2, w2, z3, w3 = selftest._set_partitions(8)
+        (z1, y1, x1, w1, z2, w2, z3, w3), _ = selftest._set_partitions(8)
         q1, q2, q3 = QClass(z1, y1, x1, w1), QClass(z2, z1, w1, w2), QClass(z3, z2, w2, w3)
         lhs = q_vertical_compose(q_vertical_compose(q3, q2), q1)
         rhs = q_vertical_compose(q3, q_vertical_compose(q2, q1))
         assert z1.size == 4140 and np.array_equal(lhs, rhs)
 
+    def test_unit_and_inverse_laws_at_every_n(self):
+        # one class has four free indices: B₄ = 15 patterns
+        (z, y, x, w), _ = selftest._set_partitions(4)
+        q = QClass(z, y, x, w)
+        vi, hi = q_vertical_inverse(q), q_horizontal_inverse(q)
+        laws = [
+            (q_vertical_compose(q, q_vertical_unit(y, x)), q),
+            (q_vertical_compose(q_vertical_unit(z, w), q), q),
+            (q_vertical_compose(vi, q), q_vertical_unit(y, x)),
+            (q_vertical_compose(q, vi), q_vertical_unit(z, w)),
+            (q_horizontal_compose(q, q_horizontal_unit(w, x)), q),
+            (q_horizontal_compose(q_horizontal_unit(z, y), q), q),
+            (q_horizontal_compose(hi, q), q_horizontal_unit(w, x)),
+            (q_horizontal_compose(q, hi), q_horizontal_unit(z, y)),
+            (q_vertical_inverse(vi), q),
+            (q_horizontal_inverse(hi), q),
+        ]
+        assert z.size == 15
+        for lhs, rhs in laws:
+            assert np.array_equal(lhs, rhs)
+
     def test_horizontal_associativity_at_every_n(self):
         # x2 = y1 and w2 = z1, x3 = y2 and w3 = z2: eight free indices
-        z1, y1, x1, w1, z2, y2, z3, y3 = selftest._set_partitions(8)
+        (z1, y1, x1, w1, z2, y2, z3, y3), _ = selftest._set_partitions(8)
         q1, q2, q3 = QClass(z1, y1, x1, w1), QClass(z2, y2, y1, z1), QClass(z3, y3, y2, z2)
         lhs = q_horizontal_compose(q_horizontal_compose(q3, q2), q1)
         rhs = q_horizontal_compose(q3, q_horizontal_compose(q2, q1))
@@ -303,37 +325,6 @@ def bell(k):
             nxt.append(nxt[-1] + v)
         row = nxt
     return row[0]
-
-
-def exchange_sides(free):
-    """Both sides of the exchange identity at the quadruples of ``free``,
-    through selftest's bindings of the rules, so that a planted fault
-    reaches them."""
-    gp2, gp1, g2, g1 = selftest._exchange_quadruple(free)
-    lhs = selftest.q_vertical_compose(
-        selftest.q_horizontal_compose(gp2, gp1), selftest.q_horizontal_compose(g2, g1)
-    )
-    rhs = selftest.q_horizontal_compose(
-        selftest.q_vertical_compose(gp2, g2), selftest.q_vertical_compose(gp1, g1)
-    )
-    return lhs, rhs
-
-
-def array_count(n):
-    """The n⁹ oracle: every admissible quadruple at n as one column of one
-    index array, composed at once."""
-    free = np.indices((n,) * 9, dtype=np.int8).reshape(9, -1)
-    lhs, rhs = exchange_sides(free)
-    return int(np.count_nonzero(np.any(np.asarray(lhs) != np.asarray(rhs), axis=0))), free.shape[1]
-
-
-def loop_count(n, columns):
-    """The per-quadruple oracle: compose each quadruple on its own."""
-    violations = 0
-    for free in columns:
-        lhs, rhs = exchange_sides(tuple(int(v) for v in free))
-        violations += lhs != rhs
-    return violations
 
 
 class TestExchangeIdentity:
@@ -364,16 +355,17 @@ class TestExchangeIdentity:
 
     def test_set_partitions_are_the_restricted_growth_strings(self):
         for k in range(10):
-            strings = selftest._set_partitions(k)
+            strings, blocks = partitions = selftest._set_partitions(k)
             assert strings.shape == (k, bell(k)) and strings.dtype == np.int8
-            assert not strings.flags.writeable
-            assert selftest._set_partitions(k) is strings
+            assert not strings.flags.writeable and not blocks.flags.writeable
+            assert selftest._set_partitions(k) is partitions
+            assert blocks.tolist() == [len(set(c)) for c in strings.T.tolist()]
         for k in range(7):
             growth = [
                 s for s in product(range(k), repeat=k)
                 if all(s[i] <= max(s[:i], default=-1) + 1 for i in range(k))
             ]
-            assert [tuple(c) for c in selftest._set_partitions(k).T] == growth
+            assert [tuple(c) for c in selftest._set_partitions(k)[0].T] == growth
 
     def test_scalar_rules_unchanged(self):
         # the scalar path of the broadcast rules keeps its types and messages
@@ -437,21 +429,6 @@ class TestExchangeIdentity:
         assert exchange_identity_report(2) == (0, 2**9)
         with pytest.raises(NotComposableError, match="horizontal composition undefined"):
             exchange_identity_report(3)
-
-
-def loop_is_flat(b: Bisection) -> bool:
-    """The per-triple loop ``Bisection.is_flat`` replaced: the oracle."""
-    n = b.n
-    for zz in range(n):
-        for yy in range(n):
-            for xx in range(n):
-                left = b.entry_for_s1(zz * n + yy)
-                right = b.entry_for_s1(yy * n + xx)
-                if not q_horizontally_composable(left, right):
-                    return False
-                if q_horizontal_compose(left, right) != b.entry_for_s1(zz * n + xx):
-                    return False
-    return True
 
 
 def seeded_bisections(n: int, count: int, seed: int) -> list[Bisection]:

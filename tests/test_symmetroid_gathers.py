@@ -1,7 +1,7 @@
 """The gathered ``Symmetroid`` tables and ``FiniteGroupoid.composites`` against
 the per-transformation constructor loop and ``compose`` calls they replaced.
 
-``loop_symmetroid`` is that constructor loop: it enumerates the
+``oracles.loop_symmetroid`` is that constructor loop: it enumerates the
 transformations, composes every vertical pair with two ``compose`` calls and
 looks the result up by key.  The gathered tables must match it field for
 field, with the compose table in the same insertion order.
@@ -12,14 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_exact_path import _pair3_missing, cyclic_group_groupoid, two_component_groupoid
+from oracles import GROUPOIDS, loop_symmetroid, pair3_missing
 
 from groupoidqm import (
     FiniteGroupoid,
     NotComposableError,
     Symmetroid,
     Transformation,
-    direct_product,
     induce_measure,
     pair_groupoid,
     verify_induced_equivariance,
@@ -29,41 +28,9 @@ from groupoidqm import (
 )
 
 
-def loop_symmetroid(g):
-    """(transformations, index, vertical) as the constructor loop built them."""
-    ts = [
-        Transformation(a, b, c)
-        for b in g.morphisms()
-        for a in g.source_fiber(g.target[b])
-        for c in g.source_fiber(g.source[b])
-    ]
-    index = {t: i for i, t in enumerate(ts)}
-    top = [g.compose(a, g.compose(b, g.inv(c))) for a, b, c in ts]
-    by_s1 = [[] for _ in g.morphisms()]
-    for i, t in enumerate(ts):
-        by_s1[t.beta].append(i)
-    compose = {
-        (i2, i1): index[(g.compose(ts[i2].alpha, a1), b1, g.compose(ts[i2].gamma, c1))]
-        for i1, (a1, b1, c1) in enumerate(ts)
-        for i2 in by_s1[top[i1]]
-    }
-    inverse = [index[(g.inv(a), top[i], g.inv(c))] for i, (a, _, c) in enumerate(ts)]
-    units = [index[(g.unit(g.target[b]), b, g.unit(g.source[b]))] for b in g.morphisms()]
-    source = [t.beta for t in ts]
-    return ts, index, FiniteGroupoid(g.n_morphisms, source, top, compose, inverse, units)
-
-
-BASES = {
-    **{f"pair{n}": (lambda n=n: pair_groupoid(n)) for n in (1, 2, 3, 4)},
-    "z4": lambda: cyclic_group_groupoid(4),
-    "two-component": two_component_groupoid,
-    "product": lambda: direct_product(pair_groupoid(2), cyclic_group_groupoid(3)),
-}
-
-
-@pytest.mark.parametrize("name", list(BASES))
+@pytest.mark.parametrize("name", ["pair1", "pair2", "pair3", "pair4", "z4", "two-component", "product"])
 def test_gathered_symmetroid_matches_loop(name):
-    g = BASES[name]()
+    g = GROUPOIDS[name]()
     sym = Symmetroid(g)
     ts, index, vertical = loop_symmetroid(g)
     assert sym.transformations == ts
@@ -91,7 +58,7 @@ def test_symmetroid_verifiers_leave_the_vertical_compose_table_unbuilt():
 
 @pytest.mark.parametrize("name", ["pair3", "z4", "two-component", "product"])
 def test_composites_equal_compose(name):
-    g = BASES[name]()
+    g = GROUPOIDS[name]()
     b, a, _ = g.composable_arrays()
     assert g.composites(b, a).tolist() == [g.compose(x, y) for x, y in g.composable_pairs()]
     # broadcast: one b against every a in its target fiber, as a column
@@ -114,7 +81,7 @@ def test_composites_raise_on_the_first_pair_that_does_not_compose():
     # (1, 0) is 0 -> 0 followed by 1 -> 0: does not compose; (5, 1) neither
     b, a = np.array([[0, 1], [5, 4]]), np.array([[0, 0], [1, 4]])
     assert _message(lambda: g.composites(b, a)) == _message(lambda: g.compose(1, 0))
-    h = _pair3_missing((6, 0), (3, 1))
+    h = pair3_missing((6, 0), (3, 1))
     assert h.composites([0, 3], [0, 0]).tolist() == [0, 3]
     assert _message(lambda: h.composites([3, 6], [1, 0])) == _message(lambda: h.compose(3, 1))
     assert _message(lambda: h.composites([6, 3], [0, 1])) == _message(lambda: h.compose(6, 0))
@@ -122,7 +89,7 @@ def test_composites_raise_on_the_first_pair_that_does_not_compose():
 
 @pytest.mark.parametrize("missing", [((6, 0),), ((3, 1),), ((6, 0), (3, 1)), ((4, 4),)])
 def test_missing_composite_raises_as_the_loop_did(missing):
-    g = _pair3_missing(*missing)
+    g = pair3_missing(*missing)
     want = _message(lambda: loop_symmetroid(g))
     assert _message(lambda: Symmetroid(g)) == want
 
