@@ -237,6 +237,14 @@ def test_counting_measure_keeps_fractions_exact():
     assert all(type(v) is Fraction for v in convolve_general(f2, h2, m2).values)
 
 
+def test_int_division_stays_exact():
+    g = pair_groupoid(2)
+    m = GroupoidMeasure(g, [2, 3, 4, 6], [2, 3])
+    assert [m.nu_target(a) for a in g.morphisms()] == [1, Fraction(3, 2), Fraction(4, 3), 2]
+    assert [type(m.nu_target(a)) for a in g.morphisms()] == [int, Fraction, Fraction, int]
+    assert m.delta(1) == Fraction(3, 4)
+
+
 def test_complex_values_see_float_weights():
     """Under int weights whose ratios are Fractions, complex functions give
     exactly what the same weights as floats give."""
