@@ -94,6 +94,8 @@ GROUPOIDS = {name: functools.cache(make) for name, make in {
     "z4": lambda: cyclic_group_groupoid(4),
     "two-component": two_component_groupoid,
     "product": lambda: direct_product(pair_groupoid(2), cyclic_group_groupoid(2)),
+    # several objects and isotropy elements that are not their own inverses
+    "product-z3": lambda: direct_product(pair_groupoid(2), cyclic_group_groupoid(3)),
     "vertical2": lambda: Symmetroid(pair_groupoid(2)).vertical,
     "vertical3": lambda: Symmetroid(pair_groupoid(3)).vertical,
 }.items()}
@@ -134,7 +136,8 @@ def weight_grid(g):
         "int": (ints, [int(v) for v in rng.integers(1, 5, size=n)]),
         "mixed": ([f if k % 2 else i for k, (i, f) in enumerate(zip(ints, fracs))], [2] * n),
         "fraction": (fracs, [Fraction(k + 1, k + 2) for k in range(n)]),
-        "float": ([float(v) for v in rng.uniform(0.5, 3.0, size=m)], [1.5] * n),
+        # 1.1 makes ν and δ round apart: the inverse relation fails at tol 0
+        "float": ([float(v) for v in rng.uniform(0.5, 3.0, size=m)], [1.1] * n),
         "float-fraction": ([0.5] + fracs[1:], None),
         "fraction-near-tol": (perturbed(ones, Fraction(1, 10**14), Fraction(1, 10**6)), None),
         "float-near-tol": (perturbed([1.0] * m, 1e-14, 1e-6), None),

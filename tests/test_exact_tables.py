@@ -44,9 +44,12 @@ NAMES, KINDS = ("pair3", "z3", "product"), ("counting", "int", "mixed", "fractio
 CASES = cases(NAMES, KINDS)
 # the tables also over the Haar family w_j / w_k, which pair3 draws
 TABLE_CASES = cases(NAMES, KINDS + ("weighted-fraction", "weighted-float"))
+# the ν and δ tables also on every case of test_gather_parity's per-call reads
+GATHER_NAMES = ("pair1", "pair2", "pair4", "two-component", "product-z3", "vertical2")
+MEASURE_CASES = TABLE_CASES + cases(GATHER_NAMES, ("counting", "int", "fraction", "float", "weighted-fraction"))
 
 
-@pytest.mark.parametrize("gname,bname", TABLE_CASES)
+@pytest.mark.parametrize("gname,bname", MEASURE_CASES)
 def test_measure_tables_match_per_entry_ratios(gname, bname):
     g = GROUPOIDS[gname]()
     weights, object_weights = weight_grid(g)[bname]

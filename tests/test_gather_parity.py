@@ -3,11 +3,11 @@ and per-call formulas they replaced.
 
 The references, in ``oracles``, are the per-morphism loops that
 ``convolve``, ``involute``, ``left_regular_matrix`` and ``is_positive_type``
-used before they became gathers over ``composable_arrays()``, and the
-per-entry ratios of the weights that ``nu_target``, ``nu_source`` and
-``delta`` computed before the measure built them into tables.  Exact outputs
+used before they became gathers over ``composable_arrays()``.  Exact outputs
 must agree in value and type, and the left-regular matrix byte for byte;
-float and complex outputs may move by rounding only.
+float and complex outputs may move by rounding only.  ``nu_target``,
+``nu_source`` and ``delta`` must read the measure's tables, which
+``test_exact_tables`` decides against the per-entry ratios of the weights.
 """
 
 from fractions import Fraction
@@ -25,7 +25,6 @@ from oracles import (
     loop_is_positive_type,
     loop_left_regular_matrix,
     measure,
-    old_tables,
     pair3_missing,
     value_lists,
 )
@@ -42,7 +41,9 @@ from groupoidqm import (
     pair_groupoid,
 )
 
-NAMES = ("pair1", "pair2", "pair3", "pair4", "z3", "two-component", "product", "vertical2")
+NAMES = (
+    "pair1", "pair2", "pair3", "pair4", "z3", "two-component", "product", "product-z3", "vertical2",
+)
 CASES = cases(NAMES, ("counting", "int", "fraction", "float", "weighted-fraction"))
 # the value kinds convolved: under a float measure, big or near-tol Fractions
 # make sums of near-equal terms, whose rounding exceeds assert_parity's bound
@@ -51,11 +52,11 @@ CONVOLVED = ("int", "fraction", "float", "complex", "numpy-int", "exact-complex"
 
 @pytest.mark.parametrize("gname,mname", CASES)
 def test_tables_match_per_call_ratios(gname, mname):
-    g = GROUPOIDS[gname]()
-    m = measure(g, mname)
-    _, _, nu_t, nu_s, delta = old_tables(g, m.weights, m.object_weights)
-    for call, want in ((m.nu_target, nu_t), (m.nu_source, nu_s), (m.delta, delta)):
-        assert_same_values([call(a) for a in g.morphisms()], want)
+    """Each per-call read is its table's entry; test_exact_tables decides the
+    tables against the ratios of the weights, on these cases too."""
+    m = measure(GROUPOIDS[gname](), mname)
+    for call, table in ((m.nu_target, m.nu_targets), (m.nu_source, m.nu_sources), (m.delta, m.deltas)):
+        assert_same_values(map(call, m.groupoid.morphisms()), table)
 
 
 @pytest.mark.parametrize("gname,mname", CASES)

@@ -28,7 +28,9 @@ from groupoidqm import (
 )
 
 
-@pytest.mark.parametrize("name", ["pair1", "pair2", "pair3", "pair4", "z4", "two-component", "product"])
+@pytest.mark.parametrize(
+    "name", ["pair1", "pair2", "pair3", "pair4", "z4", "two-component", "product", "product-z3"]
+)
 def test_gathered_symmetroid_matches_loop(name):
     g = GROUPOIDS[name]()
     sym = Symmetroid(g)
@@ -56,7 +58,7 @@ def test_symmetroid_verifiers_leave_the_vertical_compose_table_unbuilt():
     assert sym.vertical.compose_table is sym.vertical.compose_table
 
 
-@pytest.mark.parametrize("name", ["pair3", "z4", "two-component", "product"])
+@pytest.mark.parametrize("name", ["pair3", "z4", "two-component", "product", "product-z3"])
 def test_composites_equal_compose(name):
     g = GROUPOIDS[name]()
     b, a, _ = g.composable_arrays()
