@@ -175,44 +175,35 @@ def _value_arrays(*value_lists) -> list[np.ndarray]:
     return np.split(joined, np.cumsum([len(vs) for vs in value_lists[:-1]]))
 
 
-def contract(subscripts: str, *operands) -> np.ndarray:
+def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     """``np.einsum(subscripts, *operands)``, with one Fraction per output on
-    exact inputs.  An operand is an array or a measure table in integer form
-    (``measure._Table.reshape``), which stands for an object array.
+    exact inputs.
 
     When every operand is an object array of ints and Fractions and one of
     them holds a Fraction, each operand is scaled to integer numerators over
-    the lcm of its denominators; the operands whose indices all occur in the
-    first one's weight it by broadcasting, the rest are contracted with it,
-    and each output is one Fraction over the product of those lcms.  So
-    every output is a Fraction, also where all of its terms are ints.  The
-    integers are int64 where ``measure._narrowed`` bounds the contraction.
-    Otherwise this is plain ``np.einsum``: int-only inputs give ints,
-    complex128 inputs complex128.  Exact arrays beside a complex128 operand
-    are cast to complex128 first, so a mixed contraction runs on complex128,
-    not on objects.
+    the lcm of its denominators, the numerators are contracted, and each
+    output is one Fraction over the product of those lcms.  So every output
+    is a Fraction, also where all of its terms are ints.  The integers are
+    int64 where ``measure._narrowed`` bounds the contraction.  Otherwise this
+    is plain ``np.einsum``: int-only inputs give ints, complex128 inputs
+    complex128.  Exact arrays beside a complex128 operand are cast to
+    complex128 first, so a mixed contraction runs on complex128, not on
+    objects.
     """
-    if not all(isinstance(op, _Table) or op.dtype == object for op in operands):
+    if not all(op.dtype == object for op in operands):
         if any(op.dtype == np.complex128 for op in operands):
             operands = [op.astype(np.complex128, copy=False) for op in operands]
         return np.einsum(subscripts, *operands)
-    tables = [t if isinstance(t, _Table) else _Table(t.ravel().tolist()).reshape(t.shape) for t in operands]
+    tables = [_Table(op.ravel().tolist()) for op in operands]
     if not (all(t.num is not None for t in tables) and any(t.fraction.any() for t in tables)):
-        arrays = (
-            np.array(op.read(), dtype=object).reshape(op.fraction.shape) if isinstance(op, _Table) else op
-            for op in operands
-        )
-        return np.einsum(subscripts, *arrays)
+        return np.einsum(subscripts, *operands)
     inputs, output = subscripts.split("->")
-    specs = inputs.split(",")
     scaled, lcms, bits = zip(*(_over_lcm(t) for t in tables))
-    sizes = {c: n for spec, a in zip(specs, scaled) for c, n in zip(spec[::-1], a.shape[::-1])}
+    scaled = [a.reshape(op.shape) for a, op in zip(scaled, operands)]
+    shapes = zip(inputs.split(","), (op.shape for op in operands))
+    sizes = {c: n for spec, shape in shapes for c, n in zip(spec[::-1], shape[::-1])}
     ops = _narrowed(scaled, *bits, terms=math.prod(n for c, n in sizes.items() if c not in output + "."))
-    weights = [k for k, spec in enumerate(specs) if k == 0 or "." not in spec and set(spec) <= set(specs[0])]
-    rest = [k for k in range(1, len(specs)) if k not in weights]
-    first = np.einsum(",".join(specs[k] for k in weights) + "->" + specs[0], *(ops[k] for k in weights))
-    contraction = ",".join([specs[0]] + [specs[k] for k in rest]) + "->" + output
-    out = np.einsum(contraction, first, *(ops[k] for k in rest))
+    out = np.einsum(subscripts, *ops)
     denominator = math.prod(lcms)
     exact = [Fraction(v, denominator) for v in out.ravel().tolist()]
     return np.array(exact, dtype=object).reshape(out.shape)

@@ -10,10 +10,10 @@ are
 and the modular function is δ(α) = μ(α) / μ(α⁻¹), each a tuple indexed by
 morphism that every consumer reads: one Fraction per entry with Fraction
 weights; with int weights an int where the quotient divides and a Fraction
-otherwise; with float weights a float.  The weights and δ are built in the
-constructor, ν^x and ν_x on first read.  A measure is a Haar measure when the
-family ν^x is invariant under left translations; the verifiers below check
-that and the companion identities exhaustively.
+otherwise; with float weights a float.  A table made from integers builds
+its values on first read.  A measure is a Haar measure when the family ν^x
+is invariant under left translations; the verifiers below check that and
+the companion identities exhaustively.
 
 The verifiers are gathers: each is one ``_report_defects`` call whose two
 sides are products of values read through index arrays (the composable pairs
@@ -152,13 +152,6 @@ class _Table:
     def __getitem__(self, k):
         return self.read()[k]
 
-    def reshape(self, shape) -> "_Table":
-        """The integer form in ``shape``, for ``algebra.contract``; itself when it has none."""
-        if self.num is None:
-            return self
-        num, den, fraction = (a.reshape(shape) for a in (self.num, self.den, self.fraction))
-        return _Table(None, num, den, (self.nbits, self.dbits), fraction)
-
 
 def _lowest_terms(t: _Table, fractions: bool) -> _Table:
     """t in lowest terms: all Fractions when ``fractions``, else an int where
@@ -218,8 +211,8 @@ class GroupoidMeasure:
 
     weights = _table("weights", "μ by morphism.")
     object_weights = _table("object_weights", "μ_Ω by object.")
-    nu_targets = _table("nu_targets", "ν^x by morphism, built on first read.")
-    nu_sources = _table("nu_sources", "ν_x by morphism, built on first read.")
+    nu_targets = _table("nu_targets", "ν^x by morphism.")
+    nu_sources = _table("nu_sources", "ν_x by morphism.")
     deltas = _table("deltas", "δ by morphism.")
 
     def __init__(
@@ -266,8 +259,8 @@ class GroupoidMeasure:
     def _derive(self, w: _Table, ow: _Table, fractions: bool | None) -> None:
         """Set the five tables from the weight tables: ν^x = μ/μ_Ω∘t, ν_x =
         μ/μ_Ω∘s and δ = μ/μ∘inv, from the integer form on exact weights
-        (``fractions`` not None), else entry by entry by ``_ratio``.  Only ν
-        is left to be built on first read."""
+        (``fractions`` not None), else entry by entry by ``_ratio``.  A table
+        made from integers builds its values on first read."""
         g = self.groupoid
         self._tables = {"weights": w, "object_weights": ow}
         k = np.arange(g.n_morphisms)
@@ -278,8 +271,6 @@ class GroupoidMeasure:
             else:
                 quotient = _product_parts(((w, k), (q, np.asarray(i, dtype=np.intp), -1)))
                 self._tables[name] = _lowest_terms(quotient, fractions)
-        for t in (w, ow, self._tables["deltas"]):
-            t.read()
 
     @classmethod
     def counting(cls, groupoid: FiniteGroupoid) -> "GroupoidMeasure":

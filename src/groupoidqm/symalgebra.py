@@ -27,17 +27,17 @@ that groupoid, passed to ``convolve`` and ``involute`` as it is:
 
 with A_f A_g = A_{f⋆g} and A_f† = A_{f*} on L²(S, μ₂).
 
-Over a pair groupoid each quotient class is one transformation, and the fast
-path ``convolve_S``, ``involute_S``, ``rep_operator`` is this algebra in class
-order, contracted on the (n, n, n, n) tensor view of a QuotientFunction,
-indexed [z, y, x, w] (its row-major flattening is the package-wide order for
-every matrix export).  ``tests/test_quotient_parity.py`` pins it to the
-general algebra permuted by Γ -> q_index(sym.project(Γ)).
+Over a pair groupoid each quotient class is one transformation, and
+``convolve_S``, ``involute_S`` and ``rep_operator`` are this algebra on
+S(pair(n)) read in class order, Γ -> q_index(sym.project(Γ)).  A
+QuotientFunction stores its values row-major in (z, y, x, w), the
+package-wide order for every matrix export.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from typing import Sequence
 
@@ -47,9 +47,9 @@ from .algebra import (
     AlgebraElement,
     complex_values_from_json,
     complex_values_to_json,
-    contract,
     convolve,
     involute,
+    left_regular_matrix,
     value_array,
 )
 from .groupoid import FiniteGroupoid, GroupoidError, is_pair_groupoid, pair_groupoid
@@ -228,20 +228,31 @@ def involute_general(f: SymFunction, m2: SymmetroidMeasure) -> SymFunction:
     return SymFunction(f.symmetroid, involute(f, m2.measure).values)
 
 
-# -- quotient fast path over a pair groupoid --
+# -- the quotient over a pair groupoid: S(pair(n)) in class order --
+
+
+@functools.lru_cache(maxsize=16)
+def _class_order(n: int) -> tuple:
+    """S(pair(n)), the class q_index(n, sym.project(Γ)) of each transformation
+    Γ (over a pair groupoid ``project`` is a bijection), the transformation of
+    each class, and the counting measure on ``sym.vertical``; built once per n."""
+    sym = Symmetroid(pair_groupoid(n))
+    classes = tuple(q_index(n, sym.project(t)) for t in sym.transformations)
+    return sym, classes, tuple(np.argsort(classes).tolist()), GroupoidMeasure.counting(sym.vertical)
 
 
 class QuotientMeasure:
-    """The base measure, checked to live on a pair groupoid.  The class
-    ((z, y), (x, w)) has the legs (z, y) and (w, x), so the fast path reads ν₂
-    and Δ₂ as products of ``base.nu_targets`` and ``base.deltas``."""
+    """The base measure, checked to live on a pair groupoid, and ``measure``,
+    the measure ``SymmetroidMeasure`` induces from it on the vertical groupoid
+    of S(pair(n)), whose ν₂ and Δ₂ the quotient operations read."""
 
-    __slots__ = ("base",)
+    __slots__ = ("base", "measure")
 
     def __init__(self, base: GroupoidMeasure):
         if not is_pair_groupoid(base.groupoid):
             raise GroupoidError("QuotientMeasure needs a pair-groupoid base")
         self.base = base
+        self.measure = SymmetroidMeasure(_class_order(base.groupoid.n_objects)[0], base).measure
 
 
 class QuotientFunction:
@@ -349,74 +360,50 @@ def quotient_function_from_json(data: dict) -> QuotientFunction:
     return QuotientFunction(n, values)
 
 
-def _base_table(values, t: np.ndarray) -> np.ndarray:
-    """A base table (ν or δ) as an (n, n) array of the kernel tensor t's dtype,
-    so that a complex kernel stays on complex128 arithmetic under the int and
-    Fraction weights of an int-weighted base."""
-    return value_array(values).reshape(t.shape[:2]).astype(t.dtype)
+def _lift(f: QuotientFunction, qm: QuotientMeasure | None) -> tuple[SymFunction, GroupoidMeasure]:
+    """f on S(pair(f.n)), its value at Γ f's at the class of Γ, and the
+    measure there: qm's, or counting."""
+    sym, classes, _, counting = _class_order(f.n)
+    lifted = SymFunction(sym, list(map(f.values.__getitem__, classes)))
+    return lifted, counting if qm is None else qm.measure
 
 
-def _nu(qm: QuotientMeasure, t: np.ndarray):
-    """ν as a ``contract`` operand beside the kernel tensor t: the base's
-    integer form when both are exact."""
-    nu = qm.base._tables["nu_targets"]
-    return nu.reshape(t.shape[:2]) if nu.num is not None and t.dtype == object else _base_table(nu.read(), t)
-
-
-def _weighted(t: np.ndarray, qm: QuotientMeasure | None) -> np.ndarray:
-    """ν(l,r) ν(m,s) t[l, r, s, m] for the tensor view t of a kernel; t itself
-    on a counting base."""
-    if qm is None:
-        return t
-    nu = _nu(qm, t)
-    return contract("lrsm,lr,ms->lrsm", t, nu, nu)
+def _in_class_order(h: AlgebraElement, n: int) -> QuotientFunction:
+    """h, a function on S(pair(n)), read in class order."""
+    return QuotientFunction(n, list(map(h.values.__getitem__, _class_order(n)[2])))
 
 
 def convolve_S(
     f: QuotientFunction, g: QuotientFunction, qm: QuotientMeasure | None = None
 ) -> QuotientFunction:
-    """(f ⋆_S g)((l,j),(k,m)) = Σ_{r,s} ν(l,r) ν(m,s) f((l,r),(s,m)) g((r,j),(k,s)).
+    """(f ⋆_S g)((l,j),(k,m)) = Σ_{r,s} ν(l,r) ν(m,s) f((l,r),(s,m)) g((r,j),(k,s)):
+    ``convolve`` on S(pair(n)), read in class order.
 
     With a counting base the fiber weights are 1 and this is multiplication in
-    M_n ⊗ M_n under the matrix-unit identification.  On two exact kernels the
-    weights are operands of one ``contract``, which weights the numerators of
-    t by those of ν and contracts them with u's, so the exact arithmetic is
-    done once; a complex kernel is weighted first and then contracted, which
-    keeps its rounding.
+    M_n ⊗ M_n under the matrix-unit identification.
     """
     if g.n != f.n:
         raise GroupoidError("quotient functions live over different bases")
-    t, u = f.tensor(), g.tensor()
-    if qm is not None and t.dtype == u.dtype == object:
-        nu = _nu(qm, t)
-        out = contract("lrsm,lr,ms,rjks->ljkm", t, nu, nu, u)
-    else:
-        out = contract("lrsm,rjks->ljkm", _weighted(t, qm), u)
-    return QuotientFunction.from_tensor(out)
+    (lf, m), (lg, _) = _lift(f, qm), _lift(g, qm)
+    return _in_class_order(convolve(lf, lg, m), f.n)
 
 
 def involute_S(f: QuotientFunction, qm: QuotientMeasure | None = None) -> QuotientFunction:
     """f*((l,j),(k,m)) = Δ₂⁻¹ conj(f((j,l),(m,k))), where Δ₂⁻¹ = Δ₂(Γ⁻¹) =
-    δ(j,l)·δ(k,m) is a product of δ values, as in ``involute``; on a counting
-    base this is the antilinear modular involution conj(f(Γ⁻¹))."""
-    t = np.conj(f.tensor().transpose(1, 0, 3, 2))
-    if qm is not None:
-        dl = _base_table(qm.base.deltas, t)
-        t = t * (dl.T[:, :, None, None] * dl)
-    return QuotientFunction.from_tensor(t)
+    δ(j,l)·δ(k,m): ``involute`` on S(pair(n)), read in class order; on a
+    counting base this is the antilinear modular involution conj(f(Γ⁻¹))."""
+    return _in_class_order(involute(*_lift(f, qm)), f.n)
 
 
 def rep_operator(f: QuotientFunction, qm: QuotientMeasure | None = None) -> np.ndarray:
-    """Matrix of A_f: ψ -> f ⋆_S ψ in the basis {δ_Γ}, canonical class order.
+    """Matrix of A_f: ψ -> f ⋆_S ψ in the basis {δ_Γ}: ``left_regular_matrix``
+    on S(pair(n)), its rows and columns in class order.
 
     Column (r, j, k, s) is f ⋆_S δ_((r,j),(k,s)), whose one term at row
     (l, j, k, m) is ν(l,r) ν(m,s) f((l,r),(s,m)).
     """
-    n = f.n
-    mat = np.zeros((n,) * 8, dtype=np.complex128)
-    w = _weighted(f.tensor(), qm).astype(np.complex128)
-    np.einsum("ljkmrjks->lrsmjk", mat)[...] = w[..., None, None]
-    return mat.reshape(n**4, n**4)
+    inverse = _class_order(f.n)[2]
+    return left_regular_matrix(*_lift(f, qm))[np.ix_(inverse, inverse)]
 
 
 def pullback_embed(psi: AlgebraElement) -> QuotientFunction:

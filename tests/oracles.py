@@ -230,14 +230,27 @@ def assert_same_values(got, want):
     assert [type(v) for v in got] == [type(v) for v in want]
 
 
-def assert_parity(new, ref, exact_inputs):
-    """Outputs of exact inputs match in value and type, others to rounding."""
+U = 2.0**-53  # the unit roundoff of float64
+# A side rounds a sum of k terms within (k + 7)·u·Σ|terms| to first order:
+# k - 1 for the sum, and 8 for casting its three factors and its two complex
+# products (each within √5·u).  So two sides differ by 2(k + 7)·u·Σ|terms|
+# at most, which is 32 at k = 9, the largest target fiber summed over here.
+SUM_ROUNDING = 32
+
+
+def assert_parity(new, ref, exact_inputs, magnitudes=None):
+    """Outputs of exact inputs match in value and type, others to rounding:
+    a sum within SUM_ROUNDING·u of its Σ|terms| in ``magnitudes``, and one
+    product (no ``magnitudes``) within 1e-15 of the largest output."""
     assert len(new) == len(ref)
     if exact_inputs:
         assert_same_values(new, ref)
-    else:
+    elif magnitudes is None:
         scale = max(abs(v) for v in ref)
         assert max(abs(a - b) for a, b in zip(new, ref)) <= 1e-15 * scale
+    else:
+        for a, b, magnitude in zip(new, ref, magnitudes):
+            assert abs(a - b) <= SUM_ROUNDING * U * magnitude
 
 
 def assert_delta2_is_the_product(deltas, products):
@@ -403,20 +416,23 @@ def weights_against(weights, *value_lists):
 
 
 def loop_convolve(f, g, m):
-    """Σ over the target fiber of α of f(β)·g(β⁻¹∘α)·ν(β), skipping a zero f(β)."""
+    """Σ over the target fiber of α of f(β)·g(β⁻¹∘α)·ν(β), skipping a zero
+    f(β), and beside each output the Σ|terms| that scales its rounding."""
     G = m.groupoid
-    out = [0] * G.n_morphisms
+    out, magnitudes = [0] * G.n_morphisms, [0.0] * G.n_morphisms
     fv, gv = f.values, g.values
     nu = weights_against(old_tables(G, m.weights, m.object_weights)[2], fv, gv)
     for alpha in G.morphisms():
-        acc = 0
+        acc, magnitude = 0, 0.0
         for beta in G.target_fiber(G.target[alpha]):
             w = fv[beta]
             if w == 0:
                 continue
-            acc += w * gv[G.compose(G.inv(beta), alpha)] * nu[beta]
-        out[alpha] = acc
-    return out
+            term = w * gv[G.compose(G.inv(beta), alpha)] * nu[beta]
+            acc += term
+            magnitude += float(abs(term))
+        out[alpha], magnitudes[alpha] = acc, magnitude
+    return out, magnitudes
 
 
 def loop_involute(f, m):
@@ -595,13 +611,15 @@ def einsum_apply(kernel, psi, n):
 
 
 def einsum_convolve_S(f, h, qm, n):
-    """Σ_{r,s} ν(l,r)ν(m,s)·f(l,r,s,m)·h(r,j,k,s), ν from the base's weights."""
-    t = _tensor(f, n)
+    """Σ_{r,s} ν(l,r)ν(m,s)·f(l,r,s,m)·h(r,j,k,s), ν from the base's weights,
+    and beside each output the Σ|terms| that scales its rounding."""
+    t, u = _tensor(f, n), _tensor(h, n)
     if qm is not None:
         base = qm.base
         nu = value_array(old_tables(base.groupoid, base.weights, base.object_weights)[2]).reshape(n, n)
         t = t * nu[:, :, None, None] * nu.T
-    return np.einsum("lrsm,rjks->ljkm", t, _tensor(h, n)).reshape(-1).tolist()
+    out, magnitudes = (np.einsum("lrsm,rjks->ljkm", a, b) for a, b in ((t, u), (abs(t), abs(u))))
+    return out.reshape(-1).tolist(), magnitudes.astype(float).reshape(-1).tolist()
 
 
 def object_einsum(subscripts, *operands):
@@ -651,7 +669,7 @@ def loop_is_unital_kraus(fam, tol=TOL):
     m = GroupoidMeasure.counting(g)
     total = AlgebraElement.zeros(g)
     for v in fam.members:
-        total = total + AlgebraElement(g, loop_convolve(v, AlgebraElement(g, loop_involute(v, m)), m))
+        total = total + AlgebraElement(g, loop_convolve(v, AlgebraElement(g, loop_involute(v, m)), m)[0])
     return total.allclose(AlgebraElement.units_indicator(g), tol)
 
 

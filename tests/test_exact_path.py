@@ -15,6 +15,7 @@ import pytest
 from oracles import (
     GROUPOIDS,
     TOL,
+    assert_parity,
     assert_same_report,
     assert_same_values,
     cases,
@@ -309,11 +310,12 @@ def test_exact_contractions_match_einsum(kind, want):
         QuotientMeasure(weighted_pair_measure(g, (Fraction(1, 3), 2, Fraction(5, 2)))),
     ):
         out = convolve_S(QuotientFunction(n, f), QuotientFunction(n, h), qm).values
-        assert out == einsum_convolve_S(f, h, qm, n)
+        ref = einsum_convolve_S(f, h, qm, n)[0]
+        assert out == ref
         exact_weights = qm is None or all(type(v) is int for v in qm.base.nu_targets)
         assert all(type(v) is (want if exact_weights else Fraction) for v in out)
         if exact_weights:
-            assert_same_values(out, einsum_convolve_S(f, h, qm, n))
+            assert_same_values(out, ref)
 
 
 def test_mixed_int_fraction_contraction_gives_fractions():
@@ -346,7 +348,8 @@ def test_complex_contractions_unchanged():
     weighted = QuotientMeasure(weighted_pair_measure(g, (0.5, 2.0, 3.0)))
     for qm in (None, QuotientMeasure(GroupoidMeasure.counting(g)), weighted):
         out = convolve_S(QuotientFunction(n, f), QuotientFunction(n, h), qm).values
-        assert_same_values(out, einsum_convolve_S(f, h, qm, n))
+        ref, magnitudes = einsum_convolve_S(f, h, qm, n)
+        assert_parity(out, ref, False, magnitudes)
 
 
 # -- the exact-type gate and the Fraction-free kernels --
@@ -450,14 +453,18 @@ def test_exact_tables_and_checks_build_no_needless_fraction():
     assert fractions_built(lambda: Fraction(1, 2) * 3) == 2  # the counter counts
     g = pair_groupoid(4)
     m = weighted_pair_measure(g, (Fraction(1, 2), 1, Fraction(3), Fraction(2, 5)))
-    # the weights exist; δ is built, ν only on first read
+    # the weights exist, and a constructor builds no table until it is read
     fresh = []
-    assert fractions_built(lambda: fresh.append(GroupoidMeasure(g, m.weights, m.object_weights))) == 16
+    assert fractions_built(lambda: fresh.append(GroupoidMeasure(g, m.weights, m.object_weights))) == 0
     base = fresh[0]
-    # μ₂ and Δ₂ per transformation and the object weights per base morphism
     sym = Symmetroid(g)
-    assert fractions_built(lambda: fresh.append(induce_measure(sym, base))) == 256 + 256 + 16
+    # the base's δ, which the Haar check's ``modular`` returns
+    assert fractions_built(lambda: fresh.append(induce_measure(sym, base))) == 16
     m2 = fresh[1]
+    # μ₂ and Δ₂ per transformation and the object weights per base morphism
+    assert fractions_built(lambda: m2.measure.weights) == 256
+    assert fractions_built(lambda: m2.measure.deltas) == 256
+    assert fractions_built(lambda: m2.measure.object_weights) == 16
     unimodular = GroupoidMeasure.counting(g).with_exact()
     checks = {
         "verify_left_invariance": lambda: verify_left_invariance(g, base),
@@ -476,3 +483,11 @@ def test_exact_tables_and_checks_build_no_needless_fraction():
     assert fractions_built(lambda: base.nu_sources) == 16
     assert base.nu_targets == m.nu_targets and base.nu_sources == m.nu_sources
     assert fractions_built(lambda: m2.measure.nu_targets) == 256
+    # the quotient's measure is S(pair(3))'s, built from the base's integer
+    # form; an exact convolve_S builds one Fraction per Fraction output
+    g3 = pair_groupoid(3)
+    base3 = weighted_pair_measure(g3, (Fraction(1, 3), 2, Fraction(5, 2)))
+    assert fractions_built(lambda: fresh.append(QuotientMeasure(base3))) == 0
+    rng = np.random.default_rng(11)
+    k, k2 = (QuotientFunction(3, fractions(rng, 81)) for _ in range(2))
+    assert fractions_built(lambda: convolve_S(k, k2, fresh[2])) <= 81

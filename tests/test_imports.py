@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module, only
 ``eigen.py`` reaches ``numpy.linalg``, ``Symmetroid.__init__`` makes no
 per-entry ``compose``, ``inv`` or ``unit`` call, ``exchange_identity_report``
-has no loop, ``QuotientMeasure`` defines no method but ``__init__``,
+has no loop, the quotient operations contract nothing of their own,
 only ``measure._parts`` reads numerators and denominators, and only where a
 ``measure._Table`` is made, exact products and sums go through the two
 kernels of ``measure``, only ``measure._narrowed`` names int64,
@@ -166,11 +166,53 @@ def test_q_rule_guard_sees_arithmetic_constants_indexing_and_order():
     }
 
 
-def test_quotient_measure_is_a_view_of_its_base():
-    # μ₂, ν₂ and Δ₂ are SymmetroidMeasure's; a method or table of the quotient's
-    # own would define the S(G) algebra a second time
+def second_algebra_offences(symalgebra: ast.Module, contract: ast.FunctionDef) -> list[str]:
+    """What would let the quotient contract its kernels beside the S(G)
+    algebra: ``contract`` or an ``einsum`` named in ``symalgebra``, and a
+    ``_Table`` operand of ``contract``, tested for or annotated."""
+    names = {n.id for n in ast.walk(symalgebra) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(symalgebra) if isinstance(n, ast.Attribute)}
+    names |= set(imported_names(symalgebra))
+    offences = [f"symalgebra names {x}" for x in sorted(names) if x == "contract" or "einsum" in x]
+    for node in ast.walk(contract):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            if "_Table" in ast.unparse(node.args[1]):
+                offences.append(f"contract tests {ast.unparse(node)}")
+    vararg = contract.args.vararg
+    if vararg.annotation is None or "_Table" in ast.unparse(vararg.annotation):
+        offences.append("contract's operands are not annotated as arrays alone")
+    return offences
+
+
+def test_quotient_algebra_is_the_general_one():
+    # convolve_S, involute_S and rep_operator are convolve, involute and
+    # left_regular_matrix on S(pair(n)) in class order; a contraction of
+    # symalgebra's own, or a _Table operand of contract that weights one,
+    # would define the S(G) algebra a second time
+    symalgebra = ast.parse((PACKAGE / "symalgebra.py").read_text())
+    assert second_algebra_offences(symalgebra, functions("algebra.py")["contract"]) == []
+    assert {"convolve", "involute", "left_regular_matrix"} <= called_names(symalgebra)
     assert list(methods("symalgebra.py", "QuotientMeasure")) == ["__init__"]
-    assert groupoidqm.QuotientMeasure.__slots__ == ("base",)
+    assert "reshape" not in methods("measure.py", "_Table")
+
+
+def test_second_algebra_guard_sees_planted_contractions():
+    symalgebra = ast.parse(
+        "from .algebra import contract\n"
+        "def convolve_S(f, g, qm):\n"
+        "    t = np.einsum('lrsm,lr,ms->lrsm', f, qm.nu, qm.nu)\n"
+        "    return contract('lrsm,rjks->ljkm', t, g)\n"
+    )
+    (contract,) = ast.parse(
+        "def contract(subscripts, *operands: np.ndarray | _Table):\n"
+        "    return [op.read() if isinstance(op, (_Table, list)) else op for op in operands]\n"
+    ).body
+    assert second_algebra_offences(symalgebra, contract) == [
+        "symalgebra names contract",
+        "symalgebra names einsum",
+        "contract tests isinstance(op, (_Table, list))",
+        "contract's operands are not annotated as arrays alone",
+    ]
 
 
 def test_one_reader_of_the_exact_format():

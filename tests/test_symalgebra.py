@@ -515,6 +515,14 @@ class TestMismatchedBases:
         with pytest.raises(GroupoidError, match="different bases"):
             QuotientFunction.zeros(2).allclose(QuotientFunction.zeros(3))
 
+    @pytest.mark.parametrize("measure_n,kernel_n", [(2, 3), (3, 2)])
+    def test_quotient_operations_under_a_measure_of_another_n_raise(self, measure_n, kernel_n):
+        qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(measure_n), (1, 2, 3)[:measure_n]))
+        f = QuotientFunction(kernel_n, [1] * kernel_n**4)
+        for op in (lambda: convolve_S(f, f, qm), lambda: involute_S(f, qm), lambda: rep_operator(f, qm)):
+            with pytest.raises(GroupoidError, match="one value per morphism of the measure's groupoid"):
+                op()
+
     def test_sym_function_allclose_across_symmetroids_raises(self):
         small = SymFunction.zeros(Symmetroid(pair_groupoid(2)))
         big = SymFunction.zeros(Symmetroid(pair_groupoid(3)))
