@@ -19,7 +19,10 @@ integer numerators and denominators (``measure._Table``; int64 where
 call: ``contract`` puts each operand over the lcm of its denominators
 (``measure._over_lcm``), ``convolve``, ``involute`` and ``left_regular_matrix``
 multiply their terms by ``measure._product_parts``, and ``convolve`` sums them
-over their one lcm by ``measure._group_sums``; each output is built once.
+over their one lcm by ``measure._group_sums``.  An exact output of ``convolve``
+or ``involute`` is kept in that integer form, which the next kernel reads as
+it is, and its ``values`` list is built on first read; a list edited in place
+after that read is what the next kernel sees.
 """
 
 from __future__ import annotations
@@ -47,16 +50,61 @@ class NormalizationError(GroupoidError):
     """A state vector family is not normalized."""
 
 
-class AlgebraElement:
+class _Values:
+    """A mutable list ``values``, or the unread ``measure._Table`` an exact kernel
+    computed for it (``_integer_form``, which kernels read): the first read of
+    ``values`` builds the list and drops the table for good, so the next kernel
+    reads any edit of the list.  The subclass's ``_like`` makes sums and multiples."""
+
+    __slots__ = ("_values", "_table")
+
+    def _hold(self, values) -> None:
+        self._values, self._table = (None, values) if isinstance(values, _Table) else (list(values), None)
+
+    def _read(self) -> list:
+        if self._values is None:
+            self._values, self._table = list(self._table.read()), None
+        return self._values
+
+    values = property(_read, _hold)
+
+    def _integer_form(self) -> _Table:
+        return _Table(self._values) if self._table is None else self._table
+
+    def _take(self, index: np.ndarray):
+        """The values at ``index`` in the form held: a list, or an unread table."""
+        if self._table is None:
+            return list(map(self._values.__getitem__, index.tolist()))
+        return self._table.take(index)
+
+    def __add__(self, other):
+        self._same_parent(other)
+        return self._like([a + b for a, b in zip(self.values, other.values)])
+
+    def __sub__(self, other):
+        self._same_parent(other)
+        return self._like([a - b for a, b in zip(self.values, other.values)])
+
+    def __mul__(self, scalar):
+        return self._like([v * scalar for v in self.values])
+
+    __rmul__ = __mul__
+
+    def allclose(self, other, tol: float = 1e-12) -> bool:
+        self._same_parent(other)
+        return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
+
+
+class AlgebraElement(_Values):
     """A complex-valued function on the morphisms of a fixed groupoid."""
 
-    __slots__ = ("groupoid", "values")
+    __slots__ = ("groupoid",)
 
     def __init__(self, groupoid: FiniteGroupoid, values: Sequence):
         if len(values) != groupoid.n_morphisms:
             raise ValueError("need one value per morphism")
         self.groupoid = groupoid
-        self.values = list(values)
+        self.values = values
 
     @classmethod
     def zeros(cls, g: FiniteGroupoid) -> "AlgebraElement":
@@ -86,21 +134,11 @@ class AlgebraElement:
     def support(self):
         return [(m, v) for m, v in enumerate(self.values) if v != 0]
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._same_parent(other)
-        return AlgebraElement(self.groupoid, [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._same_parent(other)
-        return AlgebraElement(self.groupoid, [a - b for a, b in zip(self.values, other.values)])
+    def _like(self, values) -> "AlgebraElement":
+        return AlgebraElement(self.groupoid, values)
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.groupoid, [-a for a in self.values])
-
-    def __mul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.groupoid, [v * scalar for v in self.values])
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (
@@ -108,10 +146,6 @@ class AlgebraElement:
             and self.groupoid.n_morphisms == other.groupoid.n_morphisms
             and all(a == b for a, b in zip(self.values, other.values))
         )
-
-    def allclose(self, other: "AlgebraElement", tol: float = 1e-12) -> bool:
-        self._same_parent(other)
-        return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
 
     def _same_parent(self, other: "AlgebraElement") -> None:
         if self.groupoid is not other.groupoid and (
@@ -209,15 +243,13 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     return np.array(exact, dtype=object).reshape(out.shape)
 
 
-def _require_one_value_per_morphism(m: GroupoidMeasure, *value_lists) -> None:
-    """GroupoidError unless each list has one value per morphism of m's
-    groupoid: a gather would read a longer or shorter list without error."""
+def _require_one_value_per_morphism(m: GroupoidMeasure, *tables: _Table) -> None:
+    """GroupoidError unless each table has one value per morphism of m's
+    groupoid: a gather would read a longer or shorter one without error."""
     n = m.groupoid.n_morphisms
-    for values in value_lists:
-        if len(values) != n:
-            raise GroupoidError(
-                f"need one value per morphism of the measure's groupoid: {n}, got {len(values)}"
-            )
+    for t in tables:
+        if len(t) != n:
+            raise GroupoidError(f"need one value per morphism of the measure's groupoid: {n}, got {len(t)}")
 
 
 def _translation_pairs(m: GroupoidMeasure, nonzero: np.ndarray):
@@ -243,8 +275,9 @@ def convolve(f: AlgebraElement, g: AlgebraElement, m: GroupoidMeasure) -> Algebr
     output is a Fraction iff one of its terms has a Fraction factor, else an
     int; other values take the ``value_array`` dtype of all three lists.
     """
-    _require_one_value_per_morphism(m, f.values, g.values)
-    tables = (_Table(f.values), m._tables["nu_targets"], _Table(g.values))
+    ft, gt = f._integer_form(), g._integer_form()
+    _require_one_value_per_morphism(m, ft, gt)
+    tables = (ft, m._tables["nu_targets"], gt)
     if _exact(*tables):
         return AlgebraElement(m.groupoid, _convolve_numerators(m, *tables))
     fv, nu, gv = _value_arrays(f.values, m.nu_targets, g.values)
@@ -254,26 +287,26 @@ def convolve(f: AlgebraElement, g: AlgebraElement, m: GroupoidMeasure) -> Algebr
     return AlgebraElement(m.groupoid, out.tolist())
 
 
-def _convolve_numerators(m: GroupoidMeasure, f: _Table, nu: _Table, g: _Table) -> tuple:
+def _convolve_numerators(m: GroupoidMeasure, f: _Table, nu: _Table, g: _Table) -> _Table:
     """``convolve`` on int and Fraction values, with no Fraction arithmetic."""
     b, a, ba = _translation_pairs(m, f.num != 0)
     sums = _group_sums(_product_parts(((f, b), (nu, b), (g, a))), ba, m.groupoid.n_morphisms)
     sums.fraction = np.zeros(m.groupoid.n_morphisms, dtype=bool)
     sums.fraction[ba[(f.fraction | nu.fraction)[b] | g.fraction[a]]] = True  # a Fraction factor in a term
-    return sums.read()
+    return sums
 
 
 def involute(f: AlgebraElement, m: GroupoidMeasure) -> AlgebraElement:
     """f*(α) = δ(α)⁻¹ conj(f(α⁻¹)); an antilinear involution with (f⋆g)* = g*⋆f*.
     δ(α)⁻¹ = δ(α⁻¹), a quotient of weights rather than a reciprocal; on ints
-    and Fractions each output is built once, from the integer product."""
-    _require_one_value_per_morphism(m, f.values)
+    and Fractions the output is the integer product, read as values on first read."""
+    ft, delta = f._integer_form(), m._tables["deltas"]
+    _require_one_value_per_morphism(m, ft)
     inverse = np.asarray(m.groupoid.inverse, dtype=np.intp)
-    ft, delta = _Table(f.values), m._tables["deltas"]
     if _exact(ft, delta):  # their own conjugates
         product = _product_parts(((delta, inverse), (ft, inverse)))
         product.fraction = (delta.fraction | ft.fraction)[inverse]
-        return AlgebraElement(m.groupoid, product.read())
+        return AlgebraElement(m.groupoid, product)
     fv, dl = _value_arrays(f.values, m.deltas)
     return AlgebraElement(m.groupoid, (dl[inverse] * np.conj(fv[inverse])).tolist())
 
@@ -286,9 +319,9 @@ def left_regular_matrix(f: AlgebraElement, m: GroupoidMeasure) -> np.ndarray:
     integer quotient num / den, rounded once as complex(Fraction) rounds.
     """
     n = m.groupoid.n_morphisms
-    _require_one_value_per_morphism(m, f.values)
+    ft, nu = f._integer_form(), m._tables["nu_targets"]
+    _require_one_value_per_morphism(m, ft)
     mat = np.zeros((n, n), dtype=np.complex128)
-    ft, nu = _Table(f.values), m._tables["nu_targets"]
     if _exact(ft, nu):
         b, a, ba = _translation_pairs(m, ft.num != 0)
         terms = _product_parts(((ft, b), (nu, b)))

@@ -55,8 +55,7 @@ class FiniteGroupoid:
         "_compose_table",
         "inverse",
         "unit_of",
-        "_source_fibers",
-        "_target_fibers",
+        "_fibers",
         "_pair_arrays",
         "_pair_positions",
     )
@@ -75,20 +74,11 @@ class FiniteGroupoid:
         if len(source) != len(target):
             raise ValueError("source and target tables must have equal length")
         self.n_objects = int(n_objects)
-        self.source = tuple(int(x) for x in source)
-        self.target = tuple(int(x) for x in target)
+        self.source, self.target, self.inverse, self.unit_of = (
+            tuple(map(int, t)) for t in (source, target, inverse, unit_of)
+        )
         self._compose_table = MappingProxyType(dict(compose_table))
-        self.inverse = tuple(int(x) for x in inverse)
-        self.unit_of = tuple(int(x) for x in unit_of)
-        src_fib: list[list[int]] = [[] for _ in range(self.n_objects)]
-        tgt_fib: list[list[int]] = [[] for _ in range(self.n_objects)]
-        for m in range(len(self.source)):
-            if 0 <= self.source[m] < self.n_objects:
-                src_fib[self.source[m]].append(m)
-            if 0 <= self.target[m] < self.n_objects:
-                tgt_fib[self.target[m]].append(m)
-        self._source_fibers = tuple(tuple(f) for f in src_fib)
-        self._target_fibers = tuple(tuple(f) for f in tgt_fib)
+        self._fibers = None
         self._pair_arrays = None
         self._pair_positions = None
 
@@ -144,18 +134,29 @@ class FiniteGroupoid:
     def is_unit(self, m: int) -> bool:
         return self.unit_of[self.source[m]] == m
 
+    def _fiber_tables(self) -> tuple[tuple, tuple]:
+        """The source and target fibers of every object, built on first use."""
+        if self._fibers is None:
+            by = []
+            for ends in (np.asarray(self.source, np.intp), np.asarray(self.target, np.intp)):
+                order = np.argsort(ends, kind="stable")  # an out-of-range end falls outside every cut
+                cut = np.searchsorted(ends[order], np.arange(self.n_objects + 1)).tolist()
+                by.append(tuple(tuple(order[i:j].tolist()) for i, j in zip(cut, cut[1:])))
+            self._fibers = tuple(by)
+        return self._fibers
+
     def source_fiber(self, x: int) -> tuple[int, ...]:
         """G_x = s^{-1}(x)."""
-        return self._source_fibers[x]
+        return self._fiber_tables()[0][x]
 
     def target_fiber(self, x: int) -> tuple[int, ...]:
         """G^x = t^{-1}(x)."""
-        return self._target_fibers[x]
+        return self._fiber_tables()[1][x]
 
     def composable_pairs(self) -> Iterator[tuple[int, int]]:
         """All (b, a) with source(b) == target(a), i.e. the set of composable pairs."""
         for a in self.morphisms():
-            for b in self._source_fibers[self.target[a]]:
+            for b in self.source_fiber(self.target[a]):
                 yield (b, a)
 
     def composable_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,7 +166,7 @@ class FiniteGroupoid:
         table; :func:`validate` reports it).  Built on first use, unless the
         groupoid was built from them (as ``Symmetroid.vertical`` is)."""
         if self._pair_arrays is None:
-            fibers = [self._source_fibers[t] for t in self.target]
+            fibers = list(map(self.source_fiber, self.target))
             b = np.fromiter(chain.from_iterable(fibers), np.intp)
             a = np.repeat(np.arange(self.n_morphisms), [len(f) for f in fibers])
             pairs = zip(b.tolist(), a.tolist())
@@ -184,9 +185,10 @@ class FiniteGroupoid:
         b, a = np.broadcast_arrays(np.asarray(b, np.intp), np.asarray(a, np.intp))
         if self._pair_positions is None:
             source, target = np.asarray(self.source, np.intp), np.asarray(self.target, np.intp)
-            pairs_of = np.array([len(f) for f in self._source_fibers], np.intp)[target]
+            source_fibers = self._fiber_tables()[0]
+            pairs_of = np.array([len(f) for f in source_fibers], np.intp)[target]
             position = np.zeros(self.n_morphisms, np.intp)
-            for f in self._source_fibers:
+            for f in source_fibers:
                 position[list(f)] = range(len(f))
             self._pair_positions = (np.cumsum(pairs_of) - pairs_of, position, source, target)
         start, position, source, target = self._pair_positions

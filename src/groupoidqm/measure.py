@@ -10,27 +10,28 @@ are
 and the modular function is δ(α) = μ(α) / μ(α⁻¹), each a tuple indexed by
 morphism that every consumer reads: one Fraction per entry with Fraction
 weights; with int weights an int where the quotient divides and a Fraction
-otherwise; with float weights a float.  A table made from integers builds
-its values on first read.  A measure is a Haar measure when the family ν^x
-is invariant under left translations; the verifiers below check that and
-the companion identities exhaustively.
+otherwise; with float weights a float.  A measure is a Haar measure when the
+family ν^x is invariant under left translations; the verifiers below check
+that and the companion identities exhaustively.
 
 The verifiers are gathers: each is one ``_report_defects`` call whose two
 sides are products of values read through index arrays (the composable pairs
 of ``FiniteGroupoid.composable_arrays`` for the translation and homomorphism
 checks), and a sum check sums those products by check.  Exact values have
 one integer form, a ``_Table`` of numerators and denominators read by
-``_parts``; a measure builds those of its five tables once, from those of
-its weights (or, for S(G), of its base's), and assigning a table replaces
-them.  Two kernels do the exact arithmetic: ``_product_parts`` multiplies
-gathered values term by term (both sides of every check, the tables, the
-terms of ``algebra.convolve``), and ``_group_sums`` sums terms by group over
-their one lcm (the sum checks and ``convolve``).  They run on int64 where
-``_narrowed`` proves from the bit lengths of the data that no product or sum
-reaches 2**62, and on Python ints otherwise.  On ints and Fractions a check
-cross-multiplies its two sides and computes the defect ``abs(lhs - rhs)``
-only where they differ; on floats and complex values every check computes
-its defect in Python.  A violation is a defect above the tolerance.
+``_parts``, and stay in it until read: a table made from integers builds its
+values on first read, and ν^x, ν_x and δ are derived on first read, from the
+weights the measure was made with (for S(G), from its base's).  Assigning a
+table replaces its integer form.  Two kernels do the exact arithmetic:
+``_product_parts`` multiplies gathered values term by term (both sides of
+every check, the tables, the terms of ``algebra.convolve``), and
+``_group_sums`` sums terms by group over their one lcm (the sum checks and
+``convolve``).  They run on int64 where ``_narrowed`` proves from the bit
+lengths of the data that no product or sum reaches 2**62, and on Python ints
+otherwise.  On ints and Fractions a check cross-multiplies its two sides and
+computes the defect ``abs(lhs - rhs)`` only where they differ; on floats and
+complex values every check computes its defect in Python.  A violation is a
+defect above the tolerance.
 
 Object weights are user-supplied, defaulting to all ones (the convention under
 which the counting measure gives unit fiber weights and matrix-unit
@@ -103,6 +104,13 @@ def _uniform(values) -> bool | None:
     return False if all(isinstance(v, int) for v in values) else None
 
 
+def _uniform_table(t: "_Table") -> bool | None:
+    """``_uniform`` of t's values, from its flags while they are unread."""
+    if t.values is not None:
+        return _uniform(t.values)
+    return True if t.fraction.all() else None if t.fraction.any() else False
+
+
 _INT64_BITS = 62  # |x| < 2**62: one spare bit inside int64
 
 
@@ -117,8 +125,11 @@ def _narrowed(arrays, *bits: int, terms: int = 0) -> list[np.ndarray]:
 
 def _parts(values) -> tuple[list, list]:
     """The integer numerators and denominators of rational values, as lists
-    of Python ints: the one reader of the exact format."""
-    return [int(v.numerator) for v in values], [int(v.denominator) for v in values]
+    of Python ints: the one reader of the exact format; an int or a Fraction
+    is read once, by ``as_integer_ratio``."""
+    exact = (int, Fraction)
+    ratios = [v.as_integer_ratio() if type(v) in exact else (int(v.numerator), int(v.denominator)) for v in values]
+    return [p for p, _ in ratios], [q for _, q in ratios]
 
 
 class _Table:
@@ -151,6 +162,16 @@ class _Table:
 
     def __getitem__(self, k):
         return self.read()[k]
+
+    def __len__(self) -> int:
+        return len(self.values if self.num is None else self.num)
+
+    def take(self, index: np.ndarray) -> "_Table":
+        """The entries at ``index``, with this table's bounds (and values, if read)."""
+        values = None if self.values is None else list(map(self.values.__getitem__, index.tolist()))
+        if self.num is None:
+            return _Table(values)
+        return _Table(values, self.num[index], self.den[index], (self.nbits, self.dbits), self.fraction[index])
 
 
 def _lowest_terms(t: _Table, fractions: bool) -> _Table:
@@ -194,6 +215,14 @@ def _group_sums(t: _Table, ids: np.ndarray, n: int) -> _Table:
     return _Table(None, sums, np.full(n, lcm, dtype=object), bounds)
 
 
+class _Derived(dict):
+    """Tables by name, a missing one made by ``derive(name)`` on first read and kept."""
+
+    def __missing__(self, name: str) -> _Table:
+        self[name] = table = self.derive(name)
+        return table
+
+
 def _table(name: str, doc: str) -> property:
     """A measure table, read through its ``_Table``; assigning replaces the integer form too."""
 
@@ -205,7 +234,8 @@ def _table(name: str, doc: str) -> property:
 
 class GroupoidMeasure:
     """Positive morphism and object weights on a fixed groupoid, with the tables
-    ``nu_targets`` (ν^x), ``nu_sources`` (ν_x) and ``deltas`` (δ) derived once."""
+    ``nu_targets`` (ν^x), ``nu_sources`` (ν_x) and ``deltas`` (δ) derived from
+    the constructor's weights on first read."""
 
     __slots__ = ("groupoid", "_tables")
 
@@ -222,7 +252,6 @@ class GroupoidMeasure:
         object_weights: Sequence | None = None,
         target_pushforward: bool = False,
     ):
-        self.groupoid = groupoid
         if len(weights) != groupoid.n_morphisms:
             raise ValueError("need one weight per morphism")
         w = _positive(weights, "morphism weight")
@@ -237,40 +266,42 @@ class GroupoidMeasure:
         else:
             ow = (1,) * groupoid.n_objects
         w, ow = _ints_as_fractions(w, ow)
-        self._derive(_Table(w), _Table(ow), _uniform(w + ow))
+        self._derive(groupoid, _Table(w), _Table(ow), _uniform(w + ow))
 
     @classmethod
     def _product_measure(cls, groupoid: FiniteGroupoid, base: "GroupoidMeasure", morphisms, objects):
         """The measure on ``groupoid`` with weights base.weights[i]·base.weights[j]
         for (i, j) in zip(*morphisms), and object weights likewise over
         ``objects``: on an exact base one value per entry, from its integer form."""
-        fractions = _uniform((*base.weights, *base.object_weights))
         by = (("weights", morphisms), ("object_weights", objects))
         pairs = [(base._tables[name], *(np.asarray(k, dtype=np.intp) for k in ij)) for name, ij in by]
+        fractions, other = (_uniform_table(t) for t, _, _ in pairs)
+        fractions = fractions if fractions == other else None
         if fractions is None:
-            values = [np.array(t.values, dtype=object) for t, _, _ in pairs]
+            values = [np.array(t.read(), dtype=object) for t, _, _ in pairs]
             return cls(groupoid, *((v[i] * v[j]).tolist() for v, (_, i, j) in zip(values, pairs)))
-        m = cls.__new__(cls)
-        m.groupoid = groupoid
         products = (_lowest_terms(_product_parts(((t, i), (t, j))), fractions) for t, i, j in pairs)
-        m._derive(*products, fractions)
-        return m
+        return cls.__new__(cls)._derive(groupoid, *products, fractions)
 
-    def _derive(self, w: _Table, ow: _Table, fractions: bool | None) -> None:
-        """Set the five tables from the weight tables: ν^x = μ/μ_Ω∘t, ν_x =
-        μ/μ_Ω∘s and δ = μ/μ∘inv, from the integer form on exact weights
-        (``fractions`` not None), else entry by entry by ``_ratio``.  A table
-        made from integers builds its values on first read."""
-        g = self.groupoid
-        self._tables = {"weights": w, "object_weights": ow}
-        k = np.arange(g.n_morphisms)
-        by = (("nu_targets", ow, g.target), ("nu_sources", ow, g.source), ("deltas", w, g.inverse))
-        for name, q, i in by:
+    def _derive(self, g: FiniteGroupoid, w: _Table, ow: _Table, fractions: bool | None) -> "GroupoidMeasure":
+        """This measure on g with the weight tables w and ow, each of ν^x =
+        μ/μ_Ω∘t, ν_x = μ/μ_Ω∘s and δ = μ/μ∘inv derived from them on its first
+        read: from the integer form on exact weights (``fractions`` not None),
+        else entry by entry by ``_ratio``.  Assigning a weight table later
+        changes none of them."""
+        self.groupoid = g
+        by = {"nu_targets": (ow, g.target), "nu_sources": (ow, g.source), "deltas": (w, g.inverse)}
+
+        def derive(name: str) -> _Table:
+            q, i = by[name]
             if fractions is None:
-                self._tables[name] = _Table(tuple(map(_ratio, w.values, map(q.values.__getitem__, i))))
-            else:
-                quotient = _product_parts(((w, k), (q, np.asarray(i, dtype=np.intp), -1)))
-                self._tables[name] = _lowest_terms(quotient, fractions)
+                return _Table(tuple(map(_ratio, w.values, map(q.values.__getitem__, i))))
+            k = np.arange(g.n_morphisms)
+            return _lowest_terms(_product_parts(((w, k), (q, np.asarray(i, dtype=np.intp), -1))), fractions)
+
+        self._tables = _Derived(weights=w, object_weights=ow)
+        self._tables.derive = derive
+        return self
 
     @classmethod
     def counting(cls, groupoid: FiniteGroupoid) -> "GroupoidMeasure":
@@ -362,6 +393,11 @@ def weighted_pair_measure(g: FiniteGroupoid, w: Sequence, object_weights=None) -
     if len(w) != n or not is_pair_groupoid(g):
         raise ValueError("weighted_pair_measure expects a pair groupoid and one weight per point")
     (w,) = _ints_as_fractions(tuple(w))
+    t = _Table(w) if object_weights is None and _uniform(w) else None
+    if t is not None and (t.num > 0).all():  # μ from w's integer form; else the constructor raises
+        j, k = np.divmod(np.arange(n * n), n)
+        mu = _lowest_terms(_product_parts(((t, j), (t, k, -1))), True)
+        return GroupoidMeasure.__new__(GroupoidMeasure)._derive(g, mu, t, True)
     weights = [w[j] / w[k] for j in range(n) for k in range(n)]
     if object_weights is None:
         object_weights = tuple(w)
@@ -464,11 +500,16 @@ def modular(g: FiniteGroupoid, m: GroupoidMeasure, tol: float = DEFAULT_TOL) -> 
     δ(β∘α) != δ(β)·δ(α) beyond `tol`; such a measure has no Haar
     disintegration.
     """
-    rep = modular_homomorphism_report(g, m._tables["deltas"], tol)
+    _require_multiplicative(g, m._tables["deltas"], tol)
+    return ModularFunction(g, m.deltas)
+
+
+def _require_multiplicative(g: FiniteGroupoid, deltas: _Table, tol: float) -> None:
+    """NotHaarError naming the first composable pair where δ is not multiplicative beyond tol."""
+    rep = modular_homomorphism_report(g, deltas, tol)
     if not rep.ok:
         first = rep.violations[0]
         raise NotHaarError(f"modular function is {first.message}: defect {first.magnitude:.3e}")
-    return ModularFunction(g, m.deltas)
 
 
 def _translation_report(

@@ -45,6 +45,7 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
+    _Values,
     complex_values_from_json,
     complex_values_to_json,
     convolve,
@@ -58,7 +59,7 @@ from .measure import (
     GroupoidMeasure,
     NotHaarError,
     _report_defects,
-    modular,
+    _require_multiplicative,
     modular_homomorphism_report,
     verify_left_invariance,
 )
@@ -86,9 +87,9 @@ class SymmetroidMeasure:
     weights are ν₂ and its modular ratios ``measure.deltas`` are Δ₂, equal to
     δ(α)·δ(γ); ``weights`` and ``modular`` key them by Γ.
 
-    μ₂ and its object weights are products gathered over the α and γ of every
-    transformation; on an exact base each is one value built from the base's
-    integer form, and so are the vertical ν₂ and Δ₂ tables."""
+    μ₂ and its object weights are products gathered over the index arrays of
+    α and γ; on an exact base they stay in the integer form built from the
+    base's, and the vertical ν₂ and Δ₂ are derived from them on first read."""
 
     __slots__ = ("symmetroid", "base", "measure")
 
@@ -96,7 +97,7 @@ class SymmetroidMeasure:
         self.symmetroid = symmetroid
         self.base = base
         g = base.groupoid
-        alpha, _, gamma = zip(*symmetroid.transformations)
+        alpha, _, gamma = symmetroid._triples
         self.measure = GroupoidMeasure._product_measure(
             symmetroid.vertical, base, (alpha, gamma), (g.target, g.source)
         )
@@ -131,7 +132,7 @@ def induce_measure(sym: Symmetroid, m: GroupoidMeasure, tol: float = DEFAULT_TOL
     rep = verify_left_invariance(g, m, tol)
     if not rep.ok:
         raise NotHaarError(f"base measure is not left-invariant: {rep}")
-    modular(g, m, tol)  # raises NotHaarError when not multiplicative
+    _require_multiplicative(g, m._tables["deltas"], tol)
     return SymmetroidMeasure(sym, m)
 
 
@@ -155,27 +156,28 @@ def verify_modular_formula(
     So it checks the tables; ``verify_induced_equivariance`` and
     ``verify_modular_homomorphism`` are the Haar tests.
     """
-    sym, ts = m2.symmetroid, m2.symmetroid.transformations
+    sym, k = m2.symmetroid, len(m2.symmetroid)  # its transformations are read to name one
     w, delta = m2.measure._tables["weights"], m2.measure._tables["deltas"]
-    idx = np.arange(len(ts))
+    idx = np.arange(k)
     inverse = np.asarray(sym.vertical.inverse, dtype=np.intp)
 
     def describe(i):
-        return (ts[i],), f"μ₂(Γ⁻¹) != μ₂(Γ)/Δ₂(Γ) at Γ={ts[i]}"
+        t = sym.transformations[i]
+        return (t,), f"μ₂(Γ⁻¹) != μ₂(Γ)/Δ₂(Γ) at Γ={t}"
 
     rep = _report_defects("modular-atom", tol, ((w, inverse),), ((w, idx), (delta, idx, -1)), describe)
     # term (i, Γ) of function i reads μ₂(Γ), Δ₂(Γ), f_i(Γ) and f_i(Γ⁻¹)
-    values = [f.get(t, 0) for f in functions or () for t in ts]
+    values = [f.get(t, 0) for f in functions or () for t in sym.transformations]
     if not values:  # no functions
         return rep
-    ids, gamma = np.divmod(np.arange(len(values)), len(ts))
-    lhs = (w, gamma), (values, ids * len(ts) + inverse[gamma])
-    rhs = (w, gamma), (values, ids * len(ts) + gamma), (delta, gamma, -1)
+    ids, gamma = np.divmod(np.arange(len(values)), k)
+    lhs = (w, gamma), (values, ids * k + inverse[gamma])
+    rhs = (w, gamma), (values, ids * k + gamma), (delta, gamma, -1)
 
     def describe_sum(i):
         return (i,), f"Σ μ₂ f(Γ⁻¹) != Σ μ₂ Δ₂⁻¹ f for function {i}"
 
-    groups = (ids, len(values) // len(ts))
+    groups = (ids, len(values) // k)
     sums = _report_defects("modular-sum", tol, lhs, rhs, describe_sum, groups=groups)
     return ViolationReport(rep.checks + sums.checks, rep.violations + sums.violations)
 
@@ -220,12 +222,12 @@ class SymFunction(AlgebraElement):
 
 def convolve_general(f: SymFunction, g: SymFunction, m2: SymmetroidMeasure) -> SymFunction:
     """⋆_S on a general symmetroid: ``convolve`` on the vertical groupoid."""
-    return SymFunction(f.symmetroid, convolve(f, g, m2.measure).values)
+    return SymFunction(f.symmetroid, convolve(f, g, m2.measure)._integer_form())
 
 
 def involute_general(f: SymFunction, m2: SymmetroidMeasure) -> SymFunction:
     """f*(Γ) = Δ₂(Γ)⁻¹ conj(f(Γ⁻¹)): ``involute`` on the vertical groupoid."""
-    return SymFunction(f.symmetroid, involute(f, m2.measure).values)
+    return SymFunction(f.symmetroid, involute(f, m2.measure)._integer_form())
 
 
 # -- the quotient over a pair groupoid: S(pair(n)) in class order --
@@ -237,8 +239,8 @@ def _class_order(n: int) -> tuple:
     Γ (over a pair groupoid ``project`` is a bijection), the transformation of
     each class, and the counting measure on ``sym.vertical``; built once per n."""
     sym = Symmetroid(pair_groupoid(n))
-    classes = tuple(q_index(n, sym.project(t)) for t in sym.transformations)
-    return sym, classes, tuple(np.argsort(classes).tolist()), GroupoidMeasure.counting(sym.vertical)
+    classes = np.array([q_index(n, sym.project(t)) for t in sym.transformations], dtype=np.intp)
+    return sym, classes, np.argsort(classes), GroupoidMeasure.counting(sym.vertical)
 
 
 class QuotientMeasure:
@@ -255,7 +257,7 @@ class QuotientMeasure:
         self.measure = SymmetroidMeasure(_class_order(base.groupoid.n_objects)[0], base).measure
 
 
-class QuotientFunction:
+class QuotientFunction(_Values):
     """A function on the n⁴ quotient classes, stored row-major in (z, y, x, w).
 
     That storage order is the canonical flattening used by every matrix
@@ -263,13 +265,13 @@ class QuotientFunction:
     where it meets an array layout; kernel arithmetic works on that view.
     """
 
-    __slots__ = ("n", "values")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, values: Sequence):
         if len(values) != n**4:
             raise ValueError(f"need n⁴ = {n**4} values, got {len(values)}")
         self.n = n
-        self.values = list(values)
+        self.values = values
 
     @classmethod
     def zeros(cls, n: int) -> "QuotientFunction":
@@ -313,18 +315,8 @@ class QuotientFunction:
     def support(self):
         return [(q_from_index(self.n, i), v) for i, v in enumerate(self.values) if v != 0]
 
-    def __add__(self, other: "QuotientFunction") -> "QuotientFunction":
-        self._same_base(other)
-        return QuotientFunction(self.n, [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other: "QuotientFunction") -> "QuotientFunction":
-        self._same_base(other)
-        return QuotientFunction(self.n, [a - b for a, b in zip(self.values, other.values)])
-
-    def __mul__(self, scalar) -> "QuotientFunction":
-        return QuotientFunction(self.n, [v * scalar for v in self.values])
-
-    __rmul__ = __mul__
+    def _like(self, values) -> "QuotientFunction":
+        return QuotientFunction(self.n, values)
 
     def __eq__(self, other) -> bool:
         return (
@@ -333,11 +325,7 @@ class QuotientFunction:
             and all(a == b for a, b in zip(self.values, other.values))
         )
 
-    def allclose(self, other: "QuotientFunction", tol: float = 1e-12) -> bool:
-        self._same_base(other)
-        return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
-
-    def _same_base(self, other: "QuotientFunction") -> None:
+    def _same_parent(self, other: "QuotientFunction") -> None:
         if self.n != other.n:
             raise GroupoidError("quotient functions live over different bases")
 
@@ -364,13 +352,13 @@ def _lift(f: QuotientFunction, qm: QuotientMeasure | None) -> tuple[SymFunction,
     """f on S(pair(f.n)), its value at Γ f's at the class of Γ, and the
     measure there: qm's, or counting."""
     sym, classes, _, counting = _class_order(f.n)
-    lifted = SymFunction(sym, list(map(f.values.__getitem__, classes)))
+    lifted = SymFunction(sym, f._take(classes))
     return lifted, counting if qm is None else qm.measure
 
 
 def _in_class_order(h: AlgebraElement, n: int) -> QuotientFunction:
     """h, a function on S(pair(n)), read in class order."""
-    return QuotientFunction(n, list(map(h.values.__getitem__, _class_order(n)[2])))
+    return QuotientFunction(n, h._take(_class_order(n)[2]))
 
 
 def convolve_S(

@@ -27,6 +27,7 @@ automorphisms, i.e. permutations of the objects, and form a group.
 
 from __future__ import annotations
 
+import functools
 from itertools import permutations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -78,6 +79,8 @@ class Symmetroid:
     ``vertical`` is S(G) under vertical composition as a FiniteGroupoid over
     the morphisms of G: its morphism i is ``transformations[i]``, with source
     s1 and target t1.  The Transformation-typed methods read its tables.
+    The α, β and γ of each transformation are kept as index arrays, and the
+    ``transformations`` list and its ``index`` are built on first read.
 
     The tables are built by gathers over index arrays, not per entry: t1 is
     α∘β∘γ⁻¹ through ``FiniteGroupoid.composites``, and the vertical pairs come
@@ -116,10 +119,7 @@ class Symmetroid:
                 raise NotComposableError(f"{t} is not a transformation of this groupoid")
             return offset[b] + position[a] * n_gamma[b] + position[c]
 
-        self.transformations: list[Transformation] = list(
-            map(Transformation, alpha.tolist(), beta.tolist(), gamma.tolist())
-        )
-        self.index = dict(zip(self.transformations, range(len(beta))))
+        self._triples = alpha, beta, gamma
         top = g.composites(alpha, g.composites(beta, inverse[gamma]))
         # Γ₂ ∘_V Γ₁ = (α₂∘α₁, β₁, γ₂∘γ₁) for each Γ₂ with s1(Γ₂) = t1(Γ₁), in
         # composable_pairs() order: by Γ₁, then Γ₂ over the block of β = t1(Γ₁)
@@ -135,8 +135,16 @@ class Symmetroid:
             ids_of(unit[target], np.arange(g.n_morphisms), unit[source]).tolist(),
         )
 
+    @functools.cached_property
+    def transformations(self) -> list[Transformation]:
+        return list(map(Transformation, *(a.tolist() for a in self._triples)))
+
+    @functools.cached_property
+    def index(self) -> dict[Transformation, int]:
+        return dict(zip(self.transformations, range(len(self))))
+
     def __len__(self) -> int:
-        return len(self.transformations)
+        return len(self._triples[0])
 
     def _id(self, t: Transformation) -> int:
         """The morphism id of t in ``vertical``."""

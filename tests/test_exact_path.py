@@ -55,6 +55,7 @@ from groupoidqm import (
     modular,
     modular_homomorphism_report,
     pair_groupoid,
+    rep_operator,
     verify_disintegration,
     verify_induced_equivariance,
     verify_inverse_relation,
@@ -454,12 +455,12 @@ def test_exact_tables_and_checks_build_no_needless_fraction():
     g = pair_groupoid(4)
     m = weighted_pair_measure(g, (Fraction(1, 2), 1, Fraction(3), Fraction(2, 5)))
     # the weights exist, and a constructor builds no table until it is read
-    fresh = []
-    assert fractions_built(lambda: fresh.append(GroupoidMeasure(g, m.weights, m.object_weights))) == 0
+    fresh, weights, object_weights = [], m.weights, m.object_weights
+    assert fractions_built(lambda: fresh.append(GroupoidMeasure(g, weights, object_weights))) == 0
     base = fresh[0]
     sym = Symmetroid(g)
-    # the base's δ, which the Haar check's ``modular`` returns
-    assert fractions_built(lambda: fresh.append(induce_measure(sym, base))) == 16
+    # the Haar checks read the base's tables in integer form only
+    assert fractions_built(lambda: fresh.append(induce_measure(sym, base))) == 0
     m2 = fresh[1]
     # μ₂ and Δ₂ per transformation and the object weights per base morphism
     assert fractions_built(lambda: m2.measure.weights) == 256
@@ -484,10 +485,100 @@ def test_exact_tables_and_checks_build_no_needless_fraction():
     assert base.nu_targets == m.nu_targets and base.nu_sources == m.nu_sources
     assert fractions_built(lambda: m2.measure.nu_targets) == 256
     # the quotient's measure is S(pair(3))'s, built from the base's integer
-    # form; an exact convolve_S builds one Fraction per Fraction output
+    # form; an exact convolve_S output builds its Fractions when read
     g3 = pair_groupoid(3)
     base3 = weighted_pair_measure(g3, (Fraction(1, 3), 2, Fraction(5, 2)))
     assert fractions_built(lambda: fresh.append(QuotientMeasure(base3))) == 0
     rng = np.random.default_rng(11)
     k, k2 = (QuotientFunction(3, fractions(rng, 81)) for _ in range(2))
-    assert fractions_built(lambda: convolve_S(k, k2, fresh[2])) <= 81
+    assert fractions_built(lambda: fresh.append(convolve_S(k, k2, fresh[2]))) == 0
+    assert 0 < fractions_built(lambda: fresh[3].values) <= 81
+
+
+# -- exact outputs stay in integer form until read --
+
+
+def _nonzero_fractions(rng, size):
+    return _draw("fraction", rng, size)
+
+
+def test_chained_exact_outputs_build_no_fraction_until_read():
+    rng = np.random.default_rng(21)
+    g = pair_groupoid(4)
+    m = weighted_pair_measure(g, (Fraction(1, 2), 1, Fraction(3), Fraction(2, 5)))
+    f, h = (AlgebraElement(g, _nonzero_fractions(rng, 16)) for _ in range(2))
+    out = []
+    assert fractions_built(lambda: out.append(convolve(involute(f, m), convolve(f, h, m), m))) == 0
+    assert fractions_built(lambda: out[0].values) == 16
+    assert fractions_built(lambda: out[0].values) == 0  # the list is built once
+    assert all(type(v) is Fraction for v in out[0].values)
+    n = 3
+    qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (Fraction(1, 3), 2, Fraction(5, 2))))
+    k, k2, k3 = (QuotientFunction(n, _nonzero_fractions(rng, n**4)) for _ in range(3))
+    assert fractions_built(lambda: out.append(convolve_S(convolve_S(k, k2, qm), k3, qm))) == 0
+    assert fractions_built(lambda: involute_S(out[1], qm)) == 0
+    assert fractions_built(lambda: out[1].values) == n**4
+    assert all(type(v) is Fraction for v in out[1].values)
+
+
+def test_an_output_edited_after_its_read_is_convolved_as_edited():
+    rng = np.random.default_rng(22)
+    g = pair_groupoid(3)
+    m = weighted_pair_measure(g, (Fraction(1, 3), 2, Fraction(5, 2)))
+    f, h, k = (AlgebraElement(g, _nonzero_fractions(rng, 9)) for _ in range(3))
+    fh = convolve(f, h, m)
+    fh.values[4] = Fraction(7, 3)
+    fh.values[0] = 2
+    edited = list(fh.values)
+    assert fh.values[4] == Fraction(7, 3) and fh.values == edited
+    assert_same_values(convolve(fh, k, m).values, convolve(AlgebraElement(g, edited), k, m).values)
+    assert_same_values(involute(fh, m).values, involute(AlgebraElement(g, edited), m).values)
+    n = 2
+    qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (Fraction(1, 2), 3)))
+    q1, q2 = (QuotientFunction(n, _nonzero_fractions(rng, n**4)) for _ in range(2))
+    q12 = convolve_S(q1, q2, qm)
+    q12.values[5] = Fraction(-1, 9)
+    edited = QuotientFunction(n, list(q12.values))
+    assert_same_values(convolve_S(q12, q1, qm).values, convolve_S(edited, q1, qm).values)
+    assert np.array_equal(rep_operator(q12, qm), rep_operator(edited, qm))
+
+
+CHAIN_NAMES = ("pair2", "pair3", "z3", "two-component", "product-z3", "vertical2")
+CHAIN_CASES = cases(CHAIN_NAMES, ("counting", "int", "fraction", "float", "weighted-fraction"))
+
+
+def _read(h):
+    """h with its values read into a list, as a caller that reads them holds it."""
+    return AlgebraElement(h.groupoid, h.values)
+
+
+@pytest.mark.parametrize("gname,mname", CHAIN_CASES)
+def test_chained_results_equal_the_path_that_reads_between_calls(gname, mname):
+    g = GROUPOIDS[gname]()
+    m = measure(g, mname)
+    fs, hs = value_lists(g, 5), value_lists(g, 6)
+    for fkind, hkind in zip(fs, list(hs)[1:] + list(hs)[:1]):
+        f, h = AlgebraElement(g, fs[fkind]), AlgebraElement(g, hs[hkind])
+        chained = convolve(involute(f, m), convolve(f, h, m), m)
+        read = convolve(_read(involute(f, m)), _read(convolve(f, h, m)), m)
+        assert_same_values(chained.values, read.values)
+        assert_same_values(involute(convolve(h, f, m), m).values, involute(_read(convolve(h, f, m)), m).values)
+        mat, ref = left_regular_matrix(convolve(f, h, m), m), left_regular_matrix(_read(convolve(f, h, m)), m)
+        assert mat.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["counting", "int", "fraction", "float", "weighted-fraction"])
+def test_chained_quotient_results_equal_the_path_that_reads_between_calls(kind):
+    n = 2
+    qm = QuotientMeasure(measure(pair_groupoid(n), kind))
+    vertical = GROUPOIDS["vertical2"]()  # n⁴ = 16 morphisms, one value list per kind
+    fs, hs = value_lists(vertical, 7), value_lists(vertical, 8)
+    for fkind, hkind in zip(fs, list(hs)[1:] + list(hs)[:1]):
+        f, h = QuotientFunction(n, fs[fkind]), QuotientFunction(n, hs[hkind])
+        chained = convolve_S(convolve_S(f, h, qm), involute_S(f, qm), qm)
+        read = convolve_S(
+            QuotientFunction(n, convolve_S(f, h, qm).values), QuotientFunction(n, involute_S(f, qm).values), qm
+        )
+        assert_same_values(chained.values, read.values)
+        mat = rep_operator(convolve_S(f, h, qm), qm)
+        assert mat.tobytes() == rep_operator(QuotientFunction(n, convolve_S(f, h, qm).values), qm).tobytes()

@@ -2,8 +2,9 @@
 they replaced.
 
 ``GroupoidMeasure`` builds ν^x, ν_x and δ of Fraction weights from integer
-numerators and denominators, and ``SymmetroidMeasure`` builds μ₂ and its
-object weights as gathered products.  ``verify_disintegration`` and the sum
+numerators and denominators, each on its first read and from the weights it
+was made with, and ``SymmetroidMeasure`` builds μ₂ and its object weights as
+gathered products.  ``verify_disintegration`` and the sum
 checks of ``verify_modular_formula`` decide exact sums on integer numerators.
 Every table must match the old formula in value and in type, and every report
 the old loop check for check and violation for violation.  Δ₂ is the vertical
@@ -32,10 +33,18 @@ from oracles import (
 
 from groupoidqm import (
     GroupoidMeasure,
+    QuotientFunction,
+    QuotientMeasure,
     Symmetroid,
+    convolve_S,
+    induce_measure,
+    involute_S,
     pair_groupoid,
+    rep_operator,
     verify_disintegration,
+    verify_induced_equivariance,
     verify_modular_formula,
+    verify_modular_homomorphism,
     weighted_pair_measure,
 )
 from groupoidqm.symalgebra import SymmetroidMeasure
@@ -44,7 +53,8 @@ NAMES, KINDS = ("pair3", "z3", "product"), ("counting", "int", "mixed", "fractio
 CASES = cases(NAMES, KINDS)
 # the tables also over the Haar family w_j / w_k, which pair3 draws
 TABLE_CASES = cases(NAMES, KINDS + ("weighted-fraction", "weighted-float"))
-# the ν and δ tables also on every case of test_gather_parity's per-call reads
+# the ν and δ tables and their per-call reads also on every case of
+# test_gather_parity's algebra gathers
 GATHER_NAMES = ("pair1", "pair2", "pair4", "two-component", "product-z3", "vertical2")
 MEASURE_CASES = TABLE_CASES + cases(GATHER_NAMES, ("counting", "int", "fraction", "float", "weighted-fraction"))
 
@@ -58,6 +68,43 @@ def test_measure_tables_match_per_entry_ratios(gname, bname):
     for got, ref in zip((m.weights, m.object_weights, m.nu_targets, m.nu_sources, m.deltas), want):
         assert type(got) is tuple
         assert_same_values(got, ref)
+    # each per-call read is its table's entry
+    for call, table in ((m.nu_target, m.nu_targets), (m.nu_source, m.nu_sources), (m.delta, m.deltas)):
+        assert_same_values(map(call, g.morphisms()), table)
+
+
+@pytest.mark.parametrize("bname", ["int", "mixed", "fraction", "float", "big", "weighted-fraction"])
+def test_derived_tables_follow_the_constructors_weights(bname):
+    """ν^x, ν_x and δ are derived on first read, from the weights the measure
+    was made with: assigning new weights first changes none of them."""
+    g = pair_groupoid(3)
+    weights, object_weights = weight_grid(g)[bname]
+    want = old_tables(g, weights, object_weights)[2:]
+    made = [GroupoidMeasure(g, weights, object_weights)]
+    if bname == "weighted-fraction":
+        made.append(weighted_pair_measure(g, object_weights))
+    for m in made:
+        m.weights = tuple(2 * w for w in m.weights)
+        m.object_weights = tuple(3 * w for w in m.object_weights)
+        for got, ref in zip((m.nu_targets, m.nu_sources, m.deltas), want):
+            assert_same_values(got, ref)
+
+
+def test_symmetroid_and_quotient_measures_derive_no_source_fiber_weights():
+    """No operation or check of S(G) reads ν_x, so none derives it; a read does."""
+    g = pair_groupoid(2)
+    base = weighted_pair_measure(g, (Fraction(1, 2), 3))
+    m2 = induce_measure(Symmetroid(g), base)
+    for check in (verify_induced_equivariance, verify_modular_formula, verify_modular_homomorphism):
+        assert check(m2).ok
+    qm = QuotientMeasure(base)
+    f = QuotientFunction(2, [Fraction(k + 1, 3) for k in range(16)])
+    convolve_S(involute_S(f, qm), f, qm)
+    rep_operator(f, qm)
+    for v in (m2.measure, qm.measure):
+        assert "nu_sources" not in v._tables
+        want = old_tables(v.groupoid, v.weights, v.object_weights)[3]
+        assert_same_values(v.nu_sources, want)
 
 
 @pytest.mark.parametrize("gname,bname", TABLE_CASES)

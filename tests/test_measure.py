@@ -129,6 +129,39 @@ def test_int_and_float_measures_keep_their_value_types():
     assert [type(v) for v in mixed.weights[:3]] == [Fraction, float, Fraction]
 
 
+@pytest.mark.parametrize(
+    "w,kinds",
+    [
+        ((1, 2, 4), (float, int)),
+        ((Fraction(1, 2), Fraction(3), Fraction(2, 5)), (Fraction, Fraction)),
+        ((1, Fraction(1, 2), 3), (Fraction, Fraction)),
+        ((1.0, 0.5, 2.0), (float, float)),
+    ],
+    ids=["int", "fraction", "mixed", "float"],
+)
+def test_weighted_pair_measure_value_types(w, kinds):
+    """μ(j, k) = w_j / w_k: floats from int w, Fractions once one w is a
+    Fraction (built from w's integer form, equal to the quotients)."""
+    g = pair_groupoid(3)
+    m = weighted_pair_measure(g, w)
+    weight_kind, object_kind = kinds
+    assert [type(v) for v in m.weights] == [weight_kind] * 9
+    assert [type(v) for v in m.object_weights] == [object_kind] * 3
+    exact = [Fraction(v) if isinstance(v, int) else v for v in w] if object_kind is Fraction else w
+    assert m.weights == tuple(exact[j] / exact[k] for j in range(3) for k in range(3))
+    assert m.object_weights == tuple(exact)
+
+
+def test_weighted_pair_measure_rejects_nonpositive_points():
+    g = pair_groupoid(2)
+    with pytest.raises(ValueError, match="morphism weight 1 must be strictly positive"):
+        weighted_pair_measure(g, (Fraction(1, 2), Fraction(-1)))
+    with pytest.raises(ValueError, match="object weight 0 must be strictly positive"):
+        weighted_pair_measure(g, (Fraction(-1, 2), Fraction(-1)))
+    with pytest.raises(ZeroDivisionError):
+        weighted_pair_measure(g, (Fraction(1, 2), Fraction(0)))
+
+
 def test_measure_rejects_nonpositive_weights():
     g = pair_groupoid(2)
     with pytest.raises(ValueError):
