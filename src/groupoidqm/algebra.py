@@ -20,9 +20,9 @@ call: ``contract`` puts each operand over the lcm of its denominators
 (``measure._over_lcm``), ``convolve``, ``involute`` and ``left_regular_matrix``
 multiply their terms by ``measure._product_parts``, and ``convolve`` sums them
 over their one lcm by ``measure._group_sums``.  An exact output of ``convolve``
-or ``involute`` is kept in that integer form, which the next kernel reads as
-it is, and its ``values`` list is built on first read; a list edited in place
-after that read is what the next kernel sees.
+or ``involute`` is kept in that integer form, and a complex128 output as an
+owned complex128 array, which the next kernel reads as it is; ``values`` is built
+on first read, and a list edited in place after that read is what the next kernel sees.
 """
 
 from __future__ import annotations
@@ -51,31 +51,47 @@ class NormalizationError(GroupoidError):
 
 
 class _Values:
-    """A mutable list ``values``, or the unread ``measure._Table`` an exact kernel
-    computed for it (``_integer_form``, which kernels read): the first read of
-    ``values`` builds the list and drops the table for good, so the next kernel
-    reads any edit of the list.  The subclass's ``_like`` makes sums and multiples."""
+    """A mutable list ``values``, or the unread form a kernel computed for it:
+    exact values as a ``measure._Table``, complex ones as an owned complex128
+    array (an array given is copied), which kernels read as they are.  The
+    first read of ``values`` builds the list and drops that form for good, so
+    the next kernel reads any edit of the list.  ``_like`` makes sums and multiples."""
 
-    __slots__ = ("_values", "_table")
+    __slots__ = ("_values", "_unread")
 
     def _hold(self, values) -> None:
-        self._values, self._table = (None, values) if isinstance(values, _Table) else (list(values), None)
+        if type(values) is _Table:
+            self._values, self._unread = None, values
+        elif type(values) is np.ndarray and values.dtype == np.complex128:
+            self._values, self._unread = None, values.copy()
+        else:
+            self._values, self._unread = list(values), None
 
     def _read(self) -> list:
         if self._values is None:
-            self._values, self._table = list(self._table.read()), None
+            unread, self._unread = self._unread, None
+            self._values = list(unread.read()) if type(unread) is _Table else unread.tolist()
         return self._values
 
     values = property(_read, _hold)
 
+    def _held(self):
+        """The values in the form held, unread: the list, a table or an array."""
+        return self._values if self._unread is None else self._unread
+
     def _integer_form(self) -> _Table:
-        return _Table(self._values) if self._table is None else self._table
+        held = self._held()
+        return held if type(held) is _Table else _Table(held)
+
+    def _array_form(self) -> np.ndarray:
+        """The held array, or ``value_array`` of the values; kernels never write into it."""
+        held = self._held()
+        return held if type(held) is np.ndarray else value_array(self.values)
 
     def _take(self, index: np.ndarray):
-        """The values at ``index`` in the form held: a list, or an unread table."""
-        if self._table is None:
-            return list(map(self._values.__getitem__, index.tolist()))
-        return self._table.take(index)
+        """The values at ``index`` in the form held."""
+        held = self._held()
+        return list(map(held.__getitem__, index.tolist())) if type(held) is list else held.take(index)
 
     def __add__(self, other):
         self._same_parent(other)
@@ -154,7 +170,7 @@ class AlgebraElement(_Values):
             raise GroupoidError("algebra elements live on different groupoids")
 
     def to_json(self) -> dict:
-        return {"values": complex_values_to_json(self.values)}
+        return {"values": complex_values_to_json(self._array_form())}
 
     def __repr__(self) -> str:
         nz = self.support()
@@ -174,7 +190,10 @@ def element_from_json(data: dict, g: FiniteGroupoid) -> AlgebraElement:
 
 
 def complex_values_to_json(values) -> list[list[float]]:
-    """Each value as [re, im]; the inverse of complex_values_from_json."""
+    """Each value as [re, im]; the inverse of complex_values_from_json.  A
+    complex128 array is read as its float pairs, with no complex in between."""
+    if type(values) is np.ndarray and values.dtype == np.complex128:
+        return np.ascontiguousarray(values).view(np.float64).reshape(-1, 2).tolist()
     return [[c.real, c.imag] for c in map(complex, values)]
 
 
@@ -201,12 +220,19 @@ def value_array(values) -> np.ndarray:
     return np.array(values, dtype=object if _is_exact(values) else np.complex128)
 
 
-def _value_arrays(*value_lists) -> list[np.ndarray]:
-    """The lists as arrays of one ``value_array`` dtype: object only when every
-    value of every list is exact, so weights take the dtype of the values they
-    multiply and float arithmetic never mixes with Fractions."""
-    joined = value_array([v for vs in value_lists for v in vs])
-    return np.split(joined, np.cumsum([len(vs) for vs in value_lists[:-1]]))
+def _joined_array(forms) -> np.ndarray:
+    """The forms of ``_Values._held`` (lists, unread tables, held arrays) as one
+    array of one ``value_array`` dtype: object only when every value is exact, so
+    weights take the dtype of the values they multiply and never mix floats with Fractions."""
+    forms = [f.read() if type(f) is _Table else f for f in forms]
+    if any(type(f) is np.ndarray for f in forms):
+        return np.concatenate([np.asarray(f, dtype=np.complex128) for f in forms])
+    return value_array([v for vs in forms for v in vs])
+
+
+def _value_arrays(*forms) -> list[np.ndarray]:
+    """The forms as arrays of the one dtype of ``_joined_array``."""
+    return np.split(_joined_array(forms), np.cumsum([len(f) for f in forms[:-1]]))
 
 
 def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
@@ -280,11 +306,11 @@ def convolve(f: AlgebraElement, g: AlgebraElement, m: GroupoidMeasure) -> Algebr
     tables = (ft, m._tables["nu_targets"], gt)
     if _exact(*tables):
         return AlgebraElement(m.groupoid, _convolve_numerators(m, *tables))
-    fv, nu, gv = _value_arrays(f.values, m.nu_targets, g.values)
+    fv, nu, gv = _value_arrays(f._held(), m.nu_targets, g._held())
     b, a, ba = _translation_pairs(m, fv != 0)
     out = np.zeros(m.groupoid.n_morphisms, dtype=fv.dtype)
     np.add.at(out, ba, (fv * nu)[b] * gv[a])
-    return AlgebraElement(m.groupoid, out.tolist())
+    return AlgebraElement(m.groupoid, out)
 
 
 def _convolve_numerators(m: GroupoidMeasure, f: _Table, nu: _Table, g: _Table) -> _Table:
@@ -307,8 +333,8 @@ def involute(f: AlgebraElement, m: GroupoidMeasure) -> AlgebraElement:
         product = _product_parts(((delta, inverse), (ft, inverse)))
         product.fraction = (delta.fraction | ft.fraction)[inverse]
         return AlgebraElement(m.groupoid, product)
-    fv, dl = _value_arrays(f.values, m.deltas)
-    return AlgebraElement(m.groupoid, (dl[inverse] * np.conj(fv[inverse])).tolist())
+    fv, dl = _value_arrays(f._held(), m.deltas)
+    return AlgebraElement(m.groupoid, dl[inverse] * np.conj(fv[inverse]))
 
 
 def left_regular_matrix(f: AlgebraElement, m: GroupoidMeasure) -> np.ndarray:
@@ -327,7 +353,7 @@ def left_regular_matrix(f: AlgebraElement, m: GroupoidMeasure) -> np.ndarray:
         terms = _product_parts(((ft, b), (nu, b)))
         mat[ba, a] = [p / q for p, q in zip(terms.num.tolist(), terms.den.tolist())]
     else:
-        fv, nuv = _value_arrays(f.values, m.nu_targets)
+        fv, nuv = _value_arrays(f._held(), m.nu_targets)
         b, a, ba = _translation_pairs(m, fv != 0)
         mat[ba, a] = (fv * nuv)[b]
     return mat
@@ -434,8 +460,9 @@ def positive_type_verdicts(
         by_groupoid.setdefault(id(phi.groupoid), []).append(i)
     results: list[PositiveTypeResult] = [None] * len(phis)  # type: ignore[list-item]
     for members in by_groupoid.values():
-        values = np.array([phis[i].values for i in members], dtype=np.complex128)
-        stack = _PositiveTypeStack(phis[members[0]].groupoid, values, tol)
+        G = phis[members[0]].groupoid
+        values = _joined_array([phis[i]._held() for i in members]).reshape(len(members), G.n_morphisms)
+        stack = _PositiveTypeStack(G, values.astype(np.complex128, copy=False), tol)
         for p, i in enumerate(members):
             results[i] = stack.result(p)
     return results

@@ -40,13 +40,13 @@ from .algebra import (
     PSDResult,
     _PositiveTypeStack,
     _psd_result,
+    _joined_array,
     contract,
     convolve,
     element_from_json,
     involute,
     psd_verdict,
     state_normalization,
-    value_array,
 )
 from .eigen import hermitian_defect, hermitian_eigh
 from .groupoid import GroupoidError, is_pair_groupoid, pair_groupoid
@@ -131,7 +131,7 @@ def load_kraus(path: str) -> KrausFamily:
 def from_kraus(ks: KrausFamily) -> Channel:
     """Kernel f((l,j),(k,m)) = Σ_p V_p(l,j) conj(V_p(m,k))."""
     n = ks.n
-    v = value_array([x for member in ks.members for x in member.values]).reshape(-1, n, n)
+    v = _joined_array([member._held() for member in ks.members]).reshape(-1, n, n)
     return Channel(QuotientFunction.from_tensor(contract("pzy,pwx->zyxw", v, np.conj(v))))
 
 
@@ -175,8 +175,7 @@ def apply(ch: Channel, psi: AlgebraElement) -> AlgebraElement:
         raise DimensionMismatchError(
             f"channel over {n} outcomes applied to a function on {g.n_morphisms} transitions"
         )
-    out = _apply_tensor(ch.kernel.tensor(), value_array(psi.values))
-    return AlgebraElement(g, out.tolist())
+    return AlgebraElement(g, _apply_tensor(ch.kernel.tensor(), psi._array_form()))
 
 
 def _apply_tensor(f: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -261,8 +260,8 @@ def to_a_matrix(ch: Channel) -> AMatrix:
 def to_choi(ch: Channel) -> ChoiMatrix:
     """Choi[(l,j),(m,k)] = f((l,j),(k,m)); PSD exactly for completely positive maps."""
     n = ch.n
-    f = ch.kernel.tensor().astype(np.complex128)
-    return ChoiMatrix(n, f.transpose(0, 1, 3, 2).reshape(n * n, n * n))
+    choi = np.array(ch.kernel.tensor().transpose(0, 1, 3, 2), dtype=np.complex128, order="C")
+    return ChoiMatrix(n, choi.reshape(n * n, n * n))
 
 
 def channel_from_a_matrix(a: AMatrix) -> Channel:
@@ -530,8 +529,8 @@ def positivity_falsifier(
             return PositivityWitness(
                 trial=int(chunk[p]),
                 ancilla=ancilla,
-                state=AlgebraElement(g, list(states[p])),
-                output=AlgebraElement(g, outputs[p].tolist()),
+                state=AlgebraElement(g, states[p]),
+                output=AlgebraElement(g, outputs[p]),
                 min_eigenvalue=verdicts.result(p).min_eigenvalue,
             )
         start, size = start + len(chunk), min(2 * size, _FALSIFIER_CHUNK)

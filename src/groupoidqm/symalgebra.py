@@ -51,7 +51,6 @@ from .algebra import (
     convolve,
     involute,
     left_regular_matrix,
-    value_array,
 )
 from .groupoid import FiniteGroupoid, GroupoidError, is_pair_groupoid, pair_groupoid
 from .measure import (
@@ -222,12 +221,12 @@ class SymFunction(AlgebraElement):
 
 def convolve_general(f: SymFunction, g: SymFunction, m2: SymmetroidMeasure) -> SymFunction:
     """⋆_S on a general symmetroid: ``convolve`` on the vertical groupoid."""
-    return SymFunction(f.symmetroid, convolve(f, g, m2.measure)._integer_form())
+    return SymFunction(f.symmetroid, convolve(f, g, m2.measure)._held())
 
 
 def involute_general(f: SymFunction, m2: SymmetroidMeasure) -> SymFunction:
     """f*(Γ) = Δ₂(Γ)⁻¹ conj(f(Γ⁻¹)): ``involute`` on the vertical groupoid."""
-    return SymFunction(f.symmetroid, involute(f, m2.measure)._integer_form())
+    return SymFunction(f.symmetroid, involute(f, m2.measure)._held())
 
 
 # -- the quotient over a pair groupoid: S(pair(n)) in class order --
@@ -298,13 +297,18 @@ class QuotientFunction(_Values):
 
     @classmethod
     def from_tensor(cls, t: np.ndarray) -> "QuotientFunction":
-        """The function whose tensor view is the (n, n, n, n) array t."""
-        return cls(t.shape[0], t.reshape(-1).tolist())
+        """The function whose tensor view is the (n, n, n, n) array t: a
+        complex128 t is held as a copy, unread, and any other as a list."""
+        flat = t.reshape(-1)
+        return cls(t.shape[0], flat if t.dtype == np.complex128 else flat.tolist())
 
     def tensor(self) -> np.ndarray:
-        """The values as an (n, n, n, n) array indexed [z, y, x, w], with the
-        dtype of ``value_array``: object for exact values, else complex128."""
-        return value_array(self.values).reshape((self.n,) * 4)
+        """The values as a read-only (n, n, n, n) array indexed [z, y, x, w]:
+        a view of the held complex128 array while ``values`` is unread, else
+        ``value_array`` of the list (object for exact values, else complex128)."""
+        t = self._array_form().reshape((self.n,) * 4)
+        t.flags.writeable = False
+        return t
 
     def __getitem__(self, q: QClass):
         return self.values[q_index(self.n, q)]
@@ -330,7 +334,7 @@ class QuotientFunction(_Values):
             raise GroupoidError("quotient functions live over different bases")
 
     def to_json(self) -> dict:
-        return {"n": self.n, "values": complex_values_to_json(self.values)}
+        return {"n": self.n, "values": complex_values_to_json(self._array_form())}
 
 
 def quotient_function_from_json(data: dict) -> QuotientFunction:
@@ -400,7 +404,7 @@ def pullback_embed(psi: AlgebraElement) -> QuotientFunction:
     n = g.n_objects
     if not is_pair_groupoid(g):
         raise GroupoidError("pullback_embed expects a function on a pair groupoid")
-    p = value_array(psi.values).reshape(n, 1, 1, n)
+    p = psi._array_form().reshape(n, 1, 1, n)
     return QuotientFunction.from_tensor(np.broadcast_to(p, (n,) * 4))
 
 
@@ -417,7 +421,7 @@ def fiber_restrict(f: QuotientFunction, base: FiniteGroupoid | None = None, tol:
             f"not constant along the 2-target fiber of ({l}, {m}): spread {spread[l, m]}"
         )
     g = base if base is not None else pair_groupoid(f.n)
-    return AlgebraElement(g, ref.reshape(-1).tolist())
+    return AlgebraElement(g, ref.reshape(-1))
 
 
 def horizontal_convolve(

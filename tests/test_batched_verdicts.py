@@ -226,7 +226,8 @@ def assert_same_witness(got, want, ancilla):
     trial, state, output, min_eigenvalue = want
     assert (got.trial, got.ancilla) == (trial, ancilla)
     assert np.array_equal(got.min_eigenvalue, min_eigenvalue, equal_nan=True)
-    assert_same_bytes(got.state.values, state.values)
+    # the witness holds its state row as an array, read as Python complex like its output
+    assert_same_bytes(got.state.values, [complex(v) for v in state.values])
     assert_same_bytes(got.output.values, output.values)
     assert got.state.groupoid is state.groupoid and got.output.groupoid is output.groupoid
 
