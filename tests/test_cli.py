@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_json(capsys, *argv):
@@ -160,6 +164,23 @@ def test_symmetroid_flat_bisections(capsys):
     assert [0, 1, 2] in data["permutations"]
 
 
+PINNED = {
+    "flat_bisections_n4.txt": "symmetroid flat-bisections --n 4",
+    "convolve_int.txt": "algebra convolve --n 3 int_n3.json int_n3.json",
+    "convolve_float.txt": "algebra convolve --n 3 float_n3.json int_n3.json",
+    "apply_delta.txt": "channel apply from_bisection_120.json delta:0,1",
+    "apply_float.txt": "channel apply from_bisection_120.json float_n3.json",
+}
+
+
+@pytest.mark.parametrize("golden", PINNED)
+def test_stdout_bytes_are_pinned(capsys, monkeypatch, golden):
+    # the inputs and the expected stdout are files in tests/golden
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = run(capsys, *PINNED[golden].split())
+    assert code == 0 and out == (GOLDEN / golden).read_text()
+
+
 def test_channel_from_kraus(tmp_path, capsys):
     from groupoidqm import fourier_family
 
@@ -204,6 +225,7 @@ def test_channel_from_bisection_and_apply(tmp_path, capsys):
         capsys, "channel", "from-bisection", "--perm", "1,2,0", "-o", str(out)
     )
     assert code == 0
+    assert out.read_bytes() == (GOLDEN / "from_bisection_120.json").read_bytes()
     code, data, _ = run_json(capsys, "channel", "apply", str(out), "delta:0,1")
     assert code == 0
     values = data["values"]
@@ -398,6 +420,8 @@ def test_reproduce_writes_reports(tmp_path, capsys):
         "modular_tables.json",
         "summary.json",
     } <= names
+    shift = (tmp_path / "reports" / "shift_bisection_n3.json").read_bytes()
+    assert shift == (GOLDEN / "shift_bisection_n3.json").read_bytes()
     shift = json.loads((tmp_path / "reports" / "shift_bisection_n3.json").read_text())
     assert shift["all_basis_exact"] and shift["functor_composition_ok"]
     fourier = json.loads((tmp_path / "reports" / "fourier_n3.json").read_text())
