@@ -178,7 +178,7 @@ def cmd_algebra(args) -> int:
         f1 = element_from_json(json.loads(Path(args.inputs[0]).read_text()), g)
         f2 = element_from_json(json.loads(Path(args.inputs[1]).read_text()), g)
         out = convolve(f1, f2, m)
-        _emit({"values": complex_values_to_json(out.values)}, args.json)
+        _emit(out.to_json(), args.json)
         return EXIT_OK
     if args.action == "check-positive":
         phi = element_from_json(json.loads(Path(args.inputs[0]).read_text()), g)
@@ -258,7 +258,7 @@ def cmd_channel(args) -> int:
             channel = ch.zero_pad(channel, args.pad_to)
         psi = _parse_state(args.inputs[1], channel.n)
         out = ch.apply(channel, psi)
-        _emit({"n": channel.n, "values": complex_values_to_json(out.values)}, args.json)
+        _emit({"n": channel.n, "values": out.to_json()["values"]}, args.json)
         return EXIT_OK
     if args.action == "export":
         channel = ch.load_channel(args.inputs[0])
@@ -322,7 +322,7 @@ def cmd_channel(args) -> int:
                     "trial": wit.trial,
                     "ancilla": wit.ancilla,
                     "min_eigenvalue": _nan_to_none(wit.min_eigenvalue),
-                    "state": complex_values_to_json(wit.state.values),
+                    "state": wit.state.to_json()["values"],
                 }
                 failed = True
         _emit(payload, args.json)
@@ -348,8 +348,8 @@ def cmd_examples(args) -> int:
         if args.state:
             psi = _parse_state(args.state, n)
             out = ch.apply(channel, psi)
-            payload["input"] = complex_values_to_json(psi.values)
-            payload["output"] = complex_values_to_json(out.values)
+            payload["input"] = psi.to_json()["values"]
+            payload["output"] = out.to_json()["values"]
             payload["tomogram"] = ch.tomogram(psi, n)
         else:
             payload["kernel"] = channel.to_json()
@@ -361,8 +361,8 @@ def cmd_examples(args) -> int:
         if args.state:
             psi = _parse_state(args.state, n)
             out = ch.apply(channel, psi)
-            payload["input"] = complex_values_to_json(psi.values)
-            payload["output"] = complex_values_to_json(out.values)
+            payload["input"] = psi.to_json()["values"]
+            payload["output"] = out.to_json()["values"]
         else:
             payload["kernel"] = channel.to_json()
         _emit(payload, args.json)

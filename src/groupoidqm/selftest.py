@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channels as ch
-from .algebra import AlgebraElement, complex_values_to_json, convolve, involute
+from .algebra import AlgebraElement, convolve, involute
 from .groupoid import pair_groupoid, pair_index
 from .measure import GroupoidMeasure, weighted_pair_measure
 from .symmetroid import (
@@ -158,7 +158,7 @@ def _fourier_report(n: int) -> dict:
             outputs.append(
                 {
                     "input": [r, s],
-                    "output": complex_values_to_json(out.values),
+                    "output": out.to_json()["values"],
                     "tomogram": ch.tomogram(psi, n) if r == s else None,
                     "closed_form_ok": closed_form,
                 }

@@ -52,7 +52,7 @@ from .algebra import (
     involute,
     left_regular_matrix,
 )
-from .groupoid import FiniteGroupoid, GroupoidError, is_pair_groupoid, pair_groupoid
+from .groupoid import GroupoidError, is_pair_groupoid, pair_groupoid
 from .measure import (
     DEFAULT_TOL,
     GroupoidMeasure,
@@ -408,7 +408,7 @@ def pullback_embed(psi: AlgebraElement) -> QuotientFunction:
     return QuotientFunction.from_tensor(np.broadcast_to(p, (n,) * 4))
 
 
-def fiber_restrict(f: QuotientFunction, base: FiniteGroupoid | None = None, tol: float = 1e-12) -> AlgebraElement:
+def fiber_restrict(f: QuotientFunction, tol: float = 1e-12) -> AlgebraElement:
     """Inverse of pullback_embed; raises NotPullbackError when f is not
     constant along the 2-target fibers."""
     t = f.tensor()
@@ -420,25 +420,7 @@ def fiber_restrict(f: QuotientFunction, base: FiniteGroupoid | None = None, tol:
         raise NotPullbackError(
             f"not constant along the 2-target fiber of ({l}, {m}): spread {spread[l, m]}"
         )
-    g = base if base is not None else pair_groupoid(f.n)
-    return AlgebraElement(g, ref.reshape(-1))
-
-
-def horizontal_convolve(
-    f1: QuotientFunction,
-    f2: QuotientFunction,
-    base_measure: GroupoidMeasure,
-) -> QuotientFunction:
-    """⋆_H on pullbacks: (t1*ψ₁) ⋆_H (t1*ψ₂) = t1*(ψ₁ ⋆ ψ₂).
-
-    Both inputs must lie in the pullback subspace (NotPullbackError
-    otherwise); the product is computed through the base convolution, the
-    unambiguous finite-dimensional form of the horizontal structure.
-    """
-    g = base_measure.groupoid
-    psi1 = fiber_restrict(f1, g)
-    psi2 = fiber_restrict(f2, g)
-    return pullback_embed(convolve(psi1, psi2, base_measure))
+    return AlgebraElement(pair_groupoid(f.n), ref.reshape(-1))
 
 
 def tensor_matrix(f: QuotientFunction) -> np.ndarray:

@@ -7,11 +7,17 @@ measure tables from the weights.  They are the loops the package ran before
 its gathers and contractions, so a parity test compares a report check for
 check and violation for violation, exact values with their types, and
 float arrays byte for byte where the two paths do the same arithmetic.
+The general bisections of the quotient and the horizontal representatives on
+S(G) live only here: the package holds a flat bisection as its permutation
+and the horizontal structure as the rules on classes, and the tests decide
+against these that both are right.
 Test modules import from here and never from one another.
 """
 
 import cmath
 import functools
+import itertools
+import math
 from fractions import Fraction
 from numbers import Rational
 
@@ -22,6 +28,8 @@ from groupoidqm import (
     FiniteGroupoid,
     GroupoidError,
     GroupoidMeasure,
+    NotComposableError,
+    QClass,
     Symmetroid,
     Transformation,
     direct_product,
@@ -29,6 +37,7 @@ from groupoidqm import (
     pair_groupoid,
     q_horizontal_compose,
     q_horizontally_composable,
+    q_vertical_compose,
     selftest,
     to_choi,
 )
@@ -544,7 +553,49 @@ def reference_involute_general(f, base):
     return out
 
 
-# -- the quotient: exchange identity and flatness --
+def is_little(sym, t):
+    """Membership in the little symmetroid: α and γ are isotropy elements."""
+    g = sym.groupoid
+    return g.target[t.alpha] == g.source[t.alpha] and g.target[t.gamma] == g.source[t.gamma]
+
+
+# Horizontal representatives on S(G): only their 2-source and 2-target are
+# contractual, and their classes are what the q-rules must give.
+
+
+def _canonical_transition(sym, x, y):
+    """The first transition x -> y in x's source fiber."""
+    g = sym.groupoid
+    for m in g.source_fiber(x):
+        if g.target[m] == y:
+            return m
+    raise NotComposableError(f"no transition from object {x} to object {y}")
+
+
+def horizontal_compose(sym, t2, t1):
+    """(t1(Γ₂)∘α₁∘s1(Γ₂)⁻¹, s1(Γ₂)∘s1(Γ₁), γ₁), from s1(Γ₂)∘s1(Γ₁) to
+    t1(Γ₂)∘t1(Γ₁); defined when both of those base compositions are."""
+    g = sym.groupoid
+    alpha = g.compose(sym.t1(t2), g.compose(t1.alpha, g.inv(t2.beta)))
+    return Transformation(alpha, g.compose(t2.beta, t1.beta), t1.gamma)
+
+
+def horizontal_unit(sym, y, x):
+    """(a, 1_x, a) for the canonical transition a: x -> y; it sends 1_x to 1_y."""
+    a = _canonical_transition(sym, x, y)
+    return Transformation(a, sym.groupoid.unit(x), a)
+
+
+def horizontal_inverse(sym, t):
+    """(t1(Γ)⁻¹∘u∘β, β⁻¹, u), with u the canonical transition from t(β) to
+    t(t1(Γ)): s1 = s1(Γ)⁻¹ and t1 = t1(Γ)⁻¹."""
+    g = sym.groupoid
+    top = sym.t1(t)
+    u = _canonical_transition(sym, g.target[t.beta], g.target[top])
+    return Transformation(g.compose(g.inv(top), g.compose(u, t.beta)), g.inv(t.beta), u)
+
+
+# -- the quotient: the exchange identity --
 
 
 def exchange_sides(free):
@@ -578,18 +629,56 @@ def loop_count(n, columns):
     return violations
 
 
-def loop_is_flat(b) -> bool:
-    """The per-triple loop ``Bisection.is_flat`` replaced."""
-    n = b.n
-    for zz in range(n):
-        for yy in range(n):
-            for xx in range(n):
-                left = b.entry_for_s1(zz * n + yy)
-                right = b.entry_for_s1(yy * n + xx)
-                if not q_horizontally_composable(left, right):
-                    return False
-                if q_horizontal_compose(left, right) != b.entry_for_s1(zz * n + xx):
-                    return False
+# -- bisections over pair(n): a bijection τ of the n² transitions is the
+# bisection whose entry at β has 2-source β and 2-target τ(β) --
+
+
+def permutation_graph(perm):
+    """The bisection of a permutation σ of the objects: (j, k) -> (σj, σk)."""
+    n = len(perm)
+    return tuple(perm[j] * n + perm[k] for j in range(n) for k in range(n))
+
+
+def bisection_entry(tau, beta):
+    """The class at β: 2-source β = (y, x) and 2-target τ(β) = (z, w)."""
+    n = math.isqrt(len(tau))
+    (z, w), (y, x) = divmod(tau[beta], n), divmod(beta, n)
+    return QClass(z, y, x, w)
+
+
+def bisection_product(tau2, tau1):
+    """(τ₂ • τ₁)(β) = τ₂'s entry at τ₁(β) ∘_V τ₁'s entry at β, entry by entry."""
+    n = math.isqrt(len(tau1))
+    entries = (
+        q_vertical_compose(bisection_entry(tau2, tau1[beta]), bisection_entry(tau1, beta))
+        for beta in range(len(tau1))
+    )
+    return tuple(q.z * n + q.w for q in entries)
+
+
+def is_flat(taus):
+    """Which rows of a (B, n²) array of bijections are flat bisections.
+
+    With (Z, W)[y, x] the 2-target of the entry at β = (y, x), the pair
+    ((z', y'), (y', x')) composes horizontally iff W[z', y'] = Z[y', x'].
+    That for all (z', y', x') makes Z[y, x] = W[z, y] = a(y) for one map a,
+    so the composite's 2-target (Z[z', y'], W[y', x']) = (a(z'), a(x')) is
+    the entry at (z', x') already: flatness is this one array check.
+    """
+    n = math.isqrt(taus.shape[1])
+    Z, W = np.divmod(taus.reshape(-1, n, n), n)
+    return np.all(W[:, :, :, None] == Z[:, None, :, :], axis=(1, 2, 3))
+
+
+def loop_is_flat(tau) -> bool:
+    """Exact multiplicativity b(β'∘β) = b(β') ∘_H b(β), pair by pair."""
+    n = math.isqrt(len(tau))
+    for zz, yy, xx in itertools.product(range(n), repeat=3):
+        left, right = bisection_entry(tau, zz * n + yy), bisection_entry(tau, yy * n + xx)
+        if not q_horizontally_composable(left, right):
+            return False
+        if q_horizontal_compose(left, right) != bisection_entry(tau, zz * n + xx):
+            return False
     return True
 
 

@@ -16,12 +16,10 @@ from groupoidqm import (
     Symmetroid,
     SymmetroidMeasure,
     Transformation,
-    convolve,
     convolve_S,
     convolve_general,
     enumerate_quotient,
     fiber_restrict,
-    horizontal_convolve,
     induce_measure,
     involute_S,
     involute_general,
@@ -367,28 +365,6 @@ class TestPullbacks:
         f = QuotientFunction.delta(n, QClass(0, 0, 0, 0))
         with pytest.raises(NotPullbackError):
             fiber_restrict(f)
-
-    def test_horizontal_convolution_intertwines(self):
-        n = 3
-        g = pair_groupoid(n)
-        meas = GroupoidMeasure.counting(g)
-        # matrix-unit law through the pullback: δ_(l,r) ⋆H δ_(r,m) = δ_(l,m)
-        d_lr = AlgebraElement.delta(g, pair_index(n, 0, 1))
-        d_rm = AlgebraElement.delta(g, pair_index(n, 1, 2))
-        out = horizontal_convolve(pullback_embed(d_lr), pullback_embed(d_rm), meas)
-        assert out == pullback_embed(AlgebraElement.delta(g, pair_index(n, 0, 2)))
-        # χ_units pulls back to the ⋆H unit
-        chi = pullback_embed(AlgebraElement.units_indicator(g))
-        rng = np.random.default_rng(11)
-        psi = AlgebraElement(g, list(rng.normal(size=9)))
-        emb = pullback_embed(psi)
-        assert horizontal_convolve(chi, emb, meas).allclose(emb)
-        assert horizontal_convolve(emb, chi, meas).allclose(emb)
-        # general intertwining against the base convolution oracle
-        psi2 = AlgebraElement(g, list(rng.normal(size=9)))
-        lhs = horizontal_convolve(pullback_embed(psi), pullback_embed(psi2), meas)
-        rhs = pullback_embed(convolve(psi, psi2, meas))
-        assert lhs.allclose(rhs)
 
     def test_pullback_subspace_invariant_under_rep(self):
         n = 2

@@ -1,26 +1,33 @@
-from itertools import permutations, product
+from itertools import chain, combinations, permutations, product
 
 import numpy as np
 import pytest
-from oracles import array_count, loop_count, loop_is_flat
+from oracles import (
+    array_count,
+    bisection_entry,
+    bisection_product,
+    horizontal_compose,
+    horizontal_inverse,
+    horizontal_unit,
+    is_flat,
+    is_little,
+    loop_count,
+    loop_is_flat,
+    permutation_graph,
+)
 
 from groupoidqm import (
-    Bisection,
     FlatBisection,
     GroupoidError,
     NotComposableError,
     QClass,
     Symmetroid,
     Transformation,
-    all_bisections,
-    bisection_inverse,
-    bisection_product,
     direct_product,
     enumerate_quotient,
     flat_bisection_functor,
     flat_bisection_product,
     flat_bisections,
-    identity_bisection,
     pair_groupoid,
     pair_index,
     q_horizontal_compose,
@@ -93,7 +100,7 @@ class TestGeneralSymmetroid:
 
     def test_little_symmetroid_is_units_for_pair_groupoid(self):
         sym = Symmetroid(pair_groupoid(3))
-        little = [t for t in sym.transformations if sym.is_little(t)]
+        little = [t for t in sym.transformations if is_little(sym, t)]
         assert len(little) == 9
         assert all(t == sym.vertical_unit(t.beta) for t in little)
 
@@ -105,42 +112,10 @@ class TestGeneralSymmetroid:
             conj = sym.vertical_compose(t, sym.vertical_compose(unit, sym.vertical_inverse(t)))
             assert conj == sym.vertical_unit(sym.t1(t))
 
-    def test_horizontal_compose_contracts(self):
-        sym = Symmetroid(pair_groupoid(3))
-        g = sym.groupoid
-        count = 0
-        for t1 in sym.transformations:
-            for t2 in sym.transformations:
-                s_ok = g.composable(sym.s1(t2), sym.s1(t1))
-                t_ok = g.composable(sym.t1(t2), sym.t1(t1))
-                if not (s_ok and t_ok):
-                    continue
-                h = sym.horizontal_compose(t2, t1)
-                assert sym.s1(h) == g.compose(sym.s1(t2), sym.s1(t1))
-                assert sym.t1(h) == g.compose(sym.t1(t2), sym.t1(t1))
-                count += 1
-        assert count == 3**6  # free choice of 6 objects in the chain pattern
-
-    def test_horizontal_inverse_contract(self):
-        sym = Symmetroid(pair_groupoid(3))
-        g = sym.groupoid
-        for t in sym.transformations:
-            hi = sym.horizontal_inverse(t)
-            assert sym.s1(hi) == g.inv(sym.s1(t))
-            assert sym.t1(hi) == g.inv(sym.t1(t))
-            # Γ⁻ᴴ ∘_H Γ is a transformation between units
-            prod = sym.horizontal_compose(hi, t)
-            assert g.is_unit(sym.s1(prod)) and g.is_unit(sym.t1(prod))
-
-    def test_horizontal_unit_action(self):
-        sym = Symmetroid(pair_groupoid(3))
-        g = sym.groupoid
-        unit = sym.horizontal_unit(2, 1)
-        assert sym.s1(unit) == g.unit(1)
-        assert sym.t1(unit) == g.unit(2)
-
     def test_projection_is_homomorphism(self):
-        sym = Symmetroid(pair_groupoid(2))
+        # over a pair groupoid a class fixes s1 and t1, so the equalities of
+        # classes below also decide the 2-source and 2-target of each representative
+        sym = Symmetroid(pair_groupoid(3))
         by_s1 = {}
         for t in sym.transformations:
             by_s1.setdefault(t.beta, []).append(t)
@@ -150,21 +125,18 @@ class TestGeneralSymmetroid:
                 rhs = q_vertical_compose(sym.project(t2), sym.project(t1))
                 assert lhs == rhs
         g = sym.groupoid
-        for t1 in sym.transformations:
-            for t2 in sym.transformations:
-                if g.composable(sym.s1(t2), sym.s1(t1)) and g.composable(
-                    sym.t1(t2), sym.t1(t1)
-                ):
-                    lhs = sym.project(sym.horizontal_compose(t2, t1))
-                    rhs = q_horizontal_compose(sym.project(t2), sym.project(t1))
-                    assert lhs == rhs
-
-    def test_horizontal_inverse_projects_to_quotient_rule(self):
-        sym = Symmetroid(pair_groupoid(3))
+        count = 0
+        for t1, t2 in product(sym.transformations, repeat=2):
+            if g.composable(sym.s1(t2), sym.s1(t1)) and g.composable(sym.t1(t2), sym.t1(t1)):
+                lhs = sym.project(horizontal_compose(sym, t2, t1))
+                assert lhs == q_horizontal_compose(sym.project(t2), sym.project(t1))
+                count += 1
+        assert count == 3**6  # free choice of 6 objects in the chain pattern
         for t in sym.transformations:
-            assert sym.project(sym.horizontal_inverse(t)) == q_horizontal_inverse(
-                sym.project(t)
-            )
+            lhs = sym.project(horizontal_inverse(sym, t))
+            assert lhs == q_horizontal_inverse(sym.project(t))
+        for y, x in product(range(3), repeat=2):
+            assert sym.project(horizontal_unit(sym, y, x)) == q_horizontal_unit(y, x)
 
 
 class TestQuotient:
@@ -191,24 +163,6 @@ class TestQuotient:
         with pytest.raises(NotComposableError):
             q_vertical_compose(right, right)
 
-    def test_vertical_groupoid_laws_exhaustive_n3(self):
-        for q in enumerate_quotient(3):
-            us = q_vertical_unit(*q_s1(q))
-            ut = q_vertical_unit(*q_t1(q))
-            assert q_vertical_compose(q, us) == q
-            assert q_vertical_compose(ut, q) == q
-            qi = q_vertical_inverse(q)
-            assert q_vertical_compose(qi, q) == us
-            assert q_vertical_compose(q, qi) == ut
-            assert q_vertical_inverse(qi) == q
-
-    def test_horizontal_unit_absorption(self):
-        for q in enumerate_quotient(3):
-            left_unit = q_horizontal_unit(q.z, q.y)
-            right_unit = q_horizontal_unit(q.w, q.x)
-            assert q_horizontal_compose(left_unit, q) == q
-            assert q_horizontal_compose(q, right_unit) == q
-
     def test_horizontal_inverse(self):
         q = QClass(3, 1, 0, 2)
         qi = q_horizontal_inverse(q)
@@ -221,23 +175,6 @@ class TestQuotient:
         # horizontal units are their own horizontal inverses
         unit = q_horizontal_unit(2, 1)
         assert q_horizontal_inverse(unit) == unit
-
-    def test_horizontal_associativity(self):
-        n = 2
-        count = 0
-        for q1 in enumerate_quotient(n):
-            for q2 in enumerate_quotient(n):
-                if not q_horizontally_composable(q2, q1):
-                    continue
-                for q3 in enumerate_quotient(n):
-                    if not q_horizontally_composable(q3, q2):
-                        continue
-                    lhs = q_horizontal_compose(q_horizontal_compose(q3, q2), q1)
-                    rhs = q_horizontal_compose(q3, q_horizontal_compose(q2, q1))
-                    assert lhs == rhs
-                    count += 1
-        assert count > 0
-
 
 class TestQuotientOverPatterns:
     """The rules commute with relabelling the points, so an identity between
@@ -431,45 +368,33 @@ class TestExchangeIdentity:
             exchange_identity_report(3)
 
 
-def seeded_bisections(n: int, count: int, seed: int) -> list[Bisection]:
-    """Bijections of the n² transitions: every other one a flat bisection with
-    two entries swapped, the rest uniform, so that few of either kind is flat
-    but the near misses break one rule at a time."""
-    rng = np.random.default_rng(seed)
-    flats = [list(b.bisection.t1_map) for b in flat_bisections(n)]
-    out = []
-    for k in range(count):
-        if k % 2:
-            out.append(Bisection(n, rng.permutation(n * n).tolist()))
-            continue
-        tau = list(flats[rng.integers(len(flats))])
-        i, j = rng.choice(n * n, size=2, replace=k % 4 == 0)  # i == j keeps it flat
-        tau[i], tau[j] = tau[j], tau[i]
-        out.append(Bisection(n, tau))
-    return out
-
-
 class TestFlatnessCheck:
     def test_all_bijections_n2_match_the_loop(self):
-        verdicts = [(b.is_flat(), loop_is_flat(b)) for b in all_bisections(2)]
+        taus = np.array(list(permutations(range(4))))
+        verdicts = is_flat(taus)
         assert len(verdicts) == 24
-        assert all(new == ref for new, ref in verdicts)
-        assert {new for new, _ in verdicts} == {True, False}
+        assert verdicts.tolist() == [loop_is_flat(tau) for tau in taus.tolist()]
+        assert set(verdicts.tolist()) == {True, False}
 
-    def test_seeded_bijections_n3_match_the_loop(self):
-        bs = seeded_bisections(3, 200, seed=15)
-        verdicts = [b.is_flat() for b in bs]
-        assert verdicts == [loop_is_flat(b) for b in bs]
-        assert set(verdicts) == {True, False}
+    def test_near_misses_n3_match_the_loop(self):
+        # two entries of a permutation graph swapped: one rule broken at a time
+        for p in permutations(range(3)):
+            for i, j in combinations(range(9), 2):
+                tau = list(permutation_graph(p))
+                tau[i], tau[j] = tau[j], tau[i]
+                assert not loop_is_flat(tau) and not is_flat(np.array([tau]))[0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_flat_bisections_unchanged(self, n):
         bs = flat_bisections(n)
         assert [b.perm for b in bs] == list(permutations(range(n)))
-        assert all(loop_is_flat(b.bisection) for b in bs)
+        assert all(loop_is_flat(permutation_graph(b.perm)) for b in bs)
 
 
 class TestBisections:
+    """The flat bisections are exactly the graphs of the permutations of the
+    objects, decided over every bijection of the n² transitions."""
+
     def test_flat_bisections_are_the_permutations(self):
         for n in (2, 3):
             bs = flat_bisections(n)
@@ -478,30 +403,29 @@ class TestBisections:
 
     def test_exhaustive_converse_n2(self):
         # among all 4! = 24 bisections over two points exactly 2 are flat
-        flats = [b for b in all_bisections(2) if b.is_flat()]
-        assert len(flats) == 2
-        expected = {FlatBisection(p).bisection for p in permutations(range(2))}
-        assert set(flats) == expected
+        taus = np.array(list(permutations(range(4))))
+        flats = {tuple(tau) for tau in taus[is_flat(taus)].tolist()}
+        assert flats == {permutation_graph(p) for p in permutations(range(2))}
+
+    def test_exhaustive_converse_n3(self):
+        # among all 9! = 362,880 bisections over three points exactly 6 are flat
+        taus = np.fromiter(chain.from_iterable(permutations(range(9))), np.int8, 9 * 362_880)
+        taus = taus.reshape(-1, 9)
+        flats = {tuple(tau) for tau in taus[is_flat(taus)].tolist()}
+        assert flats == {permutation_graph(p) for p in permutations(range(3))}
 
     def test_nonflat_bisection_exists_n3(self):
-        # a bijection of transitions that breaks multiplicativity: swap two
-        # non-unit transitions and keep everything else
-        n = 3
-        tau = list(range(n * n))
-        tau[pair_index(n, 0, 1)], tau[pair_index(n, 0, 2)] = (
-            tau[pair_index(n, 0, 2)],
-            tau[pair_index(n, 0, 1)],
-        )
-        b = Bisection(n, tau)
-        assert not b.is_flat()
+        # the identity with the 2-targets of (0, 1) and (0, 2) swapped
+        tau = [0, 2, 1, 3, 4, 5, 6, 7, 8]
+        assert not loop_is_flat(tau) and not is_flat(np.array([tau]))[0]
 
     def test_shift_bisection_entries(self):
         # the shift is {((j+1, j), (k, k+1))}
         n = 3
-        b = shift_bisection(n)
+        tau = permutation_graph(shift_bisection(n).perm)
         for j in range(n):
             for k in range(n):
-                entry = b.bisection.entry_for_s1(pair_index(n, j, k))
+                entry = bisection_entry(tau, pair_index(n, j, k))
                 assert entry == QClass((j + 1) % n, j, k, (k + 1) % n)
 
     def test_shift_functor(self):
@@ -527,37 +451,27 @@ class TestBisections:
     def test_group_laws(self):
         n = 3
         bs = flat_bisections(n)
-        ident = identity_bisection(n)
+        ident = FlatBisection(range(n))
         for b in bs:
-            assert bisection_product(b.bisection, bisection_inverse(b.bisection)) == ident
-            assert bisection_product(ident, b.bisection) == b.bisection
-        # closure with the permutation oracle: σ(b2•b1) = σ(b2)∘σ(b1)
-        for b1 in bs:
-            for b2 in bs:
-                prod = flat_bisection_product(b2, b1)
-                assert prod.perm == tuple(b2.perm[b1.perm[x]] for x in range(n))
-                assert prod.bisection.is_flat()
+            inv = FlatBisection(np.argsort(b.perm).tolist())
+            assert flat_bisection_product(b, inv) == ident == flat_bisection_product(inv, b)
+            assert flat_bisection_product(ident, b) == b == flat_bisection_product(b, ident)
+        # σ(b2•b1) = σ(b2)∘σ(b1), and its graph is the entrywise vertical product
+        for b1, b2 in product(bs, repeat=2):
+            prod = flat_bisection_product(b2, b1)
+            assert prod.perm == tuple(b2.perm[b1.perm[x]] for x in range(n))
+            graphs = permutation_graph(b2.perm), permutation_graph(b1.perm)
+            assert permutation_graph(prod.perm) == bisection_product(*graphs)
+        with pytest.raises(GroupoidError, match="different bases"):
+            flat_bisection_product(shift_bisection(2), shift_bisection(3))
 
     def test_bisection_product_underlying_map(self):
         n = 2
         taus = list(permutations(range(n * n)))
         for t1 in taus[:6]:
             for t2 in taus[:6]:
-                b1, b2 = Bisection(n, t1), Bisection(n, t2)
-                prod = bisection_product(b2, b1)
-                assert prod.t1_map == tuple(t2[t1[i]] for i in range(n * n))
+                assert bisection_product(t2, t1) == tuple(t2[t1[i]] for i in range(n * n))
 
     def test_bisection_rejects_non_bijection(self):
-        with pytest.raises(Exception):
-            Bisection(2, [0, 0, 1, 2])
-
-
-def test_flat_bisection_product_checks_its_invariant(monkeypatch):
-    # The permutation product must agree with the bisection product; the check
-    # raises (it is not an assert, which python -O would strip).
-    import groupoidqm.symmetroid as sym
-
-    b = shift_bisection(3)
-    monkeypatch.setattr(sym, "bisection_product", lambda b2, b1: identity_bisection(3))
-    with pytest.raises(GroupoidError):
-        flat_bisection_product(b, b)
+        with pytest.raises(GroupoidError, match="needs a permutation"):
+            FlatBisection([0, 0, 1])
