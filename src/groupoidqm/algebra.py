@@ -88,11 +88,6 @@ class _Values:
         held = self._held()
         return held if type(held) is np.ndarray else value_array(self.values)
 
-    def _take(self, index: np.ndarray):
-        """The values at ``index`` in the form held."""
-        held = self._held()
-        return list(map(held.__getitem__, index.tolist())) if type(held) is list else held.take(index)
-
     def __add__(self, other):
         self._same_parent(other)
         return self._like([a + b for a, b in zip(self.values, other.values)])

@@ -166,13 +166,6 @@ class _Table:
     def __len__(self) -> int:
         return len(self.values if self.num is None else self.num)
 
-    def take(self, index: np.ndarray) -> "_Table":
-        """The entries at ``index``, with this table's bounds (and values, if read)."""
-        values = None if self.values is None else list(map(self.values.__getitem__, index.tolist()))
-        if self.num is None:
-            return _Table(values)
-        return _Table(values, self.num[index], self.den[index], (self.nbits, self.dbits), self.fraction[index])
-
 
 def _lowest_terms(t: _Table, fractions: bool) -> _Table:
     """t in lowest terms: all Fractions when ``fractions``, else an int where

@@ -18,8 +18,8 @@ convention in which C₀ of the quotient is M_n(C) ⊗ M_n(C) on the nose.
 
 The convolution product, involution and left-regular operators are those of
 ``algebra`` on the vertical groupoid under ``SymmetroidMeasure.measure`` (μ₂,
-whose fiber weights are ν₂), and a ``SymFunction`` is an ``AlgebraElement`` on
-that groupoid, passed to ``convolve`` and ``involute`` as it is:
+whose fiber weights are ν₂); a function on S(G) is an ``AlgebraElement`` on
+``sym.vertical``, its value at Γ at ``sym.index[Γ]``:
 
     (f ⋆_S g)(Γ) = Σ_{Γ₁ ∈ S^{t1(Γ)}} ν₂(Γ₁) f(Γ₁) g(Γ₁⁻¹ ∘_V Γ)
     f*(Γ) = Δ₂(Γ)⁻¹ conj(f(Γ⁻¹))
@@ -27,11 +27,14 @@ that groupoid, passed to ``convolve`` and ``involute`` as it is:
 
 with A_f A_g = A_{f⋆g} and A_f† = A_{f*} on L²(S, μ₂).
 
-Over a pair groupoid each quotient class is one transformation, and
-``convolve_S``, ``involute_S`` and ``rep_operator`` are this algebra on
-S(pair(n)) read in class order, Γ -> q_index(sym.project(Γ)).  A
-QuotientFunction stores its values row-major in (z, y, x, w), the
-package-wide order for every matrix export.
+Over a pair groupoid each quotient class is one transformation, and the
+classes under the q-rules form ``quotient_groupoid(n)``, S(pair(n))'s vertical
+groupoid numbered by class.  ``QuotientMeasure`` induces μ₂ on it, and
+``convolve_S``, ``involute_S`` and ``rep_operator`` are ``convolve``,
+``involute`` and ``left_regular_matrix`` there, run on the QuotientFunctions
+as they are: the kernels read only the measure's groupoid and the values.  A
+QuotientFunction stores its values row-major in (z, y, x, w), the class
+order, which is the package-wide order for every matrix export.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from .symmetroid import (
     enumerate_quotient,
     q_from_index,
     q_index,
+    quotient_groupoid,
 )
 
 
@@ -186,74 +190,33 @@ def verify_modular_homomorphism(m2: SymmetroidMeasure, tol: float = DEFAULT_TOL)
     return modular_homomorphism_report(m2.symmetroid.vertical, m2.measure._tables["deltas"], tol)
 
 
-# -- functions on a general symmetroid --
-
-
-class SymFunction(AlgebraElement):
-    """A complex function on the transformations of a Symmetroid: an element
-    of the convolution algebra of ``symmetroid.vertical``, indexed by
-    Transformation.  Its sums, differences and scalar multiples are
-    AlgebraElements on that groupoid."""
-
-    __slots__ = ("symmetroid",)
-
-    def __init__(self, symmetroid: Symmetroid, values: Sequence):
-        if len(values) != len(symmetroid):
-            raise ValueError("need one value per transformation")
-        super().__init__(symmetroid.vertical, values)
-        self.symmetroid = symmetroid
-
-    @classmethod
-    def zeros(cls, sym: Symmetroid) -> "SymFunction":
-        return cls(sym, [0] * len(sym))
-
-    @classmethod
-    def delta(cls, sym: Symmetroid, t: Transformation) -> "SymFunction":
-        return super().delta(sym, sym.index[t])
-
-    def __getitem__(self, t: Transformation):
-        return self.values[self.symmetroid.index[t]]
-
-    def _same_parent(self, other: AlgebraElement) -> None:
-        if len(self.values) != len(other.values):
-            raise GroupoidError("symmetroid functions live on different symmetroids")
-
-
-def convolve_general(f: SymFunction, g: SymFunction, m2: SymmetroidMeasure) -> SymFunction:
-    """⋆_S on a general symmetroid: ``convolve`` on the vertical groupoid."""
-    return SymFunction(f.symmetroid, convolve(f, g, m2.measure)._held())
-
-
-def involute_general(f: SymFunction, m2: SymmetroidMeasure) -> SymFunction:
-    """f*(Γ) = Δ₂(Γ)⁻¹ conj(f(Γ⁻¹)): ``involute`` on the vertical groupoid."""
-    return SymFunction(f.symmetroid, involute(f, m2.measure)._held())
-
-
-# -- the quotient over a pair groupoid: S(pair(n)) in class order --
+# -- the quotient over a pair groupoid: the vertical groupoid of its classes --
 
 
 @functools.lru_cache(maxsize=16)
-def _class_order(n: int) -> tuple:
-    """S(pair(n)), the class q_index(n, sym.project(Γ)) of each transformation
-    Γ (over a pair groupoid ``project`` is a bijection), the transformation of
-    each class, and the counting measure on ``sym.vertical``; built once per n."""
-    sym = Symmetroid(pair_groupoid(n))
-    classes = np.array([q_index(n, sym.project(t)) for t in sym.transformations], dtype=np.intp)
-    return sym, classes, np.argsort(classes), GroupoidMeasure.counting(sym.vertical)
+def _counting(n: int) -> GroupoidMeasure:
+    """The counting measure on ``quotient_groupoid(n)``, built once per n."""
+    return GroupoidMeasure.counting(quotient_groupoid(n))
 
 
 class QuotientMeasure:
     """The base measure, checked to live on a pair groupoid, and ``measure``,
-    the measure ``SymmetroidMeasure`` induces from it on the vertical groupoid
-    of S(pair(n)), whose ν₂ and Δ₂ the quotient operations read."""
+    which the quotient operations read: μ₂ on ``quotient_groupoid(n)`` as
+    ``SymmetroidMeasure`` builds it, the atom μ(z,y)·μ(w,x) at the class
+    ((z, y), (x, w)) and the weight μ_Ω(y)·μ_Ω(x) at the transition (y, x)."""
 
     __slots__ = ("base", "measure")
 
     def __init__(self, base: GroupoidMeasure):
-        if not is_pair_groupoid(base.groupoid):
+        g = base.groupoid
+        if not is_pair_groupoid(g):
             raise GroupoidError("QuotientMeasure needs a pair-groupoid base")
         self.base = base
-        self.measure = SymmetroidMeasure(_class_order(base.groupoid.n_objects)[0], base).measure
+        n = g.n_objects
+        q = q_from_index(n, np.arange(n**4))
+        self.measure = GroupoidMeasure._product_measure(
+            quotient_groupoid(n), base, (q.z * n + q.y, q.w * n + q.x), (g.target, g.source)
+        )
 
 
 class QuotientFunction(_Values):
@@ -284,12 +247,8 @@ class QuotientFunction(_Values):
 
     @classmethod
     def vertical_unit_indicator(cls, n: int) -> "QuotientFunction":
-        """Indicator of the classes ((y, y), (x, x)); the ⋆_S unit."""
-        f = cls.zeros(n)
-        for y in range(n):
-            for x in range(n):
-                f.values[q_index(n, QClass(y, y, x, x))] = 1
-        return f
+        """Indicator of the units ((y, y), (x, x)) of ``quotient_groupoid(n)``: the ⋆_S unit."""
+        return cls(n, AlgebraElement.units_indicator(quotient_groupoid(n)).values)
 
     @classmethod
     def from_callable(cls, n: int, fn) -> "QuotientFunction":
@@ -352,50 +311,35 @@ def quotient_function_from_json(data: dict) -> QuotientFunction:
     return QuotientFunction(n, values)
 
 
-def _lift(f: QuotientFunction, qm: QuotientMeasure | None) -> tuple[SymFunction, GroupoidMeasure]:
-    """f on S(pair(f.n)), its value at Γ f's at the class of Γ, and the
-    measure there: qm's, or counting."""
-    sym, classes, _, counting = _class_order(f.n)
-    lifted = SymFunction(sym, f._take(classes))
-    return lifted, counting if qm is None else qm.measure
-
-
-def _in_class_order(h: AlgebraElement, n: int) -> QuotientFunction:
-    """h, a function on S(pair(n)), read in class order."""
-    return QuotientFunction(n, h._take(_class_order(n)[2]))
-
-
 def convolve_S(
     f: QuotientFunction, g: QuotientFunction, qm: QuotientMeasure | None = None
 ) -> QuotientFunction:
     """(f ⋆_S g)((l,j),(k,m)) = Σ_{r,s} ν(l,r) ν(m,s) f((l,r),(s,m)) g((r,j),(k,s)):
-    ``convolve`` on S(pair(n)), read in class order.
+    ``convolve`` on ``quotient_groupoid(n)``.
 
     With a counting base the fiber weights are 1 and this is multiplication in
     M_n ⊗ M_n under the matrix-unit identification.
     """
     if g.n != f.n:
         raise GroupoidError("quotient functions live over different bases")
-    (lf, m), (lg, _) = _lift(f, qm), _lift(g, qm)
-    return _in_class_order(convolve(lf, lg, m), f.n)
+    return QuotientFunction(f.n, convolve(f, g, _counting(f.n) if qm is None else qm.measure)._held())
 
 
 def involute_S(f: QuotientFunction, qm: QuotientMeasure | None = None) -> QuotientFunction:
     """f*((l,j),(k,m)) = Δ₂⁻¹ conj(f((j,l),(m,k))), where Δ₂⁻¹ = Δ₂(Γ⁻¹) =
-    δ(j,l)·δ(k,m): ``involute`` on S(pair(n)), read in class order; on a
-    counting base this is the antilinear modular involution conj(f(Γ⁻¹))."""
-    return _in_class_order(involute(*_lift(f, qm)), f.n)
+    δ(j,l)·δ(k,m): ``involute`` on ``quotient_groupoid(n)``; on a counting
+    base this is the antilinear modular involution conj(f(Γ⁻¹))."""
+    return QuotientFunction(f.n, involute(f, _counting(f.n) if qm is None else qm.measure)._held())
 
 
 def rep_operator(f: QuotientFunction, qm: QuotientMeasure | None = None) -> np.ndarray:
-    """Matrix of A_f: ψ -> f ⋆_S ψ in the basis {δ_Γ}: ``left_regular_matrix``
-    on S(pair(n)), its rows and columns in class order.
+    """Matrix of A_f: ψ -> f ⋆_S ψ in the basis {δ_Γ}, its rows and columns in
+    class order: ``left_regular_matrix`` on ``quotient_groupoid(n)``.
 
     Column (r, j, k, s) is f ⋆_S δ_((r,j),(k,s)), whose one term at row
     (l, j, k, m) is ν(l,r) ν(m,s) f((l,r),(s,m)).
     """
-    inverse = _class_order(f.n)[2]
-    return left_regular_matrix(*_lift(f, qm))[np.ix_(inverse, inverse)]
+    return left_regular_matrix(f, _counting(f.n) if qm is None else qm.measure)
 
 
 def pullback_embed(psi: AlgebraElement) -> QuotientFunction:

@@ -14,11 +14,14 @@ classes determined by the four endpoint objects
 
     ((z, y), (x, w))  with  s1-class (y, x) and t1-class (z, w),
 
-which compose by pure index bookkeeping.  The horizontal composition, which
-S(G) inherits from the composition of G, is held here only as these rules
-on classes (``q_horizontal_compose`` and its siblings).  Over a pair
-groupoid the quotient is the whole story (the isotropy is trivial), and its
-elements double-index the matrix units of M_n ⊗ M_n.
+which compose by index bookkeeping.  The q-rules (``q_vertical_compose``,
+``q_horizontal_compose`` and their siblings) define both compositions on
+classes once, and act on arrays of classes as on single ones.  The
+horizontal composition, which S(G) inherits from that of G, is held only as
+these rules.  Over a pair groupoid the quotient is the whole story (the
+isotropy is trivial) and its elements double-index the matrix units of
+M_n ⊗ M_n; the vertical rules, applied to every class at once, build
+``quotient_groupoid(n)``, on which the quotient algebra runs.
 
 A bisection of the quotient assigns to every base transition a class with
 that 2-source, bijectively in the 2-target as well.  The flat ones (exactly
@@ -259,6 +262,30 @@ def q_horizontally_composable(q2: QClass, q1: QClass) -> bool:
 def q_horizontal_inverse(q: QClass) -> QClass:
     """The class with s1 = s1(q)⁻¹ and t1 = t1(q)⁻¹."""
     return QClass(q.w, q.x, q.y, q.z)
+
+
+@functools.lru_cache(maxsize=16)
+def quotient_groupoid(n: int) -> FiniteGroupoid:
+    """The n⁴ classes under vertical composition, built once per n by the
+    q-rules on index arrays: over the base transitions (y, x) as objects
+    y·n + x, morphism ``q_index(n, q)`` is q, from q_s1(q) to q_t1(q), and the
+    pairs are listed by q1, then q2 = (z2, z1, w1, w2) in class order, as
+    ``composable_pairs()`` lists them.  S(pair(n))'s vertical groupoid, relabelled."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    q = q_from_index(n, np.arange(n**4))
+    i1 = np.repeat(np.arange(n**4), n * n)
+    q1 = q_from_index(n, i1)
+    z2, w2 = divmod(np.tile(np.arange(n * n), n**4), n)
+    q2 = QClass(z2, q1.z, q1.w, w2)
+    return FiniteGroupoid._from_pair_arrays(
+        n * n,
+        (q.y * n + q.x).tolist(),
+        (q.z * n + q.w).tolist(),
+        (q_index(n, q2), i1, q_index(n, q_vertical_compose(q2, q1))),
+        q_index(n, q_vertical_inverse(q)).tolist(),
+        q_index(n, q_vertical_unit(*divmod(np.arange(n * n), n))).tolist(),
+    )
 
 
 # -- bisections of the quotient --

@@ -40,6 +40,7 @@ from groupoidqm import (
     q_vertical_compose,
     selftest,
     to_choi,
+    weighted_pair_measure,
 )
 from groupoidqm import eigen
 from groupoidqm.algebra import PSD_TOL, PositiveTypeResult, psd_verdict, value_array
@@ -124,6 +125,37 @@ def perturbed(values, small, large):
 def fractions(rng, size):
     pairs = zip(rng.integers(-5, 6, size=size), rng.integers(1, 6, size=size))
     return [Fraction(int(p), int(q)) for p, q in pairs]
+
+
+def nonzero_fractions(rng, size, dyadic=False):
+    """Nonzero rationals; dyadic ones have power-of-two denominators."""
+    nums = rng.integers(1, 10, size=size) * rng.choice([-1, 1], size=size)
+    dens = 2 ** rng.integers(0, 4, size=size) if dyadic else rng.integers(1, 10, size=size)
+    return [Fraction(int(p), int(q)) for p, q in zip(nums, dens)]
+
+
+def all_fractions(f):
+    return all(type(v) is Fraction for v in f.values)
+
+
+def draw(rng, size, exact):
+    """Fractions over denominators up to 9, or complex normals."""
+    if exact:
+        nums, dens = rng.integers(-9, 10, size=size), rng.integers(1, 10, size=size)
+        return [Fraction(int(p), int(q)) for p, q in zip(nums, dens)]
+    return list(rng.normal(size=size) + 1j * rng.normal(size=size))
+
+
+# Haar measures on the pair groupoids over up to three points, by kind
+PAIR_HAAR_BASES = {
+    "counting": GroupoidMeasure.counting,
+    # μ(j, k) = a_j·b_k over object weights a: int weights, int ν, Fraction δ
+    "int": lambda g, a=(1, 2, 3), b=(2, 1, 1): GroupoidMeasure(
+        g, [aj * bk for aj in a[: g.n_objects] for bk in b[: g.n_objects]], a[: g.n_objects]
+    ),
+    "fraction": lambda g: weighted_pair_measure(g, (Fraction(1, 3), 2, Fraction(5, 2))[: g.n_objects]),
+    "float": lambda g: weighted_pair_measure(g, (0.5, 2.0, 3.0)[: g.n_objects]),
+}
 
 
 @functools.cache
@@ -521,10 +553,11 @@ def loop_symmetroid(g):
     return ts, index, FiniteGroupoid(g.n_morphisms, source, top, compose, inverse, units)
 
 
-def reference_convolve_general(f, h, base):
+def reference_convolve_general(sym, f, h, base):
     """Σ over the 2-target fiber of t1(Γ) of ν₂(Γ₁) f(Γ₁) h(Γ₁⁻¹ ∘_V Γ), with
-    every piece written out on triples."""
-    sym, g = f.symmetroid, base.groupoid
+    every piece written out on triples; f and h are functions on
+    ``sym.vertical``, read at ``sym.index[Γ]``."""
+    g = base.groupoid
 
     def t1(t):
         return g.compose(t.alpha, g.compose(t.beta, g.inv(t.gamma)))
@@ -533,23 +566,24 @@ def reference_convolve_general(f, h, base):
     for t in sym.transformations:
         acc = 0
         for l in sym.transformations:
-            if t1(l) != t1(t) or f[l] == 0:
+            if t1(l) != t1(t) or f[sym.index[l]] == 0:
                 continue
             nu2 = base.nu_target(l.alpha) * base.nu_target(l.gamma)
             rest = Transformation(g.compose(g.inv(l.alpha), t.alpha), t.beta, g.compose(g.inv(l.gamma), t.gamma))
-            acc += nu2 * f[l] * h[rest]
+            acc += nu2 * f[sym.index[l]] * h[sym.index[rest]]
         out.append(acc)
     return out
 
 
-def reference_involute_general(f, base):
-    """Δ₂(Γ)⁻¹ conj(f(Γ⁻¹)) with Δ₂ = δ(α)·δ(γ) and Γ⁻¹ = (α⁻¹, t1(Γ), γ⁻¹)."""
-    sym, g = f.symmetroid, base.groupoid
+def reference_involute_general(sym, f, base):
+    """Δ₂(Γ)⁻¹ conj(f(Γ⁻¹)) with Δ₂ = δ(α)·δ(γ) and Γ⁻¹ = (α⁻¹, t1(Γ), γ⁻¹);
+    f is a function on ``sym.vertical``, read at ``sym.index[Γ]``."""
+    g = base.groupoid
     out = []
     for a, b, c in sym.transformations:
         top = g.compose(a, g.compose(b, g.inv(c)))
         inverse = Transformation(g.inv(a), top, g.inv(c))
-        out.append(f[inverse].conjugate() / (base.delta(a) * base.delta(c)))
+        out.append(f[sym.index[inverse]].conjugate() / (base.delta(a) * base.delta(c)))
     return out
 
 

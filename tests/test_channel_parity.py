@@ -3,8 +3,7 @@
 The references, in ``oracles``, are the index loops that ``dsf_check``,
 ``tomogram``, the Kraus branch of ``is_unital`` and ``choi_kraus_decomposition``
 ran before they became calls into ``convolve``, ``involute``, ``apply`` and
-``psd_verdict``, and the re-wrapping ``convolve_general`` and
-``involute_general`` did before ``SymFunction`` became an ``AlgebraElement``.
+``psd_verdict``.
 Verdicts and errors must agree; tomogram values may move by rounding only.
 ``object_einsum`` is the object-dtype contraction an exact kernel beside
 complex values ran on before ``contract`` cast it to complex128; those
@@ -28,30 +27,21 @@ from oracles import (
 from groupoidqm import (
     AlgebraElement,
     GroupoidError,
-    GroupoidMeasure,
     Channel,
     KrausFamily,
     QuotientFunction,
-    SymFunction,
-    Symmetroid,
     bisection_indicator,
     choi_kraus_decomposition,
-    convolve,
-    convolve_general,
     dsf_check,
     flat_bisections,
     fourier_family,
     identity_channel,
-    induce_measure,
-    involute,
-    involute_general,
     is_unital,
     pair_groupoid,
     random_kraus_channel,
     random_positive_type,
     tomogram,
     transpose_channel,
-    weighted_pair_measure,
 )
 from groupoidqm import algebra, channels, eigen
 
@@ -175,36 +165,6 @@ def test_choi_kraus_decomposition_solves_once_and_matches_two_solves(monkeypatch
         members = choi_kraus_decomposition(ch).members
         assert len(calls) == 1
         assert [v.values for v in members] == two_solve_decomposition(ch)
-
-
-def symmetroid_cases():
-    for base in (
-        weighted_pair_measure(pair_groupoid(2), (1, 2)),
-        GroupoidMeasure.counting(cyclic_group_groupoid(3)),
-    ):
-        sym = Symmetroid(base.groupoid)
-        yield sym, induce_measure(sym, base, tol=0)
-
-
-def test_general_operations_match_rewrapped_calls():
-    for sym, m2 in symmetroid_cases():
-        v, k = sym.vertical, len(sym)
-        rng = np.random.default_rng(k)
-        for values in (
-            [int(x) for x in rng.integers(-3, 4, size=k)],
-            [Fraction(int(p), int(q)) for p, q in rng.integers(1, 6, size=(k, 2))],
-            list(rng.normal(size=k) + 1j * rng.normal(size=k)),
-        ):
-            f, h = SymFunction(sym, values), SymFunction(sym, values[::-1])
-            fv, hv = AlgebraElement(v, f.values), AlgebraElement(v, h.values)
-            pairs = (
-                (convolve_general(f, h, m2), convolve(fv, hv, m2.measure)),
-                (involute_general(f, m2), involute(fv, m2.measure)),
-            )
-            for out, ref in pairs:
-                assert type(out) is SymFunction and out.symmetroid is sym
-                assert out.values == ref.values
-                assert [type(x) for x in out.values] == [type(x) for x in ref.values]
 
 
 # -- exact kernels beside complex values --

@@ -41,12 +41,10 @@ from groupoidqm import (
     NotComposableError,
     QuotientFunction,
     QuotientMeasure,
-    SymFunction,
     Symmetroid,
     apply,
     convolve,
     convolve_S,
-    convolve_general,
     from_kraus,
     induce_measure,
     involute,
@@ -237,8 +235,8 @@ def test_counting_measure_keeps_fractions_exact():
         assert all(type(v) is Fraction for v in out.values)
     sym = Symmetroid(g)
     m2 = induce_measure(sym, m)
-    f2, h2 = (SymFunction(sym, fractions(rng, len(sym))) for _ in range(2))
-    assert all(type(v) is Fraction for v in convolve_general(f2, h2, m2).values)
+    f2, h2 = (AlgebraElement(sym.vertical, fractions(rng, len(sym))) for _ in range(2))
+    assert all(type(v) is Fraction for v in convolve(f2, h2, m2.measure).values)
 
 
 def test_int_division_stays_exact():

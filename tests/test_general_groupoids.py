@@ -18,15 +18,12 @@ from groupoidqm import (
     GroupoidMeasure,
     NotComposableError,
     QClass,
-    SymFunction,
     Symmetroid,
     Transformation,
     convolve,
-    convolve_general,
     direct_product,
     induce_measure,
     involute,
-    involute_general,
     is_connected,
     is_positive_type,
     left_regular_matrix,
@@ -100,22 +97,22 @@ class TestGroupGroupoid:
         g = cyclic_group_groupoid(2)
         sym = Symmetroid(g)
         m2 = induce_measure(sym, GroupoidMeasure.counting(g))
-        unit = SymFunction.zeros(sym)
+        v, m = sym.vertical, m2.measure
+        unit = AlgebraElement.zeros(v)
         for t in sym.transformations:
             if t == sym.vertical_unit(t.beta):
                 unit.values[sym.index[t]] = 1
         rng = np.random.default_rng(0)
         fs = [
-            SymFunction(sym, list(rng.normal(size=len(sym)) + 1j * rng.normal(size=len(sym))))
+            AlgebraElement(v, list(rng.normal(size=len(sym)) + 1j * rng.normal(size=len(sym))))
             for _ in range(3)
         ]
-        assert convolve_general(unit, fs[0], m2).allclose(fs[0])
-        assert convolve_general(fs[0], unit, m2).allclose(fs[0])
-        lhs = convolve_general(convolve_general(fs[0], fs[1], m2), fs[2], m2)
-        rhs = convolve_general(fs[0], convolve_general(fs[1], fs[2], m2), m2)
+        assert convolve(unit, fs[0], m).allclose(fs[0])
+        assert convolve(fs[0], unit, m).allclose(fs[0])
+        lhs = convolve(convolve(fs[0], fs[1], m), fs[2], m)
+        rhs = convolve(fs[0], convolve(fs[1], fs[2], m), m)
         assert lhs.allclose(rhs, 1e-10)
-        star = involute_general(fs[0], m2)
-        assert involute_general(star, m2).allclose(fs[0], 1e-12)
+        assert involute(involute(fs[0], m), m).allclose(fs[0], 1e-12)
 
 
 class TestDisconnected:
@@ -240,17 +237,15 @@ class TestGeneralConvolutionExact:
         m2 = induce_measure(sym, base, tol=0)
         rng = np.random.default_rng(41)
         f, h = (
-            SymFunction(sym, [Fraction(int(p), int(q)) for p, q in zip(
+            AlgebraElement(sym.vertical, [Fraction(int(p), int(q)) for p, q in zip(
                 rng.integers(-4, 5, size=len(sym)), rng.integers(1, 7, size=len(sym))
             )])
             for _ in range(2)
         )
         assert 0 in f.values  # the reference skips zero terms as convolve does
-        prod = convolve_general(f, h, m2)
-        star = involute_general(f, m2)
         for out, ref in (
-            (prod, reference_convolve_general(f, h, base)),
-            (star, reference_involute_general(f, base)),
+            (convolve(f, h, m2.measure), reference_convolve_general(sym, f, h, base)),
+            (involute(f, m2.measure), reference_involute_general(sym, f, base)),
         ):
             assert all(type(v) is Fraction for v in out.values)
             assert out.values == ref

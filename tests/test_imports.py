@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, only
 ``eigen.py`` reaches ``numpy.linalg``, ``Symmetroid.__init__`` makes no
 per-entry ``compose``, ``inv`` or ``unit`` call, ``exchange_identity_report``
-has no loop, the quotient operations contract nothing of their own,
-only ``measure._parts`` reads numerators and denominators, and only where a
+has no loop, the quotient operations contract nothing of their own and
+run on the groupoid the q-rules build, not on a permuted S(pair(n)), only
+``measure._parts`` reads numerators and denominators, and only where a
 ``measure._Table`` is made, exact products and sums go through the two
 kernels of ``measure``, only ``measure._narrowed`` names int64,
 ``positivity_falsifier`` makes ``AlgebraElement``s only for its witness,
@@ -184,16 +185,29 @@ def second_algebra_offences(symalgebra: ast.Module, contract: ast.FunctionDef) -
     return offences
 
 
+def names_outside_annotations(tree) -> set:
+    """The names and attributes that ``tree`` reads, its type annotations left out."""
+    notes = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    notes += [n.returns for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    skipped = {id(sub) for note in notes if note is not None for sub in ast.walk(note)}
+    reads = (n for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in skipped)
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in reads}
+
+
 def test_quotient_algebra_is_the_general_one():
     # convolve_S, involute_S and rep_operator are convolve, involute and
-    # left_regular_matrix on S(pair(n)) in class order; a contraction of
-    # symalgebra's own, or a _Table operand of contract that weights one,
-    # would define the S(G) algebra a second time
+    # left_regular_matrix on quotient_groupoid(n), which the q-rules build; a
+    # contraction of symalgebra's own, a _Table operand of contract that
+    # weights one, or a walk through S(pair(n)) and a permutation into class
+    # order would define the quotient algebra a second time
     symalgebra = ast.parse((PACKAGE / "symalgebra.py").read_text())
     assert second_algebra_offences(symalgebra, functions("algebra.py")["contract"]) == []
     assert {"convolve", "involute", "left_regular_matrix"} <= called_names(symalgebra)
     assert list(methods("symalgebra.py", "QuotientMeasure")) == ["__init__"]
-    assert "reshape" not in methods("measure.py", "_Table")
+    assert {"Symmetroid", "project", "argsort", "ix_"}.isdisjoint(names_outside_annotations(symalgebra))
+    rules = {"q_vertical_compose", "q_vertical_inverse", "q_vertical_unit"}
+    assert rules <= called_names(functions("symmetroid.py")["quotient_groupoid"])
+    assert {"reshape", "take"}.isdisjoint(methods("measure.py", "_Table"))
 
 
 def test_second_algebra_guard_sees_planted_contractions():

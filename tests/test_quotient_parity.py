@@ -3,72 +3,53 @@
 Over a pair groupoid the isotropy is trivial, so ``Symmetroid.project`` is a
 bijection from the transformations onto the quotient classes: transformation
 i is the class with index ``perm[i] = q_index(n, sym.project(t_i))``.
-``convolve_S``, ``involute_S`` and ``rep_operator`` are ``convolve_general``,
-``involute_general`` and ``left_regular_matrix`` on ``sym.vertical`` under
-the induced measure, read through that permutation: equal in value and type
-on every base, the float one included, and the matrices byte for byte.
+``convolve_S``, ``involute_S`` and ``rep_operator`` run on
+``quotient_groupoid(n)``, built from the q-rules; they must be ``convolve``,
+``involute`` and ``left_regular_matrix`` on ``sym.vertical`` under the
+induced measure, read through that permutation: equal in value and type on
+every base, the float one included, and the matrices byte for byte.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import assert_same_values, loop_convolve
+from oracles import PAIR_HAAR_BASES, assert_same_values, draw, loop_convolve
 
 from groupoidqm import (
+    AlgebraElement,
     GroupoidMeasure,
     QuotientFunction,
     QuotientMeasure,
-    SymFunction,
     Symmetroid,
+    convolve,
     convolve_S,
-    convolve_general,
     induce_measure,
+    involute,
     involute_S,
-    involute_general,
     left_regular_matrix,
     pair_groupoid,
     q_index,
     rep_operator,
-    weighted_pair_measure,
 )
-
-A, B = (1, 2, 3), (2, 1, 1)
-
-BASES = {
-    "counting": GroupoidMeasure.counting,
-    # μ(j, k) = a_j·b_k over object weights a: int weights, int ν, Fraction δ
-    "int": lambda g: GroupoidMeasure(
-        g, [a * b for a in A[: g.n_objects] for b in B[: g.n_objects]], A[: g.n_objects]
-    ),
-    "fraction": lambda g: weighted_pair_measure(g, (Fraction(1, 3), 2, Fraction(5, 2))[: g.n_objects]),
-    "float": lambda g: weighted_pair_measure(g, (0.5, 2.0, 3.0)[: g.n_objects]),
-}
-
-
-def draw(rng, size, exact):
-    if exact:
-        nums, dens = rng.integers(-9, 10, size=size), rng.integers(1, 10, size=size)
-        return [Fraction(int(p), int(q)) for p, q in zip(nums, dens)]
-    return list(rng.normal(size=size) + 1j * rng.normal(size=size))
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("base", list(BASES))
+@pytest.mark.parametrize("base", list(PAIR_HAAR_BASES))
 def test_fast_path_is_the_permuted_general_algebra(n, base):
     g = pair_groupoid(n)
-    m = BASES[base](g)
+    m = PAIR_HAAR_BASES[base](g)
     sym = Symmetroid(g)
     m2 = induce_measure(sym, m)
     perm = np.array([q_index(n, sym.project(t)) for t in sym.transformations])
     assert sorted(perm.tolist()) == list(range(n**4))
 
     def lift(f):
-        return SymFunction(sym, [f.values[i] for i in perm])
+        return AlgebraElement(sym.vertical, [f.values[i] for i in perm])
 
     rng = np.random.default_rng(n)
     f, h = (QuotientFunction(n, draw(rng, n**4, base != "float")) for _ in range(2))
-    general = (convolve_general(lift(f), lift(h), m2), involute_general(lift(f), m2))
+    general = (convolve(lift(f), lift(h), m2.measure), involute(lift(f), m2.measure))
     lrm = left_regular_matrix(lift(f), m2.measure)
     qms = [QuotientMeasure(m)] + ([None] if base == "counting" else [])
     for qm in qms:
@@ -91,7 +72,7 @@ def test_convolve_S_keeps_convolve_exact_types():
     kernel = QuotientFunction(n, [Fraction(k + 1, 3) if k % 5 else k for k in range(16)])
     for f, h, ints in ((mixed, mixed, 9), (rows, kernel, 8)):
         out = convolve_S(f, h)
-        lifted = (SymFunction(sym, [q.values[i] for i in perm]) for q in (f, h))
+        lifted = (AlgebraElement(sym.vertical, [q.values[i] for i in perm]) for q in (f, h))
         want, _ = loop_convolve(*lifted, counting)
         assert_same_values([out.values[i] for i in perm], want)
         assert sum(type(v) is int for v in out.values) == ints

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import all_fractions, nonzero_fractions
 
 from groupoidqm import (
     AlgebraElement,
@@ -12,17 +13,16 @@ from groupoidqm import (
     QClass,
     QuotientFunction,
     QuotientMeasure,
-    SymFunction,
     Symmetroid,
     SymmetroidMeasure,
     Transformation,
+    convolve,
     convolve_S,
-    convolve_general,
     enumerate_quotient,
     fiber_restrict,
     induce_measure,
+    involute,
     involute_S,
-    involute_general,
     pair_groupoid,
     pair_index,
     pullback_embed,
@@ -237,32 +237,31 @@ class TestQuotientConvolution:
         gq_ = QuotientFunction(n, list(rng.normal(size=16) + 1j * rng.normal(size=16)))
 
         def lift(qf):
-            vals = [qf[sym.project(t)] for t in sym.transformations]
-            return SymFunction(sym, vals)
+            return AlgebraElement(sym.vertical, [qf[sym.project(t)] for t in sym.transformations])
 
-        prod_general = convolve_general(lift(fq), lift(gq_), m2)
+        prod_general = convolve(lift(fq), lift(gq_), m2.measure)
         prod_fast = convolve_S(fq, gq_, qm)
         for t in sym.transformations:
-            assert abs(prod_general[t] - prod_fast[sym.project(t)]) < 1e-10
-        star_general = involute_general(lift(fq), m2)
+            assert abs(prod_general[sym.index[t]] - prod_fast[sym.project(t)]) < 1e-10
+        star_general = involute(lift(fq), m2.measure)
         star_fast = involute_S(fq, qm)
         for t in sym.transformations:
-            assert abs(star_general[t] - star_fast[sym.project(t)]) < 1e-10
+            assert abs(star_general[sym.index[t]] - star_fast[sym.project(t)]) < 1e-10
 
 
 @pytest.mark.parametrize("f_n, g_n, m_n", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (3, 3, 2)])
 def test_convolve_general_rejects_functions_of_another_symmetroid(f_n, g_n, m_n):
+    # the S(G) algebra is convolve and involute on sym.vertical
     def ones(n):
-        sym = Symmetroid(pair_groupoid(n))
-        return SymFunction(sym, [1] * len(sym))
+        return AlgebraElement.constant(Symmetroid(pair_groupoid(n)).vertical)
 
     sym = Symmetroid(pair_groupoid(m_n))
     m2 = induce_measure(sym, GroupoidMeasure.counting(sym.groupoid))
     with pytest.raises(GroupoidError, match="one value per morphism"):
-        convolve_general(ones(f_n), ones(g_n), m2)
+        convolve(ones(f_n), ones(g_n), m2.measure)
     other = f_n if f_n != m_n else g_n
     with pytest.raises(GroupoidError, match="one value per morphism"):
-        involute_general(ones(other), m2)
+        involute(ones(other), m2.measure)
 
 
 class TestRepresentation:
@@ -395,23 +394,12 @@ class TestPullbacks:
             assert null_dim == 1
 
 
-def fractions(rng, size, dyadic=False):
-    """Nonzero rationals; dyadic ones have power-of-two denominators."""
-    nums = rng.integers(1, 10, size=size) * rng.choice([-1, 1], size=size)
-    dens = 2 ** rng.integers(0, 4, size=size) if dyadic else rng.integers(1, 10, size=size)
-    return [Fraction(int(p), int(q)) for p, q in zip(nums, dens)]
-
-
-def all_fractions(f):
-    return all(type(v) is Fraction for v in f.values)
-
-
 class TestExactPath:
     def test_convolve_S_associative_exact_weighted(self):
         n = 3
         qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (1, 3, 5)).with_exact())
         rng = np.random.default_rng(31)
-        f, g, h = (QuotientFunction(n, fractions(rng, n**4)) for _ in range(3))
+        f, g, h = (QuotientFunction(n, nonzero_fractions(rng, n**4)) for _ in range(3))
         lhs = convolve_S(convolve_S(f, g, qm), h, qm)
         rhs = convolve_S(f, convolve_S(g, h, qm), qm)
         assert lhs == rhs
@@ -421,7 +409,7 @@ class TestExactPath:
         n = 3
         qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (1, 3, 5)).with_exact())
         rng = np.random.default_rng(32)
-        f, g = (QuotientFunction(n, fractions(rng, n**4)) for _ in range(2))
+        f, g = (QuotientFunction(n, nonzero_fractions(rng, n**4)) for _ in range(2))
         star = involute_S(f, qm)
         assert all_fractions(star)
         assert involute_S(star, qm) == f
@@ -432,7 +420,7 @@ class TestExactPath:
         n = 3
         g = pair_groupoid(n)
         rng = np.random.default_rng(36)
-        f, h = (QuotientFunction(n, fractions(rng, n**4)) for _ in range(2))
+        f, h = (QuotientFunction(n, nonzero_fractions(rng, n**4)) for _ in range(2))
         for m in (
             weighted_pair_measure(g, (Fraction(1, 3), 2, 5)),
             GroupoidMeasure(g, [Fraction(1, 2)] + [1] * 8),
@@ -449,7 +437,7 @@ class TestExactPath:
         n = 2
         qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (1, 4)).with_exact())
         rng = np.random.default_rng(33)
-        f, g = (QuotientFunction(n, fractions(rng, n**4, dyadic=True)) for _ in range(2))
+        f, g = (QuotientFunction(n, nonzero_fractions(rng, n**4, dyadic=True)) for _ in range(2))
         fg = convolve_S(f, g, qm)
         assert np.array_equal(rep_operator(fg, qm), rep_operator(f, qm) @ rep_operator(g, qm))
 
@@ -460,7 +448,7 @@ class TestExactPath:
         if weighted:
             qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (1, 3)).with_exact())
         rng = np.random.default_rng(34)
-        f = QuotientFunction(n, fractions(rng, n**4))
+        f = QuotientFunction(n, nonzero_fractions(rng, n**4))
         mat = rep_operator(f, qm)
         for col, q in enumerate(enumerate_quotient(n)):
             column = convolve_S(f, QuotientFunction.delta(n, q), qm)
@@ -469,7 +457,7 @@ class TestExactPath:
     def test_pullback_and_restrict_stay_exact(self):
         n = 3
         g = pair_groupoid(n)
-        psi = AlgebraElement(g, fractions(np.random.default_rng(35), n * n))
+        psi = AlgebraElement(g, nonzero_fractions(np.random.default_rng(35), n * n))
         pulled = pullback_embed(psi)
         assert all_fractions(pulled)
         assert fiber_restrict(pulled) == psi
@@ -500,10 +488,10 @@ class TestMismatchedBases:
                 op()
 
     def test_sym_function_allclose_across_symmetroids_raises(self):
-        small = SymFunction.zeros(Symmetroid(pair_groupoid(2)))
-        big = SymFunction.zeros(Symmetroid(pair_groupoid(3)))
-        assert small.allclose(SymFunction.zeros(Symmetroid(pair_groupoid(2))))
-        with pytest.raises(GroupoidError, match="different symmetroids"):
+        verticals = (Symmetroid(pair_groupoid(n)).vertical for n in (2, 2, 3))
+        small, same, big = map(AlgebraElement.zeros, verticals)
+        assert small.allclose(same)
+        with pytest.raises(GroupoidError, match="different groupoids"):
             small.allclose(big)
 
 

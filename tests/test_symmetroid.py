@@ -17,6 +17,7 @@ from oracles import (
 )
 
 from groupoidqm import (
+    FiniteGroupoid,
     FlatBisection,
     GroupoidError,
     NotComposableError,
@@ -40,7 +41,9 @@ from groupoidqm import (
     q_vertical_compose,
     q_vertical_inverse,
     q_vertical_unit,
+    quotient_groupoid,
     shift_bisection,
+    validate,
 )
 from groupoidqm import selftest
 from groupoidqm.selftest import exchange_identity_report
@@ -175,6 +178,27 @@ class TestQuotient:
         # horizontal units are their own horizontal inverses
         unit = q_horizontal_unit(2, 1)
         assert q_horizontal_inverse(unit) == unit
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_quotient_groupoid_is_the_vertical_groupoid_by_class(self, n):
+        # the q-rules on index arrays build S(pair(n))'s vertical groupoid with
+        # transformation Γ numbered q_index(n, sym.project(Γ)), and list its
+        # pairs as the generic constructor derives them from its tables
+        qg = quotient_groupoid(n)
+        assert validate(qg).ok
+        sym = Symmetroid(pair_groupoid(n))
+        v = sym.vertical
+        perm = [q_index(n, sym.project(t)) for t in sym.transformations]
+        order = np.argsort(perm)
+        assert (qg.n_objects, qg.unit_of) == (v.n_objects, tuple(perm[u] for u in v.unit_of))
+        assert qg.source == tuple(v.source[i] for i in order)
+        assert qg.target == tuple(v.target[i] for i in order)
+        assert qg.inverse == tuple(perm[v.inverse[i]] for i in order)
+        relabelled = {(perm[b], perm[a]): perm[ba] for (b, a), ba in v.compose_table.items()}
+        assert dict(qg.compose_table) == relabelled
+        generic = FiniteGroupoid(n * n, qg.source, qg.target, relabelled, qg.inverse, qg.unit_of)
+        for built, derived in zip(qg.composable_arrays(), generic.composable_arrays()):
+            assert np.array_equal(built, derived)
 
 class TestQuotientOverPatterns:
     """The rules commute with relabelling the points, so an identity between
