@@ -19,10 +19,12 @@ integer numerators and denominators (``measure._Table``; int64 where
 call: ``contract`` puts each operand over the lcm of its denominators
 (``measure._over_lcm``), ``convolve``, ``involute`` and ``left_regular_matrix``
 multiply their terms by ``measure._product_parts``, and ``convolve`` sums them
-over their one lcm by ``measure._group_sums``.  An exact output of ``convolve``
-or ``involute`` is kept in that integer form, and a complex128 output as an
-owned complex128 array, which the next kernel reads as it is; ``values`` is built
-on first read, and a list edited in place after that read is what the next kernel sees.
+over their one lcm by ``measure._group_sums``.  An element of ints and
+Fractions is parsed into that integer form once, by the first kernel that
+reads it, and keeps it, as it keeps an exact output of ``convolve`` or
+``involute``; a complex128 output is kept as an owned complex128 array.  The
+next kernel reads these forms as they are; ``values`` is built on first read,
+and a list edited in place after that read is what the next kernel sees.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from . import eigen
 # sees them all; this one is not called, but perfbench's tracer test pins it
 from .eigen import hermitian_defect, hermitian_eigh  # noqa: F401
 from .groupoid import FiniteGroupoid, GroupoidError
-from .measure import GroupoidMeasure, _group_sums, _is_exact, _narrowed, _over_lcm, _product_parts, _Table
+from .measure import GroupoidMeasure, _group_sums, _is_exact, _narrowed, _over_lcm, _plain, _product_parts, _Table
 
 PSD_TOL = 1e-10
 
@@ -51,11 +53,15 @@ class NormalizationError(GroupoidError):
 
 
 class _Values:
-    """A mutable list ``values``, or the unread form a kernel computed for it:
-    exact values as a ``measure._Table``, complex ones as an owned complex128
-    array (an array given is copied), which kernels read as they are.  The
-    first read of ``values`` builds the list and drops that form for good, so
-    the next kernel reads any edit of the list.  ``_like`` makes sums and multiples."""
+    """A mutable list ``values``, or an unread form of it, which kernels read
+    as they are: exact values (every one an int or a Fraction) in integer
+    form, as a ``measure._Table``, and complex ones as an owned complex128
+    array (an array given is copied).  Exact values given are held from
+    construction as a tuple, which the first kernel that reads their integer
+    form parses once into the table it keeps; an exact kernel output is held
+    as the table its kernel computed.  The first read of ``values`` builds
+    the list and drops the unread form for good, so the next kernel reads
+    any edit of the list.  ``_like`` makes sums and multiples."""
 
     __slots__ = ("_values", "_unread")
 
@@ -64,29 +70,39 @@ class _Values:
             self._values, self._unread = None, values
         elif type(values) is np.ndarray and values.dtype == np.complex128:
             self._values, self._unread = None, values.copy()
+        elif len(values) and type(values[0]) in (int, Fraction) and _plain(values):
+            self._values, self._unread = None, tuple(values)
         else:
             self._values, self._unread = list(values), None
 
     def _read(self) -> list:
         if self._values is None:
             unread, self._unread = self._unread, None
-            self._values = list(unread.read()) if type(unread) is _Table else unread.tolist()
+            if type(unread) is np.ndarray:
+                self._values = unread.tolist()
+            else:
+                self._values = list(unread.read() if type(unread) is _Table else unread)
         return self._values
 
     values = property(_read, _hold)
 
     def _held(self):
-        """The values in the form held, unread: the list, a table or an array."""
+        """The values in the form held, unread: the list, a tuple, a table or an array."""
         return self._values if self._unread is None else self._unread
 
     def _integer_form(self) -> _Table:
         held = self._held()
+        if type(held) is tuple:  # exact values given, parsed once and kept
+            self._unread = held = _Table(held)
         return held if type(held) is _Table else _Table(held)
 
     def _array_form(self) -> np.ndarray:
-        """The held array, or ``value_array`` of the values; kernels never write into it."""
+        """The held array, or ``value_array`` of the values as held, a held
+        table read but kept; kernels never write into it."""
         held = self._held()
-        return held if type(held) is np.ndarray else value_array(self.values)
+        if type(held) is np.ndarray:
+            return held
+        return value_array(held.read() if type(held) is _Table else held)
 
     def __add__(self, other):
         self._same_parent(other)
@@ -216,7 +232,7 @@ def value_array(values) -> np.ndarray:
 
 
 def _joined_array(forms) -> np.ndarray:
-    """The forms of ``_Values._held`` (lists, unread tables, held arrays) as one
+    """The forms of ``_Values._held`` (lists, tuples, unread tables, held arrays) as one
     array of one ``value_array`` dtype: object only when every value is exact, so
     weights take the dtype of the values they multiply and never mix floats with Fractions."""
     forms = [f.read() if type(f) is _Table else f for f in forms]
@@ -283,8 +299,8 @@ def _translation_pairs(m: GroupoidMeasure, nonzero: np.ndarray):
 
 
 def _exact(*tables: _Table) -> bool:
-    """Whether every value is an int or a Fraction (a table not yet read holds only those)."""
-    return all(t.num is not None and {type(v) for v in t.values or ()} <= {int, Fraction} for t in tables)
+    """Whether every value is an int or a Fraction, as each table recorded when it was made."""
+    return all(t.plain for t in tables)
 
 
 def convolve(f: AlgebraElement, g: AlgebraElement, m: GroupoidMeasure) -> AlgebraElement:

@@ -14,8 +14,9 @@ tables can be loaded from JSON and are validated axiom by axiom.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
-from itertools import chain, repeat
+import operator
+from functools import lru_cache, reduce
+from itertools import accumulate, chain, repeat
 from types import MappingProxyType
 from typing import Iterator, Sequence
 
@@ -166,9 +167,7 @@ class FiniteGroupoid:
         table; :func:`validate` reports it).  Built on first use, unless the
         groupoid was built from them (as ``Symmetroid.vertical`` is)."""
         if self._pair_arrays is None:
-            fibers = list(map(self.source_fiber, self.target))
-            b = np.fromiter(chain.from_iterable(fibers), np.intp)
-            a = np.repeat(np.arange(self.n_morphisms), [len(f) for f in fibers])
+            b, a = self._composable_ends()
             pairs = zip(b.tolist(), a.tolist())
             ba = np.fromiter(map(self.compose_table.get, pairs, repeat(-1)), np.intp, len(b))
             for arr in (b, a, ba):
@@ -176,13 +175,16 @@ class FiniteGroupoid:
             self._pair_arrays = (b, a, ba)
         return self._pair_arrays
 
-    def composites(self, b, a) -> np.ndarray:
-        """b∘a for each pair of the index arrays b and a (broadcast), read from
-        :meth:`composable_arrays` at the pair's position: the start of a's pairs
-        plus the position of b in the source fiber of t(a).  Raises
-        NotComposableError, with :meth:`compose`'s message, for the first pair
-        (row-major) with source(b) != target(a) or no composite in the table."""
-        b, a = np.broadcast_arrays(np.asarray(b, np.intp), np.asarray(a, np.intp))
+    def _composable_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The arrays B and A of :meth:`composable_arrays`, from the fibers alone."""
+        fibers = list(map(self.source_fiber, self.target))
+        b = np.fromiter(chain.from_iterable(fibers), np.intp)
+        return b, np.repeat(np.arange(self.n_morphisms), [len(f) for f in fibers])
+
+    def _pair_starts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(start, position, source, target) as arrays, built on first use: the
+        pairs (·, a) begin at start[a] in :meth:`composable_pairs` order, and
+        position[b] is b's place in its source fiber."""
         if self._pair_positions is None:
             source, target = np.asarray(self.source, np.intp), np.asarray(self.target, np.intp)
             source_fibers = self._fiber_tables()[0]
@@ -191,10 +193,24 @@ class FiniteGroupoid:
             for f in source_fibers:
                 position[list(f)] = range(len(f))
             self._pair_positions = (np.cumsum(pairs_of) - pairs_of, position, source, target)
-        start, position, source, target = self._pair_positions
-        ok = source[b] == target[a]
-        ba = np.full(b.shape, -1, np.intp)
-        ba[ok] = self.composable_arrays()[2][start[a[ok]] + position[b[ok]]]
+        return self._pair_positions
+
+    def _pair_index(self, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The position of each pair (b[i], a[i]) of morphisms in
+        :meth:`composable_pairs` order (the start of a's pairs plus the position
+        of b in the source fiber of t(a)), or -1 where source(b) != target(a)."""
+        start, position, source, target = self._pair_starts()
+        return np.where(source[b] == target[a], start[a] + position[b], -1)
+
+    def composites(self, b, a) -> np.ndarray:
+        """b∘a for each pair of the index arrays b and a (broadcast), read from
+        :meth:`composable_arrays` at the pair's :meth:`_pair_index`.  Raises
+        NotComposableError, with :meth:`compose`'s message, for the first pair
+        (row-major) with source(b) != target(a) or no composite in the table."""
+        b, a = np.broadcast_arrays(np.asarray(b, np.intp), np.asarray(a, np.intp))
+        k = self._pair_index(b, a)
+        ba = np.full(k.shape, -1, np.intp)
+        ba[k >= 0] = self.composable_arrays()[2][k[k >= 0]]
         self.require_composites(b, a, ba)
         return ba
 
@@ -299,6 +315,37 @@ def fibers(g: FiniteGroupoid, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]
     return g.source_fiber(x), g.target_fiber(x)
 
 
+def _coded(bound: int, *tables) -> tuple[list[np.ndarray], dict]:
+    """The integer tables as intp arrays on which an entry outside 0..bound-1
+    reads as bound + k, one k per distinct value, and those values by code: the
+    arrays compare and range-check as the entries do, and no code is negative."""
+    ends = list(accumulate(map(len, tables), initial=0))
+    try:
+        joined = np.concatenate([np.asarray(t, dtype=np.intp) for t in tables])
+        coded = not len(joined) or 0 <= joined.min() and joined.max() < bound
+    except OverflowError:  # a value beyond intp is out of range, and coded
+        coded = False
+    codes: dict = {}
+    if not coded:
+
+        def code(v):
+            return v if 0 <= v < bound else codes.setdefault(int(v), bound + len(codes))
+
+        joined = np.fromiter(map(code, chain.from_iterable(tables)), np.intp, ends[-1])
+    return [joined[i:j] for i, j in zip(ends, ends[1:])], {c: v for v, c in codes.items()}
+
+
+def _add_in_order(rep: ViolationReport, *checks) -> None:
+    """Add the violations of the checks (flags, describe), row by row over i
+    and, within a row, in the order of the checks: describe(i) gives the
+    (kind, where, message) of a set flags[i]."""
+    rows = reduce(operator.or_, (flags for flags, _ in checks)).nonzero()[0]
+    for i in rows.tolist():
+        for flags, describe in checks:
+            if flags[i]:
+                rep.add(*describe(i))
+
+
 def validate(g: FiniteGroupoid) -> ViolationReport:
     """Check every groupoid axiom instance and report all violations.
 
@@ -307,96 +354,148 @@ def validate(g: FiniteGroupoid) -> ViolationReport:
     coherence of composites, associativity on all composable triples, unit
     laws and inverse laws.  An empty report means g is a groupoid.  When a
     morphism's endpoints are out of range the report stops after that check.
+
+    Each check is decided for all of its instances at once, by gathers
+    through index arrays.  ``_coded`` reads every morphism id of the tables
+    as an intp code, an id out of range as a code of its own beyond m-1, and
+    such a code reads the endpoints -1.  The table becomes one composite per
+    composable pair, -1 where it lacks one, placed by
+    ``FiniteGroupoid._pair_index``.  The composable triples (c, b, a) are the
+    pairs (b, a) in :meth:`FiniteGroupoid.composable_pairs` order, each
+    repeated over the pairs (c, b).  One lookup then reads every composite
+    that the associativity, unit and inverse laws compare: -1 where the
+    table has none, and for a pair that is not composable the table's entry
+    for it, if it has one.
+
+    Violations come in the order of a loop over the instances: the
+    morphisms; the composable pairs missing from the table, in pair order,
+    then the table's entries for other pairs, in table order (the two
+    ``domain-*`` kinds); the table's entries in table order; the triples;
+    the objects; the morphisms for the unit laws, then for the inverse laws.
+    Within one instance they come in the order of its checks.
     """
-    rep = ViolationReport()
-    m = g.n_morphisms
-
-    def in_range(i):
-        return 0 <= i < m
-
-    for mid in g.morphisms():
-        rep.checks += 1
-        if not (0 <= g.source[mid] < g.n_objects and 0 <= g.target[mid] < g.n_objects):
-            rep.add("index-range", (mid,), f"morphism {mid} has out-of-range endpoints")
+    rep = ViolationReport(checks=g.n_morphisms)
+    m, n = g.n_morphisms, g.n_objects
+    for i in range(m):
+        if not (0 <= g.source[i] < n and 0 <= g.target[i] < n):
+            rep.add("index-range", (i,), f"morphism {i} has out-of-range endpoints")
     if not rep.ok:
         return rep  # every check below indexes the object tables by endpoints
 
-    # Composability domain: defined iff source(b) == target(a).
-    expected = set(g.composable_pairs())
-    actual = set(g.compose_table)
-    for pair in expected - actual:
-        rep.add("domain-missing", pair, f"composable pair {pair} missing from table")
-    for pair in actual - expected:
-        rep.add("domain-extra", pair, f"table entry {pair} for a non-composable pair")
-    rep.checks += len(expected | actual)
+    table = g._compose_table
+    if table is None:  # built from its pair arrays, which list the table in pair order
+        keys, values = np.column_stack(g._pair_arrays[:2]).ravel(), g._pair_arrays[2]
+        b_all, a_all = g._composable_ends()
+    else:
+        keys, values = list(chain.from_iterable(table)), list(table.values())
+        b_all, a_all = g._composable_ends() if g._pair_arrays is None else g._pair_arrays[:2]
+    (keys, kr, inverse, units), original = _coded(m, keys, values, g.inverse, g.unit_of)
+    kb, ka = keys.reshape(-1, 2).T
+    start, _, source, target = g._pair_starts()
+    source_of, target_of = (np.append(t, -1) for t in (source, target))  # a code >= m reads -1
 
-    for (b, a), r in g.compose_table.items():
-        rep.checks += 1
-        if not in_range(r):
-            rep.add("index-range", (b, a, r), f"composite {r} out of range")
-            continue
-        if (b, a) not in expected:
-            continue
-        if g.source[r] != g.source[a] or g.target[r] != g.target[b]:
-            rep.add(
-                "endpoint",
-                (b, a, r),
-                f"{g.label(b)}∘{g.label(a)} = {g.label(r)} has wrong endpoints",
-            )
+    def ends(codes):
+        return source_of[np.minimum(codes, m)], target_of[np.minimum(codes, m)]
 
-    def comp(b, a):
-        return g.compose_table.get((b, a))
+    def named(c):
+        """The table's own value for the code c."""
+        return int(c) if c < m else original[int(c)]
 
-    # Associativity over all composable triples (c∘b)∘a == c∘(b∘a).
-    for a in g.morphisms():
-        for b in g.source_fiber(g.target[a]):
-            ba = comp(b, a)
-            for c in g.source_fiber(g.target[b]):
-                rep.checks += 1
-                cb = comp(c, b)
-                lhs = comp(cb, a) if cb is not None else None
-                rhs = comp(c, ba) if ba is not None else None
-                if lhs is None or rhs is None or lhs != rhs:
-                    rep.add(
-                        "associativity",
-                        (c, b, a),
-                        f"(c∘b)∘a != c∘(b∘a) for c={c}, b={b}, a={a}",
-                    )
+    def pair(b, a):
+        return (named(b), named(a))
 
-    for x in g.objects():
-        rep.checks += 1
-        u = g.unit_of[x]
-        if not in_range(u):
-            rep.add("index-range", (x, u), f"unit of object {x} out of range")
-            continue
-        if g.source[u] != x or g.target[u] != x:
-            rep.add("unit-endpoint", (x, u), f"unit of {x} is not an endomorphism of {x}")
+    # each table entry's place among the composable pairs, -1 for the others
+    place = np.full(len(kb), -1, np.intp)
+    in_range = (kb < m) & (ka < m)
+    place[in_range] = g._pair_index(kb[in_range], ka[in_range])
+    composite = np.full(len(b_all), -1, np.intp)
+    composite[place[place >= 0]] = kr[place >= 0]
+    others = np.flatnonzero(place < 0)
 
-    for a in g.morphisms():
-        rep.checks += 1
-        u_s = g.unit_of[g.source[a]]
-        u_t = g.unit_of[g.target[a]]
-        if comp(a, u_s) != a:
-            rep.add("unit-law", (a, u_s), f"{g.label(a)}∘1_s != {g.label(a)}")
-        if comp(u_t, a) != a:
-            rep.add("unit-law", (u_t, a), f"1_t∘{g.label(a)} != {g.label(a)}")
+    # the triples: pair k = (b, a), then c over the pairs (c, b), which begin at start[b]
+    fiber_sizes = np.bincount(source, minlength=n)[target[b_all]]
+    k = np.repeat(np.arange(len(b_all)), fiber_sizes)
+    j = np.arange(len(k)) + np.repeat(start[b_all] - (np.cumsum(fiber_sizes) - fiber_sizes), fiber_sizes)
+    c, b, a = b_all[j], b_all[k], a_all[k]
+    morphisms = np.arange(m)
+    inv, u_s, u_t = inverse[:m], units[source], units[target]
+    queries = (
+        (composite[j], a), (c, composite[k]), (morphisms, u_s), (u_t, morphisms), (morphisms, inv), (inv, morphisms)
+    )
+    qb, qa = (np.concatenate(side) for side in zip(*queries))
+    found = np.full(len(qb), -1, np.intp)
+    live = (qb >= 0) & (qa >= 0)  # -1: a missing composite, composed with nothing
+    ids = np.flatnonzero(live & (qb < m) & (qa < m))
+    at = g._pair_index(qb[ids], qa[ids])
+    found[ids[at >= 0]] = composite[at[at >= 0]]
+    if len(others):  # a pair that is not composable is found among the other entries
+        live[ids[at >= 0]] = False
+        elsewhere = dict(zip(zip(kb[others].tolist(), ka[others].tolist()), kr[others].tolist()))
+        for i in np.flatnonzero(live).tolist():
+            found[i] = elsewhere.get((int(qb[i]), int(qa[i])), -1)
+    cuts = list(accumulate((len(q[0]) for q in queries), initial=0))
+    lhs, rhs, right_unit, left_unit, right_inverse, left_inverse = (found[i:e] for i, e in zip(cuts, cuts[1:]))
 
-    for a in g.morphisms():
-        rep.checks += 1
-        ai = g.inverse[a]
-        if not in_range(ai):
-            rep.add("index-range", (a, ai), f"inverse of {a} out of range")
-            continue
-        if g.source[ai] != g.target[a] or g.target[ai] != g.source[a]:
-            rep.add("inverse-endpoint", (a, ai), f"inverse of {g.label(a)} has wrong endpoints")
-            continue
-        if comp(a, ai) != g.unit_of[g.target[a]]:
-            rep.add("inverse-law", (a, ai), f"{g.label(a)}∘{g.label(a)}⁻¹ != 1_t")
-        if comp(ai, a) != g.unit_of[g.source[a]]:
-            rep.add("inverse-law", (ai, a), f"{g.label(a)}⁻¹∘{g.label(a)} != 1_s")
-        if g.inverse[ai] != a:
-            rep.add("inverse-law", (a, ai), f"inverse of {g.label(a)} is not involutive")
+    _add_in_order(rep, (composite < 0, lambda i: (
+        "domain-missing", pair(b_all[i], a_all[i]), f"composable pair {pair(b_all[i], a_all[i])} missing from table"
+    )))
+    _add_in_order(rep, (place < 0, lambda i: (
+        "domain-extra", pair(kb[i], ka[i]), f"table entry {pair(kb[i], ka[i])} for a non-composable pair"
+    )))
+    rep.checks += len(b_all) + len(others) + len(kb)
 
+    (r_source, r_target), (b_source, b_target), (a_source, a_target) = map(ends, (kr, kb, ka))
+    _add_in_order(
+        rep,
+        (kr >= m, lambda i: (
+            "index-range", (*pair(kb[i], ka[i]), named(kr[i])), f"composite {named(kr[i])} out of range"
+        )),
+        ((kr < m) & (place >= 0) & ((r_source != a_source) | (r_target != b_target)), lambda i: (
+            "endpoint", pair(kb[i], ka[i]) + (int(kr[i]),),
+            f"{g.label(int(kb[i]))}∘{g.label(int(ka[i]))} = {g.label(int(kr[i]))} has wrong endpoints",
+        )),
+    )
+
+    rep.checks += len(k)
+    _add_in_order(rep, ((lhs < 0) | (rhs < 0) | (lhs != rhs), lambda i: (
+        "associativity", (int(c[i]), int(b[i]), int(a[i])),
+        f"(c∘b)∘a != c∘(b∘a) for c={c[i]}, b={b[i]}, a={a[i]}",
+    )))
+
+    rep.checks += n
+    objects, u = np.arange(n), units[:n]
+    u_source, u_target = ends(u)
+    _add_in_order(
+        rep,
+        (u >= m, lambda x: ("index-range", (x, named(u[x])), f"unit of object {x} out of range")),
+        ((u < m) & ((u_source != objects) | (u_target != objects)), lambda x: (
+            "unit-endpoint", (x, int(u[x])), f"unit of {x} is not an endomorphism of {x}"
+        )),
+    )
+
+    rep.checks += 2 * m
+    _add_in_order(
+        rep,
+        (right_unit != morphisms, lambda i: ("unit-law", (i, named(u_s[i])), f"{g.label(i)}∘1_s != {g.label(i)}")),
+        (left_unit != morphisms, lambda i: ("unit-law", (named(u_t[i]), i), f"1_t∘{g.label(i)} != {g.label(i)}")),
+    )
+    i_source, i_target = ends(inv)
+    flipped = (inv < m) & ((i_source != target) | (i_target != source))
+    lawful = (inv < m) & ~flipped
+    _add_in_order(
+        rep,
+        (inv >= m, lambda i: ("index-range", (i, named(inv[i])), f"inverse of {i} out of range")),
+        (flipped, lambda i: ("inverse-endpoint", (i, int(inv[i])), f"inverse of {g.label(i)} has wrong endpoints")),
+        (lawful & (right_inverse != u_t), lambda i: (
+            "inverse-law", (i, int(inv[i])), f"{g.label(i)}∘{g.label(i)}⁻¹ != 1_t"
+        )),
+        (lawful & (left_inverse != u_s), lambda i: (
+            "inverse-law", (int(inv[i]), i), f"{g.label(i)}⁻¹∘{g.label(i)} != 1_s"
+        )),
+        (lawful & (inverse[np.minimum(inv, m - 1)] != morphisms), lambda i: (
+            "inverse-law", (i, int(inv[i])), f"inverse of {g.label(i)} is not involutive"
+        )),
+    )
     return rep
 
 

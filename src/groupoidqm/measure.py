@@ -88,11 +88,16 @@ def _ratio(p, q):
     return p / q
 
 
+def _plain(values) -> bool:
+    """Whether every value is an int or a Fraction by type, at C speed."""
+    return all(map({int, Fraction}.__contains__, map(type, values)))
+
+
 def _is_exact(*value_lists) -> bool:
     """Whether every value is a ``numbers.Rational``; the package's one
     exact-type gate, which spares ints and Fractions the ABC check."""
-    if all(map({int, Fraction}.__contains__, map(type, itertools.chain.from_iterable(value_lists)))):
-        return True  # the common case, at C speed
+    if _plain(itertools.chain.from_iterable(value_lists)):
+        return True  # the common case
     flat = itertools.chain.from_iterable(value_lists)
     return all(type(v) in (int, Fraction) or isinstance(v, Rational) for v in flat)
 
@@ -135,15 +140,18 @@ def _parts(values) -> tuple[list, list]:
 class _Table:
     """A value list in integer form: numerators ``num`` and denominators
     ``den`` (None unless every value is exact), bounds ``nbits`` and ``dbits``
-    of their bit lengths (their own by default), and ``fraction``, True where
-    a value is a Fraction.  Made from integers, it builds its values on first
-    ``read``: Fraction(num, den) where ``fraction`` is set, else num // den."""
+    of their bit lengths (their own by default), ``fraction``, True where
+    a value is a Fraction, and ``plain``, whether every value is an int or a
+    Fraction by type, recorded once.  Made from integers, it builds its values
+    on first ``read``: Fraction(num, den) where ``fraction`` is set, else num // den."""
 
-    __slots__ = ("values", "num", "den", "nbits", "dbits", "fraction")
+    __slots__ = ("values", "num", "den", "nbits", "dbits", "fraction", "plain")
 
     def __init__(self, values=None, num=None, den=None, bits=None, fraction=None):
         own = bits is None  # else a kernel's bounds, on arrays of the dtype they allow
-        if num is None and values is not None and _is_exact(values):
+        # integers read back as ints and Fractions
+        self.plain = num is not None or values is not None and _plain(values)
+        if num is None and values is not None and (self.plain or _is_exact(values)):
             num, den = _parts(values)
             fraction = np.array([isinstance(v, Fraction) for v in values], dtype=bool)
             bits = [max(map(abs, a), default=0).bit_length() for a in (num, den)]

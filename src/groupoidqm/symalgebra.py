@@ -230,6 +230,8 @@ class QuotientFunction(_Values):
     __slots__ = ("n",)
 
     def __init__(self, n: int, values: Sequence):
+        if n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
         if len(values) != n**4:
             raise ValueError(f"need n⁴ = {n**4} values, got {len(values)}")
         self.n = n

@@ -336,6 +336,94 @@ def old_symmetroid_measure(sym, base):
     return mu2, ow2, {t: delta[t.alpha] * delta[t.gamma] for t in ts}
 
 
+# -- the groupoid axioms, checked instance by instance --
+
+
+def loop_validate(g):
+    """``validate`` as a loop over the morphisms, the compose table and the
+    composable triples; its two domain kinds come in set-iteration order."""
+    rep = ViolationReport()
+    m = g.n_morphisms
+
+    def in_range(i):
+        return 0 <= i < m
+
+    for mid in g.morphisms():
+        rep.checks += 1
+        if not (0 <= g.source[mid] < g.n_objects and 0 <= g.target[mid] < g.n_objects):
+            rep.add("index-range", (mid,), f"morphism {mid} has out-of-range endpoints")
+    if not rep.ok:
+        return rep
+
+    expected = set(g.composable_pairs())
+    actual = set(g.compose_table)
+    for pair in expected - actual:
+        rep.add("domain-missing", pair, f"composable pair {pair} missing from table")
+    for pair in actual - expected:
+        rep.add("domain-extra", pair, f"table entry {pair} for a non-composable pair")
+    rep.checks += len(expected | actual)
+
+    for (b, a), r in g.compose_table.items():
+        rep.checks += 1
+        if not in_range(r):
+            rep.add("index-range", (b, a, r), f"composite {r} out of range")
+            continue
+        if (b, a) not in expected:
+            continue
+        if g.source[r] != g.source[a] or g.target[r] != g.target[b]:
+            rep.add("endpoint", (b, a, r), f"{g.label(b)}∘{g.label(a)} = {g.label(r)} has wrong endpoints")
+
+    def comp(b, a):
+        return g.compose_table.get((b, a))
+
+    for a in g.morphisms():
+        for b in g.source_fiber(g.target[a]):
+            ba = comp(b, a)
+            for c in g.source_fiber(g.target[b]):
+                rep.checks += 1
+                cb = comp(c, b)
+                lhs = comp(cb, a) if cb is not None else None
+                rhs = comp(c, ba) if ba is not None else None
+                if lhs is None or rhs is None or lhs != rhs:
+                    rep.add("associativity", (c, b, a), f"(c∘b)∘a != c∘(b∘a) for c={c}, b={b}, a={a}")
+
+    for x in g.objects():
+        rep.checks += 1
+        u = g.unit_of[x]
+        if not in_range(u):
+            rep.add("index-range", (x, u), f"unit of object {x} out of range")
+            continue
+        if g.source[u] != x or g.target[u] != x:
+            rep.add("unit-endpoint", (x, u), f"unit of {x} is not an endomorphism of {x}")
+
+    for a in g.morphisms():
+        rep.checks += 1
+        u_s = g.unit_of[g.source[a]]
+        u_t = g.unit_of[g.target[a]]
+        if comp(a, u_s) != a:
+            rep.add("unit-law", (a, u_s), f"{g.label(a)}∘1_s != {g.label(a)}")
+        if comp(u_t, a) != a:
+            rep.add("unit-law", (u_t, a), f"1_t∘{g.label(a)} != {g.label(a)}")
+
+    for a in g.morphisms():
+        rep.checks += 1
+        ai = g.inverse[a]
+        if not in_range(ai):
+            rep.add("index-range", (a, ai), f"inverse of {a} out of range")
+            continue
+        if g.source[ai] != g.target[a] or g.target[ai] != g.source[a]:
+            rep.add("inverse-endpoint", (a, ai), f"inverse of {g.label(a)} has wrong endpoints")
+            continue
+        if comp(a, ai) != g.unit_of[g.target[a]]:
+            rep.add("inverse-law", (a, ai), f"{g.label(a)}∘{g.label(a)}⁻¹ != 1_t")
+        if comp(ai, a) != g.unit_of[g.source[a]]:
+            rep.add("inverse-law", (ai, a), f"{g.label(a)}⁻¹∘{g.label(a)} != 1_s")
+        if g.inverse[ai] != a:
+            rep.add("inverse-law", (a, ai), f"inverse of {g.label(a)} is not involutive")
+
+    return rep
+
+
 # -- the measure verifiers, on the measure's own tables --
 
 

@@ -29,6 +29,7 @@ from oracles import (
     loop_modular_homomorphism_report,
     loop_right_invariance,
     measure,
+    nonzero_fractions,
     pair3_missing,
     perturbed,
     value_lists,
@@ -63,8 +64,9 @@ from groupoidqm import (
     verify_right_invariance,
     weighted_pair_measure,
 )
+from groupoidqm import measure as measure_module
 from groupoidqm.algebra import contract, value_array
-from groupoidqm.measure import _is_exact
+from groupoidqm.measure import _is_exact, _Table
 from groupoidqm.symalgebra import SymmetroidMeasure
 
 NAMES = (
@@ -377,6 +379,8 @@ def test_exact_gate_classifies_values_as_the_abc_does(v, exact):
     the ``isinstance(v, Rational)`` rule."""
     assert isinstance(v, Rational) is exact
     assert _is_exact([v], [1]) is exact
+    # the exact kernels take ints and Fractions by type, a flag each table records once
+    assert _Table([1, v]).plain is (type(v) in (int, Fraction))
     assert value_array([v, 1]).dtype == (object if exact else np.complex128)
     half = np.array([Fraction(1, 2)], dtype=object)
     out = contract("i,i->i", np.array([v], dtype=object), half)
@@ -491,6 +495,109 @@ def test_exact_tables_and_checks_build_no_needless_fraction():
     k, k2 = (QuotientFunction(3, fractions(rng, 81)) for _ in range(2))
     assert fractions_built(lambda: fresh.append(convolve_S(k, k2, fresh[2]))) == 0
     assert 0 < fractions_built(lambda: fresh[3].values) <= 81
+
+
+# -- exact inputs are parsed into integer form once, by the first kernel that reads them --
+
+
+def parses(op) -> int:
+    """The number of value lists that op() parses into integer form (``measure._parts`` calls)."""
+    calls = []
+    parts = measure_module._parts
+
+    def counted(values):
+        calls.append(len(values))
+        return parts(values)
+
+    with mock.patch.object(measure_module, "_parts", counted):
+        op()
+    return len(calls)
+
+
+def test_an_exact_identities_op_parses_each_exact_input_once():
+    rng = np.random.default_rng(23)
+    made = {}
+
+    def make():
+        made["m"] = weighted_pair_measure(pair_groupoid(4), (Fraction(1, 2), 1, Fraction(4), Fraction(1, 8)))
+        made["fhkab"] = [AlgebraElement(pair_groupoid(4), nonzero_fractions(rng, 16, k > 2)) for k in range(5)]
+        made["qm3"] = QuotientMeasure(weighted_pair_measure(pair_groupoid(3), (Fraction(1, 3), 2, Fraction(5, 2))))
+        made["q"] = [QuotientFunction(3, _nonzero_fractions(rng, 81)) for _ in range(3)]
+        made["qm2"] = QuotientMeasure(weighted_pair_measure(pair_groupoid(2), (Fraction(1, 2), 4)))
+        made["r"] = [QuotientFunction(2, nonzero_fractions(rng, 16, dyadic=True)) for _ in range(2)]
+
+    assert parses(make) == 3  # the weight lists; a function is parsed by the first kernel that reads it
+
+    def op():
+        m, (f, h, k, a, b), (q1, q2, q3), (r1, r2) = made["m"], made["fhkab"], made["q"], made["r"]
+        fh = convolve(f, h, m)
+        assert convolve(fh, k, m) == convolve(f, convolve(h, k, m), m)
+        assert involute(fh, m) == convolve(involute(h, m), involute(f, m), m)
+        ab = convolve(a, b, m)
+        assert np.array_equal(left_regular_matrix(ab, m), left_regular_matrix(a, m) @ left_regular_matrix(b, m))
+        qm3, qm2 = made["qm3"], made["qm2"]
+        assert convolve_S(convolve_S(q1, q2, qm3), q3, qm3) == convolve_S(q1, convolve_S(q2, q3, qm3), qm3)
+        r12 = convolve_S(r1, r2, qm2)
+        assert np.array_equal(rep_operator(r12, qm2), rep_operator(r1, qm2) @ rep_operator(r2, qm2))
+
+    assert parses(op) == 5 + 3 + 2  # each function once, though f, h and q2 are read twice
+    assert parses(op) == 0  # == reads only outputs; the inputs keep their integer forms
+
+
+def test_exports_of_an_exact_element_keep_its_integer_form():
+    rng = np.random.default_rng(24)
+    n = 2
+    qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (Fraction(1, 2), 3)))
+    q, q2 = (QuotientFunction(n, _nonzero_fractions(rng, n**4)) for _ in range(2))
+    assert parses(lambda: q.tensor() is not None and q.to_json()) == 0  # read as given
+    out = convolve_S(q, q2, qm)
+    for f in (q, out):
+        f.tensor()
+        f.to_json()
+    assert parses(lambda: (convolve_S(q, out, qm), involute_S(out, qm), rep_operator(q, qm))) == 0
+    g = pair_groupoid(3)
+    f, counting = AlgebraElement(g, _nonzero_fractions(rng, 9)), GroupoidMeasure.counting(g)
+    assert parses(lambda: convolve(f, f, counting)) == 1
+    f.to_json()
+    assert parses(lambda: convolve(f, f, counting)) == 0
+
+
+def test_an_input_edited_after_its_read_is_what_the_kernels_see():
+    rng = np.random.default_rng(25)
+    g = pair_groupoid(3)
+    m = weighted_pair_measure(g, (Fraction(1, 3), 2, Fraction(5, 2)))
+    f, h = (AlgebraElement(g, _nonzero_fractions(rng, 9)) for _ in range(2))
+    convolve(f, h, m)  # parses f and keeps its integer form until the read below
+    f.values[4] = Fraction(7, 3)
+    f.values[0] = 0.5  # no longer exact
+    edited = AlgebraElement(g, list(f.values))
+    assert_same_values(convolve(f, h, m).values, convolve(edited, h, m).values)
+    assert_same_values(involute(f, m).values, involute(edited, m).values)
+    n = 2
+    qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (Fraction(1, 2), 3)))
+    q, q2 = (QuotientFunction(n, _nonzero_fractions(rng, n**4)) for _ in range(2))
+    involute_S(q, qm)
+    q.values[5] = Fraction(-1, 9)
+    same = QuotientFunction(n, list(q.values))
+    assert_same_values(convolve_S(q, q2, qm).values, convolve_S(same, q2, qm).values)
+    assert_same_values(involute_S(q, qm).values, involute_S(same, qm).values)
+
+
+def test_editing_the_callers_list_after_construction_changes_nothing():
+    rng = np.random.default_rng(26)
+    g = pair_groupoid(3)
+    m = weighted_pair_measure(g, (Fraction(1, 3), 2, Fraction(5, 2)))
+    values, h = _nonzero_fractions(rng, 9), AlgebraElement(g, _nonzero_fractions(rng, 9))
+    kept = list(values)
+    f = AlgebraElement(g, values)
+    values[2] = Fraction(99)
+    assert_same_values(convolve(f, h, m).values, convolve(AlgebraElement(g, kept), h, m).values)
+    assert f.values == kept and f.values is not values
+    qvalues = _nonzero_fractions(rng, 16)
+    q = QuotientFunction(2, qvalues)
+    qkept = list(qvalues)
+    qvalues[0] = 1
+    assert_same_values(involute_S(q).values, involute_S(QuotientFunction(2, qkept)).values)
 
 
 # -- exact outputs stay in integer form until read --

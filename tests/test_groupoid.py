@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+from oracles import GROUPOIDS, loop_validate, pair3_missing
 
 from groupoidqm import (
     AlgebraElement,
@@ -111,6 +113,113 @@ def test_validate_detects_extra_table_entry():
     g2 = FiniteGroupoid(n, g.source, g.target, bad, g.inverse, g.unit_of)
     rep = validate(g2)
     assert any(v.kind == "domain-extra" for v in rep.violations)
+
+
+# -- validate against the loop it replaced --
+
+
+def assert_same_validate(g):
+    """validate(g) and loop_validate(g) agree check for check and violation for
+    violation, in order, except that the two domain kinds, which the loop lists
+    in set order, are compared as sorted lists."""
+    new, ref = validate(g), loop_validate(g)
+    assert new.checks == ref.checks
+    assert [v.kind for v in new.violations] == [v.kind for v in ref.violations]
+
+    def split(rep):
+        domain = [v for v in rep.violations if v.kind.startswith("domain-")]
+        return sorted(domain, key=repr), [v for v in rep.violations if not v.kind.startswith("domain-")]
+
+    assert split(new) == split(ref)
+    return new
+
+
+def edited(name, *edits):
+    """The oracle groupoid ``name`` with its tables changed in place by each edit(tables)."""
+    g = GROUPOIDS[name]()
+    tables = {
+        "source": list(g.source), "target": list(g.target), "compose": dict(g.compose_table),
+        "inverse": list(g.inverse), "units": list(g.unit_of),
+    }
+    for edit in edits:
+        edit(tables)
+    return FiniteGroupoid(g.n_objects, *(tables[k] for k in ("source", "target", "compose", "inverse", "units")))
+
+
+def setting(key, *changes):
+    """An edit that sets tables[key][i] = v for each (i, v) in changes."""
+
+    def edit(tables):
+        for i, v in changes:
+            tables[key][i] = v
+
+    return edit
+
+
+BIG = 2**70  # beyond int64
+# pair2: 0 = (0,0), 1 = (0,1): 1 -> 0, 2 = (1,0): 0 -> 1, 3 = (1,1); (1, 1) does not compose
+MALFORMED = {
+    # the tables tests/test_cli.py feeds `groupoid validate`
+    "cli-inverse-identity": edited("pair2", setting("inverse", (1, 1), (2, 2))),
+    "cli-source-out-of-range": edited("pair2", setting("source", (1, 5))),
+    "cli-target-negative": edited("pair2", setting("target", (1, -1))),
+    # planted faults: a compose entry, an inverse, a unit and an endpoint
+    "compose-entry": edited("pair3", setting("compose", ((1, 5), 4))),
+    "compose-entry-isotropy": edited("product-z3", setting("compose", ((7, 1), 6))),
+    "inverse-wrong-ends": edited("pair3", setting("inverse", (5, 5))),
+    "inverse-same-ends": edited("product-z3", setting("inverse", (1, 1))),
+    "unit-wrong-ends": edited("pair3", setting("units", (1, 0))),
+    "unit-same-ends": edited("product-z3", setting("units", (0, 1))),
+    "endpoint": edited("pair3", setting("source", (4, 0))),
+    "endpoint-isotropy": edited("product-z3", setting("target", (9, 0))),
+    # malformed beyond the faults above
+    "missing": pair3_missing((6, 0), (3, 1), (0, 0)),
+    "empty-table": edited("pair2", lambda tables: tables["compose"].clear()),
+    "extra": edited("pair2", setting("compose", ((2, 2), 0), ((99, 0), 0), ((-1, 0), 1), ((BIG, 0), 3))),
+    "composite-out-of-range": edited("pair2", setting("compose", ((0, 0), -1), ((1, 2), 99), ((2, 1), BIG))),
+    "unit-out-of-range": edited("two-component", setting("units", (0, -1), (2, BIG))),
+    "inverse-out-of-range": edited("pair2", setting("inverse", (0, 4), (1, -BIG))),
+    # the lookup reads an entry for a pair that does not compose, as the table does:
+    # (0∘0)∘1 = 1∘1 = 1 = 0∘(0∘1) here, and 99 composes with 0 both ways
+    "extra-entry-read": edited("pair2", setting("compose", ((0, 0), 1), ((1, 1), 1))),
+    "out-of-range-entry-read": edited("pair2", setting("compose", ((0, 0), 99), ((99, 0), 0), ((0, 99), 0))),
+    # equal values out of range compare equal: 0∘0 = BIG = 1_0
+    "equal-out-of-range": edited("pair2", setting("compose", ((0, 0), BIG)), setting("units", (0, BIG))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_validate_matches_the_loop_on_the_grid(name):
+    assert assert_same_validate(GROUPOIDS[name]()).ok
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_validate_matches_the_loop_on_malformed_tables(name):
+    assert not assert_same_validate(MALFORMED[name]).ok
+
+
+def test_validate_matches_the_loop_on_a_table_built_from_pair_arrays():
+    g = pair_groupoid(3)
+    b, a, ba = (arr.copy() for arr in g.composable_arrays())
+    ba[[0, 5, 9]] = -1, 99, ba[4]  # out of range twice, then a wrong composite
+    lazy = FiniteGroupoid._from_pair_arrays(3, g.source, g.target, (b, a, ba), g.inverse, g.unit_of)
+    assert lazy._compose_table is None
+    rep = assert_same_validate(lazy)
+    out_of_range = [(int(b[k]), int(a[k]), r) for k, r in ((0, -1), (5, 99))]
+    assert [v.where for v in rep.violations if v.kind == "index-range"] == out_of_range
+
+
+def test_validate_lists_domain_faults_in_pair_then_table_order():
+    rep = validate(MALFORMED["missing"])
+    assert [v.where for v in rep.violations if v.kind == "domain-missing"] == [(0, 0), (6, 0), (3, 1)]
+    rep = validate(MALFORMED["extra"])
+    assert [v.where for v in rep.violations if v.kind == "domain-extra"] == [(2, 2), (99, 0), (-1, 0), (BIG, 0)]
+    assert rep.violations[-1].where == (BIG, 0) and str(BIG) in rep.violations[-1].message
+
+
+def test_validate_decides_the_vertical_groupoid_of_s_pair_4():
+    rep = validate(Symmetroid(pair_groupoid(4)).vertical)
+    assert rep.ok and rep.checks == 74512
 
 
 def test_direct_product_counts_and_units():

@@ -475,6 +475,12 @@ class TestMismatchedBases:
             with pytest.raises(GroupoidError, match="different bases"):
                 combine(big, small)
 
+    @pytest.mark.parametrize("n,values", [(0, []), (-1, [1])])
+    def test_quotient_function_needs_a_positive_n(self, n, values):
+        # n⁴ values for each n, as quotient_function_from_json rejects it too
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            QuotientFunction(n, values)
+
     def test_quotient_allclose_across_bases_raises(self):
         with pytest.raises(GroupoidError, match="different bases"):
             QuotientFunction.zeros(2).allclose(QuotientFunction.zeros(3))
