@@ -335,6 +335,9 @@ def _coded(bound: int, *tables) -> tuple[list[np.ndarray], dict]:
     return [joined[i:j] for i, j in zip(ends, ends[1:])], {c: v for v, c in codes.items()}
 
 
+_TRIPLES_PER_BLOCK = 1 << 18  # associativity triples gathered at once by validate
+
+
 def _add_in_order(rep: ViolationReport, *checks) -> None:
     """Add the violations of the checks (flags, describe), row by row over i
     and, within a row, in the order of the checks: describe(i) gives the
@@ -362,10 +365,13 @@ def validate(g: FiniteGroupoid) -> ViolationReport:
     composable pair, -1 where it lacks one, placed by
     ``FiniteGroupoid._pair_index``.  The composable triples (c, b, a) are the
     pairs (b, a) in :meth:`FiniteGroupoid.composable_pairs` order, each
-    repeated over the pairs (c, b).  One lookup then reads every composite
-    that the associativity, unit and inverse laws compare: -1 where the
-    table has none, and for a pair that is not composable the table's entry
-    for it, if it has one.
+    repeated over the pairs (c, b), and are gathered in blocks of pairs that
+    hold at most ``_TRIPLES_PER_BLOCK`` triples (or one pair's), so memory
+    grows with the pairs and the block, not with the triples.  A lookup
+    reads the composites that the associativity laws of a block compare,
+    and one more those of the unit and inverse laws: -1 where the table has
+    none, and for a pair that is not composable the table's entry for it,
+    if it has one.
 
     Violations come in the order of a loop over the instances: the
     morphisms; the composable pairs missing from the table, in pair order,
@@ -382,13 +388,9 @@ def validate(g: FiniteGroupoid) -> ViolationReport:
     if not rep.ok:
         return rep  # every check below indexes the object tables by endpoints
 
-    table = g._compose_table
-    if table is None:  # built from its pair arrays, which list the table in pair order
-        keys, values = np.column_stack(g._pair_arrays[:2]).ravel(), g._pair_arrays[2]
-        b_all, a_all = g._composable_ends()
-    else:
-        keys, values = list(chain.from_iterable(table)), list(table.values())
-        b_all, a_all = g._composable_ends() if g._pair_arrays is None else g._pair_arrays[:2]
+    table = g.compose_table
+    keys, values = list(chain.from_iterable(table)), list(table.values())
+    b_all, a_all = g._composable_ends()
     (keys, kr, inverse, units), original = _coded(m, keys, values, g.inverse, g.unit_of)
     kb, ka = keys.reshape(-1, 2).T
     start, _, source, target = g._pair_starts()
@@ -412,29 +414,21 @@ def validate(g: FiniteGroupoid) -> ViolationReport:
     composite[place[place >= 0]] = kr[place >= 0]
     others = np.flatnonzero(place < 0)
 
-    # the triples: pair k = (b, a), then c over the pairs (c, b), which begin at start[b]
-    fiber_sizes = np.bincount(source, minlength=n)[target[b_all]]
-    k = np.repeat(np.arange(len(b_all)), fiber_sizes)
-    j = np.arange(len(k)) + np.repeat(start[b_all] - (np.cumsum(fiber_sizes) - fiber_sizes), fiber_sizes)
-    c, b, a = b_all[j], b_all[k], a_all[k]
-    morphisms = np.arange(m)
-    inv, u_s, u_t = inverse[:m], units[source], units[target]
-    queries = (
-        (composite[j], a), (c, composite[k]), (morphisms, u_s), (u_t, morphisms), (morphisms, inv), (inv, morphisms)
-    )
-    qb, qa = (np.concatenate(side) for side in zip(*queries))
-    found = np.full(len(qb), -1, np.intp)
-    live = (qb >= 0) & (qa >= 0)  # -1: a missing composite, composed with nothing
-    ids = np.flatnonzero(live & (qb < m) & (qa < m))
-    at = g._pair_index(qb[ids], qa[ids])
-    found[ids[at >= 0]] = composite[at[at >= 0]]
-    if len(others):  # a pair that is not composable is found among the other entries
-        live[ids[at >= 0]] = False
-        elsewhere = dict(zip(zip(kb[others].tolist(), ka[others].tolist()), kr[others].tolist()))
-        for i in np.flatnonzero(live).tolist():
-            found[i] = elsewhere.get((int(qb[i]), int(qa[i])), -1)
-    cuts = list(accumulate((len(q[0]) for q in queries), initial=0))
-    lhs, rhs, right_unit, left_unit, right_inverse, left_inverse = (found[i:e] for i, e in zip(cuts, cuts[1:]))
+    elsewhere = dict(zip(zip(kb[others].tolist(), ka[others].tolist()), kr[others].tolist()))
+
+    def lookup(qb, qa):
+        """The table's value for each pair of codes (qb[i], qa[i]), -1 where it
+        has none; a code -1 (a missing composite) composes with nothing."""
+        found = np.full(len(qb), -1, np.intp)
+        live = (qb >= 0) & (qa >= 0)
+        ids = np.flatnonzero(live & (qb < m) & (qa < m))
+        at = g._pair_index(qb[ids], qa[ids])
+        found[ids[at >= 0]] = composite[at[at >= 0]]
+        if elsewhere:  # a pair that is not composable is found among the other entries
+            live[ids[at >= 0]] = False
+            for i in np.flatnonzero(live).tolist():
+                found[i] = elsewhere.get((int(qb[i]), int(qa[i])), -1)
+        return found
 
     _add_in_order(rep, (composite < 0, lambda i: (
         "domain-missing", pair(b_all[i], a_all[i]), f"composable pair {pair(b_all[i], a_all[i])} missing from table"
@@ -456,11 +450,25 @@ def validate(g: FiniteGroupoid) -> ViolationReport:
         )),
     )
 
-    rep.checks += len(k)
-    _add_in_order(rep, ((lhs < 0) | (rhs < 0) | (lhs != rhs), lambda i: (
-        "associativity", (int(c[i]), int(b[i]), int(a[i])),
-        f"(c∘b)∘a != c∘(b∘a) for c={c[i]}, b={b[i]}, a={a[i]}",
-    )))
+    # the triples: pair k = (b, a), then c over the pairs (c, b), which begin at start[b];
+    # they are gathered in blocks of pairs, so that memory stays bounded by the block
+    fiber_sizes = np.bincount(source, minlength=n)[target[b_all]]
+    last = np.cumsum(fiber_sizes)
+    rep.checks += int(last[-1]) if len(last) else 0
+    lo = 0
+    while lo < len(b_all):
+        hi = max(lo + 1, int(np.searchsorted(last, last[lo] - fiber_sizes[lo] + _TRIPLES_PER_BLOCK, "right")))
+        sizes = fiber_sizes[lo:hi]
+        k = np.repeat(np.arange(lo, hi), sizes)
+        j = np.arange(len(k)) + np.repeat(start[b_all[lo:hi]] - (np.cumsum(sizes) - sizes), sizes)
+        c, b, a = b_all[j], b_all[k], a_all[k]
+        found = lookup(np.concatenate((composite[j], c)), np.concatenate((a, composite[k])))
+        lhs, rhs = found[: len(k)], found[len(k) :]
+        _add_in_order(rep, ((lhs < 0) | (rhs < 0) | (lhs != rhs), lambda i: (
+            "associativity", (int(c[i]), int(b[i]), int(a[i])),
+            f"(c∘b)∘a != c∘(b∘a) for c={c[i]}, b={b[i]}, a={a[i]}",
+        )))
+        lo = hi
 
     rep.checks += n
     objects, u = np.arange(n), units[:n]
@@ -474,6 +482,11 @@ def validate(g: FiniteGroupoid) -> ViolationReport:
     )
 
     rep.checks += 2 * m
+    morphisms = np.arange(m)
+    inv, u_s, u_t = inverse[:m], units[source], units[target]
+    queries = ((morphisms, u_s), (u_t, morphisms), (morphisms, inv), (inv, morphisms))
+    found = lookup(*(np.concatenate(side) for side in zip(*queries)))
+    right_unit, left_unit, right_inverse, left_inverse = (found[i : i + m] for i in range(0, 4 * m, m))
     _add_in_order(
         rep,
         (right_unit != morphisms, lambda i: ("unit-law", (i, named(u_s[i])), f"{g.label(i)}∘1_s != {g.label(i)}")),

@@ -522,7 +522,7 @@ def test_an_exact_identities_op_parses_each_exact_input_once():
         made["m"] = weighted_pair_measure(pair_groupoid(4), (Fraction(1, 2), 1, Fraction(4), Fraction(1, 8)))
         made["fhkab"] = [AlgebraElement(pair_groupoid(4), nonzero_fractions(rng, 16, k > 2)) for k in range(5)]
         made["qm3"] = QuotientMeasure(weighted_pair_measure(pair_groupoid(3), (Fraction(1, 3), 2, Fraction(5, 2))))
-        made["q"] = [QuotientFunction(3, _nonzero_fractions(rng, 81)) for _ in range(3)]
+        made["q"] = [QuotientFunction(3, nonzero_fractions(rng, 81)) for _ in range(3)]
         made["qm2"] = QuotientMeasure(weighted_pair_measure(pair_groupoid(2), (Fraction(1, 2), 4)))
         made["r"] = [QuotientFunction(2, nonzero_fractions(rng, 16, dyadic=True)) for _ in range(2)]
 
@@ -548,7 +548,7 @@ def test_exports_of_an_exact_element_keep_its_integer_form():
     rng = np.random.default_rng(24)
     n = 2
     qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (Fraction(1, 2), 3)))
-    q, q2 = (QuotientFunction(n, _nonzero_fractions(rng, n**4)) for _ in range(2))
+    q, q2 = (QuotientFunction(n, nonzero_fractions(rng, n**4)) for _ in range(2))
     assert parses(lambda: q.tensor() is not None and q.to_json()) == 0  # read as given
     out = convolve_S(q, q2, qm)
     for f in (q, out):
@@ -556,7 +556,7 @@ def test_exports_of_an_exact_element_keep_its_integer_form():
         f.to_json()
     assert parses(lambda: (convolve_S(q, out, qm), involute_S(out, qm), rep_operator(q, qm))) == 0
     g = pair_groupoid(3)
-    f, counting = AlgebraElement(g, _nonzero_fractions(rng, 9)), GroupoidMeasure.counting(g)
+    f, counting = AlgebraElement(g, nonzero_fractions(rng, 9)), GroupoidMeasure.counting(g)
     assert parses(lambda: convolve(f, f, counting)) == 1
     f.to_json()
     assert parses(lambda: convolve(f, f, counting)) == 0
@@ -566,7 +566,7 @@ def test_an_input_edited_after_its_read_is_what_the_kernels_see():
     rng = np.random.default_rng(25)
     g = pair_groupoid(3)
     m = weighted_pair_measure(g, (Fraction(1, 3), 2, Fraction(5, 2)))
-    f, h = (AlgebraElement(g, _nonzero_fractions(rng, 9)) for _ in range(2))
+    f, h = (AlgebraElement(g, nonzero_fractions(rng, 9)) for _ in range(2))
     convolve(f, h, m)  # parses f and keeps its integer form until the read below
     f.values[4] = Fraction(7, 3)
     f.values[0] = 0.5  # no longer exact
@@ -575,7 +575,7 @@ def test_an_input_edited_after_its_read_is_what_the_kernels_see():
     assert_same_values(involute(f, m).values, involute(edited, m).values)
     n = 2
     qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (Fraction(1, 2), 3)))
-    q, q2 = (QuotientFunction(n, _nonzero_fractions(rng, n**4)) for _ in range(2))
+    q, q2 = (QuotientFunction(n, nonzero_fractions(rng, n**4)) for _ in range(2))
     involute_S(q, qm)
     q.values[5] = Fraction(-1, 9)
     same = QuotientFunction(n, list(q.values))
@@ -587,13 +587,13 @@ def test_editing_the_callers_list_after_construction_changes_nothing():
     rng = np.random.default_rng(26)
     g = pair_groupoid(3)
     m = weighted_pair_measure(g, (Fraction(1, 3), 2, Fraction(5, 2)))
-    values, h = _nonzero_fractions(rng, 9), AlgebraElement(g, _nonzero_fractions(rng, 9))
+    values, h = nonzero_fractions(rng, 9), AlgebraElement(g, nonzero_fractions(rng, 9))
     kept = list(values)
     f = AlgebraElement(g, values)
     values[2] = Fraction(99)
     assert_same_values(convolve(f, h, m).values, convolve(AlgebraElement(g, kept), h, m).values)
     assert f.values == kept and f.values is not values
-    qvalues = _nonzero_fractions(rng, 16)
+    qvalues = nonzero_fractions(rng, 16)
     q = QuotientFunction(2, qvalues)
     qkept = list(qvalues)
     qvalues[0] = 1

@@ -32,6 +32,7 @@ from groupoidqm import (
     validate,
     weighted_pair_measure,
 )
+from groupoidqm import groupoid as groupoid_module
 
 
 def test_pair_groupoid_counts():
@@ -207,6 +208,12 @@ def test_validate_matches_the_loop_on_a_table_built_from_pair_arrays():
     rep = assert_same_validate(lazy)
     out_of_range = [(int(b[k]), int(a[k]), r) for k, r in ((0, -1), (5, 99))]
     assert [v.where for v in rep.violations if v.kind == "index-range"] == out_of_range
+
+
+@pytest.mark.parametrize("name", ["vertical2", "compose-entry", "endpoint-isotropy", "missing", "extra-entry-read"])
+def test_validate_in_blocks_of_a_few_triples_matches_the_loop(name, monkeypatch):
+    monkeypatch.setattr(groupoid_module, "_TRIPLES_PER_BLOCK", 5)  # fewer than some pairs' triples
+    assert_same_validate(GROUPOIDS[name]() if name in GROUPOIDS else MALFORMED[name])
 
 
 def test_validate_lists_domain_faults_in_pair_then_table_order():
