@@ -39,8 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from . import eigen
-# every solve here reads eigen.hermitian_eigh when it is made, so one binding
-# sees them all; this one is not called, but perfbench's tracer test pins it
+# every solve reads eigen.hermitian_eigh; this binding is for perfbench's tracer test
 from .eigen import hermitian_defect, hermitian_eigh  # noqa: F401
 from .groupoid import FiniteGroupoid, GroupoidError
 from .measure import GroupoidMeasure, _group_sums, _is_exact, _narrowed, _over_lcm, _plain, _product_parts, _Table
@@ -384,12 +383,12 @@ def norm_sq(psi: AlgebraElement, m: GroupoidMeasure):
 
 @dataclass
 class PSDResult:
-    """The verdict of ``psd_verdict`` on ``matrix``: a defect above tol fails
-    with a NaN ``min_eigenvalue``, no witness and no eigenpairs; otherwise the
-    verdict's one solve gives the ascending ``eigenvalues``.  ``eigenvectors``
-    (as columns) and ``witness``, an eigenvector of the least eigenvalue, are
-    then solved from ``matrix`` on first read, by one ``eigen.hermitian_eigh``
-    call kept for later reads, unless the solve already gave them."""
+    """A PSD verdict on ``matrix``, made by ``_PSDVerdicts``: a Hermitian defect
+    above tol fails with a NaN ``min_eigenvalue``, no witness and no
+    eigenpairs; otherwise its solve gives the ascending ``eigenvalues``.
+    ``eigenvectors`` (as columns) and ``witness``, an eigenvector of the least
+    eigenvalue, are solved from ``matrix`` on first read, by one
+    ``eigen.hermitian_eigh`` call kept for later reads, unless it gave them."""
 
     ok: bool
     min_eigenvalue: float
@@ -414,25 +413,63 @@ class PSDResult:
 
 
 def psd_verdict(matrix, tol: float = PSD_TOL) -> PSDResult:
-    """Hermitian PSD within tol: defect <= tol and min eigenvalue >= -tol.
-    Every positivity verdict in the package is this decision on some matrix,
-    made on one eigenvalues-only solve."""
+    """Hermitian PSD within tol: defect <= tol and min eigenvalue >= -tol, the
+    one-matrix case of ``_PSDVerdicts``, which makes every positivity verdict
+    in the package; one eigenvalues-only solve."""
     matrix = np.array(matrix, dtype=np.complex128)  # a copy, for an eigenvector read later
-    return _psd_result(
-        matrix, hermitian_defect(matrix), lambda: eigen.hermitian_eigh(matrix, vectors=False), tol
-    )
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    return _PSDVerdicts(matrix, tol).verdict(0)
 
 
-def _psd_result(matrix: np.ndarray, defect: float, eigh, tol: float) -> PSDResult:
-    """The verdict on ``matrix``, whose Hermitian defect is ``defect``: above
-    tol it fails unsolved, otherwise ``eigh()`` gives its eigenvalues w and
-    eigenvectors v, or None for v to solve them only when read."""
-    if defect > tol:
-        return PSDResult(False, float("nan"), defect, matrix=matrix)
-    w, v = eigh()
-    if not len(w):  # a 0×0 matrix, decided as is_positive_type decides no block
-        return PSDResult(True, float("inf"), defect)
-    return PSDResult(bool(w[0] >= -tol), float(w[0]), defect, w, matrix, v)
+class _PSDVerdicts:
+    """``psd_verdict`` of a square matrix or of each block of an (F, d, d)
+    stack: the one place that compares a Hermitian defect or an eigenvalue
+    with tol.  The shape is checked, then each block's defect computed once;
+    a block above tol fails unsolved, and the finite blocks within tol are
+    solved by one ``eigen.hermitian_eigh`` call, for eigenvalues alone unless
+    ``vectors``, on the input as given when no block is masked out (a matrix
+    is solved as a matrix).  ``w`` and ``v`` hold a row per solved block and
+    ``ranks`` (with ``vectors``) each row's eigenvalues above tol; ``least``
+    and ``ok`` list each block's least eigenvalue (NaN unsolved, inf if 0×0)
+    and verdict.  ``verdict(p)`` is block p's PSDResult; a non-finite block
+    within tol raises the solver's ValueError there, and only there."""
+
+    __slots__ = ("blocks", "defects", "rejected", "solvable", "every", "w", "v", "least", "ok", "ranks")
+
+    def __init__(self, blocks: np.ndarray, tol: float, vectors: bool = False):
+        d = blocks.shape[-1]
+        self.blocks = blocks[None] if blocks.ndim == 2 else blocks
+        defects = hermitian_defect(self.blocks)
+        self.defects = defects.tolist()
+        self.every = all(x <= tol and math.isfinite(x) for x in self.defects)
+        self.w = self.v = None
+        if not self.every:  # rejected and solvable are read only then
+            self.rejected = defects > tol
+            self.solvable = ~self.rejected & np.isfinite(defects)  # a non-finite entry makes it inf or NaN
+        if d and (self.every or self.solvable.any()):
+            w, v = eigen.hermitian_eigh(blocks if self.every else self.blocks[self.solvable], vectors=vectors)
+            self.w, self.v = w.reshape(-1, d), v if v is None else v.reshape(-1, d, d)
+            if vectors:
+                self.ranks = np.count_nonzero(self.w > tol, axis=1)
+        least = self.w[:, 0] if self.every and d else np.full(len(self.blocks), np.nan if d else np.inf)
+        if self.w is not None and not self.every:
+            least[self.solvable] = self.w[:, 0]
+        self.least = least.tolist()
+        self.ok = [x >= -tol for x in self.least]
+
+    def verdict(self, p: int) -> PSDResult:
+        defect, r = self.defects[p], p
+        if not self.every:
+            if self.rejected[p]:
+                return PSDResult(False, float("nan"), defect, matrix=self.blocks[p])
+            if not self.solvable[p]:
+                eigen.hermitian_eigh(self.blocks[p], vectors=False)  # not finite: the solver raises
+            r = np.count_nonzero(self.solvable[:p])
+        if self.w is None:  # a 0×0 block, decided as is_positive_type decides no block
+            return PSDResult(True, float("inf"), defect)
+        v = self.v if self.v is None else self.v[r]
+        return PSDResult(self.ok[p], self.least[p], defect, self.w[r], self.blocks[p], v)
 
 
 @dataclass
@@ -485,7 +522,7 @@ class _PositiveTypeStack:
 
     Each distinct source-fiber gather of G reads one (F, d, d) stack of
     blocks, one per function, and each stack is decided by one
-    ``_StackedSolve``.  A function's verdict is that of a walk over its
+    ``_PSDVerdicts``.  A function's verdict is that of a walk over its
     objects in order: the first failing block decides, and otherwise the
     first block with the least eigenvalue does.  Objects that share a gather
     share its verdicts, so only the first object of each gather can decide,
@@ -493,8 +530,8 @@ class _PositiveTypeStack:
     over gathers.  ``ok`` holds the verdicts, and ``result(p)`` builds row
     p's ``PositiveTypeResult`` from the stacked solves, with no solve of its
     own until its eigenvectors are read.  A non-finite block raises
-    ValueError here when, and only when, the walk of its row reaches it; a
-    table that lacks a composite that a block reads raises
+    ValueError in ``result(p)`` when, and only when, the walk of row p
+    reaches it; a table that lacks a composite that a block reads raises
     NotComposableError before any block is decided.
     """
 
@@ -502,15 +539,11 @@ class _PositiveTypeStack:
 
     def __init__(self, G: FiniteGroupoid, values: np.ndarray, tol: float):
         indices, self.heads = _fiber_gathers(G)
-        self.solves = [_StackedSolve(values[:, idx], tol) for idx in indices]
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN defect, which the solver rejects when read
+            self.solves = [_PSDVerdicts(values[:, idx], tol) for idx in indices]
         self.ok = np.ones(len(values), dtype=bool)
         for solve in self.solves:
             self.ok &= solve.ok
-        if any(solve.unsolvable.any() for solve in self.solves):
-            for p in range(len(values)):
-                u = self._deciding(p)
-                if self.solves[u].unsolvable[p]:
-                    psd_verdict(self.solves[u].stack[p], tol)  # not finite: the solver raises
 
     def _deciding(self, p: int) -> int:
         """The gather of row p's deciding block."""
@@ -555,38 +588,6 @@ def _fiber_gathers(G: FiniteGroupoid):
             indices.append(idx)
             heads.append((x, fiber))
     return tuple(indices), tuple(heads)
-
-
-class _StackedSolve:
-    """``psd_verdict`` of each block of an (F, d, d) stack, as arrays, with one
-    eigenvalues-only ``hermitian_eigh`` call for the blocks that are finite
-    and Hermitian within tol.  ``least`` holds their least eigenvalues (NaN
-    for the other blocks) and ``ok`` every block's verdict.  ``unsolvable``
-    marks the non-finite blocks within tol, which only ``psd_verdict``
-    decides (its solver raises ValueError); ``verdict(p)`` is the PSDResult
-    of any other block p, which solves its block's eigenvectors only when
-    they are read."""
-
-    __slots__ = ("stack", "tol", "defects", "solved", "w", "least", "ok", "unsolvable")
-
-    def __init__(self, stack: np.ndarray, tol: float):
-        with np.errstate(invalid="ignore"):  # inf - inf: a NaN defect, left to the solver
-            self.defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        finite = np.isfinite(self.defects)  # a non-finite entry makes the defect inf or NaN
-        rejected = self.defects > tol
-        self.solved = finite & ~rejected
-        self.w = None
-        self.least = np.full(len(stack), np.nan)
-        if self.solved.any():
-            self.w, _ = eigen.hermitian_eigh(stack[self.solved], vectors=False)
-            self.least[self.solved] = self.w[:, 0]
-        self.ok = self.least >= -tol
-        self.unsolvable = ~finite & ~rejected
-        self.stack, self.tol = stack, tol
-
-    def verdict(self, p: int) -> PSDResult:
-        r = np.count_nonzero(self.solved[:p])
-        return _psd_result(self.stack[p], float(self.defects[p]), lambda: (self.w[r], None), self.tol)
 
 
 def state_normalization(phi: AlgebraElement, m: GroupoidMeasure):

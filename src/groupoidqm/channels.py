@@ -39,7 +39,7 @@ from .algebra import (
     PSD_TOL,
     PSDResult,
     _PositiveTypeStack,
-    _psd_result,
+    _PSDVerdicts,
     _joined_array,
     contract,
     convolve,
@@ -48,7 +48,7 @@ from .algebra import (
     psd_verdict,
     state_normalization,
 )
-from .eigen import hermitian_defect, hermitian_eigh
+from .eigen import hermitian_eigh  # noqa: F401  (not called; perfbench's tracer test pins it)
 from .groupoid import GroupoidError, is_pair_groupoid, pair_groupoid
 from .measure import GroupoidMeasure
 from .symmetroid import FlatBisection
@@ -280,25 +280,23 @@ def choi_kraus_decomposition(ch: Channel, tol: float = PSD_TOL) -> KrausFamily:
     """Kraus members from the eigendecomposition of the Choi matrix.
 
     Requires the Choi matrix to be Hermitian PSD within tol.  One solve, with
-    eigenvectors, both decides that and gives the members.
+    eigenvectors, both decides that and gives the members, √λ·v for each
+    eigenvalue λ above tol, largest first.
     """
-    n = ch.n
-    choi = to_choi(ch).matrix
-    verdict = _psd_result(choi, hermitian_defect(choi), lambda: hermitian_eigh(choi), tol)
+    decided = _PSDVerdicts(to_choi(ch).matrix, tol, vectors=True)
+    verdict = decided.verdict(0)
     if not verdict.ok:
         raise GroupoidError(
             f"Choi matrix is not Hermitian PSD (defect {verdict.hermitian_defect:.3e}, "
             f"min eigenvalue {verdict.min_eigenvalue:.3e})"
         )
     w, v = verdict.eigenvalues, verdict.eigenvectors
-    g = pair_groupoid(n)
-    members = []
-    for i in range(len(w) - 1, -1, -1):
-        if w[i] <= tol:
-            continue
-        scale = float(np.sqrt(w[i]))
-        members.append(AlgebraElement(g, [scale * complex(x) for x in v[:, i]]))
-    return KrausFamily(n, members)
+    g = pair_groupoid(ch.n)
+    members = [
+        AlgebraElement(g, [float(np.sqrt(w[i])) * complex(x) for x in v[:, i]])
+        for i in range(len(w) - 1, len(w) - 1 - decided.ranks[0], -1)
+    ]
+    return KrausFamily(ch.n, members)
 
 
 # -- positivity diagnostics --

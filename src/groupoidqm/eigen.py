@@ -1,13 +1,12 @@
 """Hermitian eigenvalues, and eigenvectors when read, for the PSD verdicts.
 
-Every PSD verdict in this package is decided on eigenvalues from
-:func:`hermitian_eigh`, the one place that calls a solver: LAPACK's Hermitian
-eigensolver through ``numpy.linalg.eigvalsh`` for a verdict, which reads only
-the eigenvalues, and through ``numpy.linalg.eigh`` where eigenvectors are
-read (a failure witness, a Kraus factorisation).  The input is first checked
-to be a finite square matrix or a stack of them, and symmetrized as
-(A + A†)/2, so the solver always sees an exactly Hermitian matrix and callers
-check Hermiticity defects separately (``hermitian_defect``).  The solver is
+Every PSD verdict in this package is made by one decider,
+``algebra._PSDVerdicts``, on its :func:`hermitian_defect` and on eigenvalues
+from :func:`hermitian_eigh`, the one place that calls a solver: LAPACK's
+Hermitian eigensolver through ``numpy.linalg.eigvalsh`` for a verdict, and
+``numpy.linalg.eigh`` where eigenvectors are read (a failure witness, a Kraus
+factorisation).  The input is first checked to be a finite square matrix or
+a stack of them, and symmetrized as (A + A†)/2.  The solver is
 backward stable: each computed eigenvalue is within about ε‖A‖ of an exact
 one, with ε the unit roundoff, with or without eigenvectors; the two drivers
 may differ in the last bits.  That absolute bound is what a verdict comparing
@@ -47,13 +46,8 @@ def hermitian_eigh(a, vectors: bool = True):
     return np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
 
 
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a Hermitian matrix; inf for a 0×0 one."""
-    w, _ = hermitian_eigh(a, vectors=False)
-    return float(w[0]) if len(w) else float("inf")
-
-
-def hermitian_defect(a) -> float:
-    """max |A - A†| entrywise; zero on exactly Hermitian input and on a 0×0 matrix."""
+def hermitian_defect(a):
+    """max |A - A†| entrywise, of a matrix or per matrix of a stack: zero on
+    exactly Hermitian input and on a 0×0 matrix, inf or NaN on a non-finite one."""
     A = _square(a)
-    return float(np.max(np.abs(A - A.conj().swapaxes(-1, -2)), initial=0.0))
+    return np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)

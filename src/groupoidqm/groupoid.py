@@ -74,6 +74,8 @@ class FiniteGroupoid:
             raise ValueError("a groupoid needs at least one object")
         if len(source) != len(target):
             raise ValueError("source and target tables must have equal length")
+        if len(inverse) != len(source) or len(unit_of) != n_objects:
+            raise ValueError("need one inverse per morphism and one unit per object")
         self.n_objects = int(n_objects)
         self.source, self.target, self.inverse, self.unit_of = (
             tuple(map(int, t)) for t in (source, target, inverse, unit_of)
@@ -169,7 +171,10 @@ class FiniteGroupoid:
         if self._pair_arrays is None:
             b, a = self._composable_ends()
             pairs = zip(b.tolist(), a.tolist())
-            ba = np.fromiter(map(self.compose_table.get, pairs, repeat(-1)), np.intp, len(b))
+            try:
+                ba = np.fromiter(map(self.compose_table.get, pairs, repeat(-1)), np.intp, len(b))
+            except OverflowError:  # not a morphism index; validate reports the entry
+                raise GroupoidError("compose table has a composite beyond intp") from None
             for arr in (b, a, ba):
                 arr.flags.writeable = False
             self._pair_arrays = (b, a, ba)

@@ -884,6 +884,12 @@ def loop_is_unital_kraus(fam, tol=TOL):
     return total.allclose(AlgebraElement.units_indicator(g), tol)
 
 
+def min_eigenvalue(a):
+    """Smallest eigenvalue of a Hermitian matrix; inf for a 0×0 one."""
+    w, _ = eigen.hermitian_eigh(a, vectors=False)
+    return float(w[0]) if len(w) else float("inf")
+
+
 def two_solve_decomposition(ch, tol=PSD_TOL):
     """Kraus members √λ·v from a second solve of a Choi matrix that passed."""
     choi = to_choi(ch).matrix

@@ -21,6 +21,7 @@ from oracles import (
     loop_is_positive_type,
     loop_positivity_falsifier,
     loop_random_positive_type,
+    min_eigenvalue,
     psd,
 )
 
@@ -37,7 +38,6 @@ from groupoidqm import (
     is_flat_psd,
     is_positive_type,
     kernel_positive_type,
-    min_eigenvalue,
     pair_groupoid,
     positive_type_verdicts,
     positivity_falsifier,

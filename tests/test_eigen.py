@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from oracles import min_eigenvalue
 
-from groupoidqm import hermitian_defect, hermitian_eigh, min_eigenvalue
+from groupoidqm import hermitian_defect, hermitian_eigh
 
 
 def random_hermitian(rng, n):

@@ -16,6 +16,7 @@ from groupoidqm import (
     Symmetroid,
     ValidationError,
     apply,
+    convolve,
     direct_product,
     dsf_check,
     fibers,
@@ -293,6 +294,32 @@ def test_json_loader_rejects_invalid():
     data["inverse"] = [0, 1, 2, 3]  # identity map is not the pair inverse
     with pytest.raises(ValidationError):
         groupoid_from_json(data)
+
+
+@pytest.mark.parametrize("key, length", [("inverse", 5), ("inverse", 3), ("units", 3)])
+def test_constructor_needs_one_inverse_per_morphism_and_one_unit_per_object(key, length):
+    # validate reads these tables by index: a longer one went unseen ("0
+    # violations / 46 checks") and a shorter one broke a numpy broadcast
+    g = pair_groupoid(2)
+    tables = {"inverse": list(g.inverse), "units": list(g.unit_of)}
+    tables[key] = (tables[key] * 2)[:length]
+    with pytest.raises(ValueError, match="need one inverse per morphism and one unit per object"):
+        FiniteGroupoid(2, g.source, g.target, dict(g.compose_table), tables["inverse"], tables["units"])
+    data = g.to_json()
+    data[key] = tables[key]
+    with pytest.raises(GroupoidError, match="malformed groupoid JSON: need one inverse per morphism"):
+        groupoid_from_json(data)
+
+
+def test_a_composite_beyond_intp_raises_a_groupoid_error_in_the_kernels():
+    # it was numpy's OverflowError; validate reads the table itself and reports it
+    g = MALFORMED["equal-out-of-range"]  # (0, 0) -> 2**70
+    f, m = AlgebraElement(g, [1, 0, 0, 1]), GroupoidMeasure.counting(g)
+    with pytest.raises(GroupoidError, match="composite beyond intp"):
+        g.composable_arrays()
+    with pytest.raises(GroupoidError, match="composite beyond intp"):
+        convolve(f, f, m)
+    assert [v.kind for v in validate(g).violations][:1] == ["index-range"]
 
 
 def two_isotropy_groupoid():

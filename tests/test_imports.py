@@ -7,7 +7,8 @@ run on the groupoid the q-rules build, not on a permuted S(pair(n)), only
 ``measure._Table`` is made, exact products and sums go through the two
 kernels of ``measure``, only ``measure._narrowed`` names int64,
 ``positivity_falsifier`` makes ``AlgebraElement``s only for its witness,
-eigenvectors are solved only where they are read, and the quotient's rules
+eigenvectors are solved only where they are read, tol is compared by one PSD
+decider, and the quotient's rules
 only read, compare and copy fields.  Among the tests, only ``oracles.py``
 defines reference loops, and no test module imports another.
 
@@ -24,7 +25,10 @@ import groupoidqm
 
 PACKAGE = Path(groupoidqm.__file__).parent
 # names kept on purpose, with the reason
-KEPT = {("algebra.py", "hermitian_eigh"): "perfbench's tracer test wraps this binding"}
+KEPT = {
+    ("algebra.py", "hermitian_eigh"): "perfbench's tracer test wraps this binding",
+    ("channels.py", "hermitian_eigh"): "perfbench's tracer test wraps this binding",
+}
 
 
 def imported_names(tree):
@@ -360,11 +364,87 @@ def test_falsifier_works_on_arrays_up_to_its_witness():
 
 
 
+def qualified_uses(test, modules=None) -> set:
+    """(module, name) of every node of the package for which test(node)
+    holds, named by its top-level definition, and a method as Class.method."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")) if modules is None else [PACKAGE / m for m in modules]:
+        found |= {(path.name, name) for name, node in qualified_nodes(ast.parse(path.read_text())) if test(node)}
+    return found
+
+
+def qualified_nodes(tree):
+    """(name, node) for every node of tree under a top-level statement, named
+    by its top-level definition, and within a class by its method."""
+    for top in tree.body:
+        items = top.body if isinstance(top, ast.ClassDef) else [top]
+        for item in items:
+            name = getattr(top, "name", None)
+            if item is not top and isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{top.name}.{item.name}"
+            yield from ((name, node) for node in ast.walk(item))
+
+
+DECIDER = "_PSDVerdicts"
+# the checks that read a tol and decide no positive semidefiniteness
+NOT_PSD = {
+    ("algebra.py", "_Values.allclose"),
+    ("algebra.py", "StateFunction.__init__"),
+    ("algebra.py", "evaluate_state"),
+    ("channels.py", "tomogram"),
+}
+
+
+def compares_tol(node) -> bool:
+    """Whether node is a comparison with an operand that reads a name or an
+    attribute called ``tol``."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(n, ast.Name) and n.id == "tol" or isinstance(n, ast.Attribute) and n.attr == "tol"
+        for n in ast.walk(node)
+    )
+
+
+def tol_comparisons(sources: dict) -> set:
+    """(module, name) of every comparison with tol in the given module sources."""
+    return {
+        (module, name)
+        for module, source in sources.items()
+        for name, node in qualified_nodes(ast.parse(source))
+        if compares_tol(node)
+    }
+
+
+PSD_MODULES = ("algebra.py", "channels.py")
+
+
+def test_tol_is_compared_in_one_psd_decider():
+    # every PSD verdict is _PSDVerdicts' decision, and its constructor is the
+    # one function that compares a defect or an eigenvalue with tol; a second
+    # comparison elsewhere would be a second tolerance rule beside it
+    sources = {m: (PACKAGE / m).read_text() for m in PSD_MODULES}
+    assert tol_comparisons(sources) - NOT_PSD == {("algebra.py", f"{DECIDER}.__init__")}
+
+
+def test_tol_guard_sees_a_comparison_planted_in_is_cp():
+    sources = {m: (PACKAGE / m).read_text() for m in PSD_MODULES}
+    verdict = "    return psd_verdict(to_choi(ch).matrix, tol)\n"
+    assert verdict in sources["channels.py"]
+    sources["channels.py"] = sources["channels.py"].replace(
+        verdict,
+        "    res = psd_verdict(to_choi(ch).matrix, tol)\n"
+        "    res.ok = res.ok and res.min_eigenvalue >= -tol\n"
+        "    return res\n",
+    )
+    assert tol_comparisons(sources) - NOT_PSD == {
+        ("algebra.py", f"{DECIDER}.__init__"), ("channels.py", "is_cp")
+    }
+
+
 def test_eigenvectors_are_solved_only_where_read():
-    # a verdict reads only eigenvalues, so every hermitian_eigh call without
-    # vectors=False is in PSDResult (its eigenvector property, solved when
-    # read) or in the Kraus factorisation; a reference that is not a call (a
-    # partial, an alias) could hide an eager vector solve, so there is none
+    # every solve is the PSD decider's or PSDResult.eigenvectors', which solves
+    # when read; the decider solves eigenvectors only when asked, and only the
+    # Kraus factorisation asks; a reference that is not a call (a partial, an
+    # alias) could hide a solve, so there is none
     def names_solver(node):
         return (
             isinstance(node, ast.Name) and node.id == "hermitian_eigh"
@@ -374,16 +454,20 @@ def test_eigenvectors_are_solved_only_where_read():
     def solves(node):
         return isinstance(node, ast.Call) and names_solver(node.func)
 
-    def solves_vectors(node):
-        return solves(node) and not any(
-            k.arg == "vectors" and isinstance(k.value, ast.Constant) and k.value.value is False
-            for k in node.keywords
+    def asks_vectors(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == DECIDER and (
+            len(node.args) > 2 or any(
+                k.arg == "vectors" and not (isinstance(k.value, ast.Constant) and k.value.value is False)
+                for k in node.keywords
+            )
         )
 
-    assert top_level_uses(solves_vectors) == {
-        ("algebra.py", "PSDResult"),
-        ("channels.py", "choi_kraus_decomposition"),
+    assert qualified_uses(solves) == {
+        ("algebra.py", f"{DECIDER}.__init__"),
+        ("algebra.py", f"{DECIDER}.verdict"),
+        ("algebra.py", "PSDResult.eigenvectors"),
     }
+    assert qualified_uses(asks_vectors) == {("channels.py", "choi_kraus_decomposition")}
     nodes = [n for path in PACKAGE.glob("*.py") for n in ast.walk(ast.parse(path.read_text()))]
     assert sum(map(names_solver, nodes)) == sum(map(solves, nodes))
 
