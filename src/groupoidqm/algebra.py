@@ -19,12 +19,12 @@ integer numerators and denominators (``measure._Table``; int64 where
 call: ``contract`` puts each operand over the lcm of its denominators
 (``measure._over_lcm``), ``convolve``, ``involute`` and ``left_regular_matrix``
 multiply their terms by ``measure._product_parts``, and ``convolve`` sums them
-over their one lcm by ``measure._group_sums``.  An element of ints and
-Fractions is parsed into that integer form once, by the first kernel that
-reads it, and keeps it, as it keeps an exact output of ``convolve`` or
-``involute``; a complex128 output is kept as an owned complex128 array.  The
-next kernel reads these forms as they are; ``values`` is built on first read,
-and a list edited in place after that read is what the next kernel sees.
+over their one lcm by ``measure._group_sums``.  An element holds one form
+of its values for its life, which every kernel reads as it is: an exact
+output of ``convolve`` or ``involute`` its integer form, a complex128 output
+a read-only complex128 array, and given values their tuple, which the first
+kernel that reads its integer form parses once.  ``values`` is a tuple,
+built from the form once, and reading it changes no form.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from . import eigen
 # every solve reads eigen.hermitian_eigh; this binding is for perfbench's tracer test
 from .eigen import hermitian_defect, hermitian_eigh  # noqa: F401
 from .groupoid import FiniteGroupoid, GroupoidError
-from .measure import GroupoidMeasure, _group_sums, _is_exact, _narrowed, _over_lcm, _plain, _product_parts, _Table
+from .measure import GroupoidMeasure, _group_sums, _is_exact, _narrowed, _over_lcm, _product_parts, _Table
 
 PSD_TOL = 1e-10
 
@@ -52,56 +52,41 @@ class NormalizationError(GroupoidError):
 
 
 class _Values:
-    """A mutable list ``values``, or an unread form of it, which kernels read
-    as they are: exact values (every one an int or a Fraction) in integer
-    form, as a ``measure._Table``, and complex ones as an owned complex128
-    array (an array given is copied).  Exact values given are held from
-    construction as a tuple, which the first kernel that reads their integer
-    form parses once into the table it keeps; an exact kernel output is held
-    as the table its kernel computed.  The first read of ``values`` builds
-    the list and drops the unread form for good, so the next kernel reads
-    any edit of the list.  ``_like`` makes sums and multiples."""
+    """The values of a function, held in one form for its life, which kernels
+    read as it is: a tuple of the values given, a ``measure._Table`` (the
+    integer form an exact kernel output computed) or a read-only complex128
+    array (a copy of an array given).  The first kernel that reads the
+    integer form of a tuple parses it once into the ``_Table`` of that tuple
+    and keeps it.  ``values`` is that tuple, or the table's, or the array's
+    as a tuple built once; ``_like`` makes sums and multiples."""
 
-    __slots__ = ("_values", "_unread")
+    __slots__ = ("_form", "_values")
 
     def _hold(self, values) -> None:
-        if type(values) is _Table:
-            self._values, self._unread = None, values
-        elif type(values) is np.ndarray and values.dtype == np.complex128:
-            self._values, self._unread = None, values.copy()
-        elif len(values) and type(values[0]) in (int, Fraction) and _plain(values):
-            self._values, self._unread = None, tuple(values)
-        else:
-            self._values, self._unread = list(values), None
+        self._values = None
+        if type(values) is np.ndarray and values.dtype == np.complex128:
+            values = values.copy()
+            values.flags.writeable = False
+        elif type(values) is not _Table:
+            self._values = values = tuple(values)
+        self._form = values
 
-    def _read(self) -> list:
+    @property
+    def values(self) -> tuple:
         if self._values is None:
-            unread, self._unread = self._unread, None
-            if type(unread) is np.ndarray:
-                self._values = unread.tolist()
-            else:
-                self._values = list(unread.read() if type(unread) is _Table else unread)
+            form = self._form
+            self._values = tuple(form.tolist()) if type(form) is np.ndarray else form.read()
         return self._values
 
-    values = property(_read, _hold)
-
-    def _held(self):
-        """The values in the form held, unread: the list, a tuple, a table or an array."""
-        return self._values if self._unread is None else self._unread
-
     def _integer_form(self) -> _Table:
-        held = self._held()
-        if type(held) is tuple:  # exact values given, parsed once and kept
-            self._unread = held = _Table(held)
-        return held if type(held) is _Table else _Table(held)
+        if type(self._form) is tuple:  # parsed once and kept
+            self._form = _Table(self._form)
+        return self._form if type(self._form) is _Table else _Table(self._form)
 
     def _array_form(self) -> np.ndarray:
-        """The held array, or ``value_array`` of the values as held, a held
-        table read but kept; kernels never write into it."""
-        held = self._held()
-        if type(held) is np.ndarray:
-            return held
-        return value_array(held.read() if type(held) is _Table else held)
+        """The held array, or ``value_array`` of the values."""
+        form = self._form
+        return form if type(form) is np.ndarray else value_array(self.values)
 
     def __add__(self, other):
         self._same_parent(other)
@@ -130,7 +115,7 @@ class AlgebraElement(_Values):
         if len(values) != groupoid.n_morphisms:
             raise ValueError("need one value per morphism")
         self.groupoid = groupoid
-        self.values = values
+        self._hold(values)
 
     @classmethod
     def zeros(cls, g: FiniteGroupoid) -> "AlgebraElement":
@@ -138,17 +123,13 @@ class AlgebraElement(_Values):
 
     @classmethod
     def delta(cls, g: FiniteGroupoid, m: int) -> "AlgebraElement":
-        f = cls.zeros(g)
-        f.values[m] = 1
-        return f
+        return cls(g, [int(a == m) for a in g.morphisms()])
 
     @classmethod
     def units_indicator(cls, g: FiniteGroupoid) -> "AlgebraElement":
         """χ_Ω, the indicator of the unit morphisms: the algebra unit."""
-        f = cls.zeros(g)
-        for x in g.objects():
-            f.values[g.unit(x)] = 1
-        return f
+        units = {g.unit(x) for x in g.objects()}
+        return cls(g, [int(a in units) for a in g.morphisms()])
 
     @classmethod
     def constant(cls, g: FiniteGroupoid, value=1) -> "AlgebraElement":
@@ -231,7 +212,7 @@ def value_array(values) -> np.ndarray:
 
 
 def _joined_array(forms) -> np.ndarray:
-    """The forms of ``_Values._held`` (lists, tuples, unread tables, held arrays) as one
+    """Held forms (``_Values._form``: tuples, tables, arrays) and value tuples as one
     array of one ``value_array`` dtype: object only when every value is exact, so
     weights take the dtype of the values they multiply and never mix floats with Fractions."""
     forms = [f.read() if type(f) is _Table else f for f in forms]
@@ -316,7 +297,7 @@ def convolve(f: AlgebraElement, g: AlgebraElement, m: GroupoidMeasure) -> Algebr
     tables = (ft, m._tables["nu_targets"], gt)
     if _exact(*tables):
         return AlgebraElement(m.groupoid, _convolve_numerators(m, *tables))
-    fv, nu, gv = _value_arrays(f._held(), m.nu_targets, g._held())
+    fv, nu, gv = _value_arrays(f._form, m.nu_targets, g._form)
     b, a, ba = _translation_pairs(m, fv != 0)
     out = np.zeros(m.groupoid.n_morphisms, dtype=fv.dtype)
     np.add.at(out, ba, (fv * nu)[b] * gv[a])
@@ -343,7 +324,7 @@ def involute(f: AlgebraElement, m: GroupoidMeasure) -> AlgebraElement:
         product = _product_parts(((delta, inverse), (ft, inverse)))
         product.fraction = (delta.fraction | ft.fraction)[inverse]
         return AlgebraElement(m.groupoid, product)
-    fv, dl = _value_arrays(f._held(), m.deltas)
+    fv, dl = _value_arrays(f._form, m.deltas)
     return AlgebraElement(m.groupoid, dl[inverse] * np.conj(fv[inverse]))
 
 
@@ -363,7 +344,7 @@ def left_regular_matrix(f: AlgebraElement, m: GroupoidMeasure) -> np.ndarray:
         terms = _product_parts(((ft, b), (nu, b)))
         mat[ba, a] = [p / q for p, q in zip(terms.num.tolist(), terms.den.tolist())]
     else:
-        fv, nuv = _value_arrays(f._held(), m.nu_targets)
+        fv, nuv = _value_arrays(f._form, m.nu_targets)
         b, a, ba = _translation_pairs(m, fv != 0)
         mat[ba, a] = (fv * nuv)[b]
     return mat
@@ -509,7 +490,7 @@ def positive_type_verdicts(
     results: list[PositiveTypeResult] = [None] * len(phis)  # type: ignore[list-item]
     for members in by_groupoid.values():
         G = phis[members[0]].groupoid
-        values = _joined_array([phis[i]._held() for i in members]).reshape(len(members), G.n_morphisms)
+        values = _joined_array([phis[i]._form for i in members]).reshape(len(members), G.n_morphisms)
         stack = _PositiveTypeStack(G, values.astype(np.complex128, copy=False), tol)
         for p, i in enumerate(members):
             results[i] = stack.result(p)

@@ -131,7 +131,7 @@ def load_kraus(path: str) -> KrausFamily:
 def from_kraus(ks: KrausFamily) -> Channel:
     """Kernel f((l,j),(k,m)) = Σ_p V_p(l,j) conj(V_p(m,k))."""
     n = ks.n
-    v = _joined_array([member._held() for member in ks.members]).reshape(-1, n, n)
+    v = _joined_array([member._form for member in ks.members]).reshape(-1, n, n)
     return Channel(QuotientFunction.from_tensor(contract("pzy,pwx->zyxw", v, np.conj(v))))
 
 
@@ -144,11 +144,8 @@ def from_flat_bisection(b: FlatBisection) -> Channel:
 def bisection_indicator(b: FlatBisection) -> AlgebraElement:
     """χ_b on the base pair groupoid; its left-regular matrix is the
     permutation matrix of σ."""
-    g = pair_groupoid(b.n)
-    chi = AlgebraElement.zeros(g)
-    for j in range(b.n):
-        chi.values[b.perm[j] * b.n + j] = 1
-    return chi
+    ones = {b.perm[j] * b.n + j for j in range(b.n)}
+    return AlgebraElement(pair_groupoid(b.n), [int(a in ones) for a in range(b.n * b.n)])
 
 
 def identity_channel(n: int) -> Channel:

@@ -21,8 +21,8 @@ checks), and a sum check sums those products by check.  Exact values have
 one integer form, a ``_Table`` of numerators and denominators read by
 ``_parts``, and stay in it until read: a table made from integers builds its
 values on first read, and ν^x, ν_x and δ are derived on first read, from the
-weights the measure was made with (for S(G), from its base's).  Assigning a
-table replaces its integer form.  Two kernels do the exact arithmetic:
+weights the measure was made with (for S(G), from its base's); a measure's
+tables are read-only.  Two kernels do the exact arithmetic:
 ``_product_parts`` multiplies gathered values term by term (both sides of
 every check, the tables, the terms of ``algebra.convolve``), and
 ``_group_sums`` sums terms by group over their one lcm (the sum checks and
@@ -142,8 +142,9 @@ class _Table:
     ``den`` (None unless every value is exact), bounds ``nbits`` and ``dbits``
     of their bit lengths (their own by default), ``fraction``, True where
     a value is a Fraction, and ``plain``, whether every value is an int or a
-    Fraction by type, recorded once.  Made from integers, it builds its values
-    on first ``read``: Fraction(num, den) where ``fraction`` is set, else num // den."""
+    Fraction by type, recorded once.  ``read`` gives the values it was made
+    from or, made from integers, builds them on first read as a tuple it
+    keeps: Fraction(num, den) where ``fraction`` is set, else num // den."""
 
     __slots__ = ("values", "num", "den", "nbits", "dbits", "fraction", "plain")
 
@@ -225,18 +226,14 @@ class _Derived(dict):
 
 
 def _table(name: str, doc: str) -> property:
-    """A measure table, read through its ``_Table``; assigning replaces the integer form too."""
-
-    def assign(m, values):
-        m._tables[name] = _Table(values)
-
-    return property(lambda m: m._tables[name].read(), assign, doc=doc)
+    """A measure table, read through its ``_Table``; read-only."""
+    return property(lambda m: m._tables[name].read(), doc=doc)
 
 
 class GroupoidMeasure:
     """Positive morphism and object weights on a fixed groupoid, with the tables
     ``nu_targets`` (ν^x), ``nu_sources`` (ν_x) and ``deltas`` (δ) derived from
-    the constructor's weights on first read."""
+    the constructor's weights on first read; every table is read-only."""
 
     __slots__ = ("groupoid", "_tables")
 
@@ -288,8 +285,7 @@ class GroupoidMeasure:
         """This measure on g with the weight tables w and ow, each of ν^x =
         μ/μ_Ω∘t, ν_x = μ/μ_Ω∘s and δ = μ/μ∘inv derived from them on its first
         read: from the integer form on exact weights (``fractions`` not None),
-        else entry by entry by ``_ratio``.  Assigning a weight table later
-        changes none of them."""
+        else entry by entry by ``_ratio``."""
         self.groupoid = g
         by = {"nu_targets": (ow, g.target), "nu_sources": (ow, g.source), "deltas": (w, g.inverse)}
 

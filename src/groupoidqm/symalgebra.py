@@ -235,7 +235,7 @@ class QuotientFunction(_Values):
         if len(values) != n**4:
             raise ValueError(f"need n⁴ = {n**4} values, got {len(values)}")
         self.n = n
-        self.values = values
+        self._hold(values)
 
     @classmethod
     def zeros(cls, n: int) -> "QuotientFunction":
@@ -243,9 +243,8 @@ class QuotientFunction(_Values):
 
     @classmethod
     def delta(cls, n: int, q: QClass) -> "QuotientFunction":
-        f = cls.zeros(n)
-        f.values[q_index(n, q)] = 1
-        return f
+        k = q_index(n, q)
+        return cls(n, [int(i == k) for i in range(n**4)])
 
     @classmethod
     def vertical_unit_indicator(cls, n: int) -> "QuotientFunction":
@@ -259,14 +258,14 @@ class QuotientFunction(_Values):
     @classmethod
     def from_tensor(cls, t: np.ndarray) -> "QuotientFunction":
         """The function whose tensor view is the (n, n, n, n) array t: a
-        complex128 t is held as a copy, unread, and any other as a list."""
+        complex128 t is held as a read-only copy, and any other as a tuple."""
         flat = t.reshape(-1)
         return cls(t.shape[0], flat if t.dtype == np.complex128 else flat.tolist())
 
     def tensor(self) -> np.ndarray:
         """The values as a read-only (n, n, n, n) array indexed [z, y, x, w]:
-        a view of the held complex128 array while ``values`` is unread, else
-        ``value_array`` of the list (object for exact values, else complex128)."""
+        a view of the held complex128 array, else ``value_array`` of the
+        values (object for exact values, else complex128)."""
         t = self._array_form().reshape((self.n,) * 4)
         t.flags.writeable = False
         return t
@@ -324,14 +323,14 @@ def convolve_S(
     """
     if g.n != f.n:
         raise GroupoidError("quotient functions live over different bases")
-    return QuotientFunction(f.n, convolve(f, g, _counting(f.n) if qm is None else qm.measure)._held())
+    return QuotientFunction(f.n, convolve(f, g, _counting(f.n) if qm is None else qm.measure)._form)
 
 
 def involute_S(f: QuotientFunction, qm: QuotientMeasure | None = None) -> QuotientFunction:
     """f*((l,j),(k,m)) = Δ₂⁻¹ conj(f((j,l),(m,k))), where Δ₂⁻¹ = Δ₂(Γ⁻¹) =
     δ(j,l)·δ(k,m): ``involute`` on ``quotient_groupoid(n)``; on a counting
     base this is the antilinear modular involution conj(f(Γ⁻¹))."""
-    return QuotientFunction(f.n, involute(f, _counting(f.n) if qm is None else qm.measure)._held())
+    return QuotientFunction(f.n, involute(f, _counting(f.n) if qm is None else qm.measure)._form)
 
 
 def rep_operator(f: QuotientFunction, qm: QuotientMeasure | None = None) -> np.ndarray:

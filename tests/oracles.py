@@ -15,6 +15,7 @@ Test modules import from here and never from one another.
 """
 
 import cmath
+import copy
 import functools
 import itertools
 import math
@@ -44,6 +45,8 @@ from groupoidqm import (
 )
 from groupoidqm import eigen
 from groupoidqm.algebra import PSD_TOL, PositiveTypeResult, psd_verdict, value_array
+from groupoidqm.measure import _Table
+from groupoidqm.symalgebra import SymmetroidMeasure
 from groupoidqm.reports import ViolationReport
 
 TOL = 1e-12
@@ -120,6 +123,20 @@ def perturbed(values, small, large):
     if len(values) > 1:
         values[len(values) // 2] += large
     return values
+
+
+def with_tables(m, **tables):
+    """A new measure of m's class whose named tables hold the given values, a
+    fault that no constructor makes (on a SymmetroidMeasure, the tables of its
+    vertical ``measure``).  The other tables are m's: those not yet read are
+    derived, on first read, from m's weights."""
+    planted = copy.copy(m)
+    if isinstance(m, SymmetroidMeasure):
+        planted.measure = with_tables(m.measure, **tables)
+    else:
+        planted._tables = type(m._tables)(m._tables, **{name: _Table(tuple(v)) for name, v in tables.items()})
+        planted._tables.derive = m._tables.derive
+    return planted
 
 
 def fractions(rng, size):

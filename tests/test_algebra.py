@@ -127,9 +127,9 @@ class TestInvolution:
         # f*(α) = δ(α)⁻¹ conj(f(α⁻¹)): the only nonzero of (δ_(1,0))* sits at
         # α = (0,1) with weight δ((0,1))⁻¹ = ((1/2)/2)⁻¹ = 4
         star = involute(delta(n, 1, 0), m)
-        expected = AlgebraElement.zeros(g)
-        expected.values[pair_index(n, 0, 1)] = 4
-        assert star == expected
+        expected = [0] * g.n_morphisms
+        expected[pair_index(n, 0, 1)] = 4
+        assert star == AlgebraElement(g, expected)
         assert involute(star, m) == delta(n, 1, 0)
 
     def test_involution_is_the_l2_adjoint(self):

@@ -164,7 +164,7 @@ def test_choi_kraus_decomposition_solves_once_and_matches_two_solves(monkeypatch
         calls.clear()
         members = choi_kraus_decomposition(ch).members
         assert len(calls) == 1
-        assert [v.values for v in members] == two_solve_decomposition(ch)
+        assert [v.values for v in members] == [tuple(v) for v in two_solve_decomposition(ch)]
 
 
 # -- exact kernels beside complex values --

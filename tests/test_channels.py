@@ -298,16 +298,14 @@ class TestPositivity:
         assert np.allclose(swap @ res.witness, -res.witness, atol=1e-10)
 
     def test_flat_psd_hermitian_defect(self):
-        kernel = QuotientFunction.zeros(2)
-        kernel.values[1] = 1.0  # f((0,0),(0,1)) with no conjugate partner
+        kernel = QuotientFunction(2, [0, 1.0] + [0] * 14)  # f((0,0),(0,1)) with no conjugate partner
         res = is_flat_psd(Channel(kernel))
         assert not res.ok
         assert res.hermitian_defect == 1.0
 
     def test_verdicts_are_psd_verdict_on_choi_and_a(self):
         rng = np.random.default_rng(12)
-        non_hermitian = QuotientFunction.zeros(2)
-        non_hermitian.values[1] = 1.0
+        non_hermitian = QuotientFunction(2, [0, 1.0] + [0] * 14)
         channels = [
             identity_channel(2),
             transpose_channel(3),
@@ -331,8 +329,7 @@ class TestPositivity:
             assert np.array_equal(min_eig, a_verdict.min_eigenvalue, equal_nan=True)
 
     def test_choi_kraus_decomposition_rejects_non_hermitian_choi(self):
-        kernel = QuotientFunction.zeros(2)
-        kernel.values[1] = 1.0
+        kernel = QuotientFunction(2, [0, 1.0] + [0] * 14)
         with pytest.raises(GroupoidError, match=r"defect 1\.000e\+00, min eigenvalue nan"):
             choi_kraus_decomposition(Channel(kernel))
 
@@ -582,7 +579,7 @@ class TestPaddingAndExtension:
         psi = AlgebraElement(pair_groupoid(2), [1, Fraction(1, 2), 2j, 3.5])
         padded = pad_element(psi, 3)
         assert padded.groupoid is pair_groupoid(3)
-        assert padded.values == [1, Fraction(1, 2), 0, 2j, 3.5, 0, 0, 0, 0]
+        assert padded.values == (1, Fraction(1, 2), 0, 2j, 3.5, 0, 0, 0, 0)
         assert [type(v) for v in padded.values] == [int, Fraction, int, complex, float, int, int, int, int]
 
     def test_extend_with_identity_blocks(self):

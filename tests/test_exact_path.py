@@ -33,6 +33,7 @@ from oracles import (
     pair3_missing,
     perturbed,
     value_lists,
+    with_tables,
 )
 
 from groupoidqm import (
@@ -158,7 +159,7 @@ def test_symmetroid_checks_match_loops(n):
     deltas = list(m2.measure.deltas)
     deltas[1] += Fraction(1, 10**14)
     deltas[2] += Fraction(1, 10**6)
-    m2.measure.deltas = tuple(deltas)
+    m2 = with_tables(m2, deltas=deltas)
     rep = verify_modular_formula(m2)
     assert [v.where for v in rep.violations] == [(ts[2],)]
     assert_same_report(rep, loop_modular_atoms(m2))
@@ -279,7 +280,7 @@ def test_involute_S_keeps_int_kernels_exact():
     out = involute_S(f, QuotientMeasure(m)).values
     t = value_array(f.values).reshape((n,) * 4).transpose(1, 0, 3, 2)
     dl = np.array([Fraction(v) for v in m.deltas], dtype=object).reshape(n, n)
-    assert out == (t / (dl[:, :, None, None] * dl.T)).reshape(-1).tolist()
+    assert out == tuple((t / (dl[:, :, None, None] * dl.T)).reshape(-1).tolist())
     assert {type(v) for v in out} <= {int, Fraction}
 
 
@@ -312,7 +313,7 @@ def test_exact_contractions_match_einsum(kind, want):
     ):
         out = convolve_S(QuotientFunction(n, f), QuotientFunction(n, h), qm).values
         ref = einsum_convolve_S(f, h, qm, n)[0]
-        assert out == ref
+        assert out == tuple(ref)
         exact_weights = qm is None or all(type(v) is int for v in qm.base.nu_targets)
         assert all(type(v) is (want if exact_weights else Fraction) for v in out)
         if exact_weights:
@@ -327,12 +328,12 @@ def test_mixed_int_fraction_contraction_gives_fractions():
     members = [[1, 2, 3, 4], [Fraction(1, 2), 0, 0, 0]]
     ch = from_kraus(KrausFamily(n, [AlgebraElement(g, v) for v in members]))
     ref = einsum_from_kraus(members, n)
-    assert ch.kernel.values == ref
+    assert ch.kernel.values == tuple(ref)
     assert all(type(v) is Fraction for v in ch.kernel.values)
     assert int in {type(v) for v in ref}
     psi = [1, 0, 0, 1]
     out = apply(ch, AlgebraElement(g, psi)).values
-    assert out == einsum_apply(ch.kernel.values, psi, n)
+    assert out == tuple(einsum_apply(ch.kernel.values, psi, n))
     assert all(type(v) is Fraction for v in out)
 
 
@@ -342,9 +343,9 @@ def test_complex_contractions_unchanged():
     g = pair_groupoid(n)
     members = [list(rng.normal(size=n * n) + 1j * rng.normal(size=n * n)) for _ in range(2)]
     ch = from_kraus(KrausFamily(n, [AlgebraElement(g, v) for v in members]))
-    assert ch.kernel.values == einsum_from_kraus(members, n)
+    assert ch.kernel.values == tuple(einsum_from_kraus(members, n))
     psi = list(rng.normal(size=n * n) + 0j)
-    assert apply(ch, AlgebraElement(g, psi)).values == einsum_apply(ch.kernel.values, psi, n)
+    assert apply(ch, AlgebraElement(g, psi)).values == tuple(einsum_apply(ch.kernel.values, psi, n))
     f, h = (list(rng.normal(size=n**4) + 1j * rng.normal(size=n**4)) for _ in range(2))
     weighted = QuotientMeasure(weighted_pair_measure(g, (0.5, 2.0, 3.0)))
     for qm in (None, QuotientMeasure(GroupoidMeasure.counting(g)), weighted):
@@ -554,33 +555,14 @@ def test_exports_of_an_exact_element_keep_its_integer_form():
     for f in (q, out):
         f.tensor()
         f.to_json()
+        assert type(f.values) is tuple  # a read keeps the form too
     assert parses(lambda: (convolve_S(q, out, qm), involute_S(out, qm), rep_operator(q, qm))) == 0
     g = pair_groupoid(3)
     f, counting = AlgebraElement(g, nonzero_fractions(rng, 9)), GroupoidMeasure.counting(g)
     assert parses(lambda: convolve(f, f, counting)) == 1
     f.to_json()
-    assert parses(lambda: convolve(f, f, counting)) == 0
-
-
-def test_an_input_edited_after_its_read_is_what_the_kernels_see():
-    rng = np.random.default_rng(25)
-    g = pair_groupoid(3)
-    m = weighted_pair_measure(g, (Fraction(1, 3), 2, Fraction(5, 2)))
-    f, h = (AlgebraElement(g, nonzero_fractions(rng, 9)) for _ in range(2))
-    convolve(f, h, m)  # parses f and keeps its integer form until the read below
-    f.values[4] = Fraction(7, 3)
-    f.values[0] = 0.5  # no longer exact
-    edited = AlgebraElement(g, list(f.values))
-    assert_same_values(convolve(f, h, m).values, convolve(edited, h, m).values)
-    assert_same_values(involute(f, m).values, involute(edited, m).values)
-    n = 2
-    qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (Fraction(1, 2), 3)))
-    q, q2 = (QuotientFunction(n, nonzero_fractions(rng, n**4)) for _ in range(2))
-    involute_S(q, qm)
-    q.values[5] = Fraction(-1, 9)
-    same = QuotientFunction(n, list(q.values))
-    assert_same_values(convolve_S(q, q2, qm).values, convolve_S(same, q2, qm).values)
-    assert_same_values(involute_S(q, qm).values, involute_S(same, qm).values)
+    f.values  # read, and the integer form kept
+    assert parses(lambda: (convolve(f, f, counting), involute(f, counting))) == 0
 
 
 def test_editing_the_callers_list_after_construction_changes_nothing():
@@ -592,7 +574,7 @@ def test_editing_the_callers_list_after_construction_changes_nothing():
     f = AlgebraElement(g, values)
     values[2] = Fraction(99)
     assert_same_values(convolve(f, h, m).values, convolve(AlgebraElement(g, kept), h, m).values)
-    assert f.values == kept and f.values is not values
+    assert f.values == tuple(kept) and f.values is not values
     qvalues = nonzero_fractions(rng, 16)
     q = QuotientFunction(2, qvalues)
     qkept = list(qvalues)
@@ -615,7 +597,7 @@ def test_chained_exact_outputs_build_no_fraction_until_read():
     out = []
     assert fractions_built(lambda: out.append(convolve(involute(f, m), convolve(f, h, m), m))) == 0
     assert fractions_built(lambda: out[0].values) == 16
-    assert fractions_built(lambda: out[0].values) == 0  # the list is built once
+    assert fractions_built(lambda: out[0].values) == 0  # the tuple is built once
     assert all(type(v) is Fraction for v in out[0].values)
     n = 3
     qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (Fraction(1, 3), 2, Fraction(5, 2))))
@@ -626,34 +608,12 @@ def test_chained_exact_outputs_build_no_fraction_until_read():
     assert all(type(v) is Fraction for v in out[1].values)
 
 
-def test_an_output_edited_after_its_read_is_convolved_as_edited():
-    rng = np.random.default_rng(22)
-    g = pair_groupoid(3)
-    m = weighted_pair_measure(g, (Fraction(1, 3), 2, Fraction(5, 2)))
-    f, h, k = (AlgebraElement(g, _nonzero_fractions(rng, 9)) for _ in range(3))
-    fh = convolve(f, h, m)
-    fh.values[4] = Fraction(7, 3)
-    fh.values[0] = 2
-    edited = list(fh.values)
-    assert fh.values[4] == Fraction(7, 3) and fh.values == edited
-    assert_same_values(convolve(fh, k, m).values, convolve(AlgebraElement(g, edited), k, m).values)
-    assert_same_values(involute(fh, m).values, involute(AlgebraElement(g, edited), m).values)
-    n = 2
-    qm = QuotientMeasure(weighted_pair_measure(pair_groupoid(n), (Fraction(1, 2), 3)))
-    q1, q2 = (QuotientFunction(n, _nonzero_fractions(rng, n**4)) for _ in range(2))
-    q12 = convolve_S(q1, q2, qm)
-    q12.values[5] = Fraction(-1, 9)
-    edited = QuotientFunction(n, list(q12.values))
-    assert_same_values(convolve_S(q12, q1, qm).values, convolve_S(edited, q1, qm).values)
-    assert np.array_equal(rep_operator(q12, qm), rep_operator(edited, qm))
-
-
 CHAIN_NAMES = ("pair2", "pair3", "z3", "two-component", "product-z3", "vertical2")
 CHAIN_CASES = cases(CHAIN_NAMES, ("counting", "int", "fraction", "float", "weighted-fraction"))
 
 
 def _read(h):
-    """h with its values read into a list, as a caller that reads them holds it."""
+    """h made afresh from its values, as a caller that reads them would make it."""
     return AlgebraElement(h.groupoid, h.values)
 
 

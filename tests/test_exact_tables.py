@@ -29,6 +29,7 @@ from oracles import (
     old_symmetroid_measure,
     old_tables,
     weight_grid,
+    with_tables,
 )
 
 from groupoidqm import (
@@ -76,7 +77,7 @@ def test_measure_tables_match_per_entry_ratios(gname, bname):
 @pytest.mark.parametrize("bname", ["int", "mixed", "fraction", "float", "big", "weighted-fraction"])
 def test_derived_tables_follow_the_constructors_weights(bname):
     """ν^x, ν_x and δ are derived on first read, from the weights the measure
-    was made with: assigning new weights first changes none of them."""
+    was made with, and no table can be assigned."""
     g = pair_groupoid(3)
     weights, object_weights = weight_grid(g)[bname]
     want = old_tables(g, weights, object_weights)[2:]
@@ -84,8 +85,9 @@ def test_derived_tables_follow_the_constructors_weights(bname):
     if bname == "weighted-fraction":
         made.append(weighted_pair_measure(g, object_weights))
     for m in made:
-        m.weights = tuple(2 * w for w in m.weights)
-        m.object_weights = tuple(3 * w for w in m.object_weights)
+        for name in ("weights", "object_weights", "nu_targets", "nu_sources", "deltas"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, tuple(2 * w for w in m.weights))
         for got, ref in zip((m.nu_targets, m.nu_sources, m.deltas), want):
             assert_same_values(got, ref)
 
@@ -162,7 +164,7 @@ def test_disintegration_violations_match_loop(bname):
     nu = list(m.nu_targets)
     nu[4] += Fraction(1, 10**20) if bname != "float" else 1e-15
     nu[7] *= 2
-    m.nu_targets = tuple(nu)
+    m = with_tables(m, nu_targets=nu)
     subsets = [list(g.morphisms()), [4], [7], [4, 7], [0, 1], [3, 4, 5]]
     for tol in (0, 1e-12):
         got = verify_disintegration(g, m, subsets, tol)
@@ -220,7 +222,7 @@ def test_modular_sum_violations_match_loop(bname):
     # μ₂ at the inverse of t: the sum over t⁻¹ moves, the sum over t does not
     t = next(t for t in ts[6:] if sym.vertical_inverse(t) != t)
     weights[sym.index[sym.vertical_inverse(t)]] *= 2
-    m2.measure.deltas, m2.measure.weights = tuple(deltas), tuple(weights)
+    m2 = with_tables(m2, deltas=deltas, weights=weights)
     fs = functions(sym, 1) + [{ts[3]: 1}, {ts[5]: Fraction(1, 2)}, {t: 1}, {ts[6]: 0}]
     for tol in (0, 1e-12):
         got = verify_modular_formula(m2, fs, tol)

@@ -8,7 +8,8 @@ run on the groupoid the q-rules build, not on a permuted S(pair(n)), only
 kernels of ``measure``, only ``measure._narrowed`` names int64,
 ``positivity_falsifier`` makes ``AlgebraElement``s only for its witness,
 eigenvectors are solved only where they are read, tol is compared by one PSD
-decider, and the quotient's rules
+decider, no module stores through an element's ``values`` or into a
+measure's tables, and the quotient's rules
 only read, compare and copy fields.  Among the tests, only ``oracles.py``
 defines reference loops, and no test module imports another.
 
@@ -438,6 +439,47 @@ def test_tol_guard_sees_a_comparison_planted_in_is_cp():
     assert tol_comparisons(sources) - NOT_PSD == {
         ("algebra.py", f"{DECIDER}.__init__"), ("channels.py", "is_cp")
     }
+
+
+# values set where their object is made: a table's, built once, and the modular function's
+OWN_VALUES = {
+    ("measure.py", "_Table.__init__"), ("measure.py", "_Table.read"), ("measure.py", "ModularFunction.__init__")
+}
+
+
+def value_stores(sources: dict) -> set:
+    """(module, name) of every store or del through ``.values`` (``x.values =
+    v``, ``x.values[k] = v``, ``x.values.a = v``) or into an attribute named as
+    a measure table, in the given module sources."""
+    tables = {"weights", "object_weights", "nu_targets", "nu_sources", "deltas"}
+
+    def stores(node) -> bool:
+        if not isinstance(node, (ast.Attribute, ast.Subscript)) or isinstance(node.ctx, ast.Load):
+            return False
+        chain = [node]
+        while isinstance(chain[-1].value, (ast.Attribute, ast.Subscript)):
+            chain.append(chain[-1].value)
+        names = [getattr(n, "attr", None) for n in chain]
+        return "values" in names or names[0] in tables
+
+    return {(m, name) for m, src in sources.items() for name, node in qualified_nodes(ast.parse(src)) if stores(node)}
+
+
+def test_values_and_measure_tables_are_never_stored():
+    # a function's values and a measure's tables are fixed when it is made
+    assert value_stores({p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == OWN_VALUES
+
+
+def test_value_store_guard_sees_edits_planted_in_bisection_indicator_and_with_exact():
+    sources = {m: (PACKAGE / m).read_text() for m in ("channels.py", "measure.py")}
+    indicator = "    return AlgebraElement(pair_groupoid(b.n), [int(a in ones) for a in range(b.n * b.n)])\n"
+    exact = "        return GroupoidMeasure(\n"
+    assert indicator in sources["channels.py"] and exact in sources["measure.py"]
+    edit = "    chi = AlgebraElement.zeros(pair_groupoid(b.n))\n    chi.values[b.perm[0]] += 1\n    return chi\n"
+    sources["channels.py"] = sources["channels.py"].replace(indicator, edit)
+    sources["measure.py"] = sources["measure.py"].replace(exact, "        self.deltas = self.deltas\n" + exact)
+    planted = {("channels.py", "bisection_indicator"), ("measure.py", "GroupoidMeasure.with_exact")}
+    assert value_stores(sources) == OWN_VALUES | planted
 
 
 def test_eigenvectors_are_solved_only_where_read():

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import with_tables
 
 from groupoidqm import (
     GroupoidMeasure,
@@ -78,11 +79,10 @@ def outputs(nbits, dbits):
         "raw": GroupoidMeasure(g, rationals(nbits, dbits, 4, 2), rationals(nbits, dbits, 2, 3)),
         "int": GroupoidMeasure(g, [2**nbits - 1 - k for k in range(4)], [2**dbits - 3, 3]),
     }
-    perturbed = weighted_pair_measure(g, w)
-    nu = list(perturbed.nu_targets)
+    haar = weighted_pair_measure(g, w)
+    nu = list(haar.nu_targets)
     nu[1] += Fraction(1, 2**dbits)
-    perturbed.nu_targets = tuple(nu)
-    bases["perturbed"] = perturbed
+    bases["perturbed"] = with_tables(haar, nu_targets=nu)
     f, h = (AlgebraElement(g, rationals(nbits, dbits, 4, s)) for s in (4, 5))
     for name, m in bases.items():
         for t in ("weights", "object_weights", "nu_targets", "nu_sources", "deltas"):
