@@ -362,14 +362,15 @@ def norm_sq(psi: AlgebraElement, m: GroupoidMeasure):
     return sum(abs(psi.values[a]) ** 2 * m.weights[a] for a in m.groupoid.morphisms())
 
 
-@dataclass
+@dataclass(frozen=True)
 class PSDResult:
     """A PSD verdict on ``matrix``, made by ``_PSDVerdicts``: a Hermitian defect
     above tol fails with a NaN ``min_eigenvalue``, no witness and no
     eigenpairs; otherwise its solve gives the ascending ``eigenvalues``.
     ``eigenvectors`` (as columns) and ``witness``, an eigenvector of the least
     eigenvalue, are solved from ``matrix`` on first read, by one
-    ``eigen.hermitian_eigh`` call kept for later reads, unless it gave them."""
+    ``eigen.hermitian_eigh`` call kept for later reads, unless it gave them.
+    Frozen, with read-only arrays: a ``Channel`` shares its ``is_cp`` verdict."""
 
     ok: bool
     min_eigenvalue: float
@@ -378,13 +379,19 @@ class PSDResult:
     matrix: np.ndarray | None = field(default=None, repr=False)
     _eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        for a in (self.eigenvalues, self.matrix, self._eigenvectors):
+            if a is not None:
+                a.flags.writeable = False
+
     def __bool__(self) -> bool:
         return self.ok
 
     @property
     def eigenvectors(self) -> np.ndarray | None:
         if self._eigenvectors is None and self.eigenvalues is not None:
-            self._eigenvectors = eigen.hermitian_eigh(self.matrix)[1]
+            object.__setattr__(self, "_eigenvectors", eigen.hermitian_eigh(self.matrix)[1])
+            self._eigenvectors.flags.writeable = False
         return self._eigenvectors
 
     @property
@@ -421,7 +428,8 @@ class _PSDVerdicts:
     def __init__(self, blocks: np.ndarray, tol: float, vectors: bool = False):
         d = blocks.shape[-1]
         self.blocks = blocks[None] if blocks.ndim == 2 else blocks
-        defects = hermitian_defect(self.blocks)
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN defect, which the solver rejects when read
+            defects = hermitian_defect(self.blocks)
         self.defects = defects.tolist()
         self.every = all(x <= tol and math.isfinite(x) for x in self.defects)
         self.w = self.v = None
@@ -453,7 +461,7 @@ class _PSDVerdicts:
         return PSDResult(self.ok[p], self.least[p], defect, self.w[r], self.blocks[p], v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PositiveTypeResult(PSDResult):
     """The verdict of the deciding block: the ``matrix`` over the source fiber
     ``fiber`` of object ``object_index`` that failed first in object order
@@ -520,8 +528,7 @@ class _PositiveTypeStack:
 
     def __init__(self, G: FiniteGroupoid, values: np.ndarray, tol: float):
         indices, self.heads = _fiber_gathers(G)
-        with np.errstate(invalid="ignore"):  # inf - inf: a NaN defect, which the solver rejects when read
-            self.solves = [_PSDVerdicts(values[:, idx], tol) for idx in indices]
+        self.solves = [_PSDVerdicts(values[:, idx], tol) for idx in indices]
         self.ok = np.ones(len(values), dtype=bool)
         for solve in self.solves:
             self.ok &= solve.ok

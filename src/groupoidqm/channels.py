@@ -64,13 +64,21 @@ class TooManyKrausError(GroupoidError):
 
 
 class Channel:
-    """A dynamical map given by its kernel on the quotient symmetroid."""
+    """A dynamical map given by its kernel on the quotient symmetroid; its
+    ``n`` and ``kernel`` are set once, and ``_verdicts`` keeps ``is_cp``'s
+    verdict per tol."""
 
-    __slots__ = ("n", "kernel")
+    __slots__ = ("n", "kernel", "_verdicts")
 
     def __init__(self, kernel: QuotientFunction):
-        self.n = kernel.n
-        self.kernel = kernel
+        for name, value in (("n", kernel.n), ("kernel", kernel), ("_verdicts", {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Channel is immutable: cannot set {name!r}")
+
+    def __reduce__(self):  # a copy or an unpickled channel is built anew, keeping no verdict
+        return Channel, (self.kernel,)
 
     def __repr__(self) -> str:
         return f"Channel(n={self.n})"
@@ -303,9 +311,13 @@ def is_cp(ch: Channel, tol: float = PSD_TOL) -> PSDResult:
     """Complete positivity: the Choi matrix is Hermitian with min eigenvalue >= -tol.
 
     By channel-state duality this decides positivity of every ancilla
-    extension at once.
+    extension at once.  The channel keeps its verdict per tol: a later call
+    with the same tol returns it and solves nothing.
     """
-    return psd_verdict(to_choi(ch).matrix, tol)
+    verdict = ch._verdicts.get(tol)
+    if verdict is None:
+        verdict = ch._verdicts[tol] = psd_verdict(to_choi(ch).matrix, tol)
+    return verdict
 
 
 def is_flat_psd(ch: Channel, tol: float = PSD_TOL) -> PSDResult:
@@ -319,7 +331,7 @@ def is_flat_psd(ch: Channel, tol: float = PSD_TOL) -> PSDResult:
 
         G[(z, y), (z', y')] = f((z, y), (y', z')) = Choi[(z, y), (z', y')]
 
-    for every group: one matrix, decided once by ``is_cp``.
+    for every group: one matrix, decided by ``is_cp`` and kept per tol.
     """
     return is_cp(ch, tol)
 

@@ -283,7 +283,7 @@ def cmd_channel(args) -> int:
         payload: dict = {"n": channel.n}
         failed = False
         if args.cp:
-            res = cp = ch.is_cp(channel)
+            res = ch.is_cp(channel)
             payload["cp"] = {
                 "verdict": bool(res.ok),
                 "min_eigenvalue": _nan_to_none(res.min_eigenvalue),
@@ -293,8 +293,7 @@ def cmd_channel(args) -> int:
                 payload["cp"]["witness"] = complex_values_to_json(res.witness)
             failed |= not res.ok
         if args.flat_psd:
-            # is_flat_psd is is_cp (see its docstring): decide the Choi matrix once
-            res = cp if args.cp else ch.is_flat_psd(channel)
+            res = ch.is_flat_psd(channel)
             payload["flat_psd"] = {
                 "verdict": bool(res.ok),
                 "min_eigenvalue": _nan_to_none(res.min_eigenvalue),

@@ -238,10 +238,6 @@ class QuotientFunction(_Values):
         self._hold(values)
 
     @classmethod
-    def zeros(cls, n: int) -> "QuotientFunction":
-        return cls(n, [0] * n**4)
-
-    @classmethod
     def delta(cls, n: int, q: QClass) -> "QuotientFunction":
         k = q_index(n, q)
         return cls(n, [int(i == k) for i in range(n**4)])

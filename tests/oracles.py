@@ -31,6 +31,7 @@ from groupoidqm import (
     GroupoidMeasure,
     NotComposableError,
     QClass,
+    QuotientFunction,
     Symmetroid,
     Transformation,
     direct_product,
@@ -258,6 +259,11 @@ def exact(*value_lists):
 def delta(n, j, k):
     """The basis function at (j, k) of pair_groupoid(n)."""
     return AlgebraElement.delta(pair_groupoid(n), j * n + k)
+
+
+def quotient_zeros(n):
+    """The zero function on the quotient symmetroid classes over n points."""
+    return QuotientFunction(n, [0] * n**4)
 
 
 def function_from_blocks(g, blocks):

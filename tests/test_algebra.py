@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -274,6 +275,26 @@ class TestPSDVerdict:
         assert res.ok and res.min_eigenvalue == np.inf and res.hermitian_defect == 0.0
         assert res.witness is None and res.eigenvalues is None
 
+    def test_an_inf_pair_raises_the_solvers_error_and_warns_nothing(self):
+        # inf - inf in the Hermitian defect is NaN, which no tol rejects
+        m = np.zeros((3, 3))
+        m[0, 1] = m[1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psd_verdict(m)
+
+    def test_a_verdict_is_frozen_and_its_arrays_are_read_only(self):
+        res = psd_verdict(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        stacked = is_positive_type(AlgebraElement(pair_groupoid(2), [-1, 1, 1, -1]))
+        for verdict in (res, stacked):
+            with pytest.raises(AttributeError):
+                verdict.ok = True
+            for a in (verdict.matrix, verdict.eigenvalues, verdict.eigenvectors):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+        with pytest.raises(AttributeError):
+            stacked.object_index = 1
+
     def test_non_square_matrix_is_rejected_before_its_defect(self):
         for shape in ((2, 3), (3,), (0, 2)):
             with pytest.raises(ValueError, match="expected a square matrix"):
@@ -475,7 +496,8 @@ class TestPositiveTypeMixedFibers:
         blocks = [psd(rng, n, 0.1) for n in self.SIZES]
         blocks[2] = [[np.inf]]
         # inf - inf in the Hermitian defect is NaN, which no tol rejects
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError), warnings.catch_warnings():
+            warnings.simplefilter("error")
             is_positive_type(function_from_blocks(g, blocks))
 
 

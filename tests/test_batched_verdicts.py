@@ -8,9 +8,13 @@ one ``G.compose`` per block entry and one ``psd_verdict`` per object.
 ``random_positive_type`` ran before states were drawn as a stack.
 ``loop_positivity_falsifier`` draws through it, applies each state by the
 einsum formula ``einsum_apply`` and decides one trial at a time.  Every
-field of every verdict and witness must agree bit for bit.
+field of every verdict and witness must agree bit for bit.  The solves are
+counted too: eigenvectors only when read, and a channel's Choi matrix once
+per tol.
 """
 
+import copy
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +53,7 @@ from groupoidqm import (
 )
 from groupoidqm.algebra import PSD_TOL
 from groupoidqm.channels import _FALSIFIER_CHUNK, _random_gram_states
+from groupoidqm.cli import main
 from groupoidqm.symalgebra import QuotientFunction
 
 SIZES = (3, 2, 1, 4, 2)
@@ -153,7 +158,8 @@ def test_inf_block_the_walk_reaches_raises():
     phi = function_from_blocks(g, blocks)
     passing = function_from_blocks(g, [psd(rng, n, 0.1) for n in SIZES])
     # inf - inf in the Hermitian defect is NaN, which no tol rejects
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError) as want:
             loop_is_positive_type(phi)
         with pytest.raises(ValueError) as got:
@@ -359,6 +365,50 @@ def test_reading_a_stacked_verdicts_witness_solves_its_block_once(solves):
 def test_choi_kraus_decomposition_makes_its_one_solve_with_vectors(solves):
     choi_kraus_decomposition(random_kraus_channel(2, np.random.default_rng(4)))
     assert solves == [("vectors", (4, 4))]
+
+
+# -- a channel keeps its Choi verdict, per tol --
+
+
+def test_is_flat_psd_after_is_cp_solves_nothing(solves):
+    ch = random_kraus_channel(3, np.random.default_rng(6), members=9)
+    cp = is_cp(ch)
+    assert is_flat_psd(ch) is cp and is_cp(ch) is cp
+    assert solves == [("values", (9, 9))]
+
+
+@pytest.mark.parametrize("tols", [(PSD_TOL, 2.0), (2.0, PSD_TOL)])
+def test_the_held_verdict_is_per_tol(solves, tols):
+    # the Choi matrix of the transpose is SWAP, whose least eigenvalue is -1
+    ch = transpose_channel(2)
+    for decide in (is_cp, is_flat_psd):
+        assert [decide(ch, tol).ok for tol in tols] == [tol == 2.0 for tol in tols]
+    assert solves == [("values", (4, 4))] * 2
+
+
+def test_a_channel_and_its_held_verdict_cannot_be_edited():
+    ch = transpose_channel(2)
+    res = is_cp(ch)
+    with pytest.raises(AttributeError):
+        ch.kernel = identity_channel(2).kernel
+    with pytest.raises(AttributeError):
+        ch.n = 3
+    with pytest.raises(AttributeError):
+        res.ok = True
+    with pytest.raises(ValueError, match="read-only"):
+        res.matrix[0, 0] = 1
+    assert (ch.n, is_cp(ch).ok, is_cp(ch).matrix[0, 0]) == (2, False, 1)
+    # a copy is built anew from the kernel and decides for itself
+    twin = copy.deepcopy(ch)
+    assert twin.kernel == ch.kernel and is_cp(twin) is not res and not is_cp(twin).ok
+
+
+def test_reproduce_decides_each_choi_matrix_once(solves, tmp_path, capsys):
+    # is_cp then is_flat_psd on the shift channel at n = 3 and the Fourier
+    # channels at n = 3 and 4: one solve per channel
+    assert main(["reproduce", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert solves == [("values", (9, 9)), ("values", (9, 9)), ("values", (16, 16))]
 
 
 def witness_matrices():

@@ -413,15 +413,15 @@ def test_reproduce_writes_reports(tmp_path, capsys):
     assert code == 0
     assert data["all_pass"] is True
     names = {p.name for p in (tmp_path / "reports").glob("*.json")}
-    assert {
+    assert names == {
         "shift_bisection_n3.json",
         "fourier_n3.json",
         "fourier_n4.json",
         "modular_tables.json",
         "summary.json",
-    } <= names
-    shift = (tmp_path / "reports" / "shift_bisection_n3.json").read_bytes()
-    assert shift == (GOLDEN / "shift_bisection_n3.json").read_bytes()
+    }
+    for name in names:
+        assert (tmp_path / "reports" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
     shift = json.loads((tmp_path / "reports" / "shift_bisection_n3.json").read_text())
     assert shift["all_basis_exact"] and shift["functor_composition_ok"]
     fourier = json.loads((tmp_path / "reports" / "fourier_n3.json").read_text())

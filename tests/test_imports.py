@@ -428,13 +428,14 @@ def test_tol_is_compared_in_one_psd_decider():
 
 def test_tol_guard_sees_a_comparison_planted_in_is_cp():
     sources = {m: (PACKAGE / m).read_text() for m in PSD_MODULES}
-    verdict = "    return psd_verdict(to_choi(ch).matrix, tol)\n"
+    # the solve that fills the channel's held verdict, read back by .get(tol)
+    verdict = "        verdict = ch._verdicts[tol] = psd_verdict(to_choi(ch).matrix, tol)\n"
     assert verdict in sources["channels.py"]
     sources["channels.py"] = sources["channels.py"].replace(
         verdict,
-        "    res = psd_verdict(to_choi(ch).matrix, tol)\n"
-        "    res.ok = res.ok and res.min_eigenvalue >= -tol\n"
-        "    return res\n",
+        "        res = psd_verdict(to_choi(ch).matrix, tol)\n"
+        "        res.ok = res.ok and res.min_eigenvalue >= -tol\n"
+        "        verdict = ch._verdicts[tol] = res\n",
     )
     assert tol_comparisons(sources) - NOT_PSD == {
         ("algebra.py", f"{DECIDER}.__init__"), ("channels.py", "is_cp")
