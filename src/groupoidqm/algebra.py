@@ -47,10 +47,6 @@ from .measure import GroupoidMeasure, _group_sums, _is_exact, _narrowed, _over_l
 PSD_TOL = 1e-10
 
 
-class NormalizationError(GroupoidError):
-    """A state vector family is not normalized."""
-
-
 class _Values:
     """The values of a function, held in one form for its life, which kernels
     read as it is: a tuple of the values given, a ``measure._Table`` (the
@@ -260,8 +256,8 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     return np.array(exact, dtype=object).reshape(out.shape)
 
 
-def _require_one_value_per_morphism(m: GroupoidMeasure, *tables: _Table) -> None:
-    """GroupoidError unless each table has one value per morphism of m's
+def _require_one_value_per_morphism(m: GroupoidMeasure, *tables: _Table | tuple) -> None:
+    """GroupoidError unless each table or tuple has one value per morphism of m's
     groupoid: a gather would read a longer or shorter one without error."""
     n = m.groupoid.n_morphisms
     for t in tables:
@@ -348,18 +344,6 @@ def left_regular_matrix(f: AlgebraElement, m: GroupoidMeasure) -> np.ndarray:
         b, a, ba = _translation_pairs(m, fv != 0)
         mat[ba, a] = (fv * nuv)[b]
     return mat
-
-
-def inner(psi: AlgebraElement, chi: AlgebraElement, m: GroupoidMeasure) -> complex:
-    """⟨ψ, χ⟩ = Σ_α conj(ψ(α)) χ(α) μ(α), antilinear in the first slot."""
-    return sum(
-        psi.values[a].conjugate() * chi.values[a] * m.weights[a]
-        for a in m.groupoid.morphisms()
-    )
-
-
-def norm_sq(psi: AlgebraElement, m: GroupoidMeasure):
-    return sum(abs(psi.values[a]) ** 2 * m.weights[a] for a in m.groupoid.morphisms())
 
 
 @dataclass(frozen=True)
@@ -579,51 +563,9 @@ def _fiber_gathers(G: FiniteGroupoid):
 
 
 def state_normalization(phi: AlgebraElement, m: GroupoidMeasure):
-    """Σ_x phi(1_x)·μ_Ω(x): equals one for trace-one states on pair groupoids."""
-    G = phi.groupoid
-    return sum(phi.values[G.unit(x)] * m.object_weights[x] for x in G.objects())
-
-
-class StateFunction:
-    """A positive-type function normalized to Σ_x φ(1_x) μ_Ω(x) = 1."""
-
-    __slots__ = ("function", "measure")
-
-    def __init__(self, function: AlgebraElement, measure: GroupoidMeasure, tol: float = PSD_TOL):
-        check = is_positive_type(function, tol)
-        if not check.ok:
-            raise GroupoidError(
-                f"not a positive-type function (min eigenvalue {check.min_eigenvalue})"
-            )
-        norm = state_normalization(function, measure)
-        if abs(norm - 1) > tol:
-            raise NormalizationError(f"state normalization is {norm}, expected 1")
-        self.function = function
-        self.measure = measure
-
-
-def evaluate_state(
-    xi_list: Sequence[AlgebraElement],
-    f: AlgebraElement,
-    m: GroupoidMeasure,
-    tol: float = 1e-12,
-) -> complex:
-    """ω(f) = Σ_i ⟨ξ_i, π(f) ξ_i⟩ for a normal state given by L² vectors ξ_i.
-
-    Requires Σ_i ‖ξ_i‖² = 1 within tol.
-    """
-    total = sum(norm_sq(xi, m) for xi in xi_list)
-    if abs(total - 1) > tol:
-        raise NormalizationError(f"Σ‖ξ‖² = {total}, expected 1")
-    return sum(inner(xi, convolve(f, xi, m), m) for xi in xi_list)
-
-
-def state_function(
-    xi_list: Sequence[AlgebraElement], m: GroupoidMeasure, tol: float = 1e-12
-) -> AlgebraElement:
-    """The function α -> ω(δ_α) attached to the normal state of ξ_list."""
+    """Σ_x phi(1_x)·μ_Ω(x) over the objects of m's groupoid: equals one for
+    trace-one states on pair groupoids.  GroupoidError unless phi has one
+    value per morphism of that groupoid."""
+    _require_one_value_per_morphism(m, phi.values)
     G = m.groupoid
-    values = [
-        evaluate_state(xi_list, AlgebraElement.delta(G, a), m, tol) for a in G.morphisms()
-    ]
-    return AlgebraElement(G, values)
+    return sum(phi.values[G.unit(x)] * m.object_weights[x] for x in G.objects())

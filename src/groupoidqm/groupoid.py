@@ -291,11 +291,6 @@ def pair_index(n: int, j: int, k: int) -> int:
     return j * n + k
 
 
-def pair_of(n: int, m: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_index`: id -> (target, source)."""
-    return divmod(m, n)
-
-
 def direct_product(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
     """Direct product groupoid: componentwise objects, morphisms and composition."""
     n1, n2 = g1.n_objects, g2.n_objects

@@ -329,11 +329,6 @@ def flat_bisection_product(b2: FlatBisection, b1: FlatBisection) -> FlatBisectio
     return FlatBisection([b2.perm[j] for j in b1.perm])
 
 
-def flat_bisection_functor(b: FlatBisection) -> list[int]:
-    """The full morphism map of the induced base automorphism."""
-    return [b.functor(beta) for beta in range(b.n * b.n)]
-
-
 def flat_bisections(n: int) -> list[FlatBisection]:
     """All flat bisections over n points: one per permutation of the objects."""
     return [FlatBisection(p) for p in permutations(range(n))]

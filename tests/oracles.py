@@ -36,6 +36,7 @@ from groupoidqm import (
     Transformation,
     direct_product,
     extend_with_identity,
+    left_regular_matrix,
     pair_groupoid,
     q_horizontal_compose,
     q_horizontally_composable,
@@ -278,6 +279,12 @@ def function_from_blocks(g, blocks):
 def psd(rng, n, shift=0.0):
     b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return b @ b.conj().T / n + shift * np.eye(n)
+
+
+def normal_state(xis, f, m):
+    """ω(f) = Σ_i ⟨ξ_i, π(f) ξ_i⟩ with ⟨ψ, χ⟩ = Σ_α conj(ψ(α)) χ(α) μ(α), for value arrays ξ_i."""
+    mat, mu = left_regular_matrix(f, m), np.array(m.weights, dtype=float)
+    return sum(np.vdot(xi, mu * (mat @ xi)) for xi in xis)
 
 
 # -- comparisons --

@@ -4,27 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import delta, disjoint_pair_groupoids, function_from_blocks, psd
+from oracles import delta, disjoint_pair_groupoids, function_from_blocks, normal_state, psd
 
 from groupoidqm import (
     AlgebraElement,
     GroupoidError,
     GroupoidMeasure,
-    NormalizationError,
-    StateFunction,
     convolve,
     direct_product,
-    evaluate_state,
     hermitian_defect,
-    inner,
     involute,
     is_positive_type,
     left_regular_matrix,
-    norm_sq,
     pair_groupoid,
     pair_index,
     psd_verdict,
-    state_function,
     state_normalization,
     weighted_pair_measure,
 )
@@ -364,43 +358,14 @@ class TestPositiveType:
 
 
 class TestStates:
+    """Normal states ω(f) = Σ_i ⟨ξ_i, π(f) ξ_i⟩, read through the left-regular matrix."""
+
     def test_unit_atom_state_evaluates_at_unit(self):
-        n = 3
-        g = pair_groupoid(n)
-        m = GroupoidMeasure.counting(g)
-        xi = AlgebraElement.delta(g, g.unit(1))
-        rng = np.random.default_rng(9)
-        f = random_element(g, rng)
-        assert abs(evaluate_state([xi], f, m) - f.values[g.unit(1)]) < 1e-12
-
-    def test_unit_element_expectation_is_one(self):
         g = pair_groupoid(3)
         m = GroupoidMeasure.counting(g)
-        rng = np.random.default_rng(10)
-        raw = [random_element(g, rng) for _ in range(2)]
-        total = sum(norm_sq(x, m) for x in raw)
-        xis = [x * (1 / np.sqrt(float(total))) for x in raw]
-        chi = AlgebraElement.units_indicator(g)
-        assert abs(evaluate_state(xis, chi, m) - 1) < 1e-10
-
-    def test_normalization_enforced(self):
-        g = pair_groupoid(2)
-        m = GroupoidMeasure.counting(g)
-        xi = AlgebraElement.delta(g, 0) * 2
-        with pytest.raises(NormalizationError):
-            evaluate_state([xi], AlgebraElement.units_indicator(g), m)
-
-    def test_positivity_of_f_star_f(self):
-        g = pair_groupoid(3)
-        for m in (GroupoidMeasure.counting(g), weighted_pair_measure(g, W124)):
-            rng = np.random.default_rng(11)
-            xi = random_element(g, rng)
-            xi = xi * (1 / np.sqrt(float(norm_sq(xi, m))))
-            for _ in range(50):
-                f = random_element(g, rng)
-                val = evaluate_state([xi], convolve(involute(f, m), f, m), m)
-                assert complex(val).real > -1e-10
-                assert abs(complex(val).imag) < 1e-10
+        xi = np.eye(g.n_morphisms)[g.unit(1)]
+        f = random_element(g, np.random.default_rng(9))
+        assert abs(normal_state([xi], f, m) - f.values[g.unit(1)]) < 1e-12
 
     def test_state_functions_are_positive_type_counting(self):
         # ω(δ_α) defines a positive-type function (checked for unimodular
@@ -408,38 +373,27 @@ class TestStates:
         for g in (pair_groupoid(2), pair_groupoid(3), direct_product(pair_groupoid(2), pair_groupoid(2))):
             m = GroupoidMeasure.counting(g)
             rng = np.random.default_rng(12)
-            raw = [random_element(g, rng) for _ in range(2)]
-            total = sum(norm_sq(x, m) for x in raw)
-            xis = [x * (1 / np.sqrt(float(total))) for x in raw]
-            phi = state_function(xis, m)
+            xis = rng.normal(size=(2, g.n_morphisms)) + 1j * rng.normal(size=(2, g.n_morphisms))
+            xis /= np.linalg.norm(xis)  # Σ_i ‖ξ_i‖² = 1
+            phi = AlgebraElement(g, [normal_state(xis, AlgebraElement.delta(g, a), m) for a in g.morphisms()])
             assert is_positive_type(phi).ok
             assert abs(state_normalization(phi, m) - 1) < 1e-10
 
-    def test_inner_product_conventions(self):
+    def test_state_normalization_sums_the_units_of_the_measures_groupoid(self):
         g = pair_groupoid(2)
-        m = weighted_pair_measure(g, (1, 2))
-        rng = np.random.default_rng(13)
-        a, b = random_element(g, rng), random_element(g, rng)
-        assert abs(inner(a, b, m) - complex(inner(b, a, m)).conjugate()) < 1e-12
-        assert complex(inner(a, a, m)).real > 0
-
-    def test_state_function_class(self):
-        n = 2
-        g = pair_groupoid(n)
         m = GroupoidMeasure.counting(g)
-        # a trace-one PSD matrix read as a function is a state
-        good = AlgebraElement(g, [0.5, 0.25, 0.25, 0.5])
-        state = StateFunction(good, m)
-        assert state.function is good
-        # not positive-type is rejected
-        bad = AlgebraElement(g, [-1, 1, 1, -1])
-        with pytest.raises(Exception):
-            StateFunction(bad, m)
-        # positive-type but not normalized is rejected
-        unnorm = AlgebraElement(g, [1, 0, 0, 1])
-        with pytest.raises(NormalizationError):
-            StateFunction(unnorm, m)
-        assert abs(state_normalization(unnorm, m) - 2) < 1e-12
+        assert state_normalization(AlgebraElement(g, [0.5, 0.25, 0.25, 0.5]), m) == 1
+        assert state_normalization(AlgebraElement(g, [1, 0, 0, 1]), m) == 2
+        weighted = weighted_pair_measure(g, (1, 2))
+        assert state_normalization(AlgebraElement(g, [1, 5, 7, 1]), weighted) == sum(weighted.object_weights)
+        # φ needs one value per morphism of the measure's groupoid, as the kernels do
+        others = (
+            (AlgebraElement(g, [1, 0, 0, 1]), weighted_pair_measure(pair_groupoid(3), (1, 2, 3))),
+            (AlgebraElement.units_indicator(pair_groupoid(3)), m),
+        )
+        for phi, other in others:
+            with pytest.raises(GroupoidError, match="one value per morphism"):
+                state_normalization(phi, other)
 
 
 class TestPositiveTypeMixedFibers:

@@ -9,8 +9,8 @@ kernels of ``measure``, only ``measure._narrowed`` names int64,
 ``positivity_falsifier`` makes ``AlgebraElement``s only for its witness,
 eigenvectors are solved only where they are read, tol is compared by one PSD
 decider, no module stores through an element's ``values`` or into a
-measure's tables, and the quotient's rules
-only read, compare and copy fields.  Among the tests, only ``oracles.py``
+measure's tables, the quotient's rules only read, compare and copy fields,
+and every re-export is reached.  Among the tests, only ``oracles.py``
 defines reference loops, and no test module imports another.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
@@ -18,6 +18,7 @@ re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -390,8 +391,6 @@ DECIDER = "_PSDVerdicts"
 # the checks that read a tol and decide no positive semidefiniteness
 NOT_PSD = {
     ("algebra.py", "_Values.allclose"),
-    ("algebra.py", "StateFunction.__init__"),
-    ("algebra.py", "evaluate_state"),
     ("channels.py", "tomogram"),
 }
 
@@ -421,9 +420,10 @@ PSD_MODULES = ("algebra.py", "channels.py")
 def test_tol_is_compared_in_one_psd_decider():
     # every PSD verdict is _PSDVerdicts' decision, and its constructor is the
     # one function that compares a defect or an eigenvalue with tol; a second
-    # comparison elsewhere would be a second tolerance rule beside it
+    # comparison elsewhere would be a second tolerance rule beside it, and an
+    # exemption that no comparison needs any more fails too
     sources = {m: (PACKAGE / m).read_text() for m in PSD_MODULES}
-    assert tol_comparisons(sources) - NOT_PSD == {("algebra.py", f"{DECIDER}.__init__")}
+    assert tol_comparisons(sources) == NOT_PSD | {("algebra.py", f"{DECIDER}.__init__")}
 
 
 def test_tol_guard_sees_a_comparison_planted_in_is_cp():
@@ -437,9 +437,61 @@ def test_tol_guard_sees_a_comparison_planted_in_is_cp():
         "        res.ok = res.ok and res.min_eigenvalue >= -tol\n"
         "        verdict = ch._verdicts[tol] = res\n",
     )
-    assert tol_comparisons(sources) - NOT_PSD == {
+    assert tol_comparisons(sources) == NOT_PSD | {
         ("algebra.py", f"{DECIDER}.__init__"), ("channels.py", "is_cp")
     }
+
+
+ROOT = Path(__file__).parent.parent
+
+
+def loads_outside_own_body(source: str) -> set:
+    """The names and attributes that source loads, less each top-level def's
+    or class's mentions of its own name."""
+    return {
+        name
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        for name in [node.id if isinstance(node, ast.Name) else node.attr]
+        if name != getattr(top, "name", None)
+    }
+
+
+def unreached_exports(init: str, modules: dict, texts: list) -> set:
+    """The names that ``init`` re-exports which no text names and no module
+    loads outside its own body."""
+    loaded = set().union(*map(loads_outside_own_body, modules.values()))
+    exports = set(imported_names(ast.parse(init))) - loaded
+    return {name for name in exports if not any(re.search(rf"\b{name}\b", text) for text in texts)}
+
+
+def reach_sources():
+    """``__init__.py``, the package's other modules by name, and the texts
+    whose mention reaches a name: the README, the acceptance suite and perfbench."""
+    modules = {p.name: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    texts = [(ROOT / "README.md").read_text(), (TESTS / "test_acceptance.py").read_text()]
+    texts += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*")) if p.suffix in (".py", ".md")]
+    return (PACKAGE / "__init__.py").read_text(), modules, texts
+
+
+def test_every_export_is_reached():
+    # a public name stays while the README, the acceptance suite, the benchmark
+    # or the package reaches it; one that only its own tests call goes
+    assert unreached_exports(*reach_sources()) == set()
+
+
+def test_export_guard_sees_a_planted_export_and_a_self_mention():
+    init, modules, texts = reach_sources()
+    init += "from .algebra import orphan_kernel\nfrom .groupoid import self_caller, SelfMaker\n"
+    modules["algebra.py"] += "\ndef orphan_kernel(f, m):\n    return convolve(f, f, m)\n"
+    modules["groupoid.py"] += (
+        "\ndef self_caller(n):\n    return self_caller(n - 1) if n else 0\n"
+        "\nclass SelfMaker:\n    def copy(self):\n        return SelfMaker()\n"
+    )
+    assert unreached_exports(init, modules, texts) == {"orphan_kernel", "self_caller", "SelfMaker"}
+    modules["symmetroid.py"] += "\nREACHED = orphan_kernel, self_caller, SelfMaker\n"
+    assert unreached_exports(init, modules, texts) == set()
 
 
 # values set where their object is made: a table's, built once, and the modular function's

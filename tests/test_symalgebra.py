@@ -339,25 +339,16 @@ class TestPullbacks:
             assert emb[q] == psi.values[q.z * n + q.w]
         f = QuotientFunction(n, list(rng.normal(size=81) + 1j * rng.normal(size=81)))
         acted = convolve_S(f, emb)
-        # (A_f t1*ψ)((l,j),(k,m)) = Σ_{r,s} f((l,r),(s,m)) ψ(r,s): fiber-constant
+        back = fiber_restrict(acted)
+        # (A_f t1*ψ)((l,j),(k,m)) = Σ_{r,s} f((l,r),(s,m)) ψ(r,s): fiber-constant,
+        # and fiber_restrict reads it back at (l, m)
         for l in range(n):
             for m in range(n):
-                expected = sum(
-                    f.get(l, r, s, m) * psi.values[r * n + s]
-                    for r in range(n)
-                    for s in range(n)
-                )
+                expected = sum(f.get(l, r, s, m) * psi.values[r * n + s] for r in range(n) for s in range(n))
+                assert abs(back.values[l * n + m] - expected) < 1e-12
                 for j in range(n):
                     for k in range(n):
                         assert abs(acted.get(l, j, k, m) - expected) < 1e-12
-        back = fiber_restrict(acted)
-        assert all(
-            abs(back.values[l * n + m] - complex(sum(
-                f.get(l, r, s, m) * psi.values[r * n + s]
-                for r in range(n) for s in range(n)
-            ))) < 1e-12
-            for l in range(n) for m in range(n)
-        )
 
     def test_fiber_restrict_rejects_non_pullback(self):
         n = 2

@@ -26,7 +26,6 @@ from groupoidqm import (
     Transformation,
     direct_product,
     enumerate_quotient,
-    flat_bisection_functor,
     flat_bisection_product,
     flat_bisections,
     pair_groupoid,
@@ -455,16 +454,15 @@ class TestBisections:
     def test_shift_functor(self):
         n = 3
         b = shift_bisection(n)
-        fmap = flat_bisection_functor(b)
         for j in range(n):
             for k in range(n):
-                assert fmap[pair_index(n, j, k)] == pair_index(n, (j + 1) % n, (k + 1) % n)
+                assert b.functor(pair_index(n, j, k)) == pair_index(n, (j + 1) % n, (k + 1) % n)
 
     def test_functor_preserves_composition(self):
         n = 3
         g = pair_groupoid(n)
         for b in flat_bisections(n):
-            fmap = flat_bisection_functor(b)
+            fmap = [b.functor(beta) for beta in range(n * n)]
             for (b2, a2), r in g.compose_table.items():
                 assert g.compose(fmap[b2], fmap[a2]) == fmap[r]
             for x in g.objects():
